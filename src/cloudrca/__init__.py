@@ -38,7 +38,6 @@ from .errors import (
 )
 from .logexpert import (
     LogChunk,
-    LogExpertConfig,
     RetrievalStore,
     evidence_accepted,
     louvain,
@@ -90,7 +89,6 @@ __all__ = [
     "HttpBackend",
     "JobOutcome",
     "LogChunk",
-    "LogExpertConfig",
     "MockBackend",
     "NotComputable",
     "PolicyBackend",

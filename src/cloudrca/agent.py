@@ -9,10 +9,15 @@ from typing import Optional
 
 from . import prompts
 from .backends import Backend, ChatExchange, GenerationParams, generate_adaptive
-from .backends import DEFAULT_MAX_ESCALATIONS, DEFAULT_RESTART_THRESHOLD
 from .errors import CloudRcaError
-from .snapshots import DEFAULT_HEAD_LINES, SnapshotStore
-from .structured import extract_json, json_regen, sanitize_prompt
+from .snapshots import SnapshotStore
+from .structured import (
+    balanced_spans,
+    fix_escapes,
+    json_regen,
+    sanitize_prompt,
+    try_parse,
+)
 from .tools import (
     DispatchContext,
     KIND_FINALIZE,
@@ -37,18 +42,12 @@ class PromptSet:
 @dataclass
 class AgentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
-    head_lines: int = DEFAULT_HEAD_LINES
     params: GenerationParams = field(
         default_factory=lambda: GenerationParams(mode="greedy")
     )
     prompts: PromptSet = field(default_factory=PromptSet)
     task_statement: str = "Diagnose the anomalous job."
-    restart_threshold: int = DEFAULT_RESTART_THRESHOLD
-    max_escalations: int = DEFAULT_MAX_ESCALATIONS
-    repair_retry_limit: int = 3
     json_regen_enabled: bool = True
-    dedup_threshold: float = 0.9
-    trivial_input_floor: int = 32
 
     def __post_init__(self):
         if self.max_steps < 1:
@@ -94,9 +93,21 @@ def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange
     return ChatExchange(system_prompt=system, messages=[("user", user)])
 
 
+def _action_start(text: str) -> int:
+    """Index of the first balanced span that parses, directly or after
+    escape fixing, to an object with a string ``function`` key; otherwise the
+    first brace, or -1 when there is none.  Braces in the thought are skipped."""
+    for start, span in balanced_spans(text):
+        for candidate in (span, fix_escapes(span)):
+            value = try_parse(candidate)
+            if value is not None and isinstance(value.get("function"), str):
+                return start
+    return text.find("{")
+
+
 def _split_thought(text: str) -> tuple[str, Optional[str]]:
-    """Thought is everything before the first candidate JSON object."""
-    brace = text.find("{")
+    """Thought is everything before the action JSON."""
+    brace = _action_start(text)
     if brace == -1:
         return text.strip(), None
     thought = text[:brace]
@@ -120,17 +131,14 @@ def run_step(
     """One decision cycle.  Appends the produced step to the trajectory and
     fills trajectory.result when the step finalizes."""
     exchange = assemble_prompt(config, trajectory)
-    generation = generate_adaptive(
-        backend,
-        exchange,
-        params or config.params,
-        restart_threshold=config.restart_threshold,
-        max_escalations=config.max_escalations,
-    )
+    generation = generate_adaptive(backend, exchange, params or config.params)
     thought, action_text = _split_thought(generation.text)
+    function = None
+    if action_text is not None:
+        outcome = json_regen(backend, action_text, enabled=config.json_regen_enabled)
+        function = outcome.value.get("function") if outcome.ok else None
 
-    step: Step
-    if action_text is None:
+    if not isinstance(function, str):
         step = Step(
             thought=thought,
             action=None,
@@ -138,64 +146,28 @@ def run_step(
             error_flag=True,
             invalid_flag=True,
         )
-        trajectory.steps.append(step)
-        return step
-
-    outcome = json_regen(
-        backend,
-        action_text,
-        retry_limit=config.repair_retry_limit,
-        enabled=config.json_regen_enabled,
-    )
-    function = outcome.value.get("function") if outcome.ok else None
-    if not outcome.ok or not isinstance(function, str):
-        step = Step(
-            thought=thought,
-            action=None,
-            observation=prompts.INVALID_ACTION_OBSERVATION,
-            error_flag=True,
-            invalid_flag=True,
-        )
-        trajectory.steps.append(step)
-        return step
-
-    kwargs = outcome.value.get("kwargs")
-    call = ToolCall(function, kwargs if isinstance(kwargs, dict) else {})
-    spec = registry.spec(call.function)
-
-    error = check_errors(trajectory.steps, call, registry, context)
-    if error is not None:
-        step = Step(
-            thought=thought,
-            action=call,
-            observation=error.render(),
-            error_flag=True,
-        )
-        trajectory.steps.append(step)
-        return step
-
-    if spec is not None and spec.kind == KIND_FINALIZE:
-        parsed = parse_finalize(call)
-        trajectory.result = parsed.result
-        step = Step(
-            thought=thought,
-            action=call,
-            observation="Finalized.",
-        )
-        trajectory.steps.append(step)
-        return step
-
-    result = dispatch(registry, call, context)
-    structural_invalid = spec is None or any(
-        p.required and p.name not in call.kwargs for p in spec.params
-    )
-    step = Step(
-        thought=thought,
-        action=call,
-        observation=result.observation,
-        error_flag=result.error,
-        invalid_flag=structural_invalid,
-    )
+    else:
+        kwargs = outcome.value.get("kwargs")
+        call = ToolCall(function, kwargs if isinstance(kwargs, dict) else {})
+        spec = registry.spec(call.function)
+        error = check_errors(trajectory.steps, call, registry, context)
+        if error is not None:
+            step = Step(thought, call, error.render(), error_flag=True)
+        elif spec is not None and spec.kind == KIND_FINALIZE:
+            trajectory.result = parse_finalize(call).result
+            step = Step(thought, call, "Finalized.")
+        else:
+            result = dispatch(registry, call, context)
+            structural_invalid = spec is None or any(
+                p.required and p.name not in call.kwargs for p in spec.params
+            )
+            step = Step(
+                thought=thought,
+                action=call,
+                observation=result.observation,
+                error_flag=result.error,
+                invalid_flag=structural_invalid,
+            )
     trajectory.steps.append(step)
     return step
 
@@ -223,12 +195,7 @@ def run_trajectory(
             ),
         )
     trajectory = initial if initial is not None else Trajectory()
-    context = DispatchContext(
-        store=store if store is not None else SnapshotStore(),
-        head_lines=config.head_lines,
-        dedup_threshold=config.dedup_threshold,
-        trivial_input_floor=config.trivial_input_floor,
-    )
+    context = DispatchContext(store=store if store is not None else SnapshotStore())
     budget = max_steps if max_steps is not None else config.max_steps
     try:
         while trajectory.result is None and len(trajectory.steps) < budget:

@@ -57,6 +57,10 @@ class GenerationParams:
         )
 
 
+# Deterministic decoding for the expert, repair and aggregation calls.
+GREEDY_PARAMS = GenerationParams(mode="greedy")
+
+
 @dataclass
 class ChatExchange:
     system_prompt: str

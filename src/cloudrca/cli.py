@@ -7,7 +7,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 import yaml
@@ -146,24 +146,12 @@ def _common_options(fn):
 def _settings_from(config_path, **flags) -> RunSettings:
     data = _load_config_file(config_path) if config_path else {}
     settings = RunSettings.from_dict(data)
-    mapping = {
-        "backend": "backend",
-        "endpoint": "endpoint",
-        "model": "model",
-        "mode": "mode",
-        "k": "k",
-        "max_steps": "max_steps",
-        "seed": "seed",
-        "json_regen": "json_regen",
-        "malformed_pct": "malformed_pct",
-    }
-    for flag, attr in mapping.items():
-        if flags.get(flag) is not None:
-            setattr(settings, attr, flags[flag])
-    if flags.get("aggregate") is not None:
-        settings.aggregate = (
-            "embedding_vote" if flags["aggregate"] == "vote" else "llm_aggregate"
-        )
+    aggregate = flags.pop("aggregate", None)
+    for flag, value in flags.items():
+        if value is not None:
+            setattr(settings, flag, value)
+    if aggregate is not None:
+        settings.aggregate = "embedding_vote" if aggregate == "vote" else "llm_aggregate"
     return settings
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import prompts
-from .backends import Backend, ChatExchange, GenerationParams
+from .backends import GREEDY_PARAMS, Backend, ChatExchange
 from .structured import json_regen
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
@@ -65,22 +65,13 @@ def find_class_file(index: RepoIndex, class_name: str) -> Optional[str]:
 @dataclass
 class CodeExpertConfig:
     max_files: int = DEFAULT_MAX_FILES
-    repair_retry_limit: int = 3
-    params: GenerationParams = field(
-        default_factory=lambda: GenerationParams(mode="greedy")
-    )
 
     def __post_init__(self):
         if self.max_files < 1:
             raise ValueError("max_files must be >= 1")
 
 
-def analyze_file(
-    backend: Backend,
-    source_text: str,
-    config: Optional[CodeExpertConfig] = None,
-) -> tuple[str, list[str]]:
-    cfg = config or CodeExpertConfig()
+def analyze_file(backend: Backend, source_text: str) -> tuple[str, list[str]]:
     raw = backend.complete(
         ChatExchange(
             system_prompt="You analyze source code of cloud services.",
@@ -88,9 +79,9 @@ def analyze_file(
                 ("user", f"{prompts.CODE_ANALYSIS_INSTRUCTION}\n\n{source_text}")
             ],
         ),
-        cfg.params,
+        GREEDY_PARAMS,
     )
-    outcome = json_regen(backend, raw, retry_limit=cfg.repair_retry_limit)
+    outcome = json_regen(backend, raw)
     if not outcome.ok:
         return raw.strip(), []
     analysis = str(outcome.value.get("analysis", "")).strip()
@@ -132,7 +123,7 @@ def run_code_expert(
             continue
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
-        analysis, suggestions = analyze_file(backend, source, cfg)
+        analysis, suggestions = analyze_file(backend, source)
         analyses.append((name, analysis))
         for suggestion in suggestions:
             if suggestion not in visited:
@@ -145,7 +136,7 @@ def run_code_expert(
                 ("user", f"{prompts.CODE_SUMMARY_INSTRUCTION}\n\n{listing}")
             ],
         ),
-        cfg.params,
+        GREEDY_PARAMS,
     )
     if externals:
         summary += f"\n(External dependencies not analyzed: {', '.join(sorted(set(externals)))})"
@@ -166,15 +157,11 @@ def code_agent_toolspec() -> ToolSpec:
     )
 
 
-def make_code_agent_handler(
-    backend: Backend,
-    index: RepoIndex,
-    config: Optional[CodeExpertConfig] = None,
-):
+def make_code_agent_handler(backend: Backend, index: RepoIndex):
     def handler(kwargs: dict) -> str:
         class_name = kwargs.get("class_name", "")
         if not isinstance(class_name, str) or not class_name.strip():
             raise ValueError("code_agent requires a class name")
-        return run_code_expert(backend, index, class_name.strip(), config)
+        return run_code_expert(backend, index, class_name.strip())
 
     return handler

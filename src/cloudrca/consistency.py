@@ -15,8 +15,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import prompts
-from .agent import AgentConfig, run_step, run_trajectory
+# run_step is not called here; it stays importable because the benchmark's
+# tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
+from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
 from .backends import (
+    GREEDY_PARAMS,
     Backend,
     ChatExchange,
     GenerationParams,
@@ -25,7 +28,7 @@ from .backends import (
 )
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
-from .tools import DispatchContext, ToolRegistry, render_documentation
+from .tools import ToolRegistry
 from .trajectory import AnalysisResult, Trajectory, UNCLEAR
 
 DEFAULT_K = 10
@@ -121,7 +124,7 @@ def aggregate_with_llm(
                 system_prompt="You merge candidate answers.",
                 messages=[("user", f"{prompts.AGGREGATE_INSTRUCTION}\n\n{listing}")],
             ),
-            params or GenerationParams(mode="greedy"),
+            params or GREEDY_PARAMS,
         )
         return _strip_enumeration(merged)
     except CloudRcaError:
@@ -186,9 +189,40 @@ def run_greedy(
     return trajectory, store
 
 
-def _prefix_of(trajectory: Trajectory) -> Trajectory:
-    prefix_steps = copy.deepcopy(trajectory.steps[:-1])
-    return Trajectory(steps=prefix_steps, seed_prefix_len=len(prefix_steps))
+def _run_branches(
+    config: AgentConfig,
+    registry_factory: RegistryFactory,
+    backend: Backend,
+    k: int,
+    backend_factory: Optional[BackendFactory],
+    max_steps: int,
+    greedy: Optional[Trajectory] = None,
+    store: Optional[SnapshotStore] = None,
+) -> list[Candidate]:
+    """Run k sampled trajectories, each on its own backend, registry and
+    snapshot-store branch.  With ``greedy`` every branch starts from a copy
+    of its steps before finalization.  A branch that fails or never
+    finalizes within ``max_steps`` yields no candidate."""
+    params = sampled_params(config.params)
+    candidates = []
+    for i in range(k):
+        branch_backend = backend_factory(i) if backend_factory else backend
+        initial = None
+        if greedy is not None:
+            steps = copy.deepcopy(greedy.steps[:-1])
+            initial = Trajectory(steps=steps, seed_prefix_len=len(steps))
+        trajectory = run_trajectory(
+            config,
+            registry_factory(branch_backend),
+            branch_backend,
+            store=store.branch() if store is not None else None,
+            initial=initial,
+            params=params,
+            max_steps=max_steps,
+        )
+        if trajectory.passed:
+            candidates.append(Candidate(trajectory.result, trajectory))
+    return candidates
 
 
 def sc_stepwise(
@@ -210,26 +244,16 @@ def sc_stepwise(
         greedy, store = run_greedy(config, registry_factory, backend)
     if not greedy.passed:
         raise ConfigurationError("greedy trajectory did not pass; SC unavailable")
-    params = sampled_params(config.params)
-    config = _with_docs(config, registry_factory(backend))
-    candidates = []
-    for i in range(k):
-        sample_backend = (
-            sample_backend_factory(i) if sample_backend_factory else backend
-        )
-        registry = registry_factory(sample_backend)
-        branch = _prefix_of(greedy)
-        context = DispatchContext(
-            store=store.branch(),
-            head_lines=config.head_lines,
-            dedup_threshold=config.dedup_threshold,
-            trivial_input_floor=config.trivial_input_floor,
-        )
-        run_step(config, branch, sample_backend, registry, context, params=params)
-        if branch.result is not None:
-            branch.passed = True
-            candidates.append(Candidate(branch.result, branch))
-    return candidates
+    return _run_branches(
+        config,
+        registry_factory,
+        backend,
+        k,
+        sample_backend_factory,
+        max_steps=len(greedy.steps),
+        greedy=greedy,
+        store=store,
+    )
 
 
 def tsc(
@@ -256,35 +280,17 @@ def tsc(
     bound = global_step_bound if global_step_bound is not None else config.max_steps
     if bound < len(greedy.steps):
         raise ValueError("global_step_bound must cover the greedy trajectory")
-    params = sampled_params(config.params)
-    candidates = []
-    for i in range(k):
-        branch_backend = (
-            branch_backend_factory(i) if branch_backend_factory else backend
-        )
-        registry = registry_factory(branch_backend)
-        branch = _prefix_of(greedy)
-        trajectory = run_trajectory(
-            config,
-            registry,
-            branch_backend,
-            store=store.branch(),
-            initial=branch,
-            params=params,
-            max_steps=bound,
-        )
-        if trajectory.passed and trajectory.result is not None:
-            candidates.append(Candidate(trajectory.result, trajectory))
-    return candidates, greedy
-
-
-def _with_docs(config: AgentConfig, registry: ToolRegistry) -> AgentConfig:
-    if config.prompts.tool_docs:
-        return config
-    return replace(
+    candidates = _run_branches(
         config,
-        prompts=replace(config.prompts, tool_docs=render_documentation(registry)),
+        registry_factory,
+        backend,
+        k,
+        branch_backend_factory,
+        max_steps=bound,
+        greedy=greedy,
+        store=store,
     )
+    return candidates, greedy
 
 
 @dataclass
@@ -341,23 +347,18 @@ def run_with_consistency(
             branch_backend_factory=branch_backend_factory,
         )
     elif mode == "sample-full":
-        params = sampled_params(config.params)
-        candidates = []
-        for i in range(k):
-            branch_backend = (
-                branch_backend_factory(i) if branch_backend_factory else backend
-            )
-            registry = registry_factory(branch_backend)
-            trajectory = run_trajectory(
-                config, registry, branch_backend, params=params
-            )
-            if trajectory.passed and trajectory.result is not None:
-                candidates.append(Candidate(trajectory.result, trajectory))
+        candidates = _run_branches(
+            config,
+            registry_factory,
+            backend,
+            k,
+            branch_backend_factory,
+            max_steps=config.max_steps,
+        )
     else:
         raise ValueError(f"unknown consistency mode: {mode!r}")
     if not candidates:
-        # all samples rejected: fall back to the greedy result
-        result = greedy.result if greedy.result else AnalysisResult()
-        candidates = [Candidate(result, greedy)]
+        # all samples rejected: fall back to the (passing) greedy result
+        candidates = [Candidate(greedy.result, greedy)]
     outcome = aggregate(candidates, aggregation, backend)
     return ConsistencyReport(outcome, candidates, greedy, mode)

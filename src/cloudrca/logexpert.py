@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from . import prompts
-from .backends import Backend, ChatExchange, EmbeddingVector, GenerationParams, cosine
+from .backends import GREEDY_PARAMS, Backend, ChatExchange, EmbeddingVector, cosine
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -482,29 +482,13 @@ class ChunkAnalysis:
         return list(zip(self.interpretations, self.evidences))
 
 
-@dataclass
-class LogExpertConfig:
-    window: int = DEFAULT_WINDOW
-    tau: float = DEFAULT_TAU
-    max_prompt_len: int = DEFAULT_MAX_PROMPT_LEN
-    repair_retry_limit: int = 3
-    params: GenerationParams = field(
-        default_factory=lambda: GenerationParams(mode="greedy")
-    )
-
-
-def analyze_chunk(
-    backend: Backend,
-    prompt: str,
-    config: Optional[LogExpertConfig] = None,
-) -> ChunkAnalysis:
-    cfg = config or LogExpertConfig()
+def analyze_chunk(backend: Backend, prompt: str) -> ChunkAnalysis:
     exchange = ChatExchange(
         system_prompt="You analyze logs of stream-processing jobs.",
         messages=[("user", prompt)],
     )
-    raw = backend.complete(exchange, cfg.params)
-    outcome = json_regen(backend, raw, retry_limit=cfg.repair_retry_limit)
+    raw = backend.complete(exchange, GREEDY_PARAMS)
+    outcome = json_regen(backend, raw)
     if not outcome.ok:
         return ChunkAnalysis(warning="unparsable analysis response")
     interpretations = outcome.value.get("interpretations")
@@ -540,14 +524,9 @@ def filter_evidence(analysis: ChunkAnalysis, chunk: LogChunk) -> ChunkAnalysis:
     return ChunkAnalysis(kept_r, kept_e, analysis.warning)
 
 
-def summarize(
-    backend: Backend,
-    kept_pairs: list[tuple[str, str]],
-    config: Optional[LogExpertConfig] = None,
-) -> tuple[str, str]:
+def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str, str]:
     if not kept_pairs:
         return NO_EVIDENCE_SENTINEL, ""
-    cfg = config or LogExpertConfig()
     listing = "\n\n".join(
         f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs
     )
@@ -556,9 +535,9 @@ def summarize(
             system_prompt="You summarize log analyses.",
             messages=[("user", f"{prompts.LOG_SUMMARY_INSTRUCTION}\n\n{listing}")],
         ),
-        cfg.params,
+        GREEDY_PARAMS,
     )
-    outcome = json_regen(backend, raw, retry_limit=cfg.repair_retry_limit)
+    outcome = json_regen(backend, raw)
     if outcome.ok:
         interpretation = str(outcome.value.get("interpretation", "")).strip()
         evidence = str(outcome.value.get("evidence", "")).strip()
@@ -568,24 +547,17 @@ def summarize(
 
 
 def run_log_expert(
-    backend: Backend,
-    log_text: str,
-    store: Optional[RetrievalStore] = None,
-    config: Optional[LogExpertConfig] = None,
+    backend: Backend, log_text: str, store: Optional[RetrievalStore] = None
 ) -> str:
     """Full pipeline for one log: partition, per-chunk analyze + filter,
     summarize.  Returns the observation text for the controller."""
-    cfg = config or LogExpertConfig()
-    chunks = partition(log_text, backend, window=cfg.window, tau=cfg.tau)
     kept: list[tuple[str, str]] = []
-    for chunk in chunks:
-        packed = pack_icl_prompt(
-            chunk, store, backend, max_len=cfg.max_prompt_len
-        )
-        analysis = analyze_chunk(backend, packed.text, cfg)
+    for chunk in partition(log_text, backend):
+        packed = pack_icl_prompt(chunk, store, backend)
+        analysis = analyze_chunk(backend, packed.text)
         analysis = filter_evidence(analysis, chunk)
         kept.extend(analysis.pairs())
-    interpretation, evidence = summarize(backend, kept, cfg)
+    interpretation, evidence = summarize(backend, kept)
     if evidence:
         return f"Interpretation: {interpretation}\nEvidence: {evidence}"
     return f"Interpretation: {interpretation}"
@@ -609,15 +581,11 @@ def log_agent_toolspec() -> ToolSpec:
     )
 
 
-def make_log_agent_handler(
-    backend: Backend,
-    store: Optional[RetrievalStore] = None,
-    config: Optional[LogExpertConfig] = None,
-):
+def make_log_agent_handler(backend: Backend, store: Optional[RetrievalStore] = None):
     def handler(kwargs: dict) -> str:
         text = kwargs.get("snapshot", "")
         if not isinstance(text, str) or not text.strip():
             raise ValueError("log_agent requires non-empty log content")
-        return run_log_expert(backend, text, store=store, config=config)
+        return run_log_expert(backend, text, store=store)
 
     return handler

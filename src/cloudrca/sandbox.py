@@ -15,19 +15,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .backends import Backend
-from .codeexpert import (
-    CodeExpertConfig,
-    RepoIndex,
-    code_agent_toolspec,
-    make_code_agent_handler,
-)
+from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
-from .logexpert import (
-    LogExpertConfig,
-    RetrievalStore,
-    log_agent_toolspec,
-    make_log_agent_handler,
-)
+from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
 from .tools import (
     KIND_FINALIZE,
     KIND_INFO,
@@ -375,77 +365,61 @@ class Sandbox:
         )
 
     def build_registry(
-        self,
-        backend: Backend,
-        retrieval_store: Optional[RetrievalStore] = None,
-        log_config: Optional[LogExpertConfig] = None,
-        code_config: Optional[CodeExpertConfig] = None,
+        self, backend: Backend, retrieval_store: Optional[RetrievalStore] = None
     ) -> ToolRegistry:
         registry = ToolRegistry()
 
-        def info_handler(level: str):
+        def job_reader(read):
             def handler(kwargs: dict) -> str:
                 job_id = kwargs.get("job_id", "")
                 if job_id not in self.job_ids:
                     raise ValueError(f"unknown job_id {job_id!r}")
-                return self.log_text(job_id, level)
+                return read(job_id)
 
             return handler
 
-        registry.register(
-            ToolSpec(
-                name="runtime_log",
-                description="Fetch the runtime-level logs of a job "
+        info_tools = [
+            (
+                "runtime_log",
+                "Fetch the runtime-level logs of a job "
                 "(task manager and job manager output).",
-                params=[ToolParam("job_id", "string", True, "the job identifier")],
-                kind=KIND_INFO,
+                lambda job_id: self.log_text(job_id, "runtime"),
             ),
-            info_handler("runtime"),
-        )
-        registry.register(
-            ToolSpec(
-                name="platform_log",
-                description="Fetch the platform-level logs of a job "
+            (
+                "platform_log",
+                "Fetch the platform-level logs of a job "
                 "(control plane and deployment events).",
-                params=[ToolParam("job_id", "string", True, "the job identifier")],
-                kind=KIND_INFO,
+                lambda job_id: self.log_text(job_id, "platform"),
             ),
-            info_handler("platform"),
-        )
-        registry.register(
-            ToolSpec(
-                name="infra_log",
-                description="Fetch the infrastructure-level logs of a job "
+            (
+                "infra_log",
+                "Fetch the infrastructure-level logs of a job "
                 "(cluster, scheduler, and node events).",
-                params=[ToolParam("job_id", "string", True, "the job identifier")],
-                kind=KIND_INFO,
+                lambda job_id: self.log_text(job_id, "infrastructure"),
             ),
-            info_handler("infrastructure"),
-        )
-
-        def advisor_handler(kwargs: dict) -> str:
-            job_id = kwargs.get("job_id", "")
-            if job_id not in self.job_ids:
-                raise ValueError(f"unknown job_id {job_id!r}")
-            return self.advisor_text(job_id)
-
-        registry.register(
-            ToolSpec(
-                name="advisor_history",
-                description="Fetch prior advisor-service diagnosis records "
-                "for a job.",
-                params=[ToolParam("job_id", "string", True, "the job identifier")],
-                kind=KIND_INFO,
+            (
+                "advisor_history",
+                "Fetch prior advisor-service diagnosis records for a job.",
+                self.advisor_text,
             ),
-            advisor_handler,
-        )
+        ]
+        for name, description, read in info_tools:
+            registry.register(
+                ToolSpec(
+                    name=name,
+                    description=description,
+                    params=[ToolParam("job_id", "string", True, "the job identifier")],
+                    kind=KIND_INFO,
+                ),
+                job_reader(read),
+            )
         registry.register(
             log_agent_toolspec(),
-            make_log_agent_handler(backend, store=retrieval_store, config=log_config),
+            make_log_agent_handler(backend, store=retrieval_store),
         )
         registry.register(
             code_agent_toolspec(),
-            make_code_agent_handler(backend, self.code_repo_binding(), code_config),
+            make_code_agent_handler(backend, self.code_repo_binding()),
         )
         registry.register(
             ToolSpec(

@@ -7,10 +7,10 @@ rather than an exception.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Optional, Sequence
 
-from .backends import Backend, ChatExchange, GenerationParams
+from .backends import GREEDY_PARAMS, Backend, ChatExchange
 
 DEFAULT_RETRY_LIMIT = 3
 
@@ -77,8 +77,9 @@ def sanitize_prompt(
     return "".join(pieces)
 
 
-def extract_json(text: str) -> Optional[str]:
-    """Return the first maximal balanced curly-brace span, or None.
+def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(start, span)`` for every ``{`` that opens a balanced
+    curly-brace span, in text order.
 
     Braces inside string literals are ignored; backslash escapes inside
     strings are honoured.
@@ -105,9 +106,14 @@ def extract_json(text: str) -> Optional[str]:
                 elif ch == "}":
                     depth -= 1
                     if depth == 0:
-                        return text[start : i + 1]
+                        yield start, text[start : i + 1]
+                        break
         start = text.find("{", start + 1)
-    return None
+
+
+def extract_json(text: str) -> Optional[str]:
+    """Return the first maximal balanced curly-brace span, or None."""
+    return next((span for _, span in balanced_spans(text)), None)
 
 
 _SMART_QUOTES = {
@@ -192,21 +198,10 @@ def _regen_exchange(instruction: str, payload: str) -> ChatExchange:
     )
 
 
-@dataclass
-class RepairConfig:
-    retry_limit: int = DEFAULT_RETRY_LIMIT
-    yaml_instruction: str = YAML_EXTRACT_INSTRUCTION
-    json_instruction: str = JSON_RESTORE_INSTRUCTION
-    params: GenerationParams = field(
-        default_factory=lambda: GenerationParams(mode="greedy")
-    )
-
-
 def json_regen(
     backend: Optional[Backend],
     raw_output: str,
     retry_limit: int = DEFAULT_RETRY_LIMIT,
-    config: Optional[RepairConfig] = None,
     enabled: bool = True,
 ) -> RepairOutcome:
     """Extract a structured object from model output, repairing as needed.
@@ -216,7 +211,6 @@ def json_regen(
     """
     if retry_limit < 0:
         raise ValueError("retry_limit must be >= 0")
-    cfg = config or RepairConfig(retry_limit=retry_limit)
 
     direct = try_parse(extract_json(raw_output))
     if direct is not None:
@@ -233,13 +227,13 @@ def json_regen(
 
     current = raw_output
     attempts = 0
-    while attempts < cfg.retry_limit:
+    while attempts < retry_limit:
         attempts += 1
         yaml_text = backend.complete(
-            _regen_exchange(cfg.yaml_instruction, current), cfg.params
+            _regen_exchange(YAML_EXTRACT_INSTRUCTION, current), GREEDY_PARAMS
         )
         current = backend.complete(
-            _regen_exchange(cfg.json_instruction, yaml_text), cfg.params
+            _regen_exchange(JSON_RESTORE_INSTRUCTION, yaml_text), GREEDY_PARAMS
         )
         value = try_parse(extract_json(fix_escapes(current)))
         if value is not None:

@@ -21,7 +21,6 @@ KIND_FINALIZE = "finalize"
 
 FINALIZE_NAME = "finalize"
 
-DEFAULT_DEDUP_THRESHOLD = 0.9
 DEFAULT_TRIVIAL_INPUT_FLOOR = 32
 
 RULE_DUPLICATE_CALL = "duplicate_call"
@@ -52,7 +51,7 @@ class ToolSpec:
     kind: str = KIND_INFO
     stateless: bool = True
     # expert tools taking naturally short input (a class name) override the
-    # context-wide trivial-input floor
+    # default trivial-input floor
     trivial_input_floor: Optional[int] = None
 
 
@@ -130,9 +129,6 @@ def render_documentation(registry: ToolRegistry) -> str:
 @dataclass
 class DispatchContext:
     store: SnapshotStore
-    head_lines: int = 7
-    dedup_threshold: float = DEFAULT_DEDUP_THRESHOLD
-    trivial_input_floor: int = DEFAULT_TRIVIAL_INPUT_FLOOR
 
 
 @dataclass
@@ -175,15 +171,14 @@ def dispatch(
 
     if spec.kind == KIND_INFO:
         entries = deduplicate_entries(
-            [line for line in raw.splitlines() if line.strip()],
-            threshold=context.dedup_threshold,
+            [line for line in raw.splitlines() if line.strip()]
         )
         raw = "\n".join(entries)
     if not raw:
         raw = EMPTY_OBSERVATION
     key = context.store.put(raw, origin_tool=call.function)
     return DispatchResult(
-        observation=render_head(raw, key, context.head_lines),
+        observation=render_head(raw, key),
         snapshot_key=key,
         raw_text=raw,
     )
@@ -242,7 +237,7 @@ def check_errors(
         floor = (
             spec.trivial_input_floor
             if spec.trivial_input_floor is not None
-            else context.trivial_input_floor
+            else DEFAULT_TRIVIAL_INPUT_FLOOR
         )
         if len(text_input) < floor:
             return ErrorMessage(

@@ -181,6 +181,34 @@ class TestRunStep:
         assert step.invalid_flag
         assert step.observation == INVALID_ACTION_OBSERVATION
 
+    def test_brace_in_thought_keeps_valid_action(self):
+        config, registry = make_config()
+        backend = MockBackend(
+            [f"I suspect {{heap}} pressure.\nFunction: {wire('fetch', job_id='j1')}"]
+        )
+        trajectory = Trajectory()
+        step = run_step(
+            config, trajectory, backend, registry,
+            DispatchContext(store=SnapshotStore()),
+        )
+        assert step.thought == "I suspect {heap} pressure."
+        assert step.action.function == "fetch"
+        assert not step.invalid_flag and not step.error_flag
+        assert len(backend.calls) == 1  # no regeneration round trips
+
+    def test_brace_in_thought_before_corrupted_action(self):
+        config, registry = make_config()
+        corrupted = '{"function": "fetch", "kwargs": {"job_id": "j1",},}'
+        backend = MockBackend([f"Heap {{ looks odd.\nFunction: {corrupted}"])
+        trajectory = Trajectory()
+        step = run_step(
+            config, trajectory, backend, registry,
+            DispatchContext(store=SnapshotStore()),
+        )
+        assert step.thought == "Heap { looks odd."
+        assert step.action.function == "fetch"
+        assert len(backend.calls) == 1
+
     def test_unknown_tool_marks_structurally_invalid(self):
         config, registry = make_config()
         backend = MockBackend([f"Hmm.\nFunction: {wire('bogus')}"])

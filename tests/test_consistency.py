@@ -30,7 +30,7 @@ from cloudrca.consistency import (
     tsc,
     vote_with_embedding,
 )
-from cloudrca.errors import ConfigurationError
+from cloudrca.errors import ConfigurationError, TransportError
 from cloudrca.trajectory import AnalysisResult, Trajectory
 
 from conftest import make_config
@@ -72,6 +72,13 @@ class VariantBackend(PolicyBackend):
         action = json.loads(action_json)
         action["kwargs"]["root_cause"] = self.variant_root_cause
         return f"{thought}\nFunction: {json.dumps(action, sort_keys=True)}"
+
+
+class FailingBackend(PolicyBackend):
+    """Policy variant whose every completion fails at the transport level."""
+
+    def complete(self, exchange, params):
+        raise TransportError("connection reset", attempts=3)
 
 
 def _registry_factory(sandbox):
@@ -384,3 +391,20 @@ class TestRunWithConsistency:
             run_with_consistency(
                 config, _registry_factory(sandbox), policy_backend, mode="vote"
             )
+
+
+@pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
+def test_failed_branch_yields_no_candidate(sandbox, policy_backend, mode):
+    config = make_config(sandbox.job_ids[0])
+    report = run_with_consistency(
+        config,
+        _registry_factory(sandbox),
+        policy_backend,
+        mode=mode,
+        k=3,
+        branch_backend_factory=lambda _: FailingBackend(),
+    )
+    assert report.greedy.passed
+    assert len(report.candidates) == 1
+    assert report.candidates[0].trajectory is report.greedy
+    assert report.outcome.result.to_dict() == report.greedy.result.to_dict()
