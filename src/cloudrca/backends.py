@@ -25,6 +25,8 @@ DEFAULT_NUCLEUS_P = 0.6
 DEFAULT_RESTART_THRESHOLD = 4096
 DEFAULT_MAX_ESCALATIONS = 2
 PENALTY_STEP = 0.5
+# longest wait a server's Retry-After header can ask of one retry
+MAX_RETRY_AFTER_S = 60
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,22 @@ class MockBackend:
         ]
 
 
+def _retry_after_seconds(value: Optional[str]) -> Optional[int]:
+    """The wait a Retry-After header asks for, when it holds delta-seconds
+    (RFC 9110 section 10.2.3), capped at MAX_RETRY_AFTER_S; None for an
+    absent header or an HTTP-date."""
+    if value is None:
+        return None
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    # a digit string can be too long for int(); compare lengths first
+    digits = value.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_RETRY_AFTER_S)):
+        return MAX_RETRY_AFTER_S
+    return min(int(digits), MAX_RETRY_AFTER_S)
+
+
 class HttpBackend:
     """Client for OpenAI-compatible chat-completions and embeddings APIs."""
 
@@ -209,6 +227,7 @@ class HttpBackend:
     def _post(self, path: str, payload: dict) -> dict:
         last_error = None
         for attempt in range(1, self.max_retries + 1):
+            wait = None
             try:
                 resp = self.session.post(
                     f"{self.endpoint}{path}",
@@ -216,8 +235,9 @@ class HttpBackend:
                     headers=self._headers(),
                     timeout=self.timeout,
                 )
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 or resp.status_code == 429:
                     last_error = f"HTTP {resp.status_code}"
+                    wait = _retry_after_seconds(resp.headers.get("Retry-After"))
                 elif resp.status_code >= 400:
                     raise TransportError(
                         f"HTTP {resp.status_code}: {resp.text[:200]}", attempts=attempt
@@ -227,7 +247,7 @@ class HttpBackend:
             except requests.RequestException as exc:
                 last_error = str(exc)
             if attempt < self.max_retries:
-                time.sleep(self.retry_wait * attempt)
+                time.sleep(self.retry_wait * attempt if wait is None else wait)
         raise TransportError(
             f"request to {path} failed after {self.max_retries} attempts: {last_error}",
             attempts=self.max_retries,

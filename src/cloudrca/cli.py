@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .errors import CloudRcaError
 from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
-from .trajectory import Trajectory
+from .trajectory import AnalysisResult, Trajectory
 
 
 @dataclass
@@ -198,14 +199,17 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
     os.makedirs(out_dir, exist_ok=True)
 
     def one(job_id: str) -> JobOutcome:
-        report, _ = run_job(settings, sandbox, job_id)
-        _write_job_artifacts(out_dir, job_id, settings, report)
-        return JobOutcome(
-            job_id=job_id,
-            trajectory=report.greedy,
-            prediction=report.outcome.result,
-            reference=sandbox.job(job_id).ground_truth,
-        )
+        outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
+        try:
+            outcome.reference = sandbox.job(job_id).ground_truth
+            report, _ = run_job(settings, sandbox, job_id)
+            _write_job_artifacts(out_dir, job_id, settings, report)
+            outcome.trajectory = report.greedy
+            outcome.prediction = report.outcome.result
+        except Exception as exc:  # one failing job never aborts the batch
+            click.echo(f"{job_id}: failed\n{traceback.format_exc()}", err=True)
+            outcome.trajectory.diagnostic = f"job failed: {type(exc).__name__}: {exc}"
+        return outcome
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

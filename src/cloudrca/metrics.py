@@ -127,6 +127,7 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
                 "passed": o.trajectory.passed,
                 "steps": len(o.trajectory.steps),
                 "invalid_ratio": o.trajectory.invalid_ratio(),
+                "diagnostic": o.trajectory.diagnostic,
                 "prediction": fill_baseline(o.prediction).to_dict(),
                 "reference": o.reference.to_dict() if o.reference else None,
             }

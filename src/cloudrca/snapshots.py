@@ -16,6 +16,9 @@ from .errors import SnapshotKeyError
 KEY_WIDTH = 10
 DEFAULT_HEAD_LINES = 7
 EMPTY_OBSERVATION = "(empty observation)"
+# the one tool parameter that takes a snapshot key, the name the usage rules
+# tell the controller to pass keys under
+SNAPSHOT_PARAM = "snapshot"
 
 _KEY_RE = re.compile(r"^\d{10}$")
 _SNAPSHOT_LINE_RE = re.compile(r"^\[ snapshot: (\d{10}) \]$", re.MULTILINE)
@@ -88,18 +91,14 @@ class SnapshotStore:
         return self._lookup(key) is not None
 
     def resolve_args(self, kwargs: dict) -> dict:
-        """Replace every string value that is an issued snapshot key with the
-        stored full text.  A key-shaped string that was never issued is an
-        error; everything else passes through unchanged."""
-        resolved = {}
-        for name, value in kwargs.items():
-            if isinstance(value, str) and looks_like_key(value):
-                if self.known(value):
-                    resolved[name] = self.get(value)
-                else:
-                    raise SnapshotKeyError(value)
-            else:
-                resolved[name] = value
+        """Replace a ``snapshot`` argument that is an issued snapshot key with
+        the stored full text.  A key-shaped ``snapshot`` that was never issued
+        is an error; every other argument, a 10-digit number included, passes
+        through unchanged."""
+        resolved = dict(kwargs)
+        value = kwargs.get(SNAPSHOT_PARAM)
+        if isinstance(value, str) and looks_like_key(value):
+            resolved[SNAPSHOT_PARAM] = self.get(value)
         return resolved
 
 

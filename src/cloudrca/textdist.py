@@ -6,32 +6,47 @@ hallucination filter, so it lives in its own module.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance, vectorized row DP (O(len(a)*len(b)) cells)."""
+    """Unit-cost edit distance, bit-parallel (Myers 1999, in Hyyrö's 2003
+    Levenshtein form).
+
+    The longer string is the bit vector, held in Python ints of any width;
+    the loop runs once per character of the shorter string, each step a
+    fixed number of word operations on len(longer) bits.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    if len(a) < len(b):
-        a, b = b, a  # keep the inner dimension small
-    b_arr = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-    prev = np.arange(len(b) + 1, dtype=np.int64)
-    for i, ch in enumerate(a, start=1):
-        cur = np.empty_like(prev)
-        cur[0] = i
-        cost = (b_arr != ord(ch)).astype(np.int64)
-        cur[1:] = prev[:-1] + cost
-        np.minimum(cur[1:], prev[1:] + 1, out=cur[1:])
-        # insertion column needs a sequential pass
-        run = np.minimum.accumulate(cur - np.arange(len(cur)))
-        cur = np.minimum(cur, run + np.arange(len(cur)))
-        prev = cur
-    return int(prev[-1])
+    match: dict[str, int] = {}
+    get = match.get
+    bit = 1
+    for ch in a:
+        match[ch] = get(ch, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv = mask, 0
+    distance = len(a)
+    for ch in b:
+        eq = get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        # the first DP row is 0, 1, 2, ...: every horizontal delta there is +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def normalized_similarity(a: str, b: str) -> float:
@@ -47,10 +62,30 @@ def deduplicate_entries(entries: list[str], threshold: float = 0.9) -> list[str]
 
     An entry is dropped when its similarity to any already-kept entry reaches
     the threshold.  Idempotent: a second pass keeps everything.
+
+    Pairs that cannot reach the threshold are never measured.  An entry
+    equal to an earlier one shares its verdict, which is "drop" whenever
+    threshold <= 1.  A kept entry is skipped when the bound
+    1 - |la - lb| / max(la, lb), written as normalized_similarity writes it,
+    is below the threshold: the distance is at least |la - lb| and float
+    subtraction and division are monotone, so the similarity is no higher.
     """
+    drop_repeats = threshold <= 1.0
+    seen: set[str] = set()
     kept: list[str] = []
     for entry in entries:
-        if any(normalized_similarity(entry, prior) >= threshold for prior in kept):
-            continue
-        kept.append(entry)
+        if drop_repeats:
+            if entry in seen:
+                continue
+            seen.add(entry)
+        la = len(entry)
+        for prior in kept:
+            lb = len(prior)
+            longest = max(la, lb)
+            if longest and 1.0 - abs(la - lb) / longest < threshold:
+                continue
+            if normalized_similarity(entry, prior) >= threshold:
+                break
+        else:
+            kept.append(entry)
     return kept

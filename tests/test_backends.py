@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from cloudrca import backends as backends_module
 from cloudrca.backends import (
     AdaptiveGeneration,
     ChatExchange,
@@ -235,6 +236,94 @@ class TestHttpBackend:
         vectors = be.embed(["a", "b"])
         assert len(vectors) == 2
         assert vectors[0].values == (1.0, 0.0)
+
+
+class _FakeResponse:
+    def __init__(self, status_code, body=None, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self._body
+
+
+class _FakeSession:
+    """Answers each post with the next scripted response; no network."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        return self.responses.pop(0)
+
+
+CHAT_OK = {"choices": [{"message": {"content": "after the wait"}}]}
+
+
+class TestRateLimit:
+    def backend(self, responses, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(backends_module.time, "sleep", sleeps.append)
+        session = _FakeSession(responses)
+        be = HttpBackend(
+            "http://localhost:1", "m", session=session, max_retries=3, retry_wait=0.5
+        )
+        return be, session, sleeps
+
+    def test_429_waits_for_retry_after_seconds(self, monkeypatch):
+        be, session, sleeps = self.backend(
+            [_FakeResponse(429, {}, {"Retry-After": "7"}), _FakeResponse(200, CHAT_OK)],
+            monkeypatch,
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert session.posts == 2
+        assert sleeps == [7]
+
+    def test_429_without_header_uses_backoff(self, monkeypatch):
+        be, session, sleeps = self.backend(
+            [_FakeResponse(429, {}), _FakeResponse(429, {}), _FakeResponse(200, CHAT_OK)],
+            monkeypatch,
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert sleeps == [0.5, 1.0]
+
+    def test_http_date_retry_after_uses_backoff(self, monkeypatch):
+        date = {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}
+        be, session, sleeps = self.backend(
+            [_FakeResponse(503, {}, date), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert sleeps == [0.5]
+
+    def test_429_exhausts_retries(self, monkeypatch):
+        be, session, sleeps = self.backend([_FakeResponse(429, {})] * 3, monkeypatch)
+        with pytest.raises(TransportError) as err:
+            be.complete(exchange(), GenerationParams())
+        assert err.value.attempts == 3
+        assert "HTTP 429" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["86400", "0" * 20 + "61", "9" * 5000])
+    def test_huge_retry_after_is_capped(self, monkeypatch, value):
+        be, session, sleeps = self.backend(
+            [_FakeResponse(429, {}, {"Retry-After": value})] * 3, monkeypatch
+        )
+        with pytest.raises(TransportError) as err:
+            be.complete(exchange(), GenerationParams())
+        assert err.value.attempts == 3
+        assert sleeps == [backends_module.MAX_RETRY_AFTER_S] * 2
+
+    def test_other_4xx_stays_fatal(self, monkeypatch):
+        be, session, sleeps = self.backend(
+            [_FakeResponse(404, {}), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        with pytest.raises(TransportError) as err:
+            be.complete(exchange(), GenerationParams())
+        assert err.value.attempts == 1
+        assert session.posts == 1 and sleeps == []
 
 
 def test_backend_from_config_mock():

@@ -7,7 +7,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from cloudrca import cli
 from cloudrca.cli import RunSettings, _settings_from, main
+from cloudrca.errors import TransportError
+from cloudrca.sandbox import generate_scenarios
 
 
 @pytest.fixture
@@ -141,6 +144,59 @@ class TestBatch:
             ],
         )
         assert result.exit_code == 1
+
+
+class TestBatchJobFailure:
+    """A job that raises is recorded as a failed row; the batch goes on."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError("worker crashed"), TransportError("embed endpoint down")],
+        ids=["runtime", "transport"],
+    )
+    def test_failing_job_becomes_failed_row(
+        self, runner, scenario_dir, tmp_path, sandbox, monkeypatch, error
+    ):
+        broken = sandbox.job_ids[2]
+        real_run_job = cli.run_job
+
+        def run_job(settings, bundle, job_id):
+            if job_id == broken:
+                raise error
+            return real_run_job(settings, bundle, job_id)
+
+        monkeypatch.setattr(cli, "run_job", run_job)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), "--jobs", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        rows = {row["job_id"]: row for row in report["jobs"]}
+        assert set(rows) == set(sandbox.job_ids)
+        failed = rows.pop(broken)
+        assert failed["passed"] is False
+        assert failed["steps"] == 0
+        assert str(error) in failed["diagnostic"]
+        assert failed["prediction"] == {k: "Unclear" for k in failed["prediction"]}
+        assert all(row["passed"] for row in rows.values())
+        n = len(sandbox.job_ids)
+        assert report["pass_rate"] == pytest.approx(100.0 * (n - 1) / n)
+        predictions = (out / "predictions.jsonl").read_text().splitlines()
+        assert len(predictions) == n * 4
+
+    def test_unreadable_ground_truth_becomes_failed_row(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_ids = generate_scenarios(seed=77, count=3, out_dir=str(bundle))
+        (bundle / job_ids[1] / "ground_truth.json").write_text("{not json")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["batch", "--scenarios", str(bundle), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = {row["job_id"]: row for row in json.loads((out / "report.json").read_text())["jobs"]}
+        assert rows[job_ids[1]]["passed"] is False
+        assert rows[job_ids[1]]["reference"] is None
+        assert "JSONDecodeError" in rows[job_ids[1]]["diagnostic"]
+        assert rows[job_ids[0]]["passed"] and rows[job_ids[2]]["passed"]
 
 
 class TestReplay:

@@ -88,6 +88,13 @@ class TestStore:
         with pytest.raises(SnapshotKeyError):
             store.resolve_args({"snapshot": "1234567890"})
 
+    def test_resolve_args_only_resolves_the_snapshot_parameter(self):
+        store = SnapshotStore()
+        key = store.put("full text")
+        resolved = store.resolve_args({"snapshot": key, "since": "1750000123"})
+        assert resolved == {"snapshot": "full text", "since": "1750000123"}
+        assert store.resolve_args({"other": key}) == {"other": key}
+
     def test_resolve_args_leaves_non_keys_alone(self):
         store = SnapshotStore()
         resolved = store.resolve_args({"job_id": "fj00000001", "n": 7})

@@ -304,3 +304,58 @@ class TestParseFinalize:
     def test_blank_strings_treated_as_missing(self):
         parsed = parse_finalize(ToolCall("finalize", {"root_cause": "   "}))
         assert parsed.result.root_cause == "Unclear"
+
+
+class TestSnapshotParams:
+    """Only the ``snapshot`` parameter resolves snapshot keys, so a 10-digit
+    number passed anywhere else is an ordinary argument."""
+
+    EPOCH = "1750000123"
+
+    def registry(self, with_expert=True):
+        registry = ToolRegistry()
+        registry.register(
+            ToolSpec(
+                "events",
+                "List events.",
+                [ToolParam("since", "string", True, "epoch seconds")],
+                KIND_INFO,
+            ),
+            lambda kwargs: f"events since {kwargs['since']}",
+        )
+        registry.register(finalize_spec(), lambda kwargs: "Finalized.")
+        if not with_expert:
+            return registry
+        registry.register(
+            ToolSpec(
+                "expert",
+                "Analyze a log.",
+                [
+                    ToolParam("snapshot", "string", True, "key or text"),
+                    ToolParam("since", "string", False, "epoch seconds"),
+                ],
+                KIND_EXPERT,
+            ),
+            lambda kwargs: f"{len(kwargs['snapshot'])} chars since {kwargs.get('since')}",
+        )
+        return registry
+
+    def test_epoch_argument_reaches_info_tool(self):
+        registry = self.registry(with_expert=False)
+        result = dispatch(registry, ToolCall("events", {"since": self.EPOCH}), context())
+        assert not result.error
+        assert result.raw_text == f"events since {self.EPOCH}"
+
+    def test_epoch_argument_beside_snapshot_key(self):
+        ctx = context()
+        key = ctx.store.put("x" * 100)
+        call = ToolCall("expert", {"snapshot": key, "since": self.EPOCH})
+        assert check_errors([], call, self.registry(), ctx) is None
+        result = dispatch(self.registry(), call, ctx)
+        assert result.raw_text == f"100 chars since {self.EPOCH}"
+
+    def test_snapshot_parameter_rejects_unissued_key(self):
+        call = ToolCall("expert", {"snapshot": "0000000000", "since": self.EPOCH})
+        err = check_errors([], call, self.registry(), context())
+        assert err is not None and err.rule == RULE_TRIVIAL_INPUT
+        assert dispatch(self.registry(), call, context()).error
