@@ -15,7 +15,6 @@ from .backends import (
     GenerationParams,
     HttpBackend,
     MockBackend,
-    backend_from_config,
     cosine,
     generate_adaptive,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "Trajectory",
     "TransportError",
     "aggregate",
-    "backend_from_config",
     "build_report",
     "cosine",
     "dispatch",

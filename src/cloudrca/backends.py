@@ -1,16 +1,16 @@
 """Text-generation and embedding providers.
 
 Two interchangeable backends: an HTTP client for OpenAI-compatible endpoints
-and a deterministic scripted mock for tests and offline runs.  The adaptive
-repetition-penalty wrapper lives here too, since it only needs a backend
-handle.
+and a deterministic scripted mock for tests and offline runs.  The offline
+hash embedding that the mock, the scripted policy and batch scoring share
+lives here, and so does the adaptive repetition-penalty wrapper, since it
+only needs a backend handle.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence
@@ -27,6 +27,8 @@ DEFAULT_MAX_ESCALATIONS = 2
 PENALTY_STEP = 0.5
 # longest wait a server's Retry-After header can ask of one retry
 MAX_RETRY_AFTER_S = 60
+HASH_EMBED_DIM = 64
+HASH_EMBED_MODEL = "mock-hash"
 
 
 @dataclass(frozen=True)
@@ -110,26 +112,31 @@ def approx_token_count(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-def _hash_embed(text: str, dim: int, seed: int) -> tuple[float, ...]:
-    """Feature-hash character trigrams into a unit vector.
+def hash_embed(texts: Sequence[str], seed: int = 0) -> list[EmbeddingVector]:
+    """Offline embedding: feature-hash each text's character trigrams into a
+    HASH_EMBED_DIM unit vector.
 
-    Deterministic and similarity-respecting enough for tests: shared trigrams
-    land in shared buckets regardless of position.
+    Deterministic and similarity-respecting enough for tests and offline
+    scoring: shared trigrams land in shared buckets regardless of position.
     """
-    vec = np.zeros(dim, dtype=np.float64)
-    padded = f"^{text}$"
-    grams = [padded[i : i + 3] for i in range(max(1, len(padded) - 2))]
-    for gram in grams:
-        digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:4], "big") % dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[idx] += sign
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec /= norm
-    else:
-        vec[0] = 1.0
-    return tuple(vec.tolist())
+    if not texts:
+        raise ValueError("embed() requires a non-empty list")
+    vectors = []
+    for text in texts:
+        vec = np.zeros(HASH_EMBED_DIM, dtype=np.float64)
+        padded = f"^{text}$"
+        for i in range(max(1, len(padded) - 2)):
+            gram = padded[i : i + 3]
+            digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
+            idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
+            vec[idx] += 1.0 if digest[4] & 1 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        else:
+            vec[0] = 1.0
+        vectors.append(EmbeddingVector(tuple(vec.tolist()), HASH_EMBED_MODEL))
+    return vectors
 
 
 @dataclass
@@ -143,18 +150,16 @@ class MockBackend:
     """Scripted backend: complete() replays a fixed list of responses.
 
     The script cursor is per-instance; a replay of the same script yields
-    byte-identical output.  Embeddings are a seeded hash of the text.
+    byte-identical output.  Embeddings are the unseeded hash_embed.
     """
 
-    def __init__(self, script: Sequence[str] = (), embed_dim: int = 64, seed: int = 0):
+    def __init__(self, script: Sequence[str] = ()):
         self.script = list(script)
-        self.embed_dim = embed_dim
-        self.seed = seed
         self.cursor = 0
         self.calls: list[RecordedCall] = []
 
     def clone(self) -> "MockBackend":
-        return MockBackend(self.script, embed_dim=self.embed_dim, seed=self.seed)
+        return MockBackend(self.script)
 
     def extend(self, responses: Sequence[str]):
         self.script.extend(responses)
@@ -171,12 +176,7 @@ class MockBackend:
         return response
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        if not texts:
-            raise ValueError("embed() requires a non-empty list")
-        return [
-            EmbeddingVector(_hash_embed(t, self.embed_dim, self.seed), "mock-hash")
-            for t in texts
-        ]
+        return hash_embed(texts)
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[int]:
@@ -297,33 +297,6 @@ class HttpBackend:
         if len(dims) > 1:
             raise ProtocolError(f"inconsistent embedding dimensions: {dims}")
         return vectors
-
-
-def backend_from_config(config: dict) -> Backend:
-    """Build a backend from a config mapping (CLI/config-file shape)."""
-    kind = config.get("backend", "mock")
-    if kind == "mock":
-        return MockBackend(
-            script=config.get("script", []),
-            embed_dim=int(config.get("embed_dim", 64)),
-            seed=int(config.get("seed", 0)),
-        )
-    if kind == "http":
-        endpoint = config.get("endpoint") or os.environ.get("CLOUDRCA_ENDPOINT")
-        if not endpoint:
-            raise ConfigurationError("http backend requires an endpoint URL")
-        api_key = (
-            config.get("api_key")
-            or os.environ.get("CLOUDRCA_API_KEY")
-            or os.environ.get("OPENAI_API_KEY", "")
-        )
-        return HttpBackend(
-            endpoint=endpoint,
-            model=config.get("model", "default"),
-            api_key=api_key,
-            embedding_model=config.get("embedding_model"),
-        )
-    raise ConfigurationError(f"unknown backend kind: {kind!r}")
 
 
 @dataclass

@@ -14,9 +14,9 @@ import click
 import yaml
 
 from .agent import AgentConfig
-from .backends import Backend, GenerationParams, HttpBackend
-from .consistency import run_with_consistency
-from .errors import CloudRcaError
+from .backends import HASH_EMBED_MODEL, Backend, HttpBackend, MockBackend
+from .consistency import ConsistencyReport, run_with_consistency
+from .errors import ConfigurationError
 from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
@@ -60,12 +60,12 @@ def _make_backend(settings: RunSettings) -> Backend:
         )
     if settings.backend == "http":
         if not settings.endpoint:
-            raise CloudRcaError("http backend requires --endpoint")
+            raise ConfigurationError("http backend requires --endpoint")
         api_key = os.environ.get("CLOUDRCA_API_KEY") or os.environ.get(
             "OPENAI_API_KEY", ""
         )
         return HttpBackend(settings.endpoint, settings.model, api_key=api_key)
-    raise CloudRcaError(f"unknown backend {settings.backend!r}")
+    raise ConfigurationError(f"unknown backend {settings.backend!r}")
 
 
 def _agent_config(settings: RunSettings, job_id: str) -> AgentConfig:
@@ -73,26 +73,18 @@ def _agent_config(settings: RunSettings, job_id: str) -> AgentConfig:
         max_steps=settings.max_steps,
         task_statement=f"Diagnose the anomalous job {job_id}.",
         json_regen_enabled=settings.json_regen,
-        params=GenerationParams(mode="greedy"),
     )
 
 
-def run_job(settings: RunSettings, sandbox: Sandbox, job_id: str):
-    backend = _make_backend(settings)
-    config = _agent_config(settings, job_id)
-
-    def registry_factory(bound_backend: Backend):
-        return sandbox.build_registry(bound_backend)
-
-    report = run_with_consistency(
-        config,
-        registry_factory,
-        backend,
+def run_job(settings: RunSettings, sandbox: Sandbox, job_id: str) -> ConsistencyReport:
+    return run_with_consistency(
+        _agent_config(settings, job_id),
+        sandbox.build_registry,
+        _make_backend(settings),
         mode=settings.mode,
         aggregation=settings.aggregate,
         k=settings.k,
     )
-    return report, backend
 
 
 def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report):
@@ -176,7 +168,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
     settings = _settings_from(config_path, **flags)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = Sandbox(settings.scenarios)
-    report, _ = run_job(settings, sandbox, job_id)
+    report = run_job(settings, sandbox, job_id)
     _write_job_artifacts(out_dir, job_id, settings, report)
     click.echo(
         f"{job_id}: passed={report.greedy.passed} steps={len(report.greedy.steps)}"
@@ -187,7 +179,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
 @main.command("batch")
 @click.option("--scenarios", required=True)
 @click.option("--out-dir", required=True)
-@click.option("--jobs", type=int, default=1, help="concurrent jobs")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, help="concurrent jobs")
 @click.option("--pass-floor", type=float, default=0.0,
               help="minimum acceptable pass rate in percent (0-100)")
 @_common_options
@@ -202,7 +194,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
         outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
         try:
             outcome.reference = sandbox.job(job_id).ground_truth
-            report, _ = run_job(settings, sandbox, job_id)
+            report = run_job(settings, sandbox, job_id)
             _write_job_artifacts(out_dir, job_id, settings, report)
             outcome.trajectory = report.greedy
             outcome.prediction = report.outcome.result
@@ -211,14 +203,13 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
             outcome.trajectory.diagnostic = f"job failed: {type(exc).__name__}: {exc}"
         return outcome
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, sandbox.job_ids))
-    else:
-        outcomes = [one(job_id) for job_id in sandbox.job_ids]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(one, sandbox.job_ids))
 
-    scorer = _make_backend(settings if settings.backend == "mock" else RunSettings())
-    report = build_report(outcomes, scorer)
+    # one fixed offline scorer, whatever --backend and --seed say, so the
+    # scores are a function of (prediction, reference) alone
+    report = build_report(outcomes, MockBackend())
+    report["scorer"] = HASH_EMBED_MODEL
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -243,7 +234,7 @@ def cmd_replay(trajectory_file):
     with open(trajectory_file, "r", encoding="utf-8") as fh:
         recorded_text = fh.read()
     recorded = Trajectory.from_jsonl(recorded_text)
-    report, _ = run_job(settings, sandbox, manifest["job_id"])
+    report = run_job(settings, sandbox, manifest["job_id"])
     replayed = report.greedy
     for idx, (old, new) in enumerate(zip(recorded.steps, replayed.steps)):
         if old.to_dict() != new.to_dict():

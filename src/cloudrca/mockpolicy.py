@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backends import ChatExchange, EmbeddingVector, GenerationParams, _hash_embed
+from .backends import ChatExchange, EmbeddingVector, GenerationParams, hash_embed
 
 _SNAPSHOT_RE = re.compile(r"(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)")
 _JOB_RE = re.compile(r"job (fj[0-9a-f]{8})")
@@ -52,21 +52,15 @@ class PolicyBackend:
     """Deterministic diagnosis policy over the sandbox toolset."""
 
     malformed_pct: int = 0
-    embed_dim: int = 64
     seed: int = 0
 
     def clone(self) -> "PolicyBackend":
-        return PolicyBackend(self.malformed_pct, self.embed_dim, self.seed)
+        return PolicyBackend(self.malformed_pct, self.seed)
 
     # -- embeddings --------------------------------------------------------
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        if not texts:
-            raise ValueError("embed() requires a non-empty list")
-        return [
-            EmbeddingVector(_hash_embed(t, self.embed_dim, self.seed), "mock-hash")
-            for t in texts
-        ]
+        return hash_embed(texts, self.seed)
 
     # -- completion dispatch ------------------------------------------------
 

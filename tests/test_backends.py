@@ -14,11 +14,11 @@ from cloudrca.backends import (
     HttpBackend,
     MockBackend,
     approx_token_count,
-    backend_from_config,
     cosine,
     generate_adaptive,
 )
 from cloudrca.errors import ConfigurationError, ProtocolError, TransportError
+from cloudrca.mockpolicy import PolicyBackend
 
 
 def exchange(user="hello"):
@@ -118,6 +118,10 @@ class TestMockBackend:
         )
         assert cosine(a, b) > cosine(a, c)
 
+    def test_policy_backend_embeds_like_the_mock(self):
+        texts = ["error connecting to database", "", "watermark advanced normally"]
+        assert PolicyBackend(seed=0).embed(texts) == MockBackend().embed(texts)
+
 
 class TestGenerateAdaptive:
     def test_short_output_single_attempt(self):
@@ -193,6 +197,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -324,13 +329,3 @@ class TestRateLimit:
             be.complete(exchange(), GenerationParams())
         assert err.value.attempts == 1
         assert session.posts == 1 and sleeps == []
-
-
-def test_backend_from_config_mock():
-    be = backend_from_config({"backend": "mock", "script": ["hi"]})
-    assert be.complete(exchange(), GenerationParams()) == "hi"
-
-
-def test_backend_from_config_requires_endpoint():
-    with pytest.raises(ConfigurationError):
-        backend_from_config({"backend": "http"})

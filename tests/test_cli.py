@@ -8,8 +8,10 @@ import yaml
 from click.testing import CliRunner
 
 from cloudrca import cli
+from cloudrca.backends import MockBackend
 from cloudrca.cli import RunSettings, _settings_from, main
-from cloudrca.errors import TransportError
+from cloudrca.errors import ConfigurationError, TransportError
+from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
 
 
@@ -108,6 +110,26 @@ class TestDiagnose:
         assert manifest["mode"] == "tsc"
         assert len(manifest["candidates"]) == 3
 
+    def test_http_without_endpoint_is_a_configuration_error(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        result = runner.invoke(
+            main,
+            [
+                "diagnose",
+                sandbox.job_ids[0],
+                "--scenarios",
+                scenario_dir,
+                "--out-dir",
+                str(tmp_path / "out"),
+                "--backend",
+                "http",
+            ],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ConfigurationError)
+        assert "--endpoint" in str(result.exception)
+
 
 class TestBatch:
     def test_report_and_floor(self, runner, scenario_dir, tmp_path):
@@ -144,6 +166,35 @@ class TestBatch:
             ],
         )
         assert result.exit_code == 1
+
+    def test_zero_jobs_is_a_usage_error(self, runner, scenario_dir, tmp_path):
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", scenario_dir, "--out-dir", str(tmp_path / "out"),
+             "--jobs", "0"],
+        )
+        assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_scores_use_the_fixed_offline_scorer(self, runner, scenario_dir, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), "--seed", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["scorer"] == "mock-hash"
+        rows = [row for row in report["jobs"] if row["reference"] is not None]
+        scorer = MockBackend()
+        for name, scores in report["fields"].items():
+            if name == "responsibility":
+                continue
+            expected = [
+                emb_score(row["prediction"][name], row["reference"][name], scorer)
+                for row in rows
+            ]
+            assert scores["emb_score"] == pytest.approx(sum(expected) / len(expected))
 
 
 class TestBatchJobFailure:
@@ -216,7 +267,8 @@ class TestReplay:
 
     def test_divergence_detected(self, runner, scenario_dir, tmp_path, sandbox):
         path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         record = json.loads(lines[0])
         record["step"]["thought"] = "tampered"
         lines[0] = json.dumps(record, sort_keys=True)
