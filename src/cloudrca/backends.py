@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence
@@ -150,13 +151,15 @@ class MockBackend:
     """Scripted backend: complete() replays a fixed list of responses.
 
     The script cursor is per-instance; a replay of the same script yields
-    byte-identical output.  Embeddings are the unseeded hash_embed.
+    byte-identical output.  Concurrent calls each take a different response,
+    in an unspecified order.  Embeddings are the unseeded hash_embed.
     """
 
     def __init__(self, script: Sequence[str] = ()):
         self.script = list(script)
         self.cursor = 0
         self.calls: list[RecordedCall] = []
+        self._lock = threading.Lock()
 
     def clone(self) -> "MockBackend":
         return MockBackend(self.script)
@@ -166,13 +169,14 @@ class MockBackend:
 
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:
         exchange.validate()
-        if self.cursor >= len(self.script):
-            raise ConfigurationError(
-                f"mock script exhausted after {len(self.script)} responses"
-            )
-        response = self.script[self.cursor]
-        self.cursor += 1
-        self.calls.append(RecordedCall(exchange, params, response))
+        with self._lock:
+            if self.cursor >= len(self.script):
+                raise ConfigurationError(
+                    f"mock script exhausted after {len(self.script)} responses"
+                )
+            response = self.script[self.cursor]
+            self.cursor += 1
+            self.calls.append(RecordedCall(exchange, params, response))
         return response
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:

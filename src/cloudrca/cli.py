@@ -186,6 +186,9 @@ def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
 def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
     """Diagnose every job in a bundle, then write an evaluation report."""
     settings = _settings_from(config_path, **flags)
+    # a bad backend setting fails the command before any job runs, instead
+    # of becoming one failed row per job
+    _make_backend(settings)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = Sandbox(settings.scenarios)
     os.makedirs(out_dir, exist_ok=True)

@@ -9,6 +9,8 @@ before the greedy trajectory finalizes, sharing the greedy prefix.
 from __future__ import annotations
 
 import copy
+import functools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -202,27 +204,36 @@ def _run_branches(
     """Run k sampled trajectories, each on its own backend, registry and
     snapshot-store branch.  With ``greedy`` every branch starts from a copy
     of its steps before finalization.  A branch that fails or never
-    finalizes within ``max_steps`` yields no candidate."""
+    finalizes within ``max_steps`` yields no candidate.
+
+    Branches run concurrently, at most ``DEFAULT_K`` at a time, so a backend
+    shared by the branches must accept concurrent calls.  Their inputs are
+    built here in index order and candidates keep that order."""
     params = sampled_params(config.params)
-    candidates = []
+    branches = []
     for i in range(k):
         branch_backend = backend_factory(i) if backend_factory else backend
         initial = None
         if greedy is not None:
             steps = copy.deepcopy(greedy.steps[:-1])
             initial = Trajectory(steps=steps, seed_prefix_len=len(steps))
-        trajectory = run_trajectory(
-            config,
-            registry_factory(branch_backend),
-            branch_backend,
-            store=store.branch() if store is not None else None,
-            initial=initial,
-            params=params,
-            max_steps=max_steps,
+        branches.append(
+            functools.partial(
+                run_trajectory,
+                config,
+                registry_factory(branch_backend),
+                branch_backend,
+                store=store.branch() if store is not None else None,
+                initial=initial,
+                params=params,
+                max_steps=max_steps,
+            )
         )
-        if trajectory.passed:
-            candidates.append(Candidate(trajectory.result, trajectory))
-    return candidates
+    # at least one worker: sample-full does not reject k < 1, which runs no
+    # branch
+    with ThreadPoolExecutor(max_workers=max(1, min(k, DEFAULT_K))) as pool:
+        trajectories = list(pool.map(lambda branch: branch(), branches))
+    return [Candidate(t.result, t) for t in trajectories if t.passed]
 
 
 def sc_stepwise(

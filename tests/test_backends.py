@@ -1,6 +1,7 @@
 import http.server
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -121,6 +122,30 @@ class TestMockBackend:
     def test_policy_backend_embeds_like_the_mock(self):
         texts = ["error connecting to database", "", "watermark advanced normally"]
         assert PolicyBackend(seed=0).embed(texts) == MockBackend().embed(texts)
+
+    def test_concurrent_calls_take_each_response_once(self):
+        script = [f"response {i}" for i in range(100)]
+        be = MockBackend(script)
+        taken = [[] for _ in range(10)]
+
+        def drain(out):
+            for _ in range(10):
+                out.append(be.complete(exchange(), GenerationParams()))
+
+        threads = [threading.Thread(target=drain, args=(out,)) for out in taken]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(r for out in taken for r in out) == sorted(script)
+        assert be.cursor == 100
+        assert sorted(c.response for c in be.calls) == sorted(script)
 
 
 class TestGenerateAdaptive:

@@ -176,6 +176,16 @@ class TestBatch:
         assert result.exit_code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_http_without_endpoint_fails_before_any_job(self, runner, scenario_dir, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), "--backend", "http"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, ConfigurationError)
+        assert not (out / "report.json").exists()
+
     def test_scores_use_the_fixed_offline_scorer(self, runner, scenario_dir, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(

@@ -6,17 +6,22 @@ reproduce its steps verbatim, and a single-candidate aggregation must
 return the greedy answer unchanged.
 """
 
+import copy
 import json
+import threading
+import time
 
 import pytest
 
-from cloudrca import MockBackend, PolicyBackend
+from cloudrca import MockBackend, PolicyBackend, consistency
 from cloudrca.backends import (
     DEFAULT_NUCLEUS_P,
     DEFAULT_SAMPLED_TEMPERATURE,
     GenerationParams,
 )
+from cloudrca.agent import run_trajectory
 from cloudrca.consistency import (
+    DEFAULT_K,
     METHOD_EMBEDDING_VOTE,
     METHOD_LLM_AGGREGATE,
     Candidate,
@@ -408,3 +413,168 @@ def test_failed_branch_yields_no_candidate(sandbox, policy_backend, mode):
     assert len(report.candidates) == 1
     assert report.candidates[0].trajectory is report.greedy
     assert report.outcome.result.to_dict() == report.greedy.result.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Concurrent branches
+
+
+class SlowBackend(PolicyBackend):
+    """Policy backend that sleeps ``delay`` seconds per completion and keeps
+    the peak number of completions in flight."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, exchange, params):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            return super().complete(exchange, params)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _sequential_branches(
+    config,
+    registry_factory,
+    backend,
+    k,
+    backend_factory,
+    max_steps,
+    greedy=None,
+    store=None,
+):
+    """The branch runner as it was before branches ran concurrently: one
+    branch after another, in index order."""
+    params = sampled_params(config.params)
+    candidates = []
+    for i in range(k):
+        branch_backend = backend_factory(i) if backend_factory else backend
+        initial = None
+        if greedy is not None:
+            steps = copy.deepcopy(greedy.steps[:-1])
+            initial = Trajectory(steps=steps, seed_prefix_len=len(steps))
+        trajectory = run_trajectory(
+            config,
+            registry_factory(branch_backend),
+            branch_backend,
+            store=store.branch() if store is not None else None,
+            initial=initial,
+            params=params,
+            max_steps=max_steps,
+        )
+        if trajectory.passed:
+            candidates.append(Candidate(trajectory.result, trajectory))
+    return candidates
+
+
+class TestConcurrentBranches:
+    def test_branches_overlap(self, sandbox, policy_backend):
+        config = make_config(sandbox.job_ids[0])
+        factory = _registry_factory(sandbox)
+        greedy, store = run_greedy(config, factory, policy_backend)
+        delay = 0.1
+        slow = SlowBackend(delay)
+        start = time.perf_counter()
+        candidates, _ = tsc(config, factory, slow, k=10, store=store, greedy=greedy)
+        elapsed = time.perf_counter() - start
+        assert len(candidates) == 10
+        assert slow.peak >= 2
+        # one after another, ten branches would wait at least 10 * delay
+        assert elapsed < 5 * delay
+
+    def test_candidates_keep_index_order(self, sandbox, policy_backend):
+        config = make_config(sandbox.job_ids[0])
+        factory = _registry_factory(sandbox)
+        greedy, store = run_greedy(config, factory, policy_backend)
+        k = 5
+        finished = []
+
+        class Delayed(VariantBackend):
+            def __init__(self, index):
+                super().__init__(f"variant root cause {index}")
+                self.index = index
+
+            def complete(self, exchange, params):
+                # branch i waits (k - i) steps: the last branch finishes first
+                time.sleep(0.03 * (k - self.index))
+                reply = super().complete(exchange, params)
+                finished.append(self.index)
+                return reply
+
+        candidates, _ = tsc(
+            config,
+            factory,
+            policy_backend,
+            k=k,
+            store=store,
+            greedy=greedy,
+            branch_backend_factory=Delayed,
+        )
+        assert finished != sorted(finished)
+        assert [c.result.root_cause for c in candidates] == [
+            f"variant root cause {i}" for i in range(k)
+        ]
+
+    def test_backend_factory_runs_on_the_calling_thread_in_order(
+        self, sandbox, policy_backend
+    ):
+        config = make_config(sandbox.job_ids[0])
+        calls = []
+
+        def factory(i):
+            calls.append((i, threading.get_ident()))
+            return policy_backend.clone()
+
+        run_with_consistency(
+            config,
+            _registry_factory(sandbox),
+            policy_backend,
+            mode="tsc",
+            k=DEFAULT_K,
+            branch_backend_factory=factory,
+        )
+        assert calls == [(i, threading.get_ident()) for i in range(DEFAULT_K)]
+
+    @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
+    def test_no_worker_thread_outlives_the_job(self, sandbox, policy_backend, mode):
+        config = make_config(sandbox.job_ids[0])
+        before = threading.active_count()
+        run_with_consistency(
+            config, _registry_factory(sandbox), policy_backend, mode=mode, k=4
+        )
+        assert threading.active_count() == before
+
+    def test_sample_full_with_no_branches_falls_back_to_greedy(
+        self, sandbox, policy_backend
+    ):
+        config = make_config(sandbox.job_ids[0])
+        report = run_with_consistency(
+            config, _registry_factory(sandbox), policy_backend, mode="sample-full", k=0
+        )
+        assert report.candidates == [Candidate(report.greedy.result, report.greedy)]
+
+    @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
+    def test_report_equals_sequential_run(self, sandbox, monkeypatch, mode):
+        backend = PolicyBackend(malformed_pct=30)
+        factory = _registry_factory(sandbox)
+        for job_id in sandbox.job_ids:
+            config = make_config(job_id)
+            concurrent = run_with_consistency(config, factory, backend, mode=mode, k=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(consistency, "_run_branches", _sequential_branches)
+                sequential = run_with_consistency(
+                    config, factory, backend, mode=mode, k=4
+                )
+            assert concurrent == sequential
+            assert [c.trajectory.to_jsonl() for c in concurrent.candidates] == [
+                c.trajectory.to_jsonl() for c in sequential.candidates
+            ]
