@@ -9,6 +9,7 @@ only needs a backend handle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -30,6 +31,9 @@ PENALTY_STEP = 0.5
 MAX_RETRY_AFTER_S = 60
 HASH_EMBED_DIM = 64
 HASH_EMBED_MODEL = "mock-hash"
+# (seed, trigram) pairs hash_embed remembers, at about 270 bytes each (under
+# 9 MB when full); one pass of a benchmark workload meets under 6k of them
+HASH_EMBED_MEMO_SIZE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,14 +96,19 @@ class EmbeddingVector:
         return np.asarray(self.values, dtype=np.float64)
 
 
+def _cosine_rows(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> float:
+    """Cosine similarity of two same-shape rows given their norms; 0.0 when
+    either row is zero."""
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(np.dot(va, vb) / (na * nb))
+
+
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     va, vb = a.as_array(), b.as_array()
     if va.shape != vb.shape:
         raise ProtocolError("embedding dimension mismatch")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
+    return _cosine_rows(va, np.linalg.norm(va), vb, np.linalg.norm(vb))
 
 
 class Backend(Protocol):
@@ -113,6 +122,14 @@ def approx_token_count(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+@functools.lru_cache(maxsize=HASH_EMBED_MEMO_SIZE)
+def _trigram_bucket(seed: int, gram: str) -> tuple[int, float]:
+    """The bucket and the sign one trigram adds to a hash embedding."""
+    digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
+    idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
+    return idx, 1.0 if digest[4] & 1 else -1.0
+
+
 def hash_embed(texts: Sequence[str], seed: int = 0) -> list[EmbeddingVector]:
     """Offline embedding: feature-hash each text's character trigrams into a
     HASH_EMBED_DIM unit vector.
@@ -124,13 +141,13 @@ def hash_embed(texts: Sequence[str], seed: int = 0) -> list[EmbeddingVector]:
         raise ValueError("embed() requires a non-empty list")
     vectors = []
     for text in texts:
-        vec = np.zeros(HASH_EMBED_DIM, dtype=np.float64)
+        # bucket sums are small integers, so a list sums them exactly
+        counts = [0.0] * HASH_EMBED_DIM
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
-            gram = padded[i : i + 3]
-            digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
-            idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
-            vec[idx] += 1.0 if digest[4] & 1 else -1.0
+            idx, sign = _trigram_bucket(seed, padded[i : i + 3])
+            counts[idx] += sign
+        vec = np.array(counts, dtype=np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -277,9 +294,15 @@ class HttpBackend:
             payload["repetition_penalty"] = params.repetition_penalty
         data = self._post("/chat/completions", payload)
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat completion response: {exc}")
+        # servers send null content for refusals and tool calls
+        if not isinstance(content, str):
+            raise ProtocolError(
+                f"chat completion content is {type(content).__name__}, not a string"
+            )
+        return content
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if not texts:

@@ -9,13 +9,24 @@ edit-distance acceptance test, and summarize the survivors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import prompts
-from .backends import GREEDY_PARAMS, Backend, ChatExchange, EmbeddingVector, cosine
+from .backends import (
+    GREEDY_PARAMS,
+    Backend,
+    ChatExchange,
+    EmbeddingVector,
+    _cosine_rows,
+    cosine,
+)
+from .errors import ProtocolError
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -59,10 +70,15 @@ def build_graph(
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
+    rows = [vec.as_array() for vec in embeddings]
+    if len({row.shape for row in rows}) > 1:
+        raise ProtocolError("embedding dimension mismatch")
+    norms = [np.linalg.norm(row) for row in rows]
     edges = []
     for i in range(n):
+        row, norm = rows[i], norms[i]
         for j in range(i + 1, min(i + window + 1, n)):
-            sim = cosine(embeddings[i], embeddings[j])
+            sim = _cosine_rows(row, norm, rows[j], norms[j])
             if sim <= 0:
                 continue
             weight = sim * math.exp(-(j - i) / tau)
@@ -169,28 +185,60 @@ def _canonical(labels: Sequence[int]) -> list[int]:
 _EXACT_VERTEX_LIMIT = 8
 
 
+@functools.lru_cache(maxsize=_EXACT_VERTEX_LIMIT + 1)
+def _labellings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every labelling of n vertices in restricted-growth order, as a
+    (Bell(n), n) int8 array, and its same-community matrix: 1.0 where a
+    labelling puts vertex pair i < j (``np.triu_indices`` order) together."""
+    rows = [[0]] if n else [[]]
+    for _ in range(1, n):
+        rows = [row + [lab] for row in rows for lab in range(max(row) + 2)]
+    labels = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+    first, second = np.triu_indices(n, k=1)
+    same = (labels[:, first] == labels[:, second]).astype(np.float64)
+    # every caller shares the cached arrays
+    labels.setflags(write=False)
+    same.setflags(write=False)
+    return labels, same
+
+
 def _exact_partition(graph: SimilarityGraph) -> list[int]:
     """Exhaustive modularity maximization over all set partitions.  Only
     viable for tiny graphs; enumeration order makes ties deterministic
-    (first partition found in restricted-growth order wins)."""
+    (first partition found in restricted-growth order wins).
+
+    One matrix product scores every labelling: with d the degrees, w the
+    summed weight of each vertex pair and same the same-community matrix,
+    Q = 2·(self-loops + same·w)/2m − (dᵀd + 2·same·(dᵢdⱼ))/(2m)²."""
     n = graph.n
     best_labels = list(range(n))
     best_q = modularity(graph, best_labels)
-    labels = [0] * n
-
-    def recurse(v: int, next_label: int):
-        nonlocal best_labels, best_q
-        if v == n:
-            q = modularity(graph, labels)
-            if q > best_q + 1e-12:
-                best_q, best_labels = q, labels[:]
-            return
-        for lab in range(next_label + 1):
-            labels[v] = lab
-            recurse(v + 1, max(next_label, lab + 1))
-
-    recurse(0, 0)
-    return best_labels
+    two_m = 2.0 * sum(w for _, _, w in graph.edges)
+    if two_m == 0:
+        return best_labels
+    weight = np.zeros((n, n))
+    for i, j, w in graph.edges:
+        weight[i, j] += w
+    pair = weight + weight.T
+    d = pair.sum(axis=1)
+    first, second = np.triu_indices(n, k=1)
+    labels, same = _labellings(n)
+    internal, cross = (
+        same @ np.column_stack((pair[first, second], d[first] * d[second]))
+    ).T
+    q = (np.trace(weight) + internal) * 2.0 / two_m - (d @ d + 2.0 * cross) / (
+        two_m * two_m
+    )
+    # scan in enumeration order: each labelling that beats the best so far
+    # by more than 1e-12 becomes the new best
+    best, start = -1, 0
+    while True:
+        ahead = np.flatnonzero(q[start:] > best_q + 1e-12)
+        if not ahead.size:
+            break
+        best = start + int(ahead[0])
+        best_q, start = q[best], best + 1
+    return best_labels if best < 0 else labels[best].tolist()
 
 
 def louvain(graph: SimilarityGraph) -> ChunkAssignment:
@@ -226,10 +274,6 @@ def _runs(labels: Sequence[int]) -> list[tuple[int, int, int]]:
             runs.append((labels[start], start, i))
             start = i
     return runs
-
-
-def flips_between(before: Sequence[int], after: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(before, after) if a != b)
 
 
 _EXACT_RUN_LIMIT = 16

@@ -87,9 +87,6 @@ class SnapshotStore:
             raise SnapshotKeyError(key)
         return record.full_text
 
-    def known(self, key: str) -> bool:
-        return self._lookup(key) is not None
-
     def resolve_args(self, kwargs: dict) -> dict:
         """Replace a ``snapshot`` argument that is an issued snapshot key with
         the stored full text.  A key-shaped ``snapshot`` that was never issued

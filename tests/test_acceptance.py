@@ -30,7 +30,6 @@ from cloudrca.logexpert import (
     ChunkAssignment,
     SimilarityGraph,
     evidence_accepted,
-    flips_between,
     louvain,
     remove_overlaps,
 )
@@ -49,6 +48,7 @@ from conftest import make_config
 from test_consistency import DetourBackend, VariantBackend, _registry_factory
 from test_logexpert import (
     best_partition_oracle,
+    flips_between,
     is_contiguous,
     min_flips_oracle,
     modularity_oracle,

@@ -1,9 +1,11 @@
+import hashlib
 import http.server
 import json
 import math
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from cloudrca import backends as backends_module
@@ -17,6 +19,7 @@ from cloudrca.backends import (
     approx_token_count,
     cosine,
     generate_adaptive,
+    hash_embed,
 )
 from cloudrca.errors import ConfigurationError, ProtocolError, TransportError
 from cloudrca.mockpolicy import PolicyBackend
@@ -75,6 +78,53 @@ class TestCosine:
         b = EmbeddingVector((1.0, 0.0, 0.0), "m")
         with pytest.raises(ProtocolError):
             cosine(a, b)
+
+
+def sha256_hash_embed(texts, seed=0):
+    """Reference hash embedding: one sha256 per trigram, added straight into
+    the vector."""
+    vectors = []
+    for text in texts:
+        vec = np.zeros(backends_module.HASH_EMBED_DIM, dtype=np.float64)
+        padded = f"^{text}$"
+        for i in range(max(1, len(padded) - 2)):
+            gram = padded[i : i + 3]
+            digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
+            idx = int.from_bytes(digest[:4], "big") % backends_module.HASH_EMBED_DIM
+            vec[idx] += 1.0 if digest[4] & 1 else -1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        else:
+            vec[0] = 1.0
+        vectors.append(EmbeddingVector(tuple(vec.tolist()), "mock-hash"))
+    return vectors
+
+
+class TestHashEmbed:
+    TEXTS = [
+        "",
+        "a",
+        "ab",
+        "2024-03-01 12:00:01 ERROR TaskManager lost heartbeat from tm-3",
+        "retry retry retry retry retry retry retry retry",
+        "日本語のログ行",
+        "non-BMP 🚀 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 \U0001f600 done",
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bit_identical_to_the_sha256_loop(self, seed):
+        expected = sha256_hash_embed(self.TEXTS, seed)
+        # twice: the second pass reads every trigram from the memo
+        for _ in range(2):
+            assert hash_embed(self.TEXTS, seed) == expected
+
+    def test_seeds_differ(self):
+        assert hash_embed(self.TEXTS, 0) != hash_embed(self.TEXTS, 3)
+
+    def test_memo_is_bounded(self):
+        maxsize = backends_module._trigram_bucket.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 1 << 20
 
 
 def test_approx_token_count():
@@ -292,6 +342,16 @@ class _FakeSession:
 
 
 CHAT_OK = {"choices": [{"message": {"content": "after the wait"}}]}
+
+
+@pytest.mark.parametrize("content", [None, 42, ["part"], {"text": "x"}])
+def test_non_string_content_is_a_protocol_error(content):
+    chat = {"choices": [{"message": {"content": content}}]}
+    be = HttpBackend(
+        "http://localhost:1", "m", session=_FakeSession([_FakeResponse(200, chat)])
+    )
+    with pytest.raises(ProtocolError):
+        be.complete(exchange(), GenerationParams())
 
 
 class TestRateLimit:

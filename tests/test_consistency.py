@@ -18,6 +18,7 @@ from cloudrca.backends import (
     DEFAULT_NUCLEUS_P,
     DEFAULT_SAMPLED_TEMPERATURE,
     GenerationParams,
+    HttpBackend,
 )
 from cloudrca.agent import run_trajectory
 from cloudrca.consistency import (
@@ -39,6 +40,7 @@ from cloudrca.errors import ConfigurationError, TransportError
 from cloudrca.trajectory import AnalysisResult, Trajectory
 
 from conftest import make_config
+from test_backends import _FakeResponse, _FakeSession
 
 
 class DetourBackend(PolicyBackend):
@@ -413,6 +415,39 @@ def test_failed_branch_yields_no_candidate(sandbox, policy_backend, mode):
     assert len(report.candidates) == 1
     assert report.candidates[0].trajectory is report.greedy
     assert report.outcome.result.to_dict() == report.greedy.result.to_dict()
+
+
+def null_content_backend() -> HttpBackend:
+    """HTTP backend whose endpoint answers with ``content: null``, as servers
+    do for refusals; a scripted session stands in for the network."""
+    chat = {"choices": [{"message": {"content": None}}]}
+    session = _FakeSession([_FakeResponse(200, chat)])
+    return HttpBackend("http://localhost:1", "m", session=session)
+
+
+class TestNonStringContent:
+    def test_greedy_run_records_the_failure(self, sandbox):
+        config = make_config(sandbox.job_ids[0])
+        greedy, _ = run_greedy(config, _registry_factory(sandbox), null_content_backend())
+        assert not greedy.passed
+        assert "backend failure" in greedy.diagnostic
+        assert "not a string" in greedy.diagnostic
+
+    def test_faulty_tsc_branch_yields_no_candidate(self, sandbox, policy_backend):
+        config = make_config(sandbox.job_ids[0])
+        report = run_with_consistency(
+            config,
+            _registry_factory(sandbox),
+            policy_backend,
+            mode="tsc",
+            k=3,
+            branch_backend_factory=lambda i: (
+                null_content_backend() if i == 1 else PolicyBackend()
+            ),
+        )
+        assert report.greedy.passed
+        assert len(report.candidates) == 2
+        assert all(c.trajectory.passed for c in report.candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrca.backends import MockBackend
+from cloudrca import logexpert
+from cloudrca.backends import EmbeddingVector, MockBackend, cosine
+from cloudrca.errors import ProtocolError
 from cloudrca.logexpert import (
     ChunkAssignment,
     LogChunk,
@@ -17,7 +19,6 @@ from cloudrca.logexpert import (
     build_graph,
     evidence_accepted,
     filter_evidence,
-    flips_between,
     louvain,
     modularity,
     pack_icl_prompt,
@@ -73,6 +74,10 @@ def best_partition_oracle(graph: SimilarityGraph) -> float:
     return best
 
 
+def flips_between(before, after) -> int:
+    return sum(1 for a, b in zip(before, after) if a != b)
+
+
 def min_flips_oracle(labels: list[int]) -> int:
     """Brute force: fewest relabelled positions so each label is one
     contiguous run (labels drawn from those present; <= 6 positions)."""
@@ -117,6 +122,55 @@ def random_graph(rng: random.Random, n: int) -> SimilarityGraph:
     return SimilarityGraph(n, edges)
 
 
+def recursive_exact_partition(graph: SimilarityGraph) -> list[int]:
+    """Reference exhaustive search: recursive restricted-growth enumeration
+    that scores each labelling with ``modularity`` and keeps the first one
+    to beat the best so far by more than 1e-12."""
+    n = graph.n
+    best_labels = list(range(n))
+    best_q = modularity(graph, best_labels)
+    labels = [0] * n
+
+    def recurse(v, next_label):
+        nonlocal best_labels, best_q
+        if v == n:
+            q = modularity(graph, labels)
+            if q > best_q + 1e-12:
+                best_q, best_labels = q, labels[:]
+            return
+        for lab in range(next_label + 1):
+            labels[v] = lab
+            recurse(v + 1, max(next_label, lab + 1))
+
+    recurse(0, 0)
+    return best_labels
+
+
+def per_edge_build_graph(lines, embeddings, window, tau=1.0) -> SimilarityGraph:
+    """Reference graph build: one ``cosine`` call per pair in the window."""
+    n = len(lines)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, min(i + window + 1, n)):
+            sim = cosine(embeddings[i], embeddings[j])
+            if sim <= 0:
+                continue
+            weight = sim * math.exp(-(j - i) / tau)
+            if weight > 0:
+                edges.append((i, j, weight))
+    return SimilarityGraph(n, edges)
+
+
+def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
+    """Small integer weights (many labellings tie exactly), repeated pairs
+    in both orientations, and self-loops."""
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        edges.append((i, j, float(rng.randint(1, 3))))
+    return SimilarityGraph(n, edges)
+
+
 # ---------------------------------------------------------------------------
 # Graph construction
 
@@ -141,6 +195,110 @@ class TestBuildGraph:
         be = MockBackend()
         with pytest.raises(ValueError):
             build_graph(["a", "b"], be.embed(["a"]))
+
+    @pytest.mark.parametrize("window", [1, 3, 200])
+    def test_edges_equal_the_per_edge_cosine_loop(self, window):
+        rng = random.Random(window)
+        lines = [
+            f"{rng.choice(['INFO', 'WARN', 'ERROR'])} task {rng.randrange(5)} "
+            f"{rng.choice(['started', 'lost heartbeat', 'checkpoint ok'])}"
+            for _ in range(40)
+        ]
+        embeddings = MockBackend().embed(lines)
+        # zero vectors and signed random rows mixed in
+        zero = EmbeddingVector((0.0,) * 64, "m")
+        for k in (0, 7, 8, 39):
+            embeddings[k] = zero
+        for k in range(10, 20):
+            embeddings[k] = EmbeddingVector(
+                tuple(rng.uniform(-1, 1) for _ in range(64)), "m"
+            )
+        for tau in (1.0, 0.3, 7.0):
+            got = build_graph(lines, embeddings, window=window, tau=tau)
+            expected = per_edge_build_graph(lines, embeddings, window, tau)
+            assert got.n == expected.n
+            # tuple equality compares each float weight bit for bit
+            assert got.edges == expected.edges
+
+    @pytest.mark.parametrize("odd", [0, 3, 5])
+    def test_mismatched_dimensions_raise_protocol_error(self, odd):
+        embeddings = [EmbeddingVector((1.0, 0.5), "m") for _ in range(6)]
+        embeddings[odd] = EmbeddingVector((1.0, 0.5, 0.0), "m")
+        with pytest.raises(ProtocolError):
+            build_graph(["x"] * 6, embeddings, window=2)
+
+
+# ---------------------------------------------------------------------------
+# Exact partition against the recursive enumeration
+
+
+class TestExactPartition:
+    def test_labels_equal_the_recursive_enumeration(self):
+        rng = random.Random(606)
+        for trial in range(300):
+            n = 1 + trial % 8
+            if trial % 2:
+                graph = tie_prone_graph(rng, n)
+            else:
+                graph = random_graph(rng, n)
+            assert logexpert._exact_partition(graph) == recursive_exact_partition(
+                graph
+            ), graph
+
+    def test_unit_weight_graphs_tie_like_the_enumeration(self):
+        # every pair at weight 1: a clique, where many labellings tie exactly
+        for n in range(1, 9):
+            edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
+            graph = SimilarityGraph(n, edges)
+            assert logexpert._exact_partition(graph) == recursive_exact_partition(
+                graph
+            )
+
+    def test_repeated_pairs_and_self_loops(self):
+        graph = SimilarityGraph(
+            4,
+            [(0, 1, 0.5), (1, 0, 0.5), (2, 2, 3.0), (3, 3, 3.0),
+             (2, 3, 0.2), (0, 0, 0.1), (1, 2, 0.05)],
+        )
+        assert logexpert._exact_partition(graph) == recursive_exact_partition(graph)
+        # self-loop weight only: every vertex stays alone
+        loops = SimilarityGraph(3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 1.0)])
+        assert logexpert._exact_partition(loops) == recursive_exact_partition(loops)
+
+    def test_all_zero_graph_stays_singletons(self):
+        for graph in (
+            SimilarityGraph(5, []),
+            SimilarityGraph(5, [(0, 1, 0.0), (2, 3, 0.0), (4, 4, 0.0)]),
+        ):
+            assert logexpert._exact_partition(graph) == [0, 1, 2, 3, 4]
+            assert recursive_exact_partition(graph) == [0, 1, 2, 3, 4]
+
+    def test_scores_an_eight_vertex_graph_with_one_modularity_call(
+        self, monkeypatch
+    ):
+        calls = []
+        real = logexpert.modularity
+
+        def counting(graph, labels):
+            calls.append(1)
+            return real(graph, labels)
+
+        monkeypatch.setattr(logexpert, "modularity", counting)
+        graph = random_graph(random.Random(8), 8)
+        logexpert._exact_partition(graph)
+        assert len(calls) <= 1
+
+    def test_louvain_calls_exact_partition_by_its_module_name(self, monkeypatch):
+        seen = []
+        real = logexpert._exact_partition
+
+        def recording(graph):
+            seen.append(graph.n)
+            return real(graph)
+
+        monkeypatch.setattr(logexpert, "_exact_partition", recording)
+        louvain(random_graph(random.Random(1), 6))
+        assert seen == [6]
 
 
 # ---------------------------------------------------------------------------
