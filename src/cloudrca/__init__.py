@@ -11,7 +11,6 @@ from .agent import AgentConfig, PromptSet, run_step, run_trajectory
 from .backends import (
     Backend,
     ChatExchange,
-    EmbeddingVector,
     GenerationParams,
     HttpBackend,
     MockBackend,
@@ -44,7 +43,7 @@ from .logexpert import (
     remove_overlaps,
     run_log_expert,
 )
-from .codeexpert import CodeExpertConfig, RepoIndex, run_code_expert
+from .codeexpert import RepoIndex, run_code_expert
 from .metrics import (
     JobOutcome,
     NotComputable,
@@ -66,7 +65,7 @@ from .structured import (
     sanitize_prompt,
 )
 from .textdist import levenshtein, normalized_similarity
-from .tools import DispatchContext, ToolParam, ToolRegistry, ToolSpec, dispatch
+from .tools import ToolParam, ToolRegistry, ToolSpec, dispatch
 from .trajectory import AnalysisResult, Step, ToolCall, Trajectory
 
 __version__ = "0.1.0"
@@ -79,11 +78,8 @@ __all__ = [
     "Candidate",
     "ChatExchange",
     "CloudRcaError",
-    "CodeExpertConfig",
     "ConfigurationError",
     "ConsistencyReport",
-    "DispatchContext",
-    "EmbeddingVector",
     "GenerationParams",
     "HttpBackend",
     "JobOutcome",

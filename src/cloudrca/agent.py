@@ -19,7 +19,6 @@ from .structured import (
     try_parse,
 )
 from .tools import (
-    DispatchContext,
     KIND_FINALIZE,
     ToolRegistry,
     check_errors,
@@ -125,7 +124,7 @@ def run_step(
     trajectory: Trajectory,
     backend: Backend,
     registry: ToolRegistry,
-    context: DispatchContext,
+    store: SnapshotStore,
     params: Optional[GenerationParams] = None,
 ) -> Step:
     """One decision cycle.  Appends the produced step to the trajectory and
@@ -150,14 +149,14 @@ def run_step(
         kwargs = outcome.value.get("kwargs")
         call = ToolCall(function, kwargs if isinstance(kwargs, dict) else {})
         spec = registry.spec(call.function)
-        error = check_errors(trajectory.steps, call, registry, context)
+        error = check_errors(trajectory.steps, call, registry, store)
         if error is not None:
             step = Step(thought, call, error.render(), error_flag=True)
         elif spec is not None and spec.kind == KIND_FINALIZE:
             trajectory.result = parse_finalize(call).result
             step = Step(thought, call, "Finalized.")
         else:
-            result = dispatch(registry, call, context)
+            result = dispatch(registry, call, store)
             structural_invalid = spec is None or any(
                 p.required and p.name not in call.kwargs for p in spec.params
             )
@@ -195,11 +194,11 @@ def run_trajectory(
             ),
         )
     trajectory = initial if initial is not None else Trajectory()
-    context = DispatchContext(store=store if store is not None else SnapshotStore())
+    store = store if store is not None else SnapshotStore()
     budget = max_steps if max_steps is not None else config.max_steps
     try:
         while trajectory.result is None and len(trajectory.steps) < budget:
-            run_step(config, trajectory, backend, registry, context, params=params)
+            run_step(config, trajectory, backend, registry, store, params=params)
     except CloudRcaError as exc:
         trajectory.diagnostic = f"backend failure: {exc}"
         trajectory.passed = False

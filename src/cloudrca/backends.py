@@ -87,15 +87,6 @@ class ChatExchange:
             expected = "assistant" if expected == "user" else "user"
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    values: tuple[float, ...]
-    source_model_id: str
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
 def _cosine_rows(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> float:
     """Cosine similarity of two same-shape rows given their norms; 0.0 when
     either row is zero."""
@@ -104,17 +95,19 @@ def _cosine_rows(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    va, vb = a.as_array(), b.as_array()
-    if va.shape != vb.shape:
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two embedding rows."""
+    if a.shape != b.shape:
         raise ProtocolError("embedding dimension mismatch")
-    return _cosine_rows(va, np.linalg.norm(va), vb, np.linalg.norm(vb))
+    return _cosine_rows(a, np.linalg.norm(a), b, np.linalg.norm(b))
 
 
 class Backend(Protocol):
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str: ...
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """One C-contiguous (len(texts), d) float64 array, a row per text."""
+        ...
 
 
 def approx_token_count(text: str) -> int:
@@ -130,7 +123,7 @@ def _trigram_bucket(seed: int, gram: str) -> tuple[int, float]:
     return idx, 1.0 if digest[4] & 1 else -1.0
 
 
-def hash_embed(texts: Sequence[str], seed: int = 0) -> list[EmbeddingVector]:
+def hash_embed(texts: Sequence[str], seed: int = 0) -> np.ndarray:
     """Offline embedding: feature-hash each text's character trigrams into a
     HASH_EMBED_DIM unit vector.
 
@@ -139,21 +132,21 @@ def hash_embed(texts: Sequence[str], seed: int = 0) -> list[EmbeddingVector]:
     """
     if not texts:
         raise ValueError("embed() requires a non-empty list")
-    vectors = []
-    for text in texts:
+    vectors = np.empty((len(texts), HASH_EMBED_DIM), dtype=np.float64)
+    for vec, text in zip(vectors, texts):
         # bucket sums are small integers, so a list sums them exactly
         counts = [0.0] * HASH_EMBED_DIM
         padded = f"^{text}$"
         for i in range(max(1, len(padded) - 2)):
             idx, sign = _trigram_bucket(seed, padded[i : i + 3])
             counts[idx] += sign
-        vec = np.array(counts, dtype=np.float64)
+        vec[:] = counts
+        # one norm per row: a norm along axis 1 can differ in the last bit
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         else:
             vec[0] = 1.0
-        vectors.append(EmbeddingVector(tuple(vec.tolist()), HASH_EMBED_MODEL))
     return vectors
 
 
@@ -196,7 +189,7 @@ class MockBackend:
             self.calls.append(RecordedCall(exchange, params, response))
         return response
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         return hash_embed(texts)
 
 
@@ -304,25 +297,36 @@ class HttpBackend:
             )
         return content
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """The server's vectors for ``texts``; raises ProtocolError unless it
+        sends one list of finite numbers per input index, all of one length."""
         if not texts:
             raise ValueError("embed() requires a non-empty list")
         data = self._post(
             "/embeddings", {"model": self.embedding_model, "input": list(texts)}
         )
         try:
-            rows = sorted(data["data"], key=lambda d: d["index"])
-            vectors = [
-                EmbeddingVector(tuple(row["embedding"]), self.embedding_model)
-                for row in rows
-            ]
+            items = sorted(data["data"], key=lambda d: d["index"])
+            rows = [item["embedding"] for item in items]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embeddings response: {exc}")
-        if len(vectors) != len(texts):
-            raise ProtocolError("embedding count does not match input count")
-        dims = {len(v.values) for v in vectors}
+        if [item["index"] for item in items] != list(range(len(texts))):
+            raise ProtocolError("embeddings do not match the inputs one to one")
+        for row in rows:
+            # exact types: numpy would also convert "1.5", True and None
+            if not isinstance(row, list) or any(
+                type(v) not in (int, float) for v in row
+            ):
+                raise ProtocolError("embedding is not a list of numbers")
+        dims = {len(row) for row in rows}
         if len(dims) > 1:
             raise ProtocolError(f"inconsistent embedding dimensions: {dims}")
+        try:
+            vectors = np.array(rows, dtype=np.float64)
+        except OverflowError as exc:
+            raise ProtocolError(f"embedding value out of range: {exc}")
+        if not np.isfinite(vectors).all():
+            raise ProtocolError("embedding has a non-finite value")
         return vectors
 
 

@@ -62,15 +62,6 @@ def find_class_file(index: RepoIndex, class_name: str) -> Optional[str]:
     return os.path.join(index.root, rel)
 
 
-@dataclass
-class CodeExpertConfig:
-    max_files: int = DEFAULT_MAX_FILES
-
-    def __post_init__(self):
-        if self.max_files < 1:
-            raise ValueError("max_files must be >= 1")
-
-
 def analyze_file(backend: Backend, source_text: str) -> tuple[str, list[str]]:
     raw = backend.complete(
         ChatExchange(
@@ -98,10 +89,11 @@ def run_code_expert(
     backend: Backend,
     index: RepoIndex,
     root_class: str,
-    config: Optional[CodeExpertConfig] = None,
+    max_files: int = DEFAULT_MAX_FILES,
 ) -> str:
     """BFS over the suggestion graph with a visited set and a file cap."""
-    cfg = config or CodeExpertConfig()
+    if max_files < 1:
+        raise ValueError("max_files must be >= 1")
     pending: deque[str] = deque([root_class])
     visited: set[str] = set()
     externals: list[str] = []
@@ -109,7 +101,7 @@ def run_code_expert(
     root_path = find_class_file(index, root_class)
     if root_path is None:
         return f"class {root_class!r} not found in repository"
-    while pending and len(analyses) < cfg.max_files:
+    while pending and len(analyses) < max_files:
         name = pending.popleft()
         if name in visited:
             continue

@@ -75,7 +75,7 @@ def vote_with_embedding(field_texts: list[str], backend: Backend) -> int:
         raise ValueError("need at least one candidate")
     if len(field_texts) == 1:
         return 0
-    vectors = np.array([v.as_array() for v in backend.embed(field_texts)])
+    vectors = backend.embed(field_texts)
     mean = vectors.mean(axis=0)
     mean_norm = np.linalg.norm(mean)
     if mean_norm == 0:
@@ -236,6 +236,38 @@ def _run_branches(
     return [Candidate(t.result, t) for t in trajectories if t.passed]
 
 
+def _branch_from_greedy(
+    config: AgentConfig,
+    registry_factory: RegistryFactory,
+    backend: Backend,
+    k: int,
+    store: Optional[SnapshotStore],
+    greedy: Optional[Trajectory],
+    backend_factory: Optional[BackendFactory],
+    bound: Optional[int],
+) -> tuple[list[Candidate], Trajectory]:
+    """The body of sc_stepwise and tsc: k branches from the step before the
+    greedy finalization, each run to at most ``bound`` steps (None: the
+    length of the greedy trajectory)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if greedy is None or store is None:
+        greedy, store = run_greedy(config, registry_factory, backend)
+    if not greedy.passed:
+        raise ConfigurationError(
+            "greedy trajectory did not pass; self-consistency unavailable"
+        )
+    if bound is None:
+        bound = len(greedy.steps)
+    elif bound < len(greedy.steps):
+        raise ValueError("global_step_bound must cover the greedy trajectory")
+    candidates = _run_branches(
+        config, registry_factory, backend, k, backend_factory,
+        max_steps=bound, greedy=greedy, store=store,
+    )
+    return candidates, greedy
+
+
 def sc_stepwise(
     config: AgentConfig,
     registry_factory: RegistryFactory,
@@ -249,22 +281,11 @@ def sc_stepwise(
 
     Samples whose parsed action is not finalize are dropped; no additional
     action steps are permitted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if greedy is None or store is None:
-        greedy, store = run_greedy(config, registry_factory, backend)
-    if not greedy.passed:
-        raise ConfigurationError("greedy trajectory did not pass; SC unavailable")
-    return _run_branches(
-        config,
-        registry_factory,
-        backend,
-        k,
-        sample_backend_factory,
-        max_steps=len(greedy.steps),
-        greedy=greedy,
-        store=store,
+    candidates, _ = _branch_from_greedy(
+        config, registry_factory, backend, k, store, greedy,
+        sample_backend_factory, None,
     )
+    return candidates
 
 
 def tsc(
@@ -282,26 +303,11 @@ def tsc(
     greedy prefix and may take zero or more extra full steps until it
     finalizes or hits the global step bound; branches that never finalize
     yield no candidate."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if greedy is None or store is None:
-        greedy, store = run_greedy(config, registry_factory, backend)
-    if not greedy.passed:
-        raise ConfigurationError("greedy trajectory did not pass; TSC unavailable")
     bound = global_step_bound if global_step_bound is not None else config.max_steps
-    if bound < len(greedy.steps):
-        raise ValueError("global_step_bound must cover the greedy trajectory")
-    candidates = _run_branches(
-        config,
-        registry_factory,
-        backend,
-        k,
-        branch_backend_factory,
-        max_steps=bound,
-        greedy=greedy,
-        store=store,
+    return _branch_from_greedy(
+        config, registry_factory, backend, k, store, greedy,
+        branch_backend_factory, bound,
     )
-    return candidates, greedy
 
 
 @dataclass

@@ -18,15 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .backends import (
-    GREEDY_PARAMS,
-    Backend,
-    ChatExchange,
-    EmbeddingVector,
-    _cosine_rows,
-    cosine,
-)
-from .errors import ProtocolError
+from .backends import GREEDY_PARAMS, Backend, ChatExchange, _cosine_rows, cosine
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -61,7 +53,7 @@ def split_log(log: str) -> list[str]:
 
 def build_graph(
     lines: Sequence[str],
-    embeddings: Sequence[EmbeddingVector],
+    embeddings: np.ndarray,
     window: int = DEFAULT_WINDOW,
     tau: float = DEFAULT_TAU,
 ) -> SimilarityGraph:
@@ -70,9 +62,8 @@ def build_graph(
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
-    rows = [vec.as_array() for vec in embeddings]
-    if len({row.shape for row in rows}) > 1:
-        raise ProtocolError("embedding dimension mismatch")
+    rows = list(embeddings)
+    # one norm per row: a norm along axis 1 can differ in the last bit
     norms = [np.linalg.norm(row) for row in rows]
     edges = []
     for i in range(n):
@@ -428,7 +419,7 @@ def partition(
 class RetrievalExample:
     example_text: str
     answer_text: str
-    embedding: EmbeddingVector
+    embedding: np.ndarray
 
 
 class RetrievalStore:
@@ -461,7 +452,7 @@ class RetrievalStore:
                 added += 1
         return added
 
-    def ranked(self, query: EmbeddingVector) -> list[RetrievalExample]:
+    def ranked(self, query: np.ndarray) -> list[RetrievalExample]:
         scored = [
             (-cosine(query, ex.embedding), idx, ex)
             for idx, ex in enumerate(self.examples)

@@ -19,7 +19,9 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backends import ChatExchange, EmbeddingVector, GenerationParams, hash_embed
+import numpy as np
+
+from .backends import ChatExchange, GenerationParams, hash_embed
 
 _SNAPSHOT_RE = re.compile(r"(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)")
 _JOB_RE = re.compile(r"job (fj[0-9a-f]{8})")
@@ -59,7 +61,7 @@ class PolicyBackend:
 
     # -- embeddings --------------------------------------------------------
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         return hash_embed(texts, self.seed)
 
     # -- completion dispatch ------------------------------------------------

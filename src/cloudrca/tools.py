@@ -127,11 +127,6 @@ def render_documentation(registry: ToolRegistry) -> str:
 
 
 @dataclass
-class DispatchContext:
-    store: SnapshotStore
-
-
-@dataclass
 class DispatchResult:
     observation: str
     error: bool = False
@@ -144,7 +139,7 @@ def _error_result(message: str) -> DispatchResult:
 
 
 def dispatch(
-    registry: ToolRegistry, call: ToolCall, context: DispatchContext
+    registry: ToolRegistry, call: ToolCall, store: SnapshotStore
 ) -> DispatchResult:
     spec = registry.spec(call.function)
     if spec is None:
@@ -159,7 +154,7 @@ def dispatch(
                 f"{param.name!r}."
             )
     try:
-        resolved = context.store.resolve_args(call.kwargs)
+        resolved = store.resolve_args(call.kwargs)
     except SnapshotKeyError as exc:
         return _error_result(
             f"parameter references snapshot key {exc.key!r} which was never issued."
@@ -176,7 +171,7 @@ def dispatch(
         raw = "\n".join(entries)
     if not raw:
         raw = EMPTY_OBSERVATION
-    key = context.store.put(raw, origin_tool=call.function)
+    key = store.put(raw, origin_tool=call.function)
     return DispatchResult(
         observation=render_head(raw, key),
         snapshot_key=key,
@@ -188,7 +183,7 @@ def check_errors(
     steps: list[Step],
     call: ToolCall,
     registry: ToolRegistry,
-    context: DispatchContext,
+    store: SnapshotStore,
 ) -> Optional[ErrorMessage]:
     """Pre-execution screening of a parsed call against the trajectory so far.
 
@@ -221,7 +216,7 @@ def check_errors(
 
     if spec.kind == KIND_EXPERT:
         try:
-            resolved = context.store.resolve_args(call.kwargs)
+            resolved = store.resolve_args(call.kwargs)
         except SnapshotKeyError as exc:
             return ErrorMessage(
                 rule=RULE_TRIVIAL_INPUT,

@@ -17,7 +17,6 @@ from cloudrca.tools import (
     KIND_EXPERT,
     KIND_FINALIZE,
     KIND_INFO,
-    DispatchContext,
     ToolParam,
     ToolRegistry,
     ToolSpec,
@@ -138,7 +137,7 @@ class TestRunStep:
             [f"I need the logs.\nFunction: {wire('fetch', job_id='j1')}"]
         )
         trajectory = Trajectory()
-        context = DispatchContext(store=SnapshotStore())
+        context = SnapshotStore()
         step = run_step(config, trajectory, backend, registry, context)
         assert step.thought == "I need the logs."
         assert step.action.function == "fetch"
@@ -151,7 +150,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.invalid_flag and step.error_flag
         assert step.action is None
@@ -164,7 +163,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert not step.invalid_flag
         assert step.action.function == "fetch"
@@ -176,7 +175,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.invalid_flag
         assert step.observation == INVALID_ACTION_OBSERVATION
@@ -189,7 +188,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.thought == "I suspect {heap} pressure."
         assert step.action.function == "fetch"
@@ -203,7 +202,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.thought == "Heap { looks odd."
         assert step.action.function == "fetch"
@@ -215,7 +214,7 @@ class TestRunStep:
         trajectory = Trajectory()
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.invalid_flag and step.error_flag
 
@@ -234,7 +233,7 @@ class TestRunStep:
         )
         step = run_step(
             config, trajectory, backend, registry,
-            DispatchContext(store=SnapshotStore()),
+            SnapshotStore(),
         )
         assert step.error_flag and not step.invalid_flag
         assert step.observation.startswith("Error:")

@@ -12,7 +12,6 @@ from cloudrca import backends as backends_module
 from cloudrca.backends import (
     AdaptiveGeneration,
     ChatExchange,
-    EmbeddingVector,
     GenerationParams,
     HttpBackend,
     MockBackend,
@@ -66,16 +65,16 @@ class TestChatExchange:
 
 class TestCosine:
     def test_known_values(self):
-        a = EmbeddingVector((1.0, 0.0), "m")
-        b = EmbeddingVector((0.0, 1.0), "m")
+        a = np.array([1.0, 0.0])
+        b = np.array([0.0, 1.0])
         assert cosine(a, a) == pytest.approx(1.0)
         assert cosine(a, b) == pytest.approx(0.0)
-        c = EmbeddingVector((1.0, 1.0), "m")
+        c = np.array([1.0, 1.0])
         assert cosine(a, c) == pytest.approx(1.0 / math.sqrt(2))
 
     def test_dimension_mismatch(self):
-        a = EmbeddingVector((1.0, 0.0), "m")
-        b = EmbeddingVector((1.0, 0.0, 0.0), "m")
+        a = np.array([1.0, 0.0])
+        b = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ProtocolError):
             cosine(a, b)
 
@@ -97,8 +96,8 @@ def sha256_hash_embed(texts, seed=0):
             vec /= norm
         else:
             vec[0] = 1.0
-        vectors.append(EmbeddingVector(tuple(vec.tolist()), "mock-hash"))
-    return vectors
+        vectors.append(vec)
+    return np.array(vectors)
 
 
 class TestHashEmbed:
@@ -117,10 +116,16 @@ class TestHashEmbed:
         expected = sha256_hash_embed(self.TEXTS, seed)
         # twice: the second pass reads every trigram from the memo
         for _ in range(2):
-            assert hash_embed(self.TEXTS, seed) == expected
+            assert np.array_equal(hash_embed(self.TEXTS, seed), expected)
+
+    def test_returns_one_float64_array(self):
+        vectors = hash_embed(self.TEXTS)
+        assert isinstance(vectors, np.ndarray) and vectors.flags.c_contiguous
+        assert vectors.dtype == np.float64
+        assert vectors.shape == (len(self.TEXTS), backends_module.HASH_EMBED_DIM)
 
     def test_seeds_differ(self):
-        assert hash_embed(self.TEXTS, 0) != hash_embed(self.TEXTS, 3)
+        assert not np.array_equal(hash_embed(self.TEXTS, 0), hash_embed(self.TEXTS, 3))
 
     def test_memo_is_bounded(self):
         maxsize = backends_module._trigram_bucket.cache_info().maxsize
@@ -158,8 +163,8 @@ class TestMockBackend:
         be = MockBackend()
         [v1] = be.embed(["some text"])
         [v2] = be.embed(["some text"])
-        assert v1.values == v2.values
-        assert sum(x * x for x in v1.values) == pytest.approx(1.0)
+        assert np.array_equal(v1, v2)
+        assert sum(x * x for x in v1) == pytest.approx(1.0)
 
     def test_similar_texts_embed_closer_than_dissimilar(self):
         be = MockBackend()
@@ -171,7 +176,9 @@ class TestMockBackend:
 
     def test_policy_backend_embeds_like_the_mock(self):
         texts = ["error connecting to database", "", "watermark advanced normally"]
-        assert PolicyBackend(seed=0).embed(texts) == MockBackend().embed(texts)
+        assert np.array_equal(
+            PolicyBackend(seed=0).embed(texts), MockBackend().embed(texts)
+        )
 
     def test_concurrent_calls_take_each_response_once(self):
         script = [f"response {i}" for i in range(100)]
@@ -315,7 +322,7 @@ class TestHttpBackend:
         be = HttpBackend(stub_server, "test-model")
         vectors = be.embed(["a", "b"])
         assert len(vectors) == 2
-        assert vectors[0].values == (1.0, 0.0)
+        assert tuple(vectors[0]) == (1.0, 0.0)
 
 
 class _FakeResponse:
@@ -352,6 +359,72 @@ def test_non_string_content_is_a_protocol_error(content):
     )
     with pytest.raises(ProtocolError):
         be.complete(exchange(), GenerationParams())
+
+
+def embeddings_backend(rows) -> HttpBackend:
+    """HTTP backend whose endpoint answers one embeddings request with
+    ``rows``, listed in reverse index order; a scripted session stands in for
+    the network."""
+    data = [{"index": i, "embedding": row} for i, row in enumerate(rows)][::-1]
+    session = _FakeSession([_FakeResponse(200, {"data": data})])
+    return HttpBackend("http://localhost:1", "m", session=session)
+
+
+class TestHttpEmbed:
+    def test_returns_one_float64_array_in_index_order(self):
+        vectors = embeddings_backend([[1, 0.5], [0.0, -2.0], [3.0, 4]]).embed(
+            ["a", "b", "c"]
+        )
+        assert isinstance(vectors, np.ndarray)
+        assert vectors.dtype == np.float64 and vectors.flags.c_contiguous
+        assert vectors.tolist() == [[1.0, 0.5], [0.0, -2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["abc", "def"],
+            [1.5, 2.5],
+            [{"x": 1.0}, {"x": 2.0}],
+            [[1.0, "1.5"], [1.0, 0.5]],
+            [[1.0, True], [1.0, 0.5]],
+            [[1.0, [0.5]], [1.0, 0.5]],
+            [[1.0, None], [1.0, 0.5]],
+            [[1.0, float("nan")], [1.0, 0.5]],
+            [[1.0, float("inf")], [1.0, 0.5]],
+            [[1.0, 0.5], [float("-inf"), 0.5]],
+            [[1.0, 10**400], [1.0, 0.5]],
+            [[1.0, 0.5], [1.0, 0.5, 0.0]],
+            [[1.0, 0.5]],
+            [[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]],
+        ],
+        ids=[
+            "string",
+            "number",
+            "object",
+            "numeric-string",
+            "bool",
+            "nested-list",
+            "null",
+            "nan",
+            "inf",
+            "minus-inf",
+            "overflowing-int",
+            "ragged",
+            "too-few",
+            "too-many",
+        ],
+    )
+    def test_malformed_vectors_are_a_protocol_error(self, rows):
+        with pytest.raises(ProtocolError):
+            embeddings_backend(rows).embed(["first text", "second text"])
+
+    @pytest.mark.parametrize("indices", [[0, 0], [1, 1], [1, 2], [0, 2]])
+    def test_each_input_position_needs_one_vector(self, indices):
+        data = [{"index": i, "embedding": [1.0, 0.5]} for i in indices]
+        session = _FakeSession([_FakeResponse(200, {"data": data})])
+        be = HttpBackend("http://localhost:1", "m", session=session)
+        with pytest.raises(ProtocolError):
+            be.embed(["first text", "second text"])
 
 
 class TestRateLimit:

@@ -5,7 +5,6 @@ import pytest
 
 from cloudrca.backends import MockBackend
 from cloudrca.codeexpert import (
-    CodeExpertConfig,
     RepoIndex,
     analyze_file,
     code_agent_toolspec,
@@ -131,7 +130,7 @@ class TestRunCodeExpert:
     def test_max_files_cap(self, repo):
         be = EchoAnalyzer()
         index = RepoIndex.build(str(repo))
-        run_code_expert(be, index, "Root", CodeExpertConfig(max_files=1))
+        run_code_expert(be, index, "Root", max_files=1)
         analysis_calls = [
             c for c in be.calls
             if "analyze source code" in c.exchange.system_prompt
@@ -150,6 +149,8 @@ def test_toolspec_allows_short_class_names():
     assert spec.params[0].name == "class_name"
 
 
-def test_config_validation():
+def test_config_validation(repo):
     with pytest.raises(ValueError):
-        CodeExpertConfig(max_files=0)
+        run_code_expert(
+            EchoAnalyzer(), RepoIndex.build(str(repo)), "Root", max_files=0
+        )

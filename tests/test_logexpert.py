@@ -3,12 +3,13 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import logexpert
-from cloudrca.backends import EmbeddingVector, MockBackend, cosine
+from cloudrca.backends import MockBackend, cosine
 from cloudrca.errors import ProtocolError
 from cloudrca.logexpert import (
     ChunkAssignment,
@@ -30,6 +31,8 @@ from cloudrca.logexpert import (
 )
 from cloudrca.logexpert import ChunkAnalysis
 from cloudrca.textdist import levenshtein
+
+from test_backends import embeddings_backend
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +209,12 @@ class TestBuildGraph:
         ]
         embeddings = MockBackend().embed(lines)
         # zero vectors and signed random rows mixed in
-        zero = EmbeddingVector((0.0,) * 64, "m")
+        zero = np.zeros(64)
         for k in (0, 7, 8, 39):
             embeddings[k] = zero
         for k in range(10, 20):
-            embeddings[k] = EmbeddingVector(
-                tuple(rng.uniform(-1, 1) for _ in range(64)), "m"
+            embeddings[k] = np.array(
+                tuple(rng.uniform(-1, 1) for _ in range(64))
             )
         for tau in (1.0, 0.3, 7.0):
             got = build_graph(lines, embeddings, window=window, tau=tau)
@@ -222,10 +225,13 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("odd", [0, 3, 5])
     def test_mismatched_dimensions_raise_protocol_error(self, odd):
-        embeddings = [EmbeddingVector((1.0, 0.5), "m") for _ in range(6)]
-        embeddings[odd] = EmbeddingVector((1.0, 0.5, 0.0), "m")
+        # an (n, d) array cannot be ragged: the endpoint's vectors are
+        # checked where they arrive, before the graph is built
+        rows = [[1.0, 0.5] for _ in range(6)]
+        rows[odd] = [1.0, 0.5, 0.0]
+        log = "\n".join(f"line {i}" for i in range(6))
         with pytest.raises(ProtocolError):
-            build_graph(["x"] * 6, embeddings, window=2)
+            partition(log, embeddings_backend(rows), window=2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from cloudrca.tools import (
     RULE_DUPLICATE_CALL,
     RULE_EARLY_FINALIZE,
     RULE_TRIVIAL_INPUT,
-    DispatchContext,
     ToolParam,
     ToolRegistry,
     ToolSpec,
@@ -63,7 +62,7 @@ def build_registry(expert_floor=None):
 
 
 def context():
-    return DispatchContext(store=SnapshotStore())
+    return SnapshotStore()
 
 
 class TestRegistry:
@@ -119,7 +118,7 @@ class TestDispatch:
         )
         key = parse_snapshot_key(result.observation)
         assert key is not None
-        assert ctx.store.get(key) == "blob for j1\nline 2\nline 3"
+        assert ctx.get(key) == "blob for j1\nline 2\nline 3"
         assert result.observation.startswith("blob for j1")
 
     def test_unknown_tool_is_error_observation(self):
@@ -162,7 +161,7 @@ class TestDispatch:
         )
         ctx = context()
         result = dispatch(registry, ToolCall("noisy", {}), ctx)
-        stored = ctx.store.get(parse_snapshot_key(result.observation))
+        stored = ctx.get(parse_snapshot_key(result.observation))
         assert "checkpoint 41" in stored
         assert "checkpoint 42" not in stored  # near-duplicate removed
         assert "ERROR the interesting line" in stored
@@ -172,7 +171,7 @@ class TestDispatch:
         fetched = dispatch(build_registry(), ToolCall("fetch", {"job_id": "j"}), ctx)
         key = parse_snapshot_key(fetched.observation)
         result = dispatch(build_registry(), ToolCall("expert", {"snapshot": key}), ctx)
-        full = ctx.store.get(key)
+        full = ctx.get(key)
         assert f"analysis of {len(full)} chars" in result.observation
 
     def test_unknown_snapshot_key_is_error(self):
@@ -221,7 +220,7 @@ class TestCheckErrors:
 
     def test_snapshot_key_resolved_before_length_check(self):
         ctx = context()
-        key = ctx.store.put("x" * 100)
+        key = ctx.put("x" * 100)
         registry = build_registry()
         err = check_errors([], ToolCall("expert", {"snapshot": key}), registry, ctx)
         assert err is None
@@ -348,7 +347,7 @@ class TestSnapshotParams:
 
     def test_epoch_argument_beside_snapshot_key(self):
         ctx = context()
-        key = ctx.store.put("x" * 100)
+        key = ctx.put("x" * 100)
         call = ToolCall("expert", {"snapshot": key, "since": self.EPOCH})
         assert check_errors([], call, self.registry(), ctx) is None
         result = dispatch(self.registry(), call, ctx)
