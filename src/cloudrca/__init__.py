@@ -7,7 +7,7 @@ expert sub-agents, self-consistency aggregation, evaluation metrics, and a
 deterministic synthetic incident sandbox.
 """
 
-from .agent import AgentConfig, PromptSet, run_step, run_trajectory
+from .agent import AgentConfig, run_step, run_trajectory
 from .backends import (
     Backend,
     ChatExchange,
@@ -87,7 +87,6 @@ __all__ = [
     "MockBackend",
     "NotComputable",
     "PolicyBackend",
-    "PromptSet",
     "ProtocolError",
     "RepairOutcome",
     "RepoIndex",

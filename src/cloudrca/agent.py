@@ -32,19 +32,13 @@ DEFAULT_MAX_STEPS = 15
 
 
 @dataclass
-class PromptSet:
-    framework_rules: str = prompts.FRAMEWORK_RULES
-    task_requirements: str = prompts.TASK_REQUIREMENTS
-    tool_docs: str = ""
-
-
-@dataclass
 class AgentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     params: GenerationParams = field(
         default_factory=lambda: GenerationParams(mode="greedy")
     )
-    prompts: PromptSet = field(default_factory=PromptSet)
+    # rendered from the registry by run_trajectory when left empty
+    tool_docs: str = ""
     task_statement: str = "Diagnose the anomalous job."
     json_regen_enabled: bool = True
 
@@ -77,11 +71,7 @@ def render_history(steps: list[Step]) -> tuple[str, list[tuple[int, int]]]:
 
 def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange:
     system = "\n\n".join(
-        [
-            config.prompts.framework_rules,
-            config.prompts.task_requirements,
-            config.prompts.tool_docs,
-        ]
+        [prompts.FRAMEWORK_RULES, prompts.TASK_REQUIREMENTS, config.tool_docs]
     )
     history, spans = render_history(trajectory.steps)
     history = sanitize_prompt(history, spans)
@@ -186,13 +176,8 @@ def run_trajectory(
     greedy prefix of a consistency branch); ``store`` carries the matching
     snapshot state.
     """
-    if not config.prompts.tool_docs:
-        config = replace(
-            config,
-            prompts=replace(
-                config.prompts, tool_docs=render_documentation(registry)
-            ),
-        )
+    if not config.tool_docs:
+        config = replace(config, tool_docs=render_documentation(registry))
     trajectory = initial if initial is not None else Trajectory()
     store = store if store is not None else SnapshotStore()
     budget = max_steps if max_steps is not None else config.max_steps

@@ -15,7 +15,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -27,6 +27,7 @@ DEFAULT_NUCLEUS_P = 0.6
 DEFAULT_RESTART_THRESHOLD = 4096
 DEFAULT_MAX_ESCALATIONS = 2
 PENALTY_STEP = 0.5
+MAX_TOKENS = 2048
 # longest wait a server's Retry-After header can ask of one retry
 MAX_RETRY_AFTER_S = 60
 HASH_EMBED_DIM = 64
@@ -38,22 +39,16 @@ HASH_EMBED_MEMO_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class GenerationParams:
-    temperature: float = DEFAULT_SAMPLED_TEMPERATURE
-    nucleus_p: float = DEFAULT_NUCLEUS_P
+    """Decoding mode and penalties of one call; sampled mode decodes at
+    DEFAULT_SAMPLED_TEMPERATURE with nucleus DEFAULT_NUCLEUS_P."""
+
     repetition_penalty: float = 0.0
     frequency_penalty: float = 0.0
-    max_tokens: int = 2048
     mode: str = "greedy"  # "greedy" or "sampled"
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.nucleus_p <= 1:
-            raise ValueError("nucleus_p must be in (0, 1]")
         if self.repetition_penalty < 0 or self.frequency_penalty < 0:
             raise ValueError("penalties must be non-negative")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
         if self.mode not in ("greedy", "sampled"):
             raise ValueError(f"unknown mode: {self.mode!r}")
 
@@ -174,9 +169,6 @@ class MockBackend:
     def clone(self) -> "MockBackend":
         return MockBackend(self.script)
 
-    def extend(self, responses: Sequence[str]):
-        self.script.extend(responses)
-
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:
         exchange.validate()
         with self._lock:
@@ -217,7 +209,6 @@ class HttpBackend:
         endpoint: str,
         model: str,
         api_key: str = "",
-        embedding_model: Optional[str] = None,
         max_retries: int = 3,
         timeout: float = 120.0,
         session: Optional[requests.Session] = None,
@@ -226,7 +217,6 @@ class HttpBackend:
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.embedding_model = embedding_model or model
         self.max_retries = max_retries
         self.timeout = timeout
         self.session = session or requests.Session()
@@ -274,14 +264,14 @@ class HttpBackend:
         payload = {
             "model": self.model,
             "messages": messages,
-            "max_tokens": params.max_tokens,
+            "max_tokens": MAX_TOKENS,
             "frequency_penalty": params.frequency_penalty,
         }
         if params.mode == "greedy":
             payload["temperature"] = 0.0
         else:
-            payload["temperature"] = params.temperature
-            payload["top_p"] = params.nucleus_p
+            payload["temperature"] = DEFAULT_SAMPLED_TEMPERATURE
+            payload["top_p"] = DEFAULT_NUCLEUS_P
         if params.repetition_penalty > 0:
             # vLLM-style extension; harmless for servers that ignore it.
             payload["repetition_penalty"] = params.repetition_penalty
@@ -302,15 +292,16 @@ class HttpBackend:
         sends one list of finite numbers per input index, all of one length."""
         if not texts:
             raise ValueError("embed() requires a non-empty list")
-        data = self._post(
-            "/embeddings", {"model": self.embedding_model, "input": list(texts)}
-        )
+        data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
         try:
             items = sorted(data["data"], key=lambda d: d["index"])
             rows = [item["embedding"] for item in items]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed embeddings response: {exc}")
-        if [item["index"] for item in items] != list(range(len(texts))):
+        indices = [item["index"] for item in items]
+        # exact ints: [False, True] and [0.0, 1.0] both equal [0, 1]
+        expected = list(range(len(texts)))
+        if indices != expected or any(type(i) is not int for i in indices):
             raise ProtocolError("embeddings do not match the inputs one to one")
         for row in rows:
             # exact types: numpy would also convert "1.5", True and None
@@ -342,26 +333,21 @@ def generate_adaptive(
     backend: Backend,
     exchange: ChatExchange,
     params: GenerationParams,
-    restart_threshold: int = DEFAULT_RESTART_THRESHOLD,
-    max_escalations: int = DEFAULT_MAX_ESCALATIONS,
-    token_counter: Optional[Callable[[str], int]] = None,
 ) -> AdaptiveGeneration:
     """Generate, restarting with +0.5 repetition/frequency penalty whenever the
-    output exceeds the token threshold (a looping-pattern heuristic).
+    output exceeds DEFAULT_RESTART_THRESHOLD tokens (a looping-pattern
+    heuristic).
 
-    Makes at most 1 + max_escalations backend calls; if repetition persists the
-    last attempt is returned with over_threshold set.
+    Makes at most 1 + DEFAULT_MAX_ESCALATIONS backend calls; if repetition
+    persists the last attempt is returned with over_threshold set.
     """
-    if restart_threshold <= 0:
-        raise ValueError("restart_threshold must be positive")
-    count = token_counter or approx_token_count
     current = params
     attempts = 0
     while True:
         text = backend.complete(exchange, current)
         attempts += 1
-        if count(text) <= restart_threshold:
+        if approx_token_count(text) <= DEFAULT_RESTART_THRESHOLD:
             return AdaptiveGeneration(text, attempts, False, current)
-        if attempts > max_escalations:
+        if attempts > DEFAULT_MAX_ESCALATIONS:
             return AdaptiveGeneration(text, attempts, True, current)
         current = current.escalated()

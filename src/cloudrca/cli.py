@@ -137,7 +137,11 @@ def _common_options(fn):
 
 
 def _settings_from(config_path, **flags) -> RunSettings:
+    """Config file, then flags over it; a bad setting is a usage error before
+    any job runs."""
     data = _load_config_file(config_path) if config_path else {}
+    if not isinstance(data, dict):
+        raise click.UsageError(f"config file {config_path} does not hold a mapping")
     settings = RunSettings.from_dict(data)
     aggregate = flags.pop("aggregate", None)
     for flag, value in flags.items():
@@ -145,6 +149,10 @@ def _settings_from(config_path, **flags) -> RunSettings:
             setattr(settings, flag, value)
     if aggregate is not None:
         settings.aggregate = "embedding_vote" if aggregate == "vote" else "llm_aggregate"
+    for name in ("k", "max_steps"):
+        value = getattr(settings, name)
+        if type(value) is not int or value < 1:
+            raise click.UsageError(f"{name} must be an integer of at least 1")
     return settings
 
 
@@ -191,6 +199,8 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
     _make_backend(settings)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = Sandbox(settings.scenarios)
+    if not sandbox.job_ids:
+        raise click.ClickException(f"scenario bundle {scenarios} has no jobs")
     os.makedirs(out_dir, exist_ok=True)
 
     def one(job_id: str) -> JobOutcome:

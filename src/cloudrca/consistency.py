@@ -25,8 +25,6 @@ from .backends import (
     Backend,
     ChatExchange,
     GenerationParams,
-    DEFAULT_NUCLEUS_P,
-    DEFAULT_SAMPLED_TEMPERATURE,
 )
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
@@ -60,12 +58,7 @@ class AggregationOutcome:
 
 
 def sampled_params(base: GenerationParams) -> GenerationParams:
-    return replace(
-        base,
-        mode="sampled",
-        temperature=DEFAULT_SAMPLED_TEMPERATURE,
-        nucleus_p=DEFAULT_NUCLEUS_P,
-    )
+    return replace(base, mode="sampled")
 
 
 def vote_with_embedding(field_texts: list[str], backend: Backend) -> int:
@@ -108,11 +101,7 @@ def _strip_enumeration(text: str) -> str:
     return "\n".join(lines).strip()
 
 
-def aggregate_with_llm(
-    field_texts: list[str],
-    backend: Backend,
-    params: Optional[GenerationParams] = None,
-) -> str:
+def aggregate_with_llm(field_texts: list[str], backend: Backend) -> str:
     """One model call merging all candidates into an answer of similar form
     and length.  Falls back to the embedding vote on backend failure."""
     if not field_texts:
@@ -126,7 +115,7 @@ def aggregate_with_llm(
                 system_prompt="You merge candidate answers.",
                 messages=[("user", f"{prompts.AGGREGATE_INSTRUCTION}\n\n{listing}")],
             ),
-            params or GREEDY_PARAMS,
+            GREEDY_PARAMS,
         )
         return _strip_enumeration(merged)
     except CloudRcaError:
@@ -144,10 +133,7 @@ def _majority_responsibility(values: list[str]) -> str:
 
 
 def aggregate(
-    candidates: list[Candidate],
-    method: str,
-    backend: Backend,
-    params: Optional[GenerationParams] = None,
+    candidates: list[Candidate], method: str, backend: Backend
 ) -> AggregationOutcome:
     """Per-field aggregation: each text field is voted or merged on its own;
     responsibility is a categorical majority with ties going to Unclear."""
@@ -162,7 +148,7 @@ def aggregate(
             field_choices[name] = idx
             merged[name] = texts[idx]
         elif method == METHOD_LLM_AGGREGATE:
-            merged[name] = aggregate_with_llm(texts, backend, params)
+            merged[name] = aggregate_with_llm(texts, backend)
         else:
             raise ValueError(f"unknown aggregation method: {method!r}")
     merged["responsibility"] = _majority_responsibility(

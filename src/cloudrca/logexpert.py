@@ -473,13 +473,13 @@ def pack_icl_prompt(
     store: Optional[RetrievalStore],
     backend: Backend,
     max_len: int = DEFAULT_MAX_PROMPT_LEN,
-    instruction: str = prompts.LOG_ANALYSIS_INSTRUCTION,
 ) -> PackedPrompt:
     """Greedy similarity-ordered example packing under a character budget;
     the chunk always comes last behind an explicit delimiter."""
     if max_len <= 0:
         raise ValueError("max_len must be positive")
     chunk_header = "\n\n=== Log chunk to analyze ===\n"
+    instruction = prompts.LOG_ANALYSIS_INSTRUCTION
     base_len = len(instruction) + len(chunk_header)
     truncated = False
     chunk_text = chunk.text

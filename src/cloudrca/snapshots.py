@@ -8,7 +8,6 @@ pass the key back to tools that need the full text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SnapshotKeyError
@@ -39,12 +38,6 @@ def looks_like_key(value: str) -> bool:
     return bool(_KEY_RE.match(value))
 
 
-@dataclass
-class ObservationRecord:
-    full_text: str
-    origin_tool: str
-
-
 class SnapshotStore:
     """Key-value store for full observations, scoped to one trajectory run.
 
@@ -55,19 +48,19 @@ class SnapshotStore:
     """
 
     def __init__(self, parent: Optional["SnapshotStore"] = None):
-        self._records: dict[str, ObservationRecord] = {}
+        self._records: dict[str, str] = {}
         self._parent = parent
 
     def branch(self) -> "SnapshotStore":
         return SnapshotStore(parent=self)
 
-    def _lookup(self, key: str) -> Optional[ObservationRecord]:
-        record = self._records.get(key)
-        if record is None and self._parent is not None:
+    def _lookup(self, key: str) -> Optional[str]:
+        text = self._records.get(key)
+        if text is None and self._parent is not None:
             return self._parent._lookup(key)
-        return record
+        return text
 
-    def put(self, full_text: str, origin_tool: str = "") -> str:
+    def put(self, full_text: str) -> str:
         if not full_text:
             raise ValueError("cannot store an empty observation")
         value = _fnv1a_32(full_text)
@@ -75,17 +68,17 @@ class SnapshotStore:
             key = f"{value:0{KEY_WIDTH}d}"
             existing = self._lookup(key)
             if existing is None:
-                self._records[key] = ObservationRecord(full_text, origin_tool)
+                self._records[key] = full_text
                 return key
-            if existing.full_text == full_text:
+            if existing == full_text:
                 return key
             value = (value + 1) & 0xFFFFFFFF  # probe past a collision
 
     def get(self, key: str) -> str:
-        record = self._lookup(key)
-        if record is None:
+        text = self._lookup(key)
+        if text is None:
             raise SnapshotKeyError(key)
-        return record.full_text
+        return text
 
     def resolve_args(self, kwargs: dict) -> dict:
         """Replace a ``snapshot`` argument that is an issued snapshot key with

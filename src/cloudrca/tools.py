@@ -19,8 +19,6 @@ KIND_INFO = "info"
 KIND_EXPERT = "expert"
 KIND_FINALIZE = "finalize"
 
-FINALIZE_NAME = "finalize"
-
 DEFAULT_TRIVIAL_INPUT_FLOOR = 32
 
 RULE_DUPLICATE_CALL = "duplicate_call"
@@ -72,7 +70,6 @@ class ToolRegistry:
     def __init__(self):
         self._specs: dict[str, ToolSpec] = {}
         self._handlers: dict[str, Handler] = {}
-        self._order: list[str] = []
 
     def register(self, spec: ToolSpec, handler: Handler):
         if spec.name in self._specs:
@@ -83,7 +80,6 @@ class ToolRegistry:
             raise ConfigurationError("a finalize tool is already registered")
         self._specs[spec.name] = spec
         self._handlers[spec.name] = handler
-        self._order.append(spec.name)
 
     def spec(self, name: str) -> Optional[ToolSpec]:
         return self._specs.get(name)
@@ -92,10 +88,10 @@ class ToolRegistry:
         return self._handlers[name]
 
     def names(self) -> list[str]:
-        return list(self._order)
+        return list(self._specs)
 
     def specs(self) -> list[ToolSpec]:
-        return [self._specs[name] for name in self._order]
+        return list(self._specs.values())
 
     def has_finalize(self) -> bool:
         return any(s.kind == KIND_FINALIZE for s in self._specs.values())
@@ -171,7 +167,7 @@ def dispatch(
         raw = "\n".join(entries)
     if not raw:
         raw = EMPTY_OBSERVATION
-    key = store.put(raw, origin_tool=call.function)
+    key = store.put(raw)
     return DispatchResult(
         observation=render_head(raw, key),
         snapshot_key=key,

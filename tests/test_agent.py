@@ -4,14 +4,17 @@ import pytest
 
 from cloudrca.agent import (
     AgentConfig,
-    PromptSet,
     assemble_prompt,
     render_history,
     run_step,
     run_trajectory,
 )
 from cloudrca.backends import GenerationParams, MockBackend
-from cloudrca.prompts import INVALID_ACTION_OBSERVATION
+from cloudrca.prompts import (
+    FRAMEWORK_RULES,
+    INVALID_ACTION_OBSERVATION,
+    TASK_REQUIREMENTS,
+)
 from cloudrca.snapshots import SnapshotStore
 from cloudrca.tools import (
     KIND_EXPERT,
@@ -64,7 +67,7 @@ def make_config(**overrides):
     defaults = dict(
         task_statement="Diagnose job j1.",
         params=GenerationParams(mode="greedy"),
-        prompts=PromptSet(tool_docs=render_documentation(registry)),
+        tool_docs=render_documentation(registry),
     )
     defaults.update(overrides)
     return AgentConfig(**defaults), registry
@@ -111,9 +114,9 @@ class TestHistoryRendering:
     def test_system_prompt_has_three_sections(self):
         config, _ = make_config()
         exchange = assemble_prompt(config, Trajectory())
-        assert config.prompts.framework_rules in exchange.system_prompt
-        assert config.prompts.task_requirements in exchange.system_prompt
-        assert config.prompts.tool_docs in exchange.system_prompt
+        assert FRAMEWORK_RULES in exchange.system_prompt
+        assert TASK_REQUIREMENTS in exchange.system_prompt
+        assert config.tool_docs in exchange.system_prompt
 
     def test_snapshot_key_recoverable_after_sanitization(self):
         config, _ = make_config()

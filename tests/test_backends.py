@@ -31,8 +31,6 @@ def exchange(user="hello"):
 class TestGenerationParams:
     def test_defaults(self):
         p = GenerationParams()
-        assert p.temperature == 0.9
-        assert p.nucleus_p == 0.6
         assert p.mode == "greedy"
 
     def test_escalated_adds_half_to_both_penalties(self):
@@ -44,10 +42,6 @@ class TestGenerationParams:
         assert p.repetition_penalty == pytest.approx(1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GenerationParams(temperature=-1.0)
-        with pytest.raises(ValueError):
-            GenerationParams(nucleus_p=1.5)
         with pytest.raises(ValueError):
             GenerationParams(mode="bogus")
 
@@ -149,7 +143,7 @@ class TestMockBackend:
 
     def test_calls_recorded(self):
         be = MockBackend(["one"])
-        be.complete(exchange("payload"), GenerationParams(temperature=0.3))
+        be.complete(exchange("payload"), GenerationParams(mode="sampled"))
         assert len(be.calls) == 1
         assert "payload" in be.calls[0].exchange.messages[0][1]
 
@@ -227,10 +221,8 @@ class TestGenerateAdaptive:
     def test_escalation_capped(self):
         long_text = "x" * (4097 * 4)
         be = MockBackend([long_text] * 5)
-        out = generate_adaptive(
-            be, exchange(), GenerationParams(), max_escalations=2
-        )
-        assert out.attempts == 3  # 1 + max_escalations
+        out = generate_adaptive(be, exchange(), GenerationParams())
+        assert out.attempts == 3  # 1 + DEFAULT_MAX_ESCALATIONS
         assert out.over_threshold
         assert len(be.calls) == 3
 
@@ -297,9 +289,7 @@ class TestHttpBackend:
     def test_sampled_params_on_wire(self, stub_server):
         be = HttpBackend(stub_server, "test-model")
         _Stub.requests.clear()
-        be.complete(
-            exchange(), GenerationParams(mode="sampled", temperature=0.9, nucleus_p=0.6)
-        )
+        be.complete(exchange(), GenerationParams(mode="sampled"))
         _, payload = _Stub.requests[-1]
         assert payload["temperature"] == pytest.approx(0.9)
         assert payload["top_p"] == pytest.approx(0.6)
@@ -342,13 +332,58 @@ class _FakeSession:
     def __init__(self, responses):
         self.responses = list(responses)
         self.posts = 0
+        self.bodies = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts += 1
+        self.bodies.append((url, json))
         return self.responses.pop(0)
 
 
 CHAT_OK = {"choices": [{"message": {"content": "after the wait"}}]}
+
+
+def test_request_bodies_on_the_wire():
+    """The exact JSON bodies, key order included, of greedy, sampled and
+    once-escalated chat requests and of an embeddings request."""
+    embedded = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
+    session = _FakeSession(
+        [_FakeResponse(200, CHAT_OK)] * 3 + [_FakeResponse(200, embedded)]
+    )
+    be = HttpBackend("http://localhost:1", "the-model", session=session)
+    for params in (
+        GenerationParams(mode="greedy"),
+        GenerationParams(mode="sampled"),
+        GenerationParams(mode="greedy").escalated(),
+    ):
+        be.complete(exchange("ping"), params)
+    be.embed(["some text"])
+    messages = [
+        {"role": "system", "content": "sys"},
+        {"role": "user", "content": "ping"},
+    ]
+    chat = {"model": "the-model", "messages": messages, "max_tokens": 2048}
+    expected = [
+        ("/chat/completions", {**chat, "frequency_penalty": 0.0, "temperature": 0.0}),
+        (
+            "/chat/completions",
+            {**chat, "frequency_penalty": 0.0, "temperature": 0.9, "top_p": 0.6},
+        ),
+        (
+            "/chat/completions",
+            {
+                **chat,
+                "frequency_penalty": 0.5,
+                "temperature": 0.0,
+                "repetition_penalty": 0.5,
+            },
+        ),
+        ("/embeddings", {"model": "the-model", "input": ["some text"]}),
+    ]
+    sent = [(url, json.dumps(body)) for url, body in session.bodies]
+    assert sent == [
+        ("http://localhost:1" + path, json.dumps(body)) for path, body in expected
+    ]
 
 
 @pytest.mark.parametrize("content", [None, 42, ["part"], {"text": "x"}])
@@ -418,7 +453,10 @@ class TestHttpEmbed:
         with pytest.raises(ProtocolError):
             embeddings_backend(rows).embed(["first text", "second text"])
 
-    @pytest.mark.parametrize("indices", [[0, 0], [1, 1], [1, 2], [0, 2]])
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, 0], [1, 1], [1, 2], [0, 2], [False, True], [0.0, 1.0]],
+    )
     def test_each_input_position_needs_one_vector(self, indices):
         data = [{"index": i, "embedding": [1.0, 0.5]} for i in indices]
         session = _FakeSession([_FakeResponse(200, {"data": data})])

@@ -207,6 +207,51 @@ class TestBatch:
             assert scores["emb_score"] == pytest.approx(sum(expected) / len(expected))
 
 
+class TestBadSettings:
+    """A bad run setting or an empty bundle stops the batch before any job
+    runs."""
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--mode", "tsc", "--k", "0"], None),
+            (["--max-steps", "0"], None),
+            (["--mode", "tsc"], {"k": 0}),
+            (["--mode", "tsc"], {"k": "3"}),
+            ([], ["mode", "tsc"]),
+        ],
+        ids=[
+            "k-flag",
+            "max-steps-flag",
+            "k-in-config",
+            "k-string-in-config",
+            "config-list",
+        ],
+    )
+    def test_usage_error(self, runner, scenario_dir, tmp_path, flags, config):
+        if config is not None:
+            path = tmp_path / "run.yaml"
+            path.write_text(yaml.safe_dump(config))
+            flags = flags + ["--config", str(path)]
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), *flags]
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    def test_bundle_without_jobs(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        assert generate_scenarios(seed=11, count=0, out_dir=str(bundle)) == []
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["batch", "--scenarios", str(bundle), "--out-dir", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.output == f"Error: scenario bundle {bundle} has no jobs\n"
+        assert not out.exists()
+
+
 class TestBatchJobFailure:
     """A job that raises is recorded as a failed row; the batch goes on."""
 

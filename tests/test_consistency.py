@@ -14,12 +14,7 @@ import time
 import pytest
 
 from cloudrca import MockBackend, PolicyBackend, consistency
-from cloudrca.backends import (
-    DEFAULT_NUCLEUS_P,
-    DEFAULT_SAMPLED_TEMPERATURE,
-    GenerationParams,
-    HttpBackend,
-)
+from cloudrca.backends import GenerationParams, HttpBackend
 from cloudrca.agent import run_trajectory
 from cloudrca.consistency import (
     DEFAULT_K,
@@ -171,12 +166,10 @@ class TestAggregate:
 
 
 def test_sampled_params_overrides_mode():
-    base = GenerationParams(mode="greedy", temperature=0.0, max_tokens=512)
+    base = GenerationParams(mode="greedy", repetition_penalty=0.5)
     out = sampled_params(base)
     assert out.mode == "sampled"
-    assert out.temperature == DEFAULT_SAMPLED_TEMPERATURE
-    assert out.nucleus_p == DEFAULT_NUCLEUS_P
-    assert out.max_tokens == 512
+    assert out.repetition_penalty == 0.5
     assert base.mode == "greedy"
 
 
