@@ -1,0 +1,65 @@
+"""Golden output bytes.
+
+The rendered tool documentation and the trajectories and results of a
+fixed 8-job bundle are hashed and compared with literals, so a change to
+any prompt or trajectory byte fails here and not only in the benchmark
+digests.  A deliberate output change updates the literals in the same
+commit and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cloudrca import PolicyBackend, Sandbox, generate_scenarios
+from cloudrca.consistency import run_with_consistency
+from cloudrca.tools import render_documentation
+
+from conftest import make_config
+
+DOCUMENTATION_SHA256 = "3e115414df67131d5e810d0e2b4c14120408c7ee0716392a2cb9709807c36b08"
+
+RUN_SHA256 = {
+    "greedy": "ab5efee21a63a7f6949b4fbcc4197c34868bcd868dedca66376a221ace1b7c57",
+    "sc": "b5ec0aaef47244cda84264385d170ff5bb9ac8a153a60449802ba161845c53df",
+    "tsc": "b5ec0aaef47244cda84264385d170ff5bb9ac8a153a60449802ba161845c53df",
+    "sample-full": "e6a3a03e71904cbf3cc224a733bbbecafa32433734ead32ce0a67d49dea1eb9e",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_sandbox(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden") / "bundle"
+    generate_scenarios(seed=4242, count=8, out_dir=str(out))
+    return Sandbox(str(out))
+
+
+def test_tool_documentation_bytes(golden_sandbox):
+    doc = render_documentation(golden_sandbox.build_registry(PolicyBackend()))
+    assert _sha256(doc) == DOCUMENTATION_SHA256
+
+
+@pytest.mark.parametrize("mode", list(RUN_SHA256))
+def test_run_bytes(golden_sandbox, mode):
+    """Each job's greedy trajectory, final result and candidate
+    trajectories, in bundle order, at 10% malformed actions and k=10."""
+    payloads = []
+    for job_id in golden_sandbox.job_ids:
+        report = run_with_consistency(
+            make_config(job_id),
+            golden_sandbox.build_registry,
+            PolicyBackend(malformed_pct=10),
+            mode=mode,
+            k=10,
+        )
+        payloads.append(
+            report.greedy.to_jsonl()
+            + json.dumps(report.outcome.result.to_dict(), sort_keys=True)
+            + "".join(c.trajectory.to_jsonl() for c in report.candidates)
+        )
+    assert _sha256("\n".join(payloads)) == RUN_SHA256[mode]
