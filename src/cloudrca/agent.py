@@ -147,15 +147,12 @@ def run_step(
             step = Step(thought, call, "Finalized.")
         else:
             result = dispatch(registry, call, store)
-            structural_invalid = spec is None or any(
-                p.required and p.name not in call.kwargs for p in spec.params
-            )
             step = Step(
                 thought=thought,
                 action=call,
                 observation=result.observation,
                 error_flag=result.error,
-                invalid_flag=structural_invalid,
+                invalid_flag=result.invalid,
             )
     trajectory.steps.append(step)
     return step

@@ -23,6 +23,11 @@ from .sandbox import Sandbox, generate_scenarios
 from .trajectory import AnalysisResult, Trajectory
 
 
+MODES = ("greedy", "sc", "tsc", "sample-full")
+# --aggregate flag -> the method name result.json records and replay reads back
+AGGREGATES = {"vote": "embedding_vote", "llm": "llm_aggregate"}
+
+
 @dataclass
 class RunSettings:
     backend: str = "mock"
@@ -117,13 +122,9 @@ def _common_options(fn):
         click.option("--backend", type=click.Choice(["mock", "http"]), default=None),
         click.option("--endpoint", default=None, help="OpenAI-compatible base URL"),
         click.option("--model", default=None),
-        click.option("--mode", type=click.Choice(["greedy", "sc", "tsc", "sample-full"]), default=None),
+        click.option("--mode", type=click.Choice(MODES), default=None),
         click.option("--k", type=int, default=None, help="consistency sample count"),
-        click.option(
-            "--aggregate",
-            type=click.Choice(["vote", "llm"]),
-            default=None,
-        ),
+        click.option("--aggregate", type=click.Choice(list(AGGREGATES)), default=None),
         click.option("--max-steps", type=int, default=None),
         click.option("--seed", type=int, default=None),
         click.option("--json-regen/--no-json-regen", default=None),
@@ -148,11 +149,14 @@ def _settings_from(config_path, **flags) -> RunSettings:
         if value is not None:
             setattr(settings, flag, value)
     if aggregate is not None:
-        settings.aggregate = "embedding_vote" if aggregate == "vote" else "llm_aggregate"
+        settings.aggregate = AGGREGATES[aggregate]
     for name in ("k", "max_steps"):
         value = getattr(settings, name)
         if type(value) is not int or value < 1:
             raise click.UsageError(f"{name} must be an integer of at least 1")
+    for name, allowed in (("mode", MODES), ("aggregate", AGGREGATES.values())):
+        if getattr(settings, name) not in allowed:
+            raise click.UsageError(f"{name} must be one of {', '.join(allowed)}")
     return settings
 
 

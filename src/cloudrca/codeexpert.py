@@ -140,11 +140,8 @@ def code_agent_toolspec() -> ToolSpec:
         name="code_agent",
         description="Recursively analyze a class and the classes it depends "
         "on in the service code repository.",
-        params=[
-            ToolParam("class_name", "string", True, "name of the class to analyze")
-        ],
+        params=[ToolParam("class_name", "name of the class to analyze")],
         kind=KIND_EXPERT,
-        stateless=True,
         trivial_input_floor=1,
     )
 

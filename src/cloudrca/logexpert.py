@@ -604,15 +604,9 @@ def log_agent_toolspec() -> ToolSpec:
         description="Analyze a long log with an expert agent; reports an "
         "interpretation with supporting evidence copied from the log.",
         params=[
-            ToolParam(
-                "snapshot",
-                "string",
-                True,
-                "snapshot key of (or raw text of) the log to analyze",
-            )
+            ToolParam("snapshot", "snapshot key of (or raw text of) the log to analyze")
         ],
         kind=KIND_EXPERT,
-        stateless=True,
     )
 
 

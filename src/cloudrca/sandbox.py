@@ -18,13 +18,7 @@ from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
 from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
-from .tools import (
-    KIND_FINALIZE,
-    KIND_INFO,
-    ToolParam,
-    ToolRegistry,
-    ToolSpec,
-)
+from .tools import KIND_INFO, ToolParam, ToolRegistry, ToolSpec, finalize_spec
 from .trajectory import AnalysisResult
 
 LOG_LEVELS = ("platform", "runtime", "infrastructure")
@@ -311,7 +305,8 @@ def _read_jsonl(path: str) -> list[dict]:
 
 
 class Sandbox:
-    """A loaded scenario bundle directory."""
+    """A loaded scenario bundle directory.  It is read-only once loaded, so
+    each job is parsed once and the code repository is indexed once."""
 
     def __init__(self, root: str):
         self.root = root
@@ -321,8 +316,18 @@ class Sandbox:
         with open(index_path, "r", encoding="utf-8") as fh:
             self.index = json.load(fh)
         self.job_ids: list[str] = self.index["job_ids"]
+        self.repo_index = RepoIndex.build(
+            os.path.join(root, "src"), external_prefixes=EXTERNAL_PREFIXES
+        )
+        self._records: dict[str, JobRecord] = {}
 
     def job(self, job_id: str) -> JobRecord:
+        if job_id not in self._records:
+            # threads share the record; a job that fails to parse raises again
+            self._records[job_id] = self._load(job_id)
+        return self._records[job_id]
+
+    def _load(self, job_id: str) -> JobRecord:
         job_dir = os.path.join(self.root, job_id)
         gt_path = os.path.join(job_dir, "ground_truth.json")
         if not os.path.exists(gt_path):
@@ -358,11 +363,6 @@ class Sandbox:
     def advisor_text(self, job_id: str) -> str:
         record = self.job(job_id)
         return "\n".join(self._entries_before_detection(record, record.advisor))
-
-    def code_repo_binding(self) -> RepoIndex:
-        return RepoIndex.build(
-            os.path.join(self.root, "src"), external_prefixes=EXTERNAL_PREFIXES
-        )
 
     def build_registry(
         self, backend: Backend, retrieval_store: Optional[RetrievalStore] = None
@@ -408,7 +408,7 @@ class Sandbox:
                 ToolSpec(
                     name=name,
                     description=description,
-                    params=[ToolParam("job_id", "string", True, "the job identifier")],
+                    params=[ToolParam("job_id", "the job identifier")],
                     kind=KIND_INFO,
                 ),
                 job_reader(read),
@@ -419,31 +419,7 @@ class Sandbox:
         )
         registry.register(
             code_agent_toolspec(),
-            make_code_agent_handler(backend, self.code_repo_binding()),
+            make_code_agent_handler(backend, self.repo_index),
         )
-        registry.register(
-            ToolSpec(
-                name="finalize",
-                description="Report findings and end the diagnosis.",
-                params=[
-                    ToolParam("root_cause", "string", True, "the fundamental cause"),
-                    ToolParam("solution", "string", True, "the mitigation method"),
-                    ToolParam(
-                        "evidence",
-                        "string",
-                        True,
-                        "direct supportive content copied from observations",
-                    ),
-                    ToolParam(
-                        "responsibility",
-                        "string",
-                        True,
-                        'either "User" or "Platform"',
-                    ),
-                ],
-                kind=KIND_FINALIZE,
-                stateless=False,
-            ),
-            lambda kwargs: "Finalized.",
-        )
+        registry.register(finalize_spec(), lambda kwargs: "Finalized.")
         return registry

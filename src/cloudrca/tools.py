@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .errors import ConfigurationError, SnapshotKeyError
 from .snapshots import SnapshotStore, render_head, EMPTY_OBSERVATION
 from .textdist import deduplicate_entries
-from .trajectory import AnalysisResult, Step, ToolCall, UNCLEAR
+from .trajectory import RESULT_FIELDS, AnalysisResult, Step, ToolCall, UNCLEAR
 
 KIND_INFO = "info"
 KIND_EXPERT = "expert"
@@ -35,10 +35,10 @@ arguments."""
 
 @dataclass
 class ToolParam:
+    """A required string parameter of a tool."""
+
     name: str
-    type: str = "string"
-    required: bool = True
-    description: str = ""
+    description: str
 
 
 @dataclass
@@ -47,10 +47,9 @@ class ToolSpec:
     description: str
     params: list[ToolParam] = field(default_factory=list)
     kind: str = KIND_INFO
-    stateless: bool = True
-    # expert tools taking naturally short input (a class name) override the
-    # default trivial-input floor
-    trivial_input_floor: Optional[int] = None
+    # expert tools taking naturally short input (a class name) lower the
+    # trivial-input floor
+    trivial_input_floor: int = DEFAULT_TRIVIAL_INPUT_FLOOR
 
 
 @dataclass
@@ -109,10 +108,7 @@ def render_documentation(registry: ToolRegistry) -> str:
     for spec in specs:
         lines = [f"- {spec.name}: {spec.description}"]
         for param in spec.params:
-            req = "required" if param.required else "optional"
-            lines.append(
-                f"    {param.name} ({param.type}, {req}): {param.description}"
-            )
+            lines.append(f"    {param.name} (string, required): {param.description}")
         sections.append("\n".join(lines))
     sections.append(OBSK_USAGE_RULES)
     sections.append(
@@ -126,12 +122,13 @@ def render_documentation(registry: ToolRegistry) -> str:
 class DispatchResult:
     observation: str
     error: bool = False
-    snapshot_key: Optional[str] = None
+    # the call itself is malformed: an unknown tool or a missing parameter
+    invalid: bool = False
     raw_text: Optional[str] = None
 
 
-def _error_result(message: str) -> DispatchResult:
-    return DispatchResult(observation=f"Error: {message}", error=True)
+def _error_result(message: str, invalid: bool = False) -> DispatchResult:
+    return DispatchResult(observation=f"Error: {message}", error=True, invalid=invalid)
 
 
 def dispatch(
@@ -141,13 +138,14 @@ def dispatch(
     if spec is None:
         names = ", ".join(registry.names())
         return _error_result(
-            f"unknown tool {call.function!r}. Valid tools: {names}."
+            f"unknown tool {call.function!r}. Valid tools: {names}.", invalid=True
         )
     for param in spec.params:
-        if param.required and param.name not in call.kwargs:
+        if param.name not in call.kwargs:
             return _error_result(
                 f"call to {call.function!r} is missing required parameter "
-                f"{param.name!r}."
+                f"{param.name!r}.",
+                invalid=True,
             )
     try:
         resolved = store.resolve_args(call.kwargs)
@@ -168,11 +166,7 @@ def dispatch(
     if not raw:
         raw = EMPTY_OBSERVATION
     key = store.put(raw)
-    return DispatchResult(
-        observation=render_head(raw, key),
-        snapshot_key=key,
-        raw_text=raw,
-    )
+    return DispatchResult(observation=render_head(raw, key), raw_text=raw)
 
 
 def check_errors(
@@ -183,16 +177,16 @@ def check_errors(
 ) -> Optional[ErrorMessage]:
     """Pre-execution screening of a parsed call against the trajectory so far.
 
-    Fires on (i) duplicate invocation of a stateless tool with byte-identical
-    kwargs, (ii) trivial or unresolved input to an expert tool, and
-    (iii) finalizing before both an info and an expert tool have produced a
-    successful observation.  A fired rule replaces execution.
+    Fires on (i) duplicate invocation of any tool but finalize with
+    byte-identical kwargs, (ii) trivial or unresolved input to an expert
+    tool, and (iii) finalizing before both an info and an expert tool have
+    produced a successful observation.  A fired rule replaces execution.
     """
     spec = registry.spec(call.function)
     if spec is None:
         return None  # dispatch reports unknown tools itself
 
-    if spec.stateless and spec.kind != KIND_FINALIZE:
+    if spec.kind != KIND_FINALIZE:
         signature = call.kwargs_signature()
         for step in steps:
             if (
@@ -225,12 +219,7 @@ def check_errors(
         text_input = " ".join(
             str(v) for v in resolved.values() if isinstance(v, str)
         ).strip()
-        floor = (
-            spec.trivial_input_floor
-            if spec.trivial_input_floor is not None
-            else DEFAULT_TRIVIAL_INPUT_FLOOR
-        )
-        if len(text_input) < floor:
+        if len(text_input) < spec.trivial_input_floor:
             return ErrorMessage(
                 rule=RULE_TRIVIAL_INPUT,
                 message=(
@@ -261,6 +250,23 @@ def check_errors(
     return None
 
 
+def finalize_spec() -> ToolSpec:
+    """The finalize tool; its parameters are the fields ``parse_finalize``
+    reads, in ``RESULT_FIELDS`` order."""
+    descriptions = {
+        "root_cause": "the fundamental cause",
+        "solution": "the mitigation method",
+        "evidence": "direct supportive content copied from observations",
+        "responsibility": 'either "User" or "Platform"',
+    }
+    return ToolSpec(
+        name="finalize",
+        description="Report findings and end the diagnosis.",
+        params=[ToolParam(name, descriptions[name]) for name in RESULT_FIELDS],
+        kind=KIND_FINALIZE,
+    )
+
+
 @dataclass
 class FinalizeParse:
     result: AnalysisResult
@@ -274,7 +280,7 @@ def parse_finalize(call: ToolCall) -> FinalizeParse:
     kwargs = call.kwargs or {}
     values = {}
     complete = True
-    for name in ("root_cause", "solution", "evidence", "responsibility"):
+    for name in RESULT_FIELDS:
         value = kwargs.get(name)
         if not isinstance(value, str) or not value.strip():
             values[name] = UNCLEAR

@@ -32,7 +32,7 @@ def build_registry():
     registry = ToolRegistry()
     registry.register(
         ToolSpec(
-            "fetch", "Fetch data.", [ToolParam("job_id", "string", True, "id")],
+            "fetch", "Fetch data.", [ToolParam("job_id", "id")],
             KIND_INFO,
         ),
         lambda kwargs: "ERROR the root cause line\n" + "\n".join(
@@ -41,7 +41,7 @@ def build_registry():
     )
     registry.register(
         ToolSpec(
-            "expert", "Analyze.", [ToolParam("snapshot", "string", True, "key")],
+            "expert", "Analyze.", [ToolParam("snapshot", "key")],
             KIND_EXPERT,
         ),
         lambda kwargs: "Interpretation: something broke\nEvidence: ERROR the root cause line",
@@ -50,12 +50,12 @@ def build_registry():
         ToolSpec(
             "finalize", "Finish.",
             [
-                ToolParam("root_cause", "string", True, ""),
-                ToolParam("solution", "string", True, ""),
-                ToolParam("evidence", "string", True, ""),
-                ToolParam("responsibility", "string", True, ""),
+                ToolParam("root_cause", ""),
+                ToolParam("solution", ""),
+                ToolParam("evidence", ""),
+                ToolParam("responsibility", ""),
             ],
-            KIND_FINALIZE, stateless=False,
+            KIND_FINALIZE,
         ),
         lambda kwargs: "Finalized.",
     )

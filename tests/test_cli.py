@@ -219,6 +219,8 @@ class TestBadSettings:
             (["--mode", "tsc"], {"k": 0}),
             (["--mode", "tsc"], {"k": "3"}),
             ([], ["mode", "tsc"]),
+            ([], {"mode": "bogus"}),
+            ([], {"mode": "tsc", "aggregate": "bogus"}),
         ],
         ids=[
             "k-flag",
@@ -226,6 +228,8 @@ class TestBadSettings:
             "k-in-config",
             "k-string-in-config",
             "config-list",
+            "mode-in-config",
+            "aggregate-in-config",
         ],
     )
     def test_usage_error(self, runner, scenario_dir, tmp_path, flags, config):

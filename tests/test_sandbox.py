@@ -1,12 +1,15 @@
 """Scenario generator and sandbox tool tests: determinism, temporal
 soundness of every tool output, and registry composition."""
 
+import collections
 import filecmp
+import inspect
 import os
 
 import pytest
 
-from cloudrca import PolicyBackend, Sandbox, generate_scenarios
+import cloudrca.sandbox as sandbox_module
+from cloudrca import PolicyBackend, RepoIndex, Sandbox, generate_scenarios
 from cloudrca.codeexpert import find_class_file
 from cloudrca.errors import ConfigurationError
 from cloudrca.sandbox import LOG_LEVELS
@@ -139,7 +142,54 @@ class TestSandboxLoading:
             sandbox.job("fj00000000")
 
     def test_code_repo_binding(self, sandbox):
-        index = sandbox.code_repo_binding()
+        index = sandbox.repo_index
         path = find_class_file(index, "AdvisorService")
         assert path is not None and path.endswith("AdvisorService.java")
         assert index.is_external("org.apache.sls.Client")
+
+    def test_registries_share_one_repo_index(self, scenario_dir, monkeypatch):
+        builds = []
+        real_build = RepoIndex.build
+
+        def build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(RepoIndex, "build", build)
+        fresh = Sandbox(scenario_dir)
+        for _ in range(2):
+            handler = fresh.build_registry(PolicyBackend()).handler("code_agent")
+            assert inspect.getclosurevars(handler).nonlocals["index"] is fresh.repo_index
+        assert len(builds) == 1
+
+    def test_each_job_file_read_once(self, scenario_dir, monkeypatch):
+        reads = collections.Counter()
+        real_read = sandbox_module._read_jsonl
+
+        def read(path):
+            reads[path] += 1
+            return real_read(path)
+
+        monkeypatch.setattr(sandbox_module, "_read_jsonl", read)
+        fresh = Sandbox(scenario_dir)
+        job_id = fresh.job_ids[0]
+        for _ in range(3):
+            fresh.job(job_id)
+            for level in LOG_LEVELS:
+                fresh.log_text(job_id, level)
+            fresh.advisor_text(job_id)
+        assert len(reads) == len(LOG_LEVELS) + 1
+        assert set(reads.values()) == {1}
+
+    def test_failed_parse_is_not_cached(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_id = generate_scenarios(seed=5, count=1, out_dir=str(bundle))[0]
+        advisor = bundle / job_id / "advisor.jsonl"
+        good = advisor.read_text()
+        advisor.write_text("{not json\n")
+        fresh = Sandbox(str(bundle))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fresh.job(job_id)
+        advisor.write_text(good)
+        assert fresh.job(job_id).advisor

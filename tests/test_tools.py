@@ -1,9 +1,11 @@
 import pytest
 
+from cloudrca import tools
 from cloudrca.errors import ConfigurationError
 
 from cloudrca.snapshots import EMPTY_OBSERVATION, SnapshotStore, parse_snapshot_key
 from cloudrca.tools import (
+    DEFAULT_TRIVIAL_INPUT_FLOOR,
     KIND_EXPERT,
     KIND_FINALIZE,
     KIND_INFO,
@@ -18,7 +20,7 @@ from cloudrca.tools import (
     parse_finalize,
     render_documentation,
 )
-from cloudrca.trajectory import Step, ToolCall
+from cloudrca.trajectory import RESULT_FIELDS, Step, ToolCall
 
 
 def finalize_spec():
@@ -26,23 +28,22 @@ def finalize_spec():
         name="finalize",
         description="Report findings.",
         params=[
-            ToolParam("root_cause", "string", True, "cause"),
-            ToolParam("solution", "string", True, "fix"),
-            ToolParam("evidence", "string", True, "proof"),
-            ToolParam("responsibility", "string", True, "owner"),
+            ToolParam("root_cause", "cause"),
+            ToolParam("solution", "fix"),
+            ToolParam("evidence", "proof"),
+            ToolParam("responsibility", "owner"),
         ],
         kind=KIND_FINALIZE,
-        stateless=False,
     )
 
 
-def build_registry(expert_floor=None):
+def build_registry(expert_floor=DEFAULT_TRIVIAL_INPUT_FLOOR):
     registry = ToolRegistry()
     registry.register(
         ToolSpec(
             name="fetch",
             description="Fetch a blob.",
-            params=[ToolParam("job_id", "string", True, "id")],
+            params=[ToolParam("job_id", "id")],
             kind=KIND_INFO,
         ),
         lambda kwargs: f"blob for {kwargs['job_id']}\nline 2\nline 3",
@@ -51,7 +52,7 @@ def build_registry(expert_floor=None):
         ToolSpec(
             name="expert",
             description="Analyze a blob.",
-            params=[ToolParam("snapshot", "string", True, "key or text")],
+            params=[ToolParam("snapshot", "key or text")],
             kind=KIND_EXPERT,
             trivial_input_floor=expert_floor,
         ),
@@ -103,7 +104,7 @@ class TestDocumentation:
     def test_requires_finalize(self):
         registry = ToolRegistry()
         registry.register(
-            ToolSpec("fetch", "f", [ToolParam("a", "string", True, "")], KIND_INFO),
+            ToolSpec("fetch", "f", [ToolParam("a", "")], KIND_INFO),
             lambda kwargs: "",
         )
         with pytest.raises(ConfigurationError):
@@ -130,6 +131,23 @@ class TestDispatch:
         result = dispatch(build_registry(), ToolCall("fetch", {}), context())
         assert result.observation.startswith("Error:")
         assert "job_id" in result.observation
+
+    def test_only_malformed_calls_are_invalid(self):
+        registry = build_registry()
+        registry.register(
+            ToolSpec("boom", "b", [], KIND_INFO),
+            lambda kwargs: (_ for _ in ()).throw(RuntimeError("kaput")),
+        )
+        cases = [  # call, error, invalid
+            (ToolCall("nope", {}), True, True),
+            (ToolCall("fetch", {}), True, True),
+            (ToolCall("boom", {}), True, False),
+            (ToolCall("expert", {"snapshot": "0000000000"}), True, False),
+            (ToolCall("fetch", {"job_id": "j"}), False, False),
+        ]
+        for call, error, invalid in cases:
+            result = dispatch(registry, call, context())
+            assert (result.error, result.invalid) == (error, invalid), call
 
     def test_handler_exception_becomes_error(self):
         registry = build_registry()
@@ -268,6 +286,13 @@ class TestCheckErrors:
 
 
 class TestParseFinalize:
+    def test_finalize_spec_declares_the_parsed_fields(self):
+        spec = tools.finalize_spec()
+        assert spec.kind == KIND_FINALIZE
+        assert [p.name for p in spec.params] == list(RESULT_FIELDS)
+        call = ToolCall("finalize", {p.name: "User" for p in spec.params})
+        assert parse_finalize(call).complete
+
     def test_complete_payload(self):
         call = ToolCall(
             "finalize",
@@ -317,7 +342,7 @@ class TestSnapshotParams:
             ToolSpec(
                 "events",
                 "List events.",
-                [ToolParam("since", "string", True, "epoch seconds")],
+                [ToolParam("since", "epoch seconds")],
                 KIND_INFO,
             ),
             lambda kwargs: f"events since {kwargs['since']}",
@@ -330,8 +355,8 @@ class TestSnapshotParams:
                 "expert",
                 "Analyze a log.",
                 [
-                    ToolParam("snapshot", "string", True, "key or text"),
-                    ToolParam("since", "string", False, "epoch seconds"),
+                    ToolParam("snapshot", "key or text"),
+                    ToolParam("since", "epoch seconds"),
                 ],
                 KIND_EXPERT,
             ),
