@@ -9,12 +9,14 @@ only needs a backend handle.
 
 from __future__ import annotations
 
+import email.utils
 import functools
 import hashlib
 import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from datetime import timezone
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -185,20 +187,30 @@ class MockBackend:
         return hash_embed(texts)
 
 
-def _retry_after_seconds(value: Optional[str]) -> Optional[int]:
-    """The wait a Retry-After header asks for, when it holds delta-seconds
-    (RFC 9110 section 10.2.3), capped at MAX_RETRY_AFTER_S; None for an
-    absent header or an HTTP-date."""
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """The wait a Retry-After header asks for (RFC 9110 section 10.2.3),
+    capped at MAX_RETRY_AFTER_S: its delta-seconds, or the time until its
+    HTTP-date, where a date with no zone counts as GMT.  None for an absent
+    header, a date already past or a value that does not parse."""
     if value is None:
         return None
     value = value.strip()
-    if not (value.isascii() and value.isdigit()):
+    if value.isascii() and value.isdigit():
+        # a digit string can be too long for int(); compare lengths first
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_RETRY_AFTER_S)):
+            return MAX_RETRY_AFTER_S
+        return min(int(digits), MAX_RETRY_AFTER_S)
+    try:
+        date = email.utils.parsedate_to_datetime(value)
+    except ValueError:
         return None
-    # a digit string can be too long for int(); compare lengths first
-    digits = value.lstrip("0") or "0"
-    if len(digits) > len(str(MAX_RETRY_AFTER_S)):
-        return MAX_RETRY_AFTER_S
-    return min(int(digits), MAX_RETRY_AFTER_S)
+    if date.tzinfo is None:
+        date = date.replace(tzinfo=timezone.utc)
+    wait = date.timestamp() - time.time()
+    if wait <= 0:
+        return None
+    return min(wait, MAX_RETRY_AFTER_S)
 
 
 class HttpBackend:

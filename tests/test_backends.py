@@ -1,3 +1,4 @@
+import email.utils
 import hashlib
 import http.server
 import json
@@ -496,6 +497,39 @@ class TestRateLimit:
         date = {"Retry-After": "Fri, 31 Dec 1999 23:59:59 GMT"}
         be, session, sleeps = self.backend(
             [_FakeResponse(503, {}, date), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize(
+        "ahead, expected", [(7, [7]), (86400, [backends_module.MAX_RETRY_AFTER_S])]
+    )
+    def test_future_http_date_waits_until_then(self, monkeypatch, ahead, expected):
+        now = 1_700_000_000
+        monkeypatch.setattr(backends_module.time, "time", lambda: float(now))
+        date = {"Retry-After": email.utils.formatdate(now + ahead, usegmt=True)}
+        be, session, sleeps = self.backend(
+            [_FakeResponse(503, {}, date), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert sleeps == expected
+
+    def test_http_date_without_zone_counts_as_gmt(self, monkeypatch):
+        now = 1_700_000_000
+        monkeypatch.setattr(backends_module.time, "time", lambda: float(now))
+        stamp = email.utils.formatdate(now + 7, usegmt=True).removesuffix(" GMT")
+        be, session, sleeps = self.backend(
+            [_FakeResponse(429, {}, {"Retry-After": stamp}), _FakeResponse(200, CHAT_OK)],
+            monkeypatch,
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert sleeps == [7]
+
+    def test_unparsable_retry_after_uses_backoff(self, monkeypatch):
+        monkeypatch.setattr(backends_module.time, "time", lambda: 1_700_000_000.0)
+        be, session, sleeps = self.backend(
+            [_FakeResponse(429, {}, {"Retry-After": "soon"}), _FakeResponse(200, CHAT_OK)],
+            monkeypatch,
         )
         assert be.complete(exchange(), GenerationParams()) == "after the wait"
         assert sleeps == [0.5]

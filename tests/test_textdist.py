@@ -137,6 +137,32 @@ def test_quote_against_long_chunk_matches_oracle(chunk_len):
         assert levenshtein(chunk, quote) == levenshtein_oracle(quote, chunk)
 
 
+# A shared prefix and suffix around two differing middles; the small
+# alphabet makes the middles start and end alike too, so the strip must stop
+# where the strings first differ.
+_affix_part = st.text(
+    alphabet=st.one_of(st.sampled_from("ab"), st.sampled_from("😀🚀𝔘"), st.characters()),
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affix_part, _affix_part, _affix_part, _affix_part)
+def test_shared_prefix_and_suffix_match_oracle(prefix, x, y, suffix):
+    a, b = prefix + x + suffix, prefix + y + suffix
+    assert levenshtein(a, b) == levenshtein_oracle(a, b)
+    assert levenshtein(b, a) == levenshtein_oracle(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b", [("abab", "ab"), ("aaa", "aa"), ("abcab", "ab"), ("xay", "xy")]
+)
+def test_prefix_and_suffix_that_would_overlap(a, b):
+    # the whole of b is both a prefix and a suffix of a
+    assert levenshtein(a, b) == levenshtein_oracle(a, b)
+    assert levenshtein(b, a) == levenshtein_oracle(a, b)
+
+
 def dedup_reference(entries, threshold=0.9):
     """The all-pairs deduplication every faster version must reproduce."""
     kept = []
@@ -205,3 +231,61 @@ def test_length_bound_skips_distance(distance_calls):
     entries = ["x" * n for n in (10, 12, 14, 17, 20, 23, 27, 31, 36, 42)]
     assert deduplicate_entries(entries, 0.9) == entries
     assert distance_calls == []
+
+
+# '0' and 'p' (48 and 112) share a histogram bucket, and so do '1' and 'q'
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text(alphabet="0p1q a🚀", max_size=12), max_size=25),
+    st.sampled_from(DEDUP_THRESHOLDS + [-0.5, float("nan")]),
+)
+def test_dedup_matches_reference_when_buckets_collide(entries, threshold):
+    assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
+
+
+@pytest.mark.parametrize("threshold", [-0.5, float("nan")])
+def test_dedup_matches_reference_below_zero_and_nan(threshold):
+    entries = ["", "abc", "abc", "abd", "", "zzzz", "x" * 30]
+    assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
+
+
+def test_dedup_takes_lone_surrogates():
+    # json.loads turns "\ud800" in a log line into a lone surrogate
+    entries = ["x\ud800y", "x\ud800z", "abc"]
+    assert deduplicate_entries(entries) == dedup_reference(entries)
+
+
+def test_dedup_counts_do_not_wrap_on_long_lines():
+    # one bucket holds 32,768 of the kept line's characters and 32,767 of
+    # the next one's, so a 16-bit count would wrap and the bound would rule
+    # out a pair at distance 1
+    first = "a" * 32768 + "b" * 7232
+    second = "a" * 32767 + "b" * 7233
+    assert len(first) == len(second) == 40000
+    assert deduplicate_entries([first, second]) == dedup_reference([first, second]) == [first]
+
+
+def _two_template_lines(rng: random.Random, count: int) -> list[str]:
+    """Distinct lines alternating two log templates, each line with its own
+    random duration and 16-character tag."""
+    lines = []
+    for i in range(count):
+        duration = rng.randrange(100, 999)
+        if i % 2 == 0:
+            tag = f"{rng.getrandbits(64):016x}"
+            lines.append(f"INFO  backend uploaded incremental chunk in {duration} ms id {tag}")
+        else:
+            tag = "".join(rng.choice("ABCDEFGHJKLMNPQRSTUVWXYZ") for _ in range(16))
+            lines.append(
+                f"jvm safepoint, mutator threads stopped for "
+                f"{duration // 100}.{duration % 100:02d}s tag {tag}"
+            )
+    return lines
+
+
+def test_histogram_bound_skips_most_pairs(distance_calls):
+    lines = _two_template_lines(random.Random(500), 500)
+    assert len(set(lines)) == 500
+    assert deduplicate_entries(lines) == lines
+    # a tenth of the 124,750 pairs
+    assert len(distance_calls) <= 12475
