@@ -56,7 +56,7 @@ from .metrics import (
 )
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
-from .snapshots import SnapshotStore, parse_snapshot_key, render_head
+from .snapshots import SnapshotStore, render_head, snapshot_keys
 from .structured import (
     RepairOutcome,
     extract_json,
@@ -118,7 +118,6 @@ __all__ = [
     "louvain",
     "norm_score",
     "normalized_similarity",
-    "parse_snapshot_key",
     "partition",
     "pass_rate",
     "remove_overlaps",
@@ -130,6 +129,7 @@ __all__ = [
     "run_with_consistency",
     "sanitize_prompt",
     "sc_stepwise",
+    "snapshot_keys",
     "tsc",
     "vote_with_embedding",
 ]

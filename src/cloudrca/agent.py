@@ -47,34 +47,24 @@ class AgentConfig:
             raise ValueError("max_steps must be >= 1")
 
 
-def render_history(steps: list[Step]) -> tuple[str, list[tuple[int, int]]]:
-    """Render completed steps as Thought/Function/Observation blocks and
-    report the spans of the action JSON, which must survive sanitization."""
-    pieces: list[str] = []
-    spans: list[tuple[int, int]] = []
-    offset = 0
-
-    def append(text: str, protect: bool = False):
-        nonlocal offset
-        if protect:
-            spans.append((offset, offset + len(text)))
-        pieces.append(text)
-        offset += len(text)
-
-    for step in steps:
-        append(f"Thought: {step.thought}\n")
-        append("Function: ")
-        append(step.action.wire() if step.action else "(none)", protect=True)
-        append(f"\nObservation:\n{step.observation}\n")
-    return "".join(pieces), spans
+def render_history(steps: list[Step]) -> str:
+    """Render completed steps as Thought/Function/Observation blocks.  The
+    thought and the observation are sanitized; the action JSON is sent as
+    it is."""
+    return "".join(
+        sanitize_prompt(f"Thought: {step.thought}\n")
+        + "Function: "
+        + (step.action.wire() if step.action else "(none)")
+        + sanitize_prompt(f"\nObservation:\n{step.observation}\n")
+        for step in steps
+    )
 
 
 def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange:
     system = "\n\n".join(
         [prompts.FRAMEWORK_RULES, prompts.TASK_REQUIREMENTS, config.tool_docs]
     )
-    history, spans = render_history(trajectory.steps)
-    history = sanitize_prompt(history, spans)
+    history = render_history(trajectory.steps)
     user = config.task_statement
     if history:
         user = f"{user}\n\n{history}"

@@ -341,6 +341,12 @@ class AdaptiveGeneration:
     final_params: GenerationParams
 
 
+def ask(backend: Backend, system: str, user: str) -> str:
+    """One greedy single-turn call: how every expert, repair and merge call
+    reaches the model."""
+    return backend.complete(ChatExchange(system, [("user", user)]), GREEDY_PARAMS)
+
+
 def generate_adaptive(
     backend: Backend,
     exchange: ChatExchange,

@@ -92,6 +92,14 @@ def run_job(settings: RunSettings, sandbox: Sandbox, job_id: str) -> Consistency
     )
 
 
+def _results(report: ConsistencyReport) -> dict:
+    """The filled result and the candidates, as result.json records them."""
+    return {
+        "result": fill_baseline(report.outcome.result).to_dict(),
+        "candidates": [c.result.to_dict() for c in report.candidates],
+    }
+
+
 def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report):
     job_out = os.path.join(out_dir, job_id)
     os.makedirs(job_out, exist_ok=True)
@@ -102,8 +110,7 @@ def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, repor
         "job_id": job_id,
         "passed": report.greedy.passed,
         "mode": settings.mode,
-        "result": fill_baseline(report.outcome.result).to_dict(),
-        "candidates": [c.result.to_dict() for c in report.candidates],
+        **_results(report),
         "settings": settings.to_dict(),
     }
     with open(os.path.join(job_out, "result.json"), "w", encoding="utf-8") as fh:
@@ -150,10 +157,15 @@ def _settings_from(config_path, **flags) -> RunSettings:
             setattr(settings, flag, value)
     if aggregate is not None:
         settings.aggregate = AGGREGATES[aggregate]
+    # each setting has the type of its default (an int is not a bool here)
+    for name, default in RunSettings().to_dict().items():
+        if type(getattr(settings, name)) is not type(default):
+            raise click.UsageError(f"{name} must be of type {type(default).__name__}")
     for name in ("k", "max_steps"):
-        value = getattr(settings, name)
-        if type(value) is not int or value < 1:
-            raise click.UsageError(f"{name} must be an integer of at least 1")
+        if getattr(settings, name) < 1:
+            raise click.UsageError(f"{name} must be at least 1")
+    if not 0 <= settings.malformed_pct <= 100:
+        raise click.UsageError("malformed_pct must be from 0 to 100")
     for name, allowed in (("mode", MODES), ("aggregate", AGGREGATES.values())):
         if getattr(settings, name) not in allowed:
             raise click.UsageError(f"{name} must be one of {', '.join(allowed)}")
@@ -180,6 +192,10 @@ def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
     settings = _settings_from(config_path, **flags)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = Sandbox(settings.scenarios)
+    if job_id not in sandbox.job_ids:
+        raise click.ClickException(
+            f"job {job_id} is not in scenario bundle {scenarios}"
+        )
     report = run_job(settings, sandbox, job_id)
     _write_job_artifacts(out_dir, job_id, settings, report)
     click.echo(
@@ -240,9 +256,9 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
 @main.command("replay")
 @click.argument("trajectory_file")
 def cmd_replay(trajectory_file):
-    """Re-run a persisted trajectory deterministically and verify it matches.
-
-    Exits nonzero on the first diverging step (regression guard)."""
+    """Re-run a persisted trajectory deterministically and verify that it and
+    result.json match.  Exits nonzero on the first divergence (regression
+    guard)."""
     manifest_path = os.path.join(os.path.dirname(trajectory_file), "result.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -264,6 +280,9 @@ def cmd_replay(trajectory_file):
         sys.exit(1)
     if replayed.to_jsonl() != recorded_text:
         click.echo("divergence in trailing result record")
+        sys.exit(1)
+    if _results(report) != {name: manifest[name] for name in ("result", "candidates")}:
+        click.echo("divergence in result.json: result or candidates differ")
         sys.exit(1)
     click.echo("replay matches recorded trajectory")
     sys.exit(0)

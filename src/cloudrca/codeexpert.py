@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import prompts
-from .backends import GREEDY_PARAMS, Backend, ChatExchange
+from .backends import Backend, ask
 from .structured import json_regen
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
@@ -63,14 +63,10 @@ def find_class_file(index: RepoIndex, class_name: str) -> Optional[str]:
 
 
 def analyze_file(backend: Backend, source_text: str) -> tuple[str, list[str]]:
-    raw = backend.complete(
-        ChatExchange(
-            system_prompt="You analyze source code of cloud services.",
-            messages=[
-                ("user", f"{prompts.CODE_ANALYSIS_INSTRUCTION}\n\n{source_text}")
-            ],
-        ),
-        GREEDY_PARAMS,
+    raw = ask(
+        backend,
+        prompts.CODE_FILE_SYSTEM,
+        f"{prompts.CODE_ANALYSIS_INSTRUCTION}\n\n{source_text}",
     )
     outcome = json_regen(backend, raw)
     if not outcome.ok:
@@ -121,14 +117,10 @@ def run_code_expert(
             if suggestion not in visited:
                 pending.append(suggestion)
     listing = "\n\n".join(f"Class {name}:\n{text}" for name, text in analyses)
-    summary = backend.complete(
-        ChatExchange(
-            system_prompt="You summarize code analyses.",
-            messages=[
-                ("user", f"{prompts.CODE_SUMMARY_INSTRUCTION}\n\n{listing}")
-            ],
-        ),
-        GREEDY_PARAMS,
+    summary = ask(
+        backend,
+        prompts.CODE_SUMMARY_SYSTEM,
+        f"{prompts.CODE_SUMMARY_INSTRUCTION}\n\n{listing}",
     )
     if externals:
         summary += f"\n(External dependencies not analyzed: {', '.join(sorted(set(externals)))})"

@@ -20,20 +20,13 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import (
-    GREEDY_PARAMS,
-    Backend,
-    ChatExchange,
-    GenerationParams,
-)
+from .backends import Backend, GenerationParams, ask
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
-from .trajectory import AnalysisResult, Trajectory, UNCLEAR
+from .trajectory import TEXT_FIELDS, AnalysisResult, Trajectory, UNCLEAR
 
 DEFAULT_K = 10
-
-TEXT_FIELDS = ("root_cause", "solution", "evidence")
 
 METHOD_EMBEDDING_VOTE = "embedding_vote"
 METHOD_LLM_AGGREGATE = "llm_aggregate"
@@ -110,12 +103,10 @@ def aggregate_with_llm(field_texts: list[str], backend: Backend) -> str:
         f"Candidate {i + 1}: {text}" for i, text in enumerate(field_texts)
     )
     try:
-        merged = backend.complete(
-            ChatExchange(
-                system_prompt="You merge candidate answers.",
-                messages=[("user", f"{prompts.AGGREGATE_INSTRUCTION}\n\n{listing}")],
-            ),
-            GREEDY_PARAMS,
+        merged = ask(
+            backend,
+            prompts.MERGE_SYSTEM,
+            f"{prompts.AGGREGATE_INSTRUCTION}\n\n{listing}",
         )
         return _strip_enumeration(merged)
     except CloudRcaError:

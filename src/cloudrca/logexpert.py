@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .backends import GREEDY_PARAMS, Backend, ChatExchange, _cosine_rows, cosine
+from .backends import Backend, _cosine_rows, ask, cosine
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -478,7 +478,7 @@ def pack_icl_prompt(
     the chunk always comes last behind an explicit delimiter."""
     if max_len <= 0:
         raise ValueError("max_len must be positive")
-    chunk_header = "\n\n=== Log chunk to analyze ===\n"
+    chunk_header = "\n\n" + prompts.LOG_CHUNK_DELIMITER
     instruction = prompts.LOG_ANALYSIS_INSTRUCTION
     base_len = len(instruction) + len(chunk_header)
     truncated = False
@@ -518,11 +518,7 @@ class ChunkAnalysis:
 
 
 def analyze_chunk(backend: Backend, prompt: str) -> ChunkAnalysis:
-    exchange = ChatExchange(
-        system_prompt="You analyze logs of stream-processing jobs.",
-        messages=[("user", prompt)],
-    )
-    raw = backend.complete(exchange, GREEDY_PARAMS)
+    raw = ask(backend, prompts.LOG_CHUNK_SYSTEM, prompt)
     outcome = json_regen(backend, raw)
     if not outcome.ok:
         return ChunkAnalysis(warning="unparsable analysis response")
@@ -565,12 +561,10 @@ def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str,
     listing = "\n\n".join(
         f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs
     )
-    raw = backend.complete(
-        ChatExchange(
-            system_prompt="You summarize log analyses.",
-            messages=[("user", f"{prompts.LOG_SUMMARY_INSTRUCTION}\n\n{listing}")],
-        ),
-        GREEDY_PARAMS,
+    raw = ask(
+        backend,
+        prompts.LOG_SUMMARY_SYSTEM,
+        f"{prompts.LOG_SUMMARY_INSTRUCTION}\n\n{listing}",
     )
     outcome = json_regen(backend, raw)
     if outcome.ok:

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 from .backends import Backend, cosine
 from .errors import CloudRcaError
-from .trajectory import AnalysisResult, RESULT_FIELDS, Trajectory, UNCLEAR
+from .trajectory import RESULT_FIELDS, TEXT_FIELDS, AnalysisResult, Trajectory, UNCLEAR
 
 BASELINE_TEXT = UNCLEAR
 
@@ -18,10 +18,20 @@ class NotComputable(CloudRcaError):
     """A metric is undefined for the given inputs."""
 
 
+def _embedding_scorer(
+    texts: Sequence[str], backend: Backend
+) -> Callable[[str, str], float]:
+    """A score over pairs of ``texts``: (1 + cosine similarity of the two
+    embeddings) / 2, in [0, 1].  Each distinct text is embedded once, and
+    all of them in one ``embed`` call."""
+    row_of = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    rows = backend.embed(list(row_of))
+    return lambda a, b: (1.0 + cosine(rows[row_of[a]], rows[row_of[b]])) / 2.0
+
+
 def emb_score(prediction: str, reference: str, backend: Backend) -> float:
     """(1 + cosine similarity of the embeddings) / 2, in [0, 1]."""
-    vectors = backend.embed([prediction, reference])
-    return (1.0 + cosine(vectors[0], vectors[1])) / 2.0
+    return _embedding_scorer([prediction, reference], backend)(prediction, reference)
 
 
 def norm_score(
@@ -78,7 +88,8 @@ class JobOutcome:
 
 
 def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
-    """Summary statistics plus per-job rows, JSON-serializable."""
+    """Summary statistics plus per-job rows, JSON-serializable.  Every
+    distinct text it scores is embedded once, in one ``embed`` call."""
     trajectories = [o.trajectory for o in outcomes]
     report = {
         "pass_rate": pass_rate(trajectories),
@@ -87,40 +98,37 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
         "jobs": [],
         "fields": {},
     }
-    scored = [o for o in outcomes if o.reference is not None]
-    for name in RESULT_FIELDS:
-        if name == "responsibility":
-            if scored:
-                correct = sum(
-                    1
-                    for o in scored
-                    if fill_baseline(o.prediction).responsibility
-                    == o.reference.responsibility
-                )
-                report["fields"][name] = {"precision": 100.0 * correct / len(scored)}
-            continue
-        emb_values, norm_values = [], []
-        for o in scored:
-            prediction = fill_baseline(o.prediction).field_text(name)
-            reference = o.reference.field_text(name)
-            score = emb_score(prediction, reference, backend)
-            emb_values.append(score)
-            try:
-                norm_values.append(
-                    norm_score(
-                        lambda p, r: emb_score(p, r, backend), prediction, reference
-                    )
-                )
-            except NotComputable:
-                pass
-        if emb_values:
+    predictions = [fill_baseline(o.prediction) for o in outcomes]
+    scored = [
+        (prediction, o.reference)
+        for prediction, o in zip(predictions, outcomes)
+        if o.reference is not None
+    ]
+    if scored:
+        pairs = {
+            name: [(p.field_text(name), r.field_text(name)) for p, r in scored]
+            for name in TEXT_FIELDS
+        }
+        texts = [text for field in pairs.values() for pair in field for text in pair]
+        score = _embedding_scorer([BASELINE_TEXT, *texts], backend)
+        for name, field_pairs in pairs.items():
+            emb_values, norm_values = [], []
+            for pair in field_pairs:
+                emb_values.append(score(*pair))
+                try:
+                    norm_values.append(norm_score(score, *pair))
+                except NotComputable:
+                    pass
             report["fields"][name] = {
                 "emb_score": sum(emb_values) / len(emb_values),
                 "norm_score": (
                     sum(norm_values) / len(norm_values) if norm_values else None
                 ),
             }
-    for o in outcomes:
+        correct = sum(p.responsibility == r.responsibility for p, r in scored)
+        precision = 100.0 * correct / len(scored)
+        report["fields"]["responsibility"] = {"precision": precision}
+    for o, prediction in zip(outcomes, predictions):
         report["jobs"].append(
             {
                 "job_id": o.job_id,
@@ -128,7 +136,7 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
                 "steps": len(o.trajectory.steps),
                 "invalid_ratio": o.trajectory.invalid_ratio(),
                 "diagnostic": o.trajectory.diagnostic,
-                "prediction": fill_baseline(o.prediction).to_dict(),
+                "prediction": prediction.to_dict(),
                 "reference": o.reference.to_dict() if o.reference else None,
             }
         )

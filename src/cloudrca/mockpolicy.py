@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import prompts
 from .backends import ChatExchange, GenerationParams, hash_embed
+from .snapshots import snapshot_keys
 
-_SNAPSHOT_RE = re.compile(r"(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)")
 _JOB_RE = re.compile(r"job (fj[0-9a-f]{8})")
 _EVIDENCE_RE = re.compile(r"^Evidence: (.+)$", re.MULTILINE)
 _INTERPRETATION_RE = re.compile(r"^Interpretation: (.+)$", re.MULTILINE)
@@ -49,6 +50,51 @@ def _corrupt(action_json: str) -> str:
     return action_json[:idx] + ",}" + action_json[idx + 1 :]
 
 
+def _regen(user: str) -> str:
+    # echo the payload; local fixing handles our corruption patterns
+    _, _, payload = user.partition("\n\n")
+    return payload
+
+
+def _analyze_chunk(user: str) -> str:
+    chunk = user.rsplit(prompts.LOG_CHUNK_DELIMITER, 1)[-1]
+    interpretations, evidences = [], []
+    for line in chunk.splitlines():
+        if any(marker in line for marker in _SIGNAL_MARKERS):
+            interpretations.append(f"Anomalous log line indicates: {line.strip()}")
+            evidences.append(line)
+    return json.dumps({"interpretations": interpretations, "evidences": evidences})
+
+
+def _summarize_logs(user: str) -> str:
+    pairs = list(zip(_INTERPRETATION_RE.findall(user), _EVIDENCE_RE.findall(user)))
+    if not pairs:
+        return json.dumps({"interpretation": "No anomaly found.", "evidence": ""})
+    best = next((p for p in pairs if "ERROR" in p[1] or "Exception" in p[1]), pairs[0])
+    return json.dumps({"interpretation": best[0], "evidence": best[1]})
+
+
+def _merge(user: str) -> str:
+    match = re.search(r"^Candidate 1: (.*)$", user, re.MULTILINE)
+    return match.group(1) if match else user
+
+
+# each single-turn call by its system prompt; every other prompt is the
+# controller's
+_SINGLE_TURN = {
+    prompts.REGEN_SYSTEM: _regen,
+    prompts.LOG_CHUNK_SYSTEM: _analyze_chunk,
+    prompts.LOG_SUMMARY_SYSTEM: _summarize_logs,
+    prompts.CODE_FILE_SYSTEM: lambda user: json.dumps(
+        {"analysis": "Utility service code; no defect visible.", "suggestions": []}
+    ),
+    prompts.CODE_SUMMARY_SYSTEM: lambda user: (
+        "The service code paths show no defects relevant to the anomaly."
+    ),
+    prompts.MERGE_SYSTEM: _merge,
+}
+
+
 @dataclass
 class PolicyBackend:
     """Deterministic diagnosis policy over the sandbox toolset."""
@@ -68,58 +114,14 @@ class PolicyBackend:
 
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:
         exchange.validate()
-        system = exchange.system_prompt
         user = exchange.messages[-1][1]
-        if "convert data between structured formats" in system:
-            return self._regen(user)
-        if "=== Log chunk to analyze ===" in user:
-            return self._analyze_chunk(user)
-        if user.startswith("Summarize the following log analyses"):
-            return self._summarize_logs(user)
-        if "You analyze source code" in system:
-            return json.dumps(
-                {"analysis": "Utility service code; no defect visible.", "suggestions": []}
-            )
-        if "per-file code analyses" in user:
-            return "The service code paths show no defects relevant to the anomaly."
-        if user.startswith("Several candidate answers"):
-            match = re.search(r"^Candidate 1: (.*)$", user, re.MULTILINE)
-            return match.group(1) if match else user
-        return self._controller(user)
-
-    # -- sub-policies -------------------------------------------------------
-
-    def _regen(self, user: str) -> str:
-        # echo the payload; local fixing handles our corruption patterns
-        _, _, payload = user.partition("\n\n")
-        return payload
-
-    def _analyze_chunk(self, user: str) -> str:
-        chunk = user.rsplit("=== Log chunk to analyze ===\n", 1)[-1]
-        interpretations, evidences = [], []
-        for line in chunk.splitlines():
-            if any(marker in line for marker in _SIGNAL_MARKERS):
-                interpretations.append(f"Anomalous log line indicates: {line.strip()}")
-                evidences.append(line)
-        return json.dumps(
-            {"interpretations": interpretations, "evidences": evidences}
-        )
-
-    def _summarize_logs(self, user: str) -> str:
-        pairs = list(
-            zip(_INTERPRETATION_RE.findall(user), _EVIDENCE_RE.findall(user))
-        )
-        if not pairs:
-            return json.dumps({"interpretation": "No anomaly found.", "evidence": ""})
-        best = next(
-            (p for p in pairs if "ERROR" in p[1] or "Exception" in p[1]), pairs[0]
-        )
-        return json.dumps({"interpretation": best[0], "evidence": best[1]})
+        reply = _SINGLE_TURN.get(exchange.system_prompt)
+        return reply(user) if reply is not None else self._controller(user)
 
     def _controller(self, user: str) -> str:
         job_match = _JOB_RE.search(user)
         job_id = job_match.group(1) if job_match else "unknown"
-        snapshots = _SNAPSHOT_RE.findall(user)
+        snapshots = snapshot_keys(user)
         analyzed = "Interpretation:" in user
 
         if not snapshots:

@@ -1,4 +1,21 @@
-"""Prompt assets for the controller and expert agents."""
+"""Prompt assets for the controller and expert agents.  Every call but the
+controller's has its own system prompt below, which tells the calls apart."""
+
+LOG_CHUNK_SYSTEM = "You analyze logs of stream-processing jobs."
+LOG_SUMMARY_SYSTEM = "You summarize log analyses."
+CODE_FILE_SYSTEM = "You analyze source code of cloud services."
+CODE_SUMMARY_SYSTEM = "You summarize code analyses."
+MERGE_SYSTEM = "You merge candidate answers."
+REGEN_SYSTEM = (
+    "You convert data between structured formats. Output only the converted data."
+)
+
+# the two instructions of the YAML round trip that repairs a model's JSON
+YAML_EXTRACT_INSTRUCTION = "Extract structure into YAML"
+JSON_RESTORE_INSTRUCTION = "Restore to correct JSON"
+
+# the log chunk comes last in a chunk-analysis prompt, behind this line
+LOG_CHUNK_DELIMITER = "=== Log chunk to analyze ===\n"
 
 FRAMEWORK_RULES = """You are an autonomous diagnosis agent operating in a \
 thought-action-observation loop. At every step you first write a short \

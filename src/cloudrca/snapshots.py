@@ -20,7 +20,7 @@ EMPTY_OBSERVATION = "(empty observation)"
 SNAPSHOT_PARAM = "snapshot"
 
 _KEY_RE = re.compile(r"^\d{10}$")
-_SNAPSHOT_LINE_RE = re.compile(r"^\[ snapshot: (\d{10}) \]$", re.MULTILINE)
+_SNAPSHOT_LINE_RE = re.compile(r"^(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)$", re.M)
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -112,7 +112,7 @@ def render_head(full_text: str, key: str, head_lines: int = DEFAULT_HEAD_LINES) 
     return "\n".join(parts)
 
 
-def parse_snapshot_key(rendered: str) -> Optional[str]:
-    """Recover the snapshot key from a rendered observation, if present."""
-    matches = _SNAPSHOT_LINE_RE.findall(rendered)
-    return matches[-1] if matches else None
+def snapshot_keys(text: str) -> list[str]:
+    """The key of every snapshot line in ``text``, in order: the rendered
+    ``[ snapshot: KEY ]`` form and the sanitized ``<: snapshot: KEY :>``."""
+    return _SNAPSHOT_LINE_RE.findall(text)

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional
 
-from .backends import GREEDY_PARAMS, Backend, ChatExchange
+from . import prompts
+from .backends import Backend, ask
 
 DEFAULT_RETRY_LIMIT = 3
 
@@ -25,8 +26,9 @@ SUBSTITUTION_TABLE: list[tuple[str, str]] = [
     ("}", "%>"),
 ]
 
-YAML_EXTRACT_INSTRUCTION = "Extract structure into YAML"
-JSON_RESTORE_INSTRUCTION = "Restore to correct JSON"
+# No substitute holds a character the table replaces, so sanitizing
+# commutes with concatenation: pieces can be sanitized one at a time.
+_SANITIZE = str.maketrans(dict(SUBSTITUTION_TABLE))
 
 STAGE_DIRECT = "direct"
 STAGE_ESCAPE_FIXED = "escape_fixed"
@@ -45,36 +47,9 @@ class RepairOutcome:
         return self.stage != STAGE_FAILED
 
 
-def sanitize_prompt(
-    text: str, protected_spans: Sequence[tuple[int, int]] = ()
-) -> str:
-    """Apply the substitution table everywhere outside protected spans.
-
-    Protected spans mark genuine JSON (e.g. action history) that must stay
-    byte-identical; they are [start, end) ranges into ``text``.
-    """
-    spans = sorted(protected_spans)
-    prev_end = 0
-    for start, end in spans:
-        if start < prev_end:
-            raise ValueError("protected spans overlap")
-        if start < 0 or end > len(text) or start > end:
-            raise ValueError("protected span out of bounds")
-        prev_end = end
-
-    def substitute(segment: str) -> str:
-        for sensitive, clean in SUBSTITUTION_TABLE:
-            segment = segment.replace(sensitive, clean)
-        return segment
-
-    pieces = []
-    pos = 0
-    for start, end in spans:
-        pieces.append(substitute(text[pos:start]))
-        pieces.append(text[start:end])
-        pos = end
-    pieces.append(substitute(text[pos:]))
-    return "".join(pieces)
+def sanitize_prompt(text: str) -> str:
+    """Apply the substitution table to every character of ``text``."""
+    return text.translate(_SANITIZE)
 
 
 def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
@@ -191,13 +166,6 @@ def try_parse(text: Optional[str]) -> Optional[Any]:
     return value if isinstance(value, dict) else None
 
 
-def _regen_exchange(instruction: str, payload: str) -> ChatExchange:
-    return ChatExchange(
-        system_prompt="You convert data between structured formats. Output only the converted data.",
-        messages=[("user", f"{instruction}\n\n{payload}")],
-    )
-
-
 def json_regen(
     backend: Optional[Backend],
     raw_output: str,
@@ -226,16 +194,13 @@ def json_regen(
         return RepairOutcome({}, 0, STAGE_FAILED)
 
     current = raw_output
-    attempts = 0
-    while attempts < retry_limit:
-        attempts += 1
-        yaml_text = backend.complete(
-            _regen_exchange(YAML_EXTRACT_INSTRUCTION, current), GREEDY_PARAMS
-        )
-        current = backend.complete(
-            _regen_exchange(JSON_RESTORE_INSTRUCTION, yaml_text), GREEDY_PARAMS
-        )
+    for attempts in range(1, retry_limit + 1):
+        for instruction in (
+            prompts.YAML_EXTRACT_INSTRUCTION,
+            prompts.JSON_RESTORE_INSTRUCTION,
+        ):
+            current = ask(backend, prompts.REGEN_SYSTEM, f"{instruction}\n\n{current}")
         value = try_parse(extract_json(fix_escapes(current)))
         if value is not None:
             return RepairOutcome(value, attempts, STAGE_REGENERATED)
-    return RepairOutcome({}, attempts, STAGE_FAILED)
+    return RepairOutcome({}, retry_limit, STAGE_FAILED)

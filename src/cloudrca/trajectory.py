@@ -12,6 +12,8 @@ from typing import Optional
 UNCLEAR = "Unclear"
 
 RESULT_FIELDS = ("root_cause", "solution", "evidence", "responsibility")
+# the free-text fields; responsibility is one of two categories
+TEXT_FIELDS = RESULT_FIELDS[:-1]
 
 
 @dataclass

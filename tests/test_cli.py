@@ -87,6 +87,22 @@ class TestDiagnose:
         )
         assert result.exit_code == 1
 
+    def test_unknown_job_stops_before_any_model_call(
+        self, runner, scenario_dir, tmp_path, monkeypatch
+    ):
+        def run_job(*args):
+            raise AssertionError("run_job called for an unknown job")
+
+        monkeypatch.setattr(cli, "run_job", run_job)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["diagnose", "fjdeadbeef", "--scenarios", scenario_dir, "--out-dir", str(out)],
+        )
+        assert result.exit_code == 1
+        assert "fjdeadbeef" in result.output
+        assert not out.exists()
+
     def test_tsc_mode_records_candidates(self, runner, scenario_dir, tmp_path, sandbox):
         job_id = sandbox.job_ids[1]
         out = tmp_path / "out"
@@ -221,6 +237,14 @@ class TestBadSettings:
             ([], ["mode", "tsc"]),
             ([], {"mode": "bogus"}),
             ([], {"mode": "tsc", "aggregate": "bogus"}),
+            ([], {"seed": "7"}),
+            ([], {"malformed_pct": "10"}),
+            ([], {"malformed_pct": 101}),
+            (["--malformed-pct", "-1"], None),
+            ([], {"json_regen": "false"}),
+            ([], {"backend": ["mock"]}),
+            ([], {"endpoint": 8080}),
+            ([], {"model": None}),
         ],
         ids=[
             "k-flag",
@@ -230,6 +254,14 @@ class TestBadSettings:
             "config-list",
             "mode-in-config",
             "aggregate-in-config",
+            "seed-string-in-config",
+            "malformed-pct-string-in-config",
+            "malformed-pct-above-100-in-config",
+            "malformed-pct-negative-flag",
+            "json-regen-string-in-config",
+            "backend-list-in-config",
+            "endpoint-int-in-config",
+            "model-null-in-config",
         ],
     )
     def test_usage_error(self, runner, scenario_dir, tmp_path, flags, config):
@@ -336,3 +368,26 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 1
         assert "divergence at step 0" in result.output
+
+    @pytest.mark.parametrize("record", ["result", "candidate"])
+    def test_result_json_divergence_detected(
+        self, runner, scenario_dir, tmp_path, sandbox, record
+    ):
+        job_id = sandbox.job_ids[1]
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            [
+                "diagnose", job_id, "--scenarios", scenario_dir, "--out-dir", str(out),
+                "--mode", "tsc", "--k", "3",
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        manifest_path = out / job_id / "result.json"
+        manifest = json.loads(manifest_path.read_text())
+        edited = manifest["result"] if record == "result" else manifest["candidates"][1]
+        edited["root_cause"] = "tampered"
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
+        assert result.exit_code == 1
+        assert "divergence in result.json" in result.output

@@ -179,6 +179,34 @@ class TestBuildReport:
         )
         assert report["fields"]["root_cause"]["norm_score"] is not None
 
+    def test_one_embed_call_scores_as_emb_score(self, five_trajectories, monkeypatch):
+        backend = MockBackend()
+        embed_calls = []
+        real_embed = backend.embed
+        monkeypatch.setattr(
+            backend, "embed", lambda texts: embed_calls.append(texts) or real_embed(texts)
+        )
+        outcomes = self._outcomes(five_trajectories)
+        report = build_report(outcomes, backend)
+        assert len(embed_calls) == 1
+        assert len(set(embed_calls[0])) == len(embed_calls[0])
+        # bit for bit what pairwise emb_score calls give
+        scorer = MockBackend()
+        scored = [o for o in outcomes if o.reference is not None]
+        for name in ("root_cause", "solution", "evidence"):
+            pairs = [
+                (fill_baseline(o.prediction).field_text(name), o.reference.field_text(name))
+                for o in scored
+            ]
+            emb = [emb_score(p, r, scorer) for p, r in pairs]
+            norm = [
+                norm_score(lambda a, b: emb_score(a, b, scorer), p, r) for p, r in pairs
+            ]
+            assert report["fields"][name] == {
+                "emb_score": sum(emb) / len(emb),
+                "norm_score": sum(norm) / len(norm),
+            }
+
     def test_prediction_none_degrades_to_baseline(self, five_trajectories):
         backend = MockBackend()
         report = build_report(self._outcomes(five_trajectories), backend)

@@ -9,7 +9,8 @@ import os
 import pytest
 
 import cloudrca.sandbox as sandbox_module
-from cloudrca import PolicyBackend, RepoIndex, Sandbox, generate_scenarios
+from cloudrca import PolicyBackend, RepoIndex, Sandbox, generate_scenarios, prompts
+from cloudrca.cli import RunSettings, run_job
 from cloudrca.codeexpert import find_class_file
 from cloudrca.errors import ConfigurationError
 from cloudrca.sandbox import LOG_LEVELS
@@ -193,3 +194,32 @@ class TestSandboxLoading:
                 fresh.job(job_id)
         advisor.write_text(good)
         assert fresh.job(job_id).advisor
+
+
+class TestPolicyRouting:
+    """The scripted policy tells model calls apart by their system prompt,
+    so rewording an instruction leaves every run's result as it was."""
+
+    def test_results_do_not_depend_on_instruction_wording(self, tmp_path, monkeypatch):
+        generate_scenarios(seed=4242, count=4, out_dir=str(tmp_path / "bundle"))
+        bundle = Sandbox(str(tmp_path / "bundle"))
+        runs = [
+            RunSettings(malformed_pct=10),
+            RunSettings(mode="tsc", k=3, aggregate="llm_aggregate", malformed_pct=10),
+        ]
+
+        def results():
+            return [
+                run_job(settings, bundle, job_id).outcome.result
+                for settings in runs
+                for job_id in bundle.job_ids
+            ]
+
+        before = results()
+        monkeypatch.setattr(
+            prompts, "LOG_SUMMARY_INSTRUCTION", "Condense these log findings into one."
+        )
+        monkeypatch.setattr(
+            prompts, "AGGREGATE_INSTRUCTION", "Combine the candidates into one answer."
+        )
+        assert results() == before

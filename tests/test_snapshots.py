@@ -9,8 +9,8 @@ from cloudrca.snapshots import (
     KEY_WIDTH,
     SnapshotStore,
     looks_like_key,
-    parse_snapshot_key,
     render_head,
+    snapshot_keys,
 )
 
 
@@ -140,10 +140,19 @@ class TestRenderHead:
 class TestParse:
     def test_roundtrip(self):
         rendered = render_head("some\nlong\ntext", "0987654321")
-        assert parse_snapshot_key(rendered) == "0987654321"
+        assert snapshot_keys(rendered)[-1] == "0987654321"
 
     def test_absent(self):
-        assert parse_snapshot_key("no key here") is None
+        assert snapshot_keys("no key here") == []
+
+    def test_every_key_line_in_both_forms_in_order(self):
+        text = (
+            "[ snapshot: 0000000001 ]\n"
+            "see [ snapshot: 0000000009 ] inline\n"
+            "<: snapshot: 0000000002 :>\n"
+            "[ snapshot: 0000000003 ]"
+        )
+        assert snapshot_keys(text) == ["0000000001", "0000000002", "0000000003"]
 
     def test_looks_like_key(self):
         assert looks_like_key("0123456789")
@@ -157,7 +166,7 @@ def test_render_parse_roundtrip_property(text, head_lines):
     store = SnapshotStore()
     key = store.put(text)
     rendered = render_head(text, key, head_lines=head_lines)
-    assert parse_snapshot_key(rendered) == key
+    assert snapshot_keys(rendered)[-1] == key
     assert store.get(key) == text
 
 

@@ -3,7 +3,7 @@ import pytest
 from cloudrca import tools
 from cloudrca.errors import ConfigurationError
 
-from cloudrca.snapshots import EMPTY_OBSERVATION, SnapshotStore, parse_snapshot_key
+from cloudrca.snapshots import EMPTY_OBSERVATION, SnapshotStore, snapshot_keys
 from cloudrca.tools import (
     DEFAULT_TRIVIAL_INPUT_FLOOR,
     KIND_EXPERT,
@@ -117,7 +117,7 @@ class TestDispatch:
         result = dispatch(
             build_registry(), ToolCall("fetch", {"job_id": "j1"}), ctx
         )
-        key = parse_snapshot_key(result.observation)
+        key = snapshot_keys(result.observation)[-1]
         assert key is not None
         assert ctx.get(key) == "blob for j1\nline 2\nline 3"
         assert result.observation.startswith("blob for j1")
@@ -179,7 +179,7 @@ class TestDispatch:
         )
         ctx = context()
         result = dispatch(registry, ToolCall("noisy", {}), ctx)
-        stored = ctx.get(parse_snapshot_key(result.observation))
+        stored = ctx.get(snapshot_keys(result.observation)[-1])
         assert "checkpoint 41" in stored
         assert "checkpoint 42" not in stored  # near-duplicate removed
         assert "ERROR the interesting line" in stored
@@ -187,7 +187,7 @@ class TestDispatch:
     def test_expert_receives_resolved_snapshot(self):
         ctx = context()
         fetched = dispatch(build_registry(), ToolCall("fetch", {"job_id": "j"}), ctx)
-        key = parse_snapshot_key(fetched.observation)
+        key = snapshot_keys(fetched.observation)[-1]
         result = dispatch(build_registry(), ToolCall("expert", {"snapshot": key}), ctx)
         full = ctx.get(key)
         assert f"analysis of {len(full)} chars" in result.observation
