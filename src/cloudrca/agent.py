@@ -73,15 +73,17 @@ def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange
 
 
 def _action_start(text: str) -> int:
-    """Index of the first balanced span that parses, directly or after
+    """Index of the first balanced span that parses, as it is or else after
     escape fixing, to an object with a string ``function`` key; otherwise the
     first brace, or -1 when there is none.  Braces in the thought are skipped."""
     for start, span in balanced_spans(text):
-        for candidate in (span, fix_escapes(span)):
-            value = try_parse(candidate)
-            if value is not None and isinstance(value.get("function"), str):
-                return start
+        if _is_action(try_parse(span)) or _is_action(try_parse(fix_escapes(span))):
+            return start
     return text.find("{")
+
+
+def _is_action(value: Optional[dict]) -> bool:
+    return value is not None and isinstance(value.get("function"), str)
 
 
 def _split_thought(text: str) -> tuple[str, Optional[str]]:

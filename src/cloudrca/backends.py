@@ -9,7 +9,6 @@ only needs a backend handle.
 
 from __future__ import annotations
 
-import email.utils
 import functools
 import hashlib
 import math
@@ -17,12 +16,14 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from datetime import timezone
-from typing import Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import ConfigurationError, ProtocolError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_SAMPLED_TEMPERATURE = 0.9
 DEFAULT_NUCLEUS_P = 0.6
@@ -84,19 +85,14 @@ class ChatExchange:
             expected = "assistant" if expected == "user" else "user"
 
 
-def _cosine_rows(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> float:
-    """Cosine similarity of two same-shape rows given their norms; 0.0 when
-    either row is zero."""
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two embedding rows."""
+    """Cosine similarity of two embedding rows; 0.0 when either row is zero."""
     if a.shape != b.shape:
         raise ProtocolError("embedding dimension mismatch")
-    return _cosine_rows(a, np.linalg.norm(a), b, np.linalg.norm(b))
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 class Backend(Protocol):
@@ -201,6 +197,8 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
         if len(digits) > len(str(MAX_RETRY_AFTER_S)):
             return MAX_RETRY_AFTER_S
         return min(int(digits), MAX_RETRY_AFTER_S)
+    import email.utils
+
     try:
         date = email.utils.parsedate_to_datetime(value)
     except ValueError:
@@ -231,7 +229,11 @@ class HttpBackend:
         self.api_key = api_key
         self.max_retries = max_retries
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.retry_wait = retry_wait
 
     def _headers(self) -> dict:
@@ -241,6 +243,8 @@ class HttpBackend:
         return headers
 
     def _post(self, path: str, payload: dict) -> dict:
+        import requests
+
         last_error = None
         for attempt in range(1, self.max_retries + 1):
             wait = None

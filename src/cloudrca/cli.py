@@ -157,6 +157,13 @@ def _settings_from(config_path, **flags) -> RunSettings:
             setattr(settings, flag, value)
     if aggregate is not None:
         settings.aggregate = AGGREGATES[aggregate]
+    _check_settings(settings)
+    return settings
+
+
+def _check_settings(settings: RunSettings) -> None:
+    """Raise a usage error naming the first setting of a wrong type or out of
+    range, before any job runs."""
     # each setting has the type of its default (an int is not a bool here)
     for name, default in RunSettings().to_dict().items():
         if type(getattr(settings, name)) is not type(default):
@@ -169,7 +176,6 @@ def _settings_from(config_path, **flags) -> RunSettings:
     for name, allowed in (("mode", MODES), ("aggregate", AGGREGATES.values())):
         if getattr(settings, name) not in allowed:
             raise click.UsageError(f"{name} must be one of {', '.join(allowed)}")
-    return settings
 
 
 @main.command("gen-scenarios")
@@ -263,6 +269,7 @@ def cmd_replay(trajectory_file):
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     settings = RunSettings.from_dict(manifest["settings"])
+    _check_settings(settings)
     sandbox = Sandbox(settings.scenarios)
     with open(trajectory_file, "r", encoding="utf-8") as fh:
         recorded_text = fh.read()

@@ -13,12 +13,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import prompts
-from .backends import Backend, _cosine_rows, ask, cosine
+from .backends import Backend, ask, cosine
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -51,6 +51,10 @@ def split_log(log: str) -> list[str]:
     return [line for line in log.splitlines() if line.strip()]
 
 
+# build_graph scores window pairs in blocks of about this many pairs
+_PAIR_BLOCK = 8192
+
+
 def build_graph(
     lines: Sequence[str],
     embeddings: np.ndarray,
@@ -58,29 +62,64 @@ def build_graph(
     tau: float = DEFAULT_TAU,
 ) -> SimilarityGraph:
     """Edges between line pairs within the window; weight is cosine similarity
-    decayed by exp(-distance/tau).  Non-positive weights are dropped."""
+    decayed by exp(-distance/tau).  Non-positive weights are dropped.
+
+    Pairs are scored in i-major blocks, each with one batched product, which
+    gives np.dot's bits for every pair; a row's norm is the square root of its
+    own product, as np.linalg.norm computes it, and a pair with a zero row has
+    similarity 0.  Division, the decay (math.exp, once per distance) and the
+    tests are the same IEEE operations the per-pair cosine makes, so the edges
+    come out in the same order with the same weights."""
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
-    rows = list(embeddings)
-    # one norm per row: a norm along axis 1 can differ in the last bit
-    norms = [np.linalg.norm(row) for row in rows]
-    edges = []
-    for i in range(n):
-        row, norm = rows[i], norms[i]
-        for j in range(i + 1, min(i + window + 1, n)):
-            sim = _cosine_rows(row, norm, rows[j], norms[j])
-            if sim <= 0:
-                continue
-            weight = sim * math.exp(-(j - i) / tau)
-            if weight > 0:
-                edges.append((i, j, weight))
+    reach = min(window, n - 1)
+    if reach < 1:
+        return SimilarityGraph(n, [])
+    x = np.asarray(embeddings)
+    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    decay = np.array([0.0] + [math.exp(-d / tau) for d in range(1, reach + 1)])
+    # every tuple holds the one int object of each of its vertices
+    vertex = list(range(n)).__getitem__
+    edges: list[tuple[int, int, float]] = []
+    rows_per_block = max(1, _PAIR_BLOCK // reach)
+    for top in range(0, n - 1, rows_per_block):
+        # pairs (i, i + 1) ... (i, i + reach) of each row i, cut at the end
+        rows = np.arange(top, min(top + rows_per_block, n - 1))
+        first = np.repeat(rows, reach)
+        second = (rows[:, None] + np.arange(1, reach + 1)).ravel()
+        inside = second < n
+        first, second = first[inside], second[inside]
+        dots = np.matmul(x[first][:, None, :], x[second][:, :, None])[:, 0, 0]
+        lo, hi = norms[first], norms[second]
+        sim = np.divide(
+            dots, lo * hi, out=np.zeros_like(dots), where=(lo != 0) & (hi != 0)
+        )
+        weight = sim * decay[second - first]
+        keep = (sim > 0) & (weight > 0)
+        edges.extend(
+            zip(
+                map(vertex, first[keep].tolist()),
+                map(vertex, second[keep].tolist()),
+                weight[keep].tolist(),
+            )
+        )
     return SimilarityGraph(n, edges)
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Sum of floats strictly left to right.  The builtin sum of floats is
+    compensated from CPython 3.12 on, which can move the last bit of a
+    modularity and with it a tie between two labellings."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
     """Weighted undirected Newman modularity of a labelling."""
-    two_m = 2.0 * sum(w for _, _, w in graph.edges)
+    two_m = 2.0 * _left_sum(w for _, _, w in graph.edges)
     if two_m == 0:
         return 0.0
     degree = [0.0] * graph.n
@@ -93,7 +132,7 @@ def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
     community_degree: dict[int, float] = {}
     for v in range(graph.n):
         community_degree[labels[v]] = community_degree.get(labels[v], 0.0) + degree[v]
-    return internal * 2.0 / two_m - sum(
+    return internal * 2.0 / two_m - _left_sum(
         d * d for d in community_degree.values()
     ) / (two_m * two_m)
 
@@ -103,10 +142,10 @@ def _louvain_level(
 ) -> tuple[list[int], bool]:
     """One level of local moving.  Nodes are visited in natural order; ties in
     modularity gain resolve to the lowest community id."""
-    two_m = sum(sum(nb.values()) for nb in adj)
+    degree = [_left_sum(nb.values()) for nb in adj]
+    two_m = _left_sum(degree)
     if two_m == 0:
         return list(range(n)), False
-    degree = [sum(nb.values()) for nb in adj]
     community = list(range(n))
     community_degree = degree[:]
     moved_any = False
@@ -204,7 +243,7 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     n = graph.n
     best_labels = list(range(n))
     best_q = modularity(graph, best_labels)
-    two_m = 2.0 * sum(w for _, _, w in graph.edges)
+    two_m = 2.0 * _left_sum(w for _, _, w in graph.edges)
     if two_m == 0:
         return best_labels
     weight = np.zeros((n, n))

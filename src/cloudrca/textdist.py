@@ -21,7 +21,9 @@ def levenshtein(a: str, b: str) -> int:
     fixed number of word operations on len(longer) bits.  A prefix and a
     suffix the two strings share never change the distance, so they are
     dropped first; the suffix is taken from what the prefix leaves, so the
-    two never overlap.
+    two never overlap.  The distance is at least the length difference, and
+    it is exactly that when the shorter string occurs in the longer one
+    (delete the rest): an empty string, or a quote copied from a log chunk.
     """
     if a == b:
         return 0
@@ -31,8 +33,8 @@ def levenshtein(a: str, b: str) -> int:
     a, b = a[: len(a) - end], b[: len(b) - end]
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
+    if b in a:
+        return len(a) - len(b)
     match: dict[str, int] = {}
     get = match.get
     bit = 1
@@ -82,14 +84,22 @@ def normalized_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def _histogram(text: str) -> np.ndarray:
-    """Count of the code points of text in each ord(ch) % _BUCKETS bucket.
+def _histograms(texts: list[str]) -> np.ndarray:
+    """One (len(texts), _BUCKETS + 1) int64 row per text: the count of its
+    code points in each ord(ch) % _BUCKETS bucket, then its length.
 
-    surrogatepass lets a lone surrogate, which json.loads can produce,
-    through as its own code point.
+    One bincount over the joined text fills every row.  surrogatepass lets a
+    lone surrogate, which json.loads can produce, through as its own code
+    point.
     """
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    return np.bincount(codes % _BUCKETS, minlength=_BUCKETS)
+    width = _BUCKETS + 1
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    cells = np.repeat(np.arange(len(texts), dtype=np.int64) * width, lengths)
+    cells += codes % _BUCKETS
+    rows = np.bincount(cells, minlength=len(texts) * width).reshape(len(texts), width)
+    rows[:, _BUCKETS] = lengths
+    return rows
 
 
 def deduplicate_entries(entries: list[str], threshold: float = 0.9) -> list[str]:
@@ -105,38 +115,30 @@ def deduplicate_entries(entries: list[str], threshold: float = 0.9) -> list[str]
     and h the bucket histograms and L and la the lengths,
     lower = (sum|H - h| + |L - la|) // 2 is the larger of the two one-sided
     histogram excesses, and one edit lowers either excess by at most one,
-    so the distance is at least lower.  A kept entry is skipped when
-    1 - lower / longest is below the threshold: the integers convert to
-    float64 exactly and float subtraction and division are monotone, so
-    normalized_similarity can return no more.  Where longest is 0 both
-    entries are empty, lower is 0, and dividing by 1 gives their exact
-    similarity 1.0.  The rest are measured in kept order.
+    so the distance is at least lower.  With the length as each histogram
+    row's last column, the numerator is one sum of |row - row|.  A kept
+    entry is skipped when 1 - lower / longest is below the threshold: the
+    integers convert to float64 exactly and float subtraction and division
+    are monotone, so normalized_similarity can return no more.  Where
+    longest is 0 both entries are empty, lower is 0, and dividing by 1 gives
+    their exact similarity 1.0.  The rest are measured in kept order.
     """
-    drop_repeats = threshold <= 1.0
-    seen: set[str] = set()
+    if threshold <= 1.0:
+        entries = list(dict.fromkeys(entries))
+    rows = _histograms(entries)
     kept: list[str] = []
-    hists = np.empty((16, _BUCKETS), dtype=np.int64)
-    lengths = np.empty(16, dtype=np.int64)
-    for entry in entries:
-        if drop_repeats:
-            if entry in seen:
-                continue
-            seen.add(entry)
+    for k, entry in enumerate(entries):
+        # rows[:n] are the kept lines' rows: each is moved to the front when
+        # its line is kept, over a row already tested
         n = len(kept)
-        hist = _histogram(entry)
-        la = len(entry)
-        lower = (np.abs(hists[:n] - hist).sum(axis=1) + np.abs(lengths[:n] - la)) // 2
-        longest = np.maximum(lengths[:n], max(la, 1))
+        lower = np.abs(rows[:n] - rows[k]).sum(axis=1) // 2
+        longest = np.maximum(rows[:n, _BUCKETS], max(len(entry), 1))
         bound = 1.0 - lower / longest
         if any(
             normalized_similarity(entry, kept[i]) >= threshold
             for i in np.flatnonzero(~(bound < threshold))
         ):
             continue
-        if n == len(lengths):
-            hists = np.concatenate([hists, np.empty_like(hists)])
-            lengths = np.concatenate([lengths, np.empty_like(lengths)])
-        hists[n] = hist
-        lengths[n] = la
+        rows[n] = rows[k]
         kept.append(entry)
     return kept

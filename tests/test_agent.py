@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cloudrca import agent as agent_module
 from cloudrca.agent import (
     AgentConfig,
     assemble_prompt,
@@ -208,6 +209,27 @@ class TestRunStep:
         assert step.thought == "Heap { looks odd."
         assert step.action.function == "fetch"
         assert len(backend.calls) == 1
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["well-formed", "corrupted"])
+    def test_escape_fixing_only_where_a_span_fails_as_is(self, monkeypatch, corrupt):
+        calls = []
+        original = agent_module.fix_escapes
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(agent_module, "fix_escapes", counting)
+        config, registry = make_config()
+        if corrupt:
+            action = '{"function": "fetch", "kwargs": {"job_id": "j1",},}'
+        else:
+            action = wire("fetch", job_id="j1")
+        backend = MockBackend([f"I suspect {{heap}} pressure.\nFunction: {action}"])
+        step = run_step(config, Trajectory(), backend, registry, SnapshotStore())
+        assert step.action.function == "fetch"
+        # "{heap}" fails as is; a well-formed action is never escape-fixed
+        assert calls == ["{heap}"] + ([action] if corrupt else [])
 
     def test_unknown_tool_marks_structurally_invalid(self):
         config, registry = make_config()

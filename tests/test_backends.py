@@ -3,6 +3,8 @@ import hashlib
 import http.server
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -342,6 +344,21 @@ class _FakeSession:
 
 
 CHAT_OK = {"choices": [{"message": {"content": "after the wait"}}]}
+
+
+def test_import_leaves_the_http_client_unloaded():
+    # only an HTTP run needs requests and email.utils, and requests is about
+    # a third of the time `import cloudrca` takes
+    src = os.path.dirname(os.path.dirname(backends_module.__file__))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cloudrca; "
+        "print(sorted({'requests', 'email.utils'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_request_bodies_on_the_wire():

@@ -391,3 +391,17 @@ class TestReplay:
         result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
         assert result.exit_code == 1
         assert "divergence in result.json" in result.output
+
+    def test_bad_setting_in_result_json_is_a_usage_error(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        manifest_path = os.path.join(os.path.dirname(path), "result.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["settings"]["malformed_pct"] = "10"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 2, result.output
+        assert "malformed_pct must be of type int" in result.output

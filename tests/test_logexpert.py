@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import logexpert
-from cloudrca.backends import MockBackend, cosine
+from cloudrca.backends import MockBackend, cosine, hash_embed
 from cloudrca.errors import ProtocolError
 from cloudrca.logexpert import (
+    DEFAULT_WINDOW,
     ChunkAssignment,
     LogChunk,
     NO_EVIDENCE_SENTINEL,
@@ -33,6 +34,7 @@ from cloudrca.logexpert import ChunkAnalysis
 from cloudrca.textdist import levenshtein
 
 from test_backends import embeddings_backend
+from test_textdist import _two_template_lines
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,47 @@ class TestBuildGraph:
             # tuple equality compares each float weight bit for bit
             assert got.edges == expected.edges
 
+    def test_batched_product_is_dot_and_its_root_is_norm_bit_for_bit(self):
+        # build_graph rests on this: NumPy's stacked vector product runs the
+        # inner loop np.dot runs, which no documentation promises
+        lines = _two_template_lines(random.Random(12), 150) + [
+            "ERROR executor 7 lost heartbeat", "INFO task 3 checkpoint ok", "😀 x"
+        ]
+        x = hash_embed(lines)
+        first, second = np.triu_indices(len(lines), k=1)
+        batched = np.matmul(x[first][:, None, :], x[second][:, :, None])[:, 0, 0]
+        looped = np.array([np.dot(x[i], x[j]) for i, j in zip(first, second)])
+        assert np.array_equal(batched.view(np.int64), looped.view(np.int64))
+        roots = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+        norms = np.array([np.linalg.norm(row) for row in x])
+        assert np.array_equal(roots.view(np.int64), norms.view(np.int64))
+
+    def test_edges_equal_the_per_edge_loop_across_pair_blocks(self, monkeypatch):
+        lines = _two_template_lines(random.Random(31), 300)
+        embeddings = hash_embed(lines)
+        for k in (0, 41, 42, 150, 299):
+            embeddings[k] = 0.0
+        # 300 lines at the default window make about 40,000 pairs: several
+        # blocks, with zero rows at a block's edge and inside one
+        got = build_graph(lines, embeddings)
+        assert got.edges == per_edge_build_graph(lines, embeddings, DEFAULT_WINDOW).edges
+        # a block that fits neither a whole number of rows nor a row's pairs
+        monkeypatch.setattr(logexpert, "_PAIR_BLOCK", 7)
+        for window in (1, 3, 10):
+            got = build_graph(lines, embeddings, window=window)
+            assert got.edges == per_edge_build_graph(lines, embeddings, window).edges
+
+    def test_edges_share_one_int_per_vertex(self):
+        # a million edges on a 10,000-line log hold two ints each; sharing
+        # one object per vertex keeps that memory at n ints
+        lines = _two_template_lines(random.Random(5), 600)
+        graph = build_graph(lines, hash_embed(lines))
+        assert graph.edges
+        first_seen: dict[int, int] = {}
+        for i, j, _ in graph.edges:
+            assert first_seen.setdefault(i, id(i)) == id(i)
+            assert first_seen.setdefault(j, id(j)) == id(j)
+
     @pytest.mark.parametrize("odd", [0, 3, 5])
     def test_mismatched_dimensions_raise_protocol_error(self, odd):
         # an (n, d) array cannot be ragged: the endpoint's vectors are
@@ -232,6 +275,14 @@ class TestBuildGraph:
         log = "\n".join(f"line {i}" for i in range(6))
         with pytest.raises(ProtocolError):
             partition(log, embeddings_backend(rows), window=2)
+
+
+def test_partition_sums_run_left_to_right():
+    # a compensated sum, which the builtin sum of floats is from CPython 3.12
+    # on, gives 1.0 here
+    assert logexpert._left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert logexpert._left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert logexpert._left_sum([]) == 0.0
 
 
 # ---------------------------------------------------------------------------

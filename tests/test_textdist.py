@@ -154,6 +154,20 @@ def test_shared_prefix_and_suffix_match_oracle(prefix, x, y, suffix):
     assert levenshtein(b, a) == levenshtein_oracle(a, b)
 
 
+# Two strings where one holds the other, before or after a few edits, so the
+# substring return and the bit-parallel loop are both reached.
+_small_text = st.text(alphabet=st.sampled_from("ab c😀"), max_size=15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_text, _small_text, _small_text, _small_text)
+def test_contained_strings_match_oracle(inner, left, right, edit):
+    outer = left + inner + right
+    for b in (inner, inner + edit, edit + inner, inner[: len(inner) // 2] + edit):
+        assert levenshtein(outer, b) == levenshtein_oracle(outer, b)
+        assert levenshtein(b, outer) == levenshtein_oracle(outer, b)
+
+
 @pytest.mark.parametrize(
     "a, b", [("abab", "ab"), ("aaa", "aa"), ("abcab", "ab"), ("xay", "xy")]
 )
