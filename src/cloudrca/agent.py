@@ -4,11 +4,17 @@ thought-action-observation loop, the step budget, and trajectory recording.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import prompts
-from .backends import Backend, ChatExchange, GenerationParams, generate_adaptive
+from .backends import (
+    GREEDY_PARAMS,
+    Backend,
+    ChatExchange,
+    GenerationParams,
+    generate_adaptive,
+)
 from .errors import CloudRcaError
 from .snapshots import SnapshotStore
 from .structured import (
@@ -34,9 +40,7 @@ DEFAULT_MAX_STEPS = 15
 @dataclass
 class AgentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
-    params: GenerationParams = field(
-        default_factory=lambda: GenerationParams(mode="greedy")
-    )
+    params: GenerationParams = GREEDY_PARAMS
     # rendered from the registry by run_trajectory when left empty
     tool_docs: str = ""
     task_statement: str = "Diagnose the anomalous job."
@@ -107,12 +111,11 @@ def run_step(
     backend: Backend,
     registry: ToolRegistry,
     store: SnapshotStore,
-    params: Optional[GenerationParams] = None,
 ) -> Step:
     """One decision cycle.  Appends the produced step to the trajectory and
     fills trajectory.result when the step finalizes."""
     exchange = assemble_prompt(config, trajectory)
-    generation = generate_adaptive(backend, exchange, params or config.params)
+    generation = generate_adaptive(backend, exchange, config.params)
     thought, action_text = _split_thought(generation.text)
     function = None
     if action_text is not None:
@@ -156,10 +159,8 @@ def run_trajectory(
     backend: Backend,
     store: Optional[SnapshotStore] = None,
     initial: Optional[Trajectory] = None,
-    params: Optional[GenerationParams] = None,
-    max_steps: Optional[int] = None,
 ) -> Trajectory:
-    """Loop run_step until finalize or the step budget is exhausted.
+    """Loop run_step until finalize or ``config.max_steps`` steps are taken.
 
     ``initial`` seeds the trajectory with already-completed steps (the shared
     greedy prefix of a consistency branch); ``store`` carries the matching
@@ -169,10 +170,9 @@ def run_trajectory(
         config = replace(config, tool_docs=render_documentation(registry))
     trajectory = initial if initial is not None else Trajectory()
     store = store if store is not None else SnapshotStore()
-    budget = max_steps if max_steps is not None else config.max_steps
     try:
-        while trajectory.result is None and len(trajectory.steps) < budget:
-            run_step(config, trajectory, backend, registry, store, params=params)
+        while trajectory.result is None and len(trajectory.steps) < config.max_steps:
+            run_step(config, trajectory, backend, registry, store)
     except CloudRcaError as exc:
         trajectory.diagnostic = f"backend failure: {exc}"
         trajectory.passed = False

@@ -31,6 +31,10 @@ DEFAULT_RESTART_THRESHOLD = 4096
 DEFAULT_MAX_ESCALATIONS = 2
 PENALTY_STEP = 0.5
 MAX_TOKENS = 2048
+MAX_ATTEMPTS = 3
+REQUEST_TIMEOUT_S = 120.0
+# without a Retry-After header, attempt n + 1 waits RETRY_WAIT_S * n seconds
+RETRY_WAIT_S = 0.5
 # longest wait a server's Retry-After header can ask of one retry
 MAX_RETRY_AFTER_S = 60
 HASH_EMBED_DIM = 64
@@ -64,7 +68,8 @@ class GenerationParams:
         )
 
 
-# Deterministic decoding for the expert, repair and aggregation calls.
+# Deterministic decoding: the controller's default, and every expert, repair
+# and aggregation call.
 GREEDY_PARAMS = GenerationParams(mode="greedy")
 
 
@@ -219,22 +224,16 @@ class HttpBackend:
         endpoint: str,
         model: str,
         api_key: str = "",
-        max_retries: int = 3,
-        timeout: float = 120.0,
         session: Optional[requests.Session] = None,
-        retry_wait: float = 0.5,
     ):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.max_retries = max_retries
-        self.timeout = timeout
         if session is None:
             import requests
 
             session = requests.Session()
         self.session = session
-        self.retry_wait = retry_wait
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -246,14 +245,14 @@ class HttpBackend:
         import requests
 
         last_error = None
-        for attempt in range(1, self.max_retries + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             wait = None
             try:
                 resp = self.session.post(
                     f"{self.endpoint}{path}",
                     json=payload,
                     headers=self._headers(),
-                    timeout=self.timeout,
+                    timeout=REQUEST_TIMEOUT_S,
                 )
                 if resp.status_code >= 500 or resp.status_code == 429:
                     last_error = f"HTTP {resp.status_code}"
@@ -266,11 +265,11 @@ class HttpBackend:
                     return resp.json()
             except requests.RequestException as exc:
                 last_error = str(exc)
-            if attempt < self.max_retries:
-                time.sleep(self.retry_wait * attempt if wait is None else wait)
+            if attempt < MAX_ATTEMPTS:
+                time.sleep(RETRY_WAIT_S * attempt if wait is None else wait)
         raise TransportError(
-            f"request to {path} failed after {self.max_retries} attempts: {last_error}",
-            attempts=self.max_retries,
+            f"request to {path} failed after {MAX_ATTEMPTS} attempts: {last_error}",
+            attempts=MAX_ATTEMPTS,
         )
 
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:

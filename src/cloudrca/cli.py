@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import click
 import yaml
 
-from .agent import AgentConfig
+from .agent import DEFAULT_MAX_STEPS, AgentConfig
 from .backends import HASH_EMBED_MODEL, Backend, HttpBackend, MockBackend
+from .consistency import DEFAULT_K, METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE, MODES
 from .consistency import ConsistencyReport, run_with_consistency
 from .errors import ConfigurationError
 from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
@@ -22,10 +23,8 @@ from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
 from .trajectory import AnalysisResult, Trajectory
 
-
-MODES = ("greedy", "sc", "tsc", "sample-full")
 # --aggregate flag -> the method name result.json records and replay reads back
-AGGREGATES = {"vote": "embedding_vote", "llm": "llm_aggregate"}
+AGGREGATES = {"vote": METHOD_EMBEDDING_VOTE, "llm": METHOD_LLM_AGGREGATE}
 
 
 @dataclass
@@ -34,9 +33,9 @@ class RunSettings:
     endpoint: str = ""
     model: str = "default"
     mode: str = "greedy"
-    k: int = 10
-    aggregate: str = "embedding_vote"
-    max_steps: int = 15
+    k: int = DEFAULT_K
+    aggregate: str = METHOD_EMBEDDING_VOTE
+    max_steps: int = DEFAULT_MAX_STEPS
     seed: int = 0
     json_regen: bool = True
     malformed_pct: int = 0
@@ -51,11 +50,19 @@ class RunSettings:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        if path.endswith(".json"):
-            return json.load(fh)
-        return yaml.safe_load(fh) or {}
+def _read_mapping(path: str) -> dict:
+    """The mapping a JSON file (by its .json suffix) or a YAML file holds; a
+    usage error when the file cannot be read or parsed or holds no mapping."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh) if path.endswith(".json") else yaml.safe_load(fh)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise click.UsageError(f"cannot read {path}: {exc}")
+    # an empty YAML file loads as None: no settings
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise click.UsageError(f"{path} does not hold a mapping")
+    return data
 
 
 def _make_backend(settings: RunSettings) -> Backend:
@@ -137,19 +144,18 @@ def _common_options(fn):
         click.option("--json-regen/--no-json-regen", default=None),
         click.option("--malformed-pct", type=int, default=None,
                      help="mock only: percent of actions emitted corrupted"),
-        click.option("--config", "config_path", default=None, help="YAML/JSON config file"),
+        click.option("--config", default=None, help="YAML/JSON config file",
+                     callback=lambda _ctx, _param, path: _read_mapping(path) if path else {}),
     ]
     for option in reversed(options):
         fn = option(fn)
     return fn
 
 
-def _settings_from(config_path, **flags) -> RunSettings:
-    """Config file, then flags over it; a bad setting is a usage error before
-    any job runs."""
-    data = _load_config_file(config_path) if config_path else {}
-    if not isinstance(data, dict):
-        raise click.UsageError(f"config file {config_path} does not hold a mapping")
+def _settings_from(data: dict, **flags) -> RunSettings:
+    """Settings from a mapping (a config file's, or result.json's
+    ``settings``), then flags over it.  The first setting of a wrong type or
+    out of range is a usage error naming it, raised before any job runs."""
     settings = RunSettings.from_dict(data)
     aggregate = flags.pop("aggregate", None)
     for flag, value in flags.items():
@@ -157,13 +163,6 @@ def _settings_from(config_path, **flags) -> RunSettings:
             setattr(settings, flag, value)
     if aggregate is not None:
         settings.aggregate = AGGREGATES[aggregate]
-    _check_settings(settings)
-    return settings
-
-
-def _check_settings(settings: RunSettings) -> None:
-    """Raise a usage error naming the first setting of a wrong type or out of
-    range, before any job runs."""
     # each setting has the type of its default (an int is not a bool here)
     for name, default in RunSettings().to_dict().items():
         if type(getattr(settings, name)) is not type(default):
@@ -176,6 +175,7 @@ def _check_settings(settings: RunSettings) -> None:
     for name, allowed in (("mode", MODES), ("aggregate", AGGREGATES.values())):
         if getattr(settings, name) not in allowed:
             raise click.UsageError(f"{name} must be one of {', '.join(allowed)}")
+    return settings
 
 
 @main.command("gen-scenarios")
@@ -193,9 +193,9 @@ def cmd_gen_scenarios(seed, count, out_dir):
 @click.option("--scenarios", required=True, help="scenario bundle directory")
 @click.option("--out-dir", required=True)
 @_common_options
-def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
+def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     """Run one job end-to-end; exit 0 iff the trajectory passed."""
-    settings = _settings_from(config_path, **flags)
+    settings = _settings_from(config, **flags)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = Sandbox(settings.scenarios)
     if job_id not in sandbox.job_ids:
@@ -217,9 +217,9 @@ def cmd_diagnose(job_id, scenarios, out_dir, config_path, **flags):
 @click.option("--pass-floor", type=float, default=0.0,
               help="minimum acceptable pass rate in percent (0-100)")
 @_common_options
-def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
+def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     """Diagnose every job in a bundle, then write an evaluation report."""
-    settings = _settings_from(config_path, **flags)
+    settings = _settings_from(config, **flags)
     # a bad backend setting fails the command before any job runs, instead
     # of becoming one failed row per job
     _make_backend(settings)
@@ -260,16 +260,19 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config_path, **flags):
 
 
 @main.command("replay")
-@click.argument("trajectory_file")
+@click.argument("trajectory_file", type=click.Path(exists=True, dir_okay=False))
 def cmd_replay(trajectory_file):
     """Re-run a persisted trajectory deterministically and verify that it and
     result.json match.  Exits nonzero on the first divergence (regression
     guard)."""
     manifest_path = os.path.join(os.path.dirname(trajectory_file), "result.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    settings = RunSettings.from_dict(manifest["settings"])
-    _check_settings(settings)
+    manifest = _read_mapping(manifest_path)
+    for name in ("job_id", "settings", "result", "candidates"):
+        if name not in manifest:
+            raise click.UsageError(f"{manifest_path} has no {name!r} entry")
+    if not isinstance(manifest["settings"], dict):
+        raise click.UsageError(f"settings in {manifest_path} is not a mapping")
+    settings = _settings_from(manifest["settings"])
     sandbox = Sandbox(settings.scenarios)
     with open(trajectory_file, "r", encoding="utf-8") as fh:
         recorded_text = fh.read()

@@ -20,7 +20,7 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import Backend, GenerationParams, ask
+from .backends import Backend, ask
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
@@ -30,6 +30,7 @@ DEFAULT_K = 10
 
 METHOD_EMBEDDING_VOTE = "embedding_vote"
 METHOD_LLM_AGGREGATE = "llm_aggregate"
+MODES = ("greedy", "sc", "tsc", "sample-full")
 
 RegistryFactory = Callable[[Backend], ToolRegistry]
 BackendFactory = Callable[[int], Backend]
@@ -48,10 +49,6 @@ class AggregationOutcome:
     candidate_count: int
     chosen_index: Optional[int] = None
     field_choices: dict = field(default_factory=dict)
-
-
-def sampled_params(base: GenerationParams) -> GenerationParams:
-    return replace(base, mode="sampled")
 
 
 def vote_with_embedding(field_texts: list[str], backend: Backend) -> int:
@@ -179,14 +176,17 @@ def _run_branches(
     store: Optional[SnapshotStore] = None,
 ) -> list[Candidate]:
     """Run k sampled trajectories, each on its own backend, registry and
-    snapshot-store branch.  With ``greedy`` every branch starts from a copy
+    snapshot-store branch, under ``config`` with sampled decoding and a
+    budget of ``max_steps``.  With ``greedy`` every branch starts from a copy
     of its steps before finalization.  A branch that fails or never
     finalizes within ``max_steps`` yields no candidate.
 
     Branches run concurrently, at most ``DEFAULT_K`` at a time, so a backend
     shared by the branches must accept concurrent calls.  Their inputs are
     built here in index order and candidates keep that order."""
-    params = sampled_params(config.params)
+    config = replace(
+        config, params=replace(config.params, mode="sampled"), max_steps=max_steps
+    )
     branches = []
     for i in range(k):
         branch_backend = backend_factory(i) if backend_factory else backend
@@ -202,8 +202,6 @@ def _run_branches(
                 branch_backend,
                 store=store.branch() if store is not None else None,
                 initial=initial,
-                params=params,
-                max_steps=max_steps,
             )
         )
     # at least one worker: sample-full does not reject k < 1, which runs no
@@ -218,31 +216,26 @@ def _branch_from_greedy(
     registry_factory: RegistryFactory,
     backend: Backend,
     k: int,
-    store: Optional[SnapshotStore],
-    greedy: Optional[Trajectory],
+    store: SnapshotStore,
+    greedy: Trajectory,
     backend_factory: Optional[BackendFactory],
-    bound: Optional[int],
-) -> tuple[list[Candidate], Trajectory]:
+    bound: int,
+) -> list[Candidate]:
     """The body of sc_stepwise and tsc: k branches from the step before the
-    greedy finalization, each run to at most ``bound`` steps (None: the
-    length of the greedy trajectory)."""
+    finalization of ``greedy``, whose snapshot state is ``store``, each run
+    to at most ``bound`` steps."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if greedy is None or store is None:
-        greedy, store = run_greedy(config, registry_factory, backend)
     if not greedy.passed:
         raise ConfigurationError(
             "greedy trajectory did not pass; self-consistency unavailable"
         )
-    if bound is None:
-        bound = len(greedy.steps)
-    elif bound < len(greedy.steps):
+    if bound < len(greedy.steps):
         raise ValueError("global_step_bound must cover the greedy trajectory")
-    candidates = _run_branches(
+    return _run_branches(
         config, registry_factory, backend, k, backend_factory,
         max_steps=bound, greedy=greedy, store=store,
     )
-    return candidates, greedy
 
 
 def sc_stepwise(
@@ -250,19 +243,19 @@ def sc_stepwise(
     registry_factory: RegistryFactory,
     backend: Backend,
     k: int,
-    store: Optional[SnapshotStore] = None,
-    greedy: Optional[Trajectory] = None,
-    sample_backend_factory: Optional[BackendFactory] = None,
+    *,
+    store: SnapshotStore,
+    greedy: Trajectory,
+    branch_backend_factory: Optional[BackendFactory] = None,
 ) -> list[Candidate]:
     """Re-sample only the finalization generation of the greedy trajectory.
 
     Samples whose parsed action is not finalize are dropped; no additional
     action steps are permitted."""
-    candidates, _ = _branch_from_greedy(
+    return _branch_from_greedy(
         config, registry_factory, backend, k, store, greedy,
-        sample_backend_factory, None,
+        branch_backend_factory, len(greedy.steps),
     )
-    return candidates
 
 
 def tsc(
@@ -270,21 +263,23 @@ def tsc(
     registry_factory: RegistryFactory,
     backend: Backend,
     k: int,
+    *,
+    store: SnapshotStore,
+    greedy: Trajectory,
     global_step_bound: Optional[int] = None,
-    store: Optional[SnapshotStore] = None,
-    greedy: Optional[Trajectory] = None,
     branch_backend_factory: Optional[BackendFactory] = None,
 ) -> tuple[list[Candidate], Trajectory]:
     """Trajectory-level self-consistency: branch sampled continuations from
     the step preceding the greedy finalization.  Each branch reuses the
     greedy prefix and may take zero or more extra full steps until it
     finalizes or hits the global step bound; branches that never finalize
-    yield no candidate."""
+    yield no candidate.  Returns the candidates and ``greedy``."""
     bound = global_step_bound if global_step_bound is not None else config.max_steps
-    return _branch_from_greedy(
+    candidates = _branch_from_greedy(
         config, registry_factory, backend, k, store, greedy,
         branch_backend_factory, bound,
     )
+    return candidates, greedy
 
 
 @dataclass
@@ -302,12 +297,16 @@ def run_with_consistency(
     mode: str = "greedy",
     aggregation: str = METHOD_EMBEDDING_VOTE,
     k: int = DEFAULT_K,
-    global_step_bound: Optional[int] = None,
     branch_backend_factory: Optional[BackendFactory] = None,
 ) -> ConsistencyReport:
     """End-to-end orchestration: greedy run, optional sampling, per-field
     aggregation.  ``sample-full`` runs full sampled trajectories from step 1
-    and exists only as an evaluation baseline."""
+    and exists only as an evaluation baseline.  An unknown ``mode`` or
+    ``aggregation`` raises ValueError before any model call."""
+    if mode not in MODES:
+        raise ValueError(f"unknown consistency mode: {mode!r}")
+    if aggregation not in (METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE):
+        raise ValueError(f"unknown aggregation method: {aggregation!r}")
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()
@@ -327,20 +326,19 @@ def run_with_consistency(
             k,
             store=store,
             greedy=greedy,
-            sample_backend_factory=branch_backend_factory,
+            branch_backend_factory=branch_backend_factory,
         )
     elif mode == "tsc":
-        candidates, greedy = tsc(
+        candidates, _ = tsc(
             config,
             registry_factory,
             backend,
             k,
-            global_step_bound=global_step_bound,
             store=store,
             greedy=greedy,
             branch_backend_factory=branch_backend_factory,
         )
-    elif mode == "sample-full":
+    else:
         candidates = _run_branches(
             config,
             registry_factory,
@@ -349,8 +347,6 @@ def run_with_consistency(
             branch_backend_factory,
             max_steps=config.max_steps,
         )
-    else:
-        raise ValueError(f"unknown consistency mode: {mode!r}")
     if not candidates:
         # all samples rejected: fall back to the (passing) greedy result
         candidates = [Candidate(greedy.result, greedy)]

@@ -38,11 +38,10 @@ def norm_score(
     score_fn: Callable[[str, str], float],
     prediction: str,
     reference: str,
-    baseline: str = BASELINE_TEXT,
 ) -> float:
-    """Rescale a similarity score so the baseline maps to 0 and a perfect
+    """Rescale a similarity score so BASELINE_TEXT maps to 0 and a perfect
     prediction to 1; worse-than-baseline predictions go negative."""
-    baseline_score = score_fn(baseline, reference)
+    baseline_score = score_fn(BASELINE_TEXT, reference)
     if baseline_score >= 1.0:
         raise NotComputable("baseline scores 1.0 against the reference")
     return (score_fn(prediction, reference) - baseline_score) / (1.0 - baseline_score)

@@ -169,17 +169,14 @@ def try_parse(text: Optional[str]) -> Optional[Any]:
 def json_regen(
     backend: Optional[Backend],
     raw_output: str,
-    retry_limit: int = DEFAULT_RETRY_LIMIT,
     enabled: bool = True,
 ) -> RepairOutcome:
-    """Extract a structured object from model output, repairing as needed.
+    """Extract a structured object from model output, repairing as needed;
+    regeneration makes at most DEFAULT_RETRY_LIMIT round trips.
 
     With ``enabled`` false the local-fix and regeneration stages are skipped
     entirely (strict bracket-match + parse only); this is the ablation switch.
     """
-    if retry_limit < 0:
-        raise ValueError("retry_limit must be >= 0")
-
     direct = try_parse(extract_json(raw_output))
     if direct is not None:
         return RepairOutcome(direct, 0, STAGE_DIRECT)
@@ -194,7 +191,7 @@ def json_regen(
         return RepairOutcome({}, 0, STAGE_FAILED)
 
     current = raw_output
-    for attempts in range(1, retry_limit + 1):
+    for attempts in range(1, DEFAULT_RETRY_LIMIT + 1):
         for instruction in (
             prompts.YAML_EXTRACT_INSTRUCTION,
             prompts.JSON_RESTORE_INSTRUCTION,
@@ -203,4 +200,4 @@ def json_regen(
         value = try_parse(extract_json(fix_escapes(current)))
         if value is not None:
             return RepairOutcome(value, attempts, STAGE_REGENERATED)
-    return RepairOutcome({}, retry_limit, STAGE_FAILED)
+    return RepairOutcome({}, DEFAULT_RETRY_LIMIT, STAGE_FAILED)

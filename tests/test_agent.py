@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -323,7 +324,7 @@ class TestRunTrajectory:
         config = AgentConfig(task_statement="t", params=GenerationParams())
         registry = build_registry()
         backend = MockBackend([f"t.\nFunction: {wire('fetch', job_id='j1')}"])
-        trajectory = run_trajectory(config, registry, backend, max_steps=1)
+        trajectory = run_trajectory(replace(config, max_steps=1), registry, backend)
         prompt = backend.calls[0].exchange.system_prompt
         assert "fetch" in prompt and "finalize" in prompt
 

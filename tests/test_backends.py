@@ -298,18 +298,19 @@ class TestHttpBackend:
         assert payload["top_p"] == pytest.approx(0.6)
 
     def test_retry_on_server_error(self, stub_server):
-        be = HttpBackend(stub_server, "test-model", max_retries=3)
+        be = HttpBackend(stub_server, "test-model")
         _Stub.fail_next = 2
         out = be.complete(exchange(), GenerationParams())
         assert out == "stub reply"
 
-    def test_retries_exhausted(self, stub_server):
-        be = HttpBackend(stub_server, "test-model", max_retries=2)
+    def test_retries_exhausted(self, stub_server, monkeypatch):
+        monkeypatch.setattr(backends_module.time, "sleep", lambda _s: None)
+        be = HttpBackend(stub_server, "test-model")
         _Stub.fail_next = 10
         with pytest.raises(TransportError) as err:
             be.complete(exchange(), GenerationParams())
         _Stub.fail_next = 0
-        assert err.value.attempts == 2
+        assert err.value.attempts == backends_module.MAX_ATTEMPTS
 
     def test_embed(self, stub_server):
         be = HttpBackend(stub_server, "test-model")
@@ -488,9 +489,7 @@ class TestRateLimit:
         sleeps = []
         monkeypatch.setattr(backends_module.time, "sleep", sleeps.append)
         session = _FakeSession(responses)
-        be = HttpBackend(
-            "http://localhost:1", "m", session=session, max_retries=3, retry_wait=0.5
-        )
+        be = HttpBackend("http://localhost:1", "m", session=session)
         return be, session, sleeps
 
     def test_429_waits_for_retry_after_seconds(self, monkeypatch):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from cloudrca import cli
 from cloudrca.backends import MockBackend
-from cloudrca.cli import RunSettings, _settings_from, main
+from cloudrca.cli import RunSettings, _read_mapping, _settings_from, main
 from cloudrca.errors import ConfigurationError, TransportError
 from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
@@ -32,11 +32,16 @@ class TestRunSettings:
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "run.yaml"
         config.write_text(yaml.safe_dump({"mode": "sc", "k": 3, "seed": 9}))
-        settings = _settings_from(str(config), mode="tsc", aggregate="llm")
+        settings = _settings_from(_read_mapping(str(config)), mode="tsc", aggregate="llm")
         assert settings.mode == "tsc"
         assert settings.k == 3
         assert settings.seed == 9
         assert settings.aggregate == "llm_aggregate"
+
+    def test_empty_config_file_holds_no_settings(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("")
+        assert _settings_from(_read_mapping(str(config))) == RunSettings()
 
 
 class TestGenScenarios:
@@ -235,6 +240,7 @@ class TestBadSettings:
             (["--mode", "tsc"], {"k": 0}),
             (["--mode", "tsc"], {"k": "3"}),
             ([], ["mode", "tsc"]),
+            ([], []),
             ([], {"mode": "bogus"}),
             ([], {"mode": "tsc", "aggregate": "bogus"}),
             ([], {"seed": "7"}),
@@ -252,6 +258,7 @@ class TestBadSettings:
             "k-in-config",
             "k-string-in-config",
             "config-list",
+            "config-empty-list",
             "mode-in-config",
             "aggregate-in-config",
             "seed-string-in-config",
@@ -274,6 +281,31 @@ class TestBadSettings:
             main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), *flags]
         )
         assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("absent.yaml", None), ("run.yaml", "mode: [tsc"), ("run.json", '{"k": 3,')],
+        ids=["missing-file", "bad-yaml", "bad-json"],
+    )
+    def test_unreadable_config_is_a_usage_error(
+        self, runner, scenario_dir, tmp_path, monkeypatch, name, text
+    ):
+        def run_job(*args):
+            raise AssertionError("run_job called with an unreadable config")
+
+        monkeypatch.setattr(cli, "run_job", run_job)
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", scenario_dir, "--out-dir", str(out),
+             "--config", str(path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"cannot read {path}" in result.output
         assert not out.exists()
 
     def test_bundle_without_jobs(self, runner, tmp_path):
@@ -405,3 +437,29 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert "malformed_pct must be of type int" in result.output
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda m: {**m, "settings": ["x"]}, "is not a mapping"),
+            (lambda m: {k: v for k, v in m.items() if k != "candidates"}, "'candidates'"),
+            (lambda m: [m], "does not hold a mapping"),
+            (None, "does not exist"),
+        ],
+        ids=["settings-list", "no-candidates", "list-file", "missing-trajectory"],
+    )
+    def test_malformed_inputs_are_usage_errors(
+        self, runner, scenario_dir, tmp_path, sandbox, damage, message
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        if damage is None:
+            os.remove(path)
+        else:
+            manifest_path = os.path.join(os.path.dirname(path), "result.json")
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+            with open(manifest_path, "w") as fh:
+                json.dump(damage(manifest), fh)
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 2, result.output
+        assert message in result.output

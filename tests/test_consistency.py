@@ -10,6 +10,7 @@ import copy
 import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,6 @@ from cloudrca.consistency import (
     _majority_responsibility,
     run_greedy,
     run_with_consistency,
-    sampled_params,
     sc_stepwise,
     tsc,
     vote_with_embedding,
@@ -74,6 +74,19 @@ class VariantBackend(PolicyBackend):
         action = json.loads(action_json)
         action["kwargs"]["root_cause"] = self.variant_root_cause
         return f"{thought}\nFunction: {json.dumps(action, sort_keys=True)}"
+
+
+class RecordingBackend(DetourBackend):
+    """DetourBackend that appends the params of each completion to
+    ``calls``, a list the caller may share between instances."""
+
+    def __init__(self, detours: int, calls: list):
+        super().__init__(detours)
+        self.calls = calls
+
+    def complete(self, exchange, params):
+        self.calls.append(params)
+        return super().complete(exchange, params)
 
 
 class FailingBackend(PolicyBackend):
@@ -163,14 +176,6 @@ class TestAggregate:
     def test_llm_strips_enumeration(self):
         backend = MockBackend(["1. merged answer"])
         assert aggregate_with_llm(["a", "b"], backend) == "merged answer"
-
-
-def test_sampled_params_overrides_mode():
-    base = GenerationParams(mode="greedy", repetition_penalty=0.5)
-    out = sampled_params(base)
-    assert out.mode == "sampled"
-    assert out.repetition_penalty == 0.5
-    assert base.mode == "greedy"
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,10 @@ class TestTsc:
 
     def test_k_validation(self, sandbox, policy_backend):
         config = make_config(sandbox.job_ids[0])
+        factory = _registry_factory(sandbox)
+        greedy, store = run_greedy(config, factory, policy_backend)
         with pytest.raises(ValueError):
-            tsc(config, _registry_factory(sandbox), policy_backend, k=0)
+            tsc(config, factory, policy_backend, k=0, store=store, greedy=greedy)
 
 
 class TestScStepwise:
@@ -321,9 +328,41 @@ class TestScStepwise:
             k=4,
             store=store,
             greedy=greedy,
-            sample_backend_factory=detouring,
+            branch_backend_factory=detouring,
         )
         assert candidates == []
+
+
+def test_branches_decode_sampled_with_the_config_penalties(sandbox):
+    config = make_config(
+        sandbox.job_ids[0], params=GenerationParams(repetition_penalty=0.5)
+    )
+    factory = _registry_factory(sandbox)
+    greedy_calls, branch_calls = [], []
+    greedy, store = run_greedy(config, factory, RecordingBackend(0, greedy_calls))
+    assert greedy_calls and {p.mode for p in greedy_calls} == {"greedy"}
+    sampled = GenerationParams(repetition_penalty=0.5, mode="sampled")
+
+    def detouring(_: int):
+        return RecordingBackend(1, branch_calls)
+
+    # sc: the one re-sampled step detours, and a budget of len(greedy.steps)
+    # ends every branch there
+    candidates = sc_stepwise(
+        config, factory, PolicyBackend(), k=3, store=store, greedy=greedy,
+        branch_backend_factory=detouring,
+    )
+    assert candidates == []
+    assert branch_calls == [sampled] * 3
+
+    # tsc: the same branches take the detour, then finalize
+    branch_calls.clear()
+    candidates, _ = tsc(
+        config, factory, PolicyBackend(), k=3, store=store, greedy=greedy,
+        branch_backend_factory=detouring,
+    )
+    assert [len(c.trajectory.steps) for c in candidates] == [len(greedy.steps) + 1] * 3
+    assert branch_calls == [sampled] * 6
 
 
 class TestRunWithConsistency:
@@ -391,6 +430,23 @@ class TestRunWithConsistency:
             run_with_consistency(
                 config, _registry_factory(sandbox), policy_backend, mode="vote"
             )
+
+    @pytest.mark.parametrize(
+        "mode, aggregation",
+        [("vote", METHOD_EMBEDDING_VOTE), ("greedy", "median"), ("tsc", "median")],
+    )
+    def test_bad_input_raises_before_any_model_call(self, sandbox, mode, aggregation):
+        calls = []
+        with pytest.raises(ValueError):
+            run_with_consistency(
+                make_config(sandbox.job_ids[0]),
+                _registry_factory(sandbox),
+                RecordingBackend(0, calls),
+                mode=mode,
+                aggregation=aggregation,
+                branch_backend_factory=lambda _: RecordingBackend(0, calls),
+            )
+        assert calls == []
 
 
 @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
@@ -482,7 +538,9 @@ def _sequential_branches(
 ):
     """The branch runner as it was before branches ran concurrently: one
     branch after another, in index order."""
-    params = sampled_params(config.params)
+    config = replace(
+        config, params=replace(config.params, mode="sampled"), max_steps=max_steps
+    )
     candidates = []
     for i in range(k):
         branch_backend = backend_factory(i) if backend_factory else backend
@@ -496,8 +554,6 @@ def _sequential_branches(
             branch_backend,
             store=store.branch() if store is not None else None,
             initial=initial,
-            params=params,
-            max_steps=max_steps,
         )
         if trajectory.passed:
             candidates.append(Candidate(trajectory.result, trajectory))

@@ -1,6 +1,5 @@
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,26 +122,18 @@ class TestJsonRegen:
 
     def test_regeneration_roundtrip(self):
         be = MockBackend(["a: 1", '{"a": 1}'])
-        out = json_regen(be, "completely broken", retry_limit=3)
+        out = json_regen(be, "completely broken")
         assert out.ok and out.stage == STAGE_REGENERATED
         assert out.value == {"a": 1} and out.attempts == 1
         assert len(be.calls) == 2  # one YAML call + one JSON call
 
     def test_backend_call_budget(self):
-        # every regeneration fails: exactly 2 * retry_limit backend calls
+        # every regeneration fails: exactly 2 * DEFAULT_RETRY_LIMIT backend calls
         be = MockBackend(["junk"] * 6)
-        out = json_regen(be, "broken", retry_limit=3)
+        out = json_regen(be, "broken")
         assert not out.ok and out.stage == STAGE_FAILED
         assert out.attempts == 3 and out.value == {}
         assert len(be.calls) == 6
-
-    def test_retry_limit_zero(self):
-        out = json_regen(MockBackend(), "broken", retry_limit=0)
-        assert not out.ok and out.attempts == 0
-
-    def test_negative_retry_limit_rejected(self):
-        with pytest.raises(ValueError):
-            json_regen(None, "x", retry_limit=-1)
 
     def test_no_backend_stops_before_regeneration(self):
         out = json_regen(None, "broken beyond local repair")
