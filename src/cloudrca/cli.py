@@ -80,6 +80,15 @@ def _make_backend(settings: RunSettings) -> Backend:
     raise ConfigurationError(f"unknown backend {settings.backend!r}")
 
 
+def _load_sandbox(path: str) -> Sandbox:
+    """The scenario bundle at path; a usage error when its index is missing
+    or malformed."""
+    try:
+        return Sandbox(path)
+    except ConfigurationError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _agent_config(settings: RunSettings, job_id: str) -> AgentConfig:
     return AgentConfig(
         max_steps=settings.max_steps,
@@ -197,7 +206,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     """Run one job end-to-end; exit 0 iff the trajectory passed."""
     settings = _settings_from(config, **flags)
     settings.scenarios = os.path.abspath(scenarios)
-    sandbox = Sandbox(settings.scenarios)
+    sandbox = _load_sandbox(settings.scenarios)
     if job_id not in sandbox.job_ids:
         raise click.ClickException(
             f"job {job_id} is not in scenario bundle {scenarios}"
@@ -224,7 +233,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     # of becoming one failed row per job
     _make_backend(settings)
     settings.scenarios = os.path.abspath(scenarios)
-    sandbox = Sandbox(settings.scenarios)
+    sandbox = _load_sandbox(settings.scenarios)
     if not sandbox.job_ids:
         raise click.ClickException(f"scenario bundle {scenarios} has no jobs")
     os.makedirs(out_dir, exist_ok=True)
@@ -273,7 +282,7 @@ def cmd_replay(trajectory_file):
     if not isinstance(manifest["settings"], dict):
         raise click.UsageError(f"settings in {manifest_path} is not a mapping")
     settings = _settings_from(manifest["settings"])
-    sandbox = Sandbox(settings.scenarios)
+    sandbox = _load_sandbox(settings.scenarios)
     with open(trajectory_file, "r", encoding="utf-8") as fh:
         recorded_text = fh.read()
     recorded = Trajectory.from_jsonl(recorded_text)

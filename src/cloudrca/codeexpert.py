@@ -20,16 +20,18 @@ from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
 DEFAULT_MAX_FILES = 12
 
+# a class under one of these package prefixes is a dependency, never read
+EXTERNAL_PREFIXES = ["java", "javax", "org.apache", "com.external"]
+
 
 @dataclass
 class RepoIndex:
     root: str
     class_to_path: dict[str, str] = field(default_factory=dict)
-    external_prefixes: list[str] = field(default_factory=list)
     ambiguous: list[str] = field(default_factory=list)
 
     @classmethod
-    def build(cls, root: str, external_prefixes: Optional[list[str]] = None) -> "RepoIndex":
+    def build(cls, root: str) -> "RepoIndex":
         """Map file stems to paths.  When a stem appears more than once the
         shallower path wins, ties break lexicographically."""
         candidates: dict[str, list[str]] = {}
@@ -38,7 +40,7 @@ class RepoIndex:
                 stem = os.path.splitext(name)[0]
                 rel = os.path.relpath(os.path.join(dirpath, name), root)
                 candidates.setdefault(stem, []).append(rel)
-        index = cls(root=root, external_prefixes=external_prefixes or [])
+        index = cls(root=root)
         for stem, paths in candidates.items():
             if len(paths) > 1:
                 index.ambiguous.append(stem)
@@ -49,7 +51,7 @@ class RepoIndex:
     def is_external(self, class_name: str) -> bool:
         return any(
             class_name == p or class_name.startswith(p + ".")
-            for p in self.external_prefixes
+            for p in EXTERNAL_PREFIXES
         )
 
 
@@ -81,15 +83,9 @@ def analyze_file(backend: Backend, source_text: str) -> tuple[str, list[str]]:
     return analysis or raw.strip(), names
 
 
-def run_code_expert(
-    backend: Backend,
-    index: RepoIndex,
-    root_class: str,
-    max_files: int = DEFAULT_MAX_FILES,
-) -> str:
-    """BFS over the suggestion graph with a visited set and a file cap."""
-    if max_files < 1:
-        raise ValueError("max_files must be >= 1")
+def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
+    """BFS over the suggestion graph with a visited set and a cap of
+    DEFAULT_MAX_FILES analyzed files."""
     pending: deque[str] = deque([root_class])
     visited: set[str] = set()
     externals: list[str] = []
@@ -97,14 +93,11 @@ def run_code_expert(
     root_path = find_class_file(index, root_class)
     if root_path is None:
         return f"class {root_class!r} not found in repository"
-    while pending and len(analyses) < max_files:
+    while pending and len(analyses) < DEFAULT_MAX_FILES:
         name = pending.popleft()
         if name in visited:
             continue
         visited.add(name)
-        if index.is_external(name):
-            externals.append(name)
-            continue
         path = find_class_file(index, name)
         if path is None:
             externals.append(name)

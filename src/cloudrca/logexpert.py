@@ -55,14 +55,10 @@ def split_log(log: str) -> list[str]:
 _PAIR_BLOCK = 8192
 
 
-def build_graph(
-    lines: Sequence[str],
-    embeddings: np.ndarray,
-    window: int = DEFAULT_WINDOW,
-    tau: float = DEFAULT_TAU,
-) -> SimilarityGraph:
-    """Edges between line pairs within the window; weight is cosine similarity
-    decayed by exp(-distance/tau).  Non-positive weights are dropped.
+def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph:
+    """Edges between line pairs within DEFAULT_WINDOW lines; weight is cosine
+    similarity decayed by exp(-distance / DEFAULT_TAU).  Non-positive weights
+    are dropped.
 
     Pairs are scored in i-major blocks, each with one batched product, which
     gives np.dot's bits for every pair; a row's norm is the square root of its
@@ -73,12 +69,12 @@ def build_graph(
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
-    reach = min(window, n - 1)
+    reach = min(DEFAULT_WINDOW, n - 1)
     if reach < 1:
         return SimilarityGraph(n, [])
     x = np.asarray(embeddings)
     norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-    decay = np.array([0.0] + [math.exp(-d / tau) for d in range(1, reach + 1)])
+    decay = np.array([0.0] + [math.exp(-d / DEFAULT_TAU) for d in range(1, reach + 1)])
     # every tuple holds the one int object of each of its vertices
     vertex = list(range(n)).__getitem__
     edges: list[tuple[int, int, float]] = []
@@ -431,17 +427,11 @@ class LogChunk:
     end: int  # exclusive line index
 
 
-def partition(
-    log: str,
-    backend: Backend,
-    window: int = DEFAULT_WINDOW,
-    tau: float = DEFAULT_TAU,
-) -> list[LogChunk]:
+def partition(log: str, backend: Backend) -> list[LogChunk]:
     lines = split_log(log)
     if not lines:
         return []
-    embeddings = backend.embed(lines)
-    graph = build_graph(lines, embeddings, window=window, tau=tau)
+    graph = build_graph(lines, backend.embed(lines))
     assignment = remove_overlaps(louvain(graph))
     chunks = []
     for _, start, end in _runs(assignment.labels):
@@ -508,23 +498,19 @@ class PackedPrompt:
 
 
 def pack_icl_prompt(
-    chunk: LogChunk,
-    store: Optional[RetrievalStore],
-    backend: Backend,
-    max_len: int = DEFAULT_MAX_PROMPT_LEN,
+    chunk: LogChunk, store: Optional[RetrievalStore], backend: Backend
 ) -> PackedPrompt:
-    """Greedy similarity-ordered example packing under a character budget;
-    the chunk always comes last behind an explicit delimiter."""
-    if max_len <= 0:
-        raise ValueError("max_len must be positive")
+    """Greedy similarity-ordered example packing under a budget of
+    DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
+    explicit delimiter."""
     chunk_header = "\n\n" + prompts.LOG_CHUNK_DELIMITER
     instruction = prompts.LOG_ANALYSIS_INSTRUCTION
     base_len = len(instruction) + len(chunk_header)
     truncated = False
     chunk_text = chunk.text
-    if base_len + len(chunk_text) > max_len:
+    if base_len + len(chunk_text) > DEFAULT_MAX_PROMPT_LEN:
         truncated = True
-        chunk_text = chunk_text[: max(0, max_len - base_len)]
+        chunk_text = chunk_text[: DEFAULT_MAX_PROMPT_LEN - base_len]
     body = []
     used = base_len + len(chunk_text)
     if store is not None and store.examples:
@@ -534,7 +520,7 @@ def pack_icl_prompt(
                 f"\n\n=== Example ===\n{example.example_text}\n"
                 f"--- Answer ---\n{example.answer_text}"
             )
-            if used + len(block) > max_len:
+            if used + len(block) > DEFAULT_MAX_PROMPT_LEN:
                 continue
             body.append(block)
             used += len(block)

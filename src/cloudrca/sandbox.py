@@ -23,8 +23,6 @@ from .trajectory import AnalysisResult
 
 LOG_LEVELS = ("platform", "runtime", "infrastructure")
 
-EXTERNAL_PREFIXES = ["java", "javax", "org.apache", "com.external"]
-
 _BASE_TS = 1_750_000_000  # fixed epoch origin for deterministic timestamps
 
 
@@ -313,12 +311,16 @@ class Sandbox:
         index_path = os.path.join(root, "index.json")
         if not os.path.exists(index_path):
             raise ConfigurationError(f"no scenario index at {index_path}")
-        with open(index_path, "r", encoding="utf-8") as fh:
-            self.index = json.load(fh)
-        self.job_ids: list[str] = self.index["job_ids"]
-        self.repo_index = RepoIndex.build(
-            os.path.join(root, "src"), external_prefixes=EXTERNAL_PREFIXES
-        )
+        try:
+            with open(index_path, "r", encoding="utf-8") as fh:
+                self.index = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"cannot read scenario index {index_path}: {exc}")
+        job_ids = self.index.get("job_ids") if isinstance(self.index, dict) else None
+        if not isinstance(job_ids, list):
+            raise ConfigurationError(f"scenario index {index_path} holds no job_ids list")
+        self.job_ids: list[str] = job_ids
+        self.repo_index = RepoIndex.build(os.path.join(root, "src"))
         self._records: dict[str, JobRecord] = {}
 
     def job(self, job_id: str) -> JobRecord:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+# deduplicate_entries drops an entry this similar to a kept one
+DEDUP_THRESHOLD = 0.9
 # deduplicate_entries buckets each character by ord(ch) % _BUCKETS
 _BUCKETS = 64
 
@@ -102,29 +104,28 @@ def _histograms(texts: list[str]) -> np.ndarray:
     return rows
 
 
-def deduplicate_entries(entries: list[str], threshold: float = 0.9) -> list[str]:
+def deduplicate_entries(entries: list[str]) -> list[str]:
     """Keep the first entry of each fuzzy-equivalence group, preserving order.
 
     An entry is dropped when its similarity to any already-kept entry reaches
-    the threshold.  Idempotent: a second pass keeps everything.
+    DEDUP_THRESHOLD.  Idempotent: a second pass keeps everything.
 
     Pairs that cannot reach the threshold are never measured.  An entry
-    equal to an earlier one shares its verdict, which is "drop" whenever
-    threshold <= 1.  Every other entry is tested against all kept entries at
-    once with the frequency distance of Kahveci & Singh (VLDB 2001): with H
-    and h the bucket histograms and L and la the lengths,
-    lower = (sum|H - h| + |L - la|) // 2 is the larger of the two one-sided
-    histogram excesses, and one edit lowers either excess by at most one,
-    so the distance is at least lower.  With the length as each histogram
-    row's last column, the numerator is one sum of |row - row|.  A kept
-    entry is skipped when 1 - lower / longest is below the threshold: the
-    integers convert to float64 exactly and float subtraction and division
-    are monotone, so normalized_similarity can return no more.  Where
-    longest is 0 both entries are empty, lower is 0, and dividing by 1 gives
-    their exact similarity 1.0.  The rest are measured in kept order.
+    equal to an earlier one is dropped unmeasured.  Every other entry is
+    tested against all kept entries at once with the frequency distance of
+    Kahveci & Singh (VLDB 2001): with H and h the bucket histograms and L
+    and la the lengths, lower = (sum|H - h| + |L - la|) // 2 is the larger
+    of the two one-sided histogram excesses, and one edit lowers either
+    excess by at most one, so the distance is at least lower.  With the
+    length as each histogram row's last column, the numerator is one sum of
+    |row - row|.  A kept entry is skipped when 1 - lower / longest is below
+    the threshold: the integers convert to float64 exactly and float
+    subtraction and division are monotone, so normalized_similarity can
+    return no more.  Where longest is 0 both entries are empty, lower is 0,
+    and dividing by 1 gives their exact similarity 1.0.  The rest are
+    measured in kept order.
     """
-    if threshold <= 1.0:
-        entries = list(dict.fromkeys(entries))
+    entries = list(dict.fromkeys(entries))
     rows = _histograms(entries)
     kept: list[str] = []
     for k, entry in enumerate(entries):
@@ -135,8 +136,8 @@ def deduplicate_entries(entries: list[str], threshold: float = 0.9) -> list[str]
         longest = np.maximum(rows[:n, _BUCKETS], max(len(entry), 1))
         bound = 1.0 - lower / longest
         if any(
-            normalized_similarity(entry, kept[i]) >= threshold
-            for i in np.flatnonzero(~(bound < threshold))
+            normalized_similarity(entry, kept[i]) >= DEDUP_THRESHOLD
+            for i in np.flatnonzero(~(bound < DEDUP_THRESHOLD))
         ):
             continue
         rows[n] = rows[k]

@@ -297,11 +297,15 @@ class TestHttpBackend:
         assert payload["temperature"] == pytest.approx(0.9)
         assert payload["top_p"] == pytest.approx(0.6)
 
-    def test_retry_on_server_error(self, stub_server):
+    def test_retry_on_server_error(self, stub_server, monkeypatch):
+        waits = []
+        monkeypatch.setattr(backends_module.time, "sleep", waits.append)
         be = HttpBackend(stub_server, "test-model")
         _Stub.fail_next = 2
         out = be.complete(exchange(), GenerationParams())
         assert out == "stub reply"
+        wait = backends_module.RETRY_WAIT_S
+        assert waits == [wait * 1, wait * 2]
 
     def test_retries_exhausted(self, stub_server, monkeypatch):
         monkeypatch.setattr(backends_module.time, "sleep", lambda _s: None)

@@ -320,6 +320,54 @@ class TestBadSettings:
         assert not out.exists()
 
 
+class TestUnreadableBundle:
+    """A scenario bundle whose index is missing or malformed is a usage error
+    (exit 2, no traceback), raised before any job runs or --out-dir is made."""
+
+    @staticmethod
+    def assert_usage_error(result, index_path):
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and str(index_path) in errors[0], result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "index_text",
+        [None, "{not json", '{"seed": 1}', '["fj00000000"]', '{"job_ids": "fj00000000"}'],
+        ids=["missing", "unparsable", "no-job-ids", "list", "job-ids-string"],
+    )
+    def test_batch(self, runner, tmp_path, index_text):
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        if index_text is not None:
+            (bundle / "index.json").write_text(index_text)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["batch", "--scenarios", str(bundle), "--out-dir", str(out)])
+        self.assert_usage_error(result, bundle / "index.json")
+        assert not out.exists()
+
+    def test_diagnose(self, runner, tmp_path):
+        bundle = tmp_path / "nonexistent"
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["diagnose", "fj00000000", "--scenarios", str(bundle), "--out-dir", str(out)]
+        )
+        self.assert_usage_error(result, bundle / "index.json")
+        assert not out.exists()
+
+    def test_replay_of_a_bundle_that_is_gone(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=11, count=1, out_dir=str(bundle))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["diagnose", job_id, "--scenarios", str(bundle), "--out-dir", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        bundle.rename(tmp_path / "moved")
+        result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
+        self.assert_usage_error(result, bundle / "index.json")
+
+
 class TestBatchJobFailure:
     """A job that raises is recorded as a failed row; the batch goes on."""
 

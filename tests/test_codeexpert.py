@@ -5,6 +5,7 @@ import pytest
 
 from cloudrca.backends import MockBackend
 from cloudrca.codeexpert import (
+    DEFAULT_MAX_FILES,
     RepoIndex,
     analyze_file,
     code_agent_toolspec,
@@ -66,7 +67,7 @@ class TestRepoIndex:
         assert index.class_to_path["Same"] == os.path.join("alpha", "Same.java")
 
     def test_external_prefixes(self):
-        index = RepoIndex(root=".", external_prefixes=["org.apache", "java"])
+        index = RepoIndex(root=".")
         assert index.is_external("org.apache.flink.Sink")
         assert index.is_external("java.util.Map")
         assert index.is_external("java")
@@ -74,7 +75,7 @@ class TestRepoIndex:
         assert not index.is_external("MyClass")
 
     def test_find_class_file(self, repo):
-        index = RepoIndex.build(str(repo), external_prefixes=["org.apache"])
+        index = RepoIndex.build(str(repo))
         assert find_class_file(index, "Root") == str(repo / "Root.java")
         assert find_class_file(index, "org.apache.Lib") is None
         assert find_class_file(index, "Missing") is None
@@ -97,7 +98,7 @@ class TestAnalyzeFile:
 class TestRunCodeExpert:
     def test_bfs_visits_suggestions(self, repo):
         be = EchoAnalyzer()
-        index = RepoIndex.build(str(repo), external_prefixes=["org.apache"])
+        index = RepoIndex.build(str(repo))
         out = run_code_expert(be, index, "Root")
         analysis_calls = [
             c for c in be.calls
@@ -110,7 +111,7 @@ class TestRunCodeExpert:
 
     def test_externals_reported_not_analyzed(self, repo):
         be = EchoAnalyzer()
-        index = RepoIndex.build(str(repo), external_prefixes=["org.apache"])
+        index = RepoIndex.build(str(repo))
         out = run_code_expert(be, index, "Root")
         assert "org.apache.Lib" in out
         assert "External dependencies" in out
@@ -127,15 +128,19 @@ class TestRunCodeExpert:
         # Cycle, Root, Child, Leaf each analyzed exactly once
         assert len(analysis_calls) == 4
 
-    def test_max_files_cap(self, repo):
+    def test_max_files_cap(self, tmp_path):
+        # a chain of 13 classes, each suggesting the next
+        for k in range(DEFAULT_MAX_FILES + 1):
+            payload = {"analysis": f"class {k}", "suggestions": [f"Chain{k + 1}"]}
+            (tmp_path / f"Chain{k}.java").write_text(json.dumps(payload))
         be = EchoAnalyzer()
-        index = RepoIndex.build(str(repo))
-        run_code_expert(be, index, "Root", max_files=1)
-        analysis_calls = [
-            c for c in be.calls
+        run_code_expert(be, RepoIndex.build(str(tmp_path)), "Chain0")
+        analyzed = [
+            c.response for c in be.calls
             if "analyze source code" in c.exchange.system_prompt
         ]
-        assert len(analysis_calls) == 1
+        assert len(analyzed) == DEFAULT_MAX_FILES == 12
+        assert f"class {DEFAULT_MAX_FILES - 1}" in analyzed[-1]
 
     def test_unknown_root_class(self, repo):
         out = run_code_expert(EchoAnalyzer(), RepoIndex.build(str(repo)), "Nope")
@@ -147,10 +152,3 @@ def test_toolspec_allows_short_class_names():
     spec = code_agent_toolspec()
     assert spec.trivial_input_floor == 1
     assert spec.params[0].name == "class_name"
-
-
-def test_config_validation(repo):
-    with pytest.raises(ValueError):
-        run_code_expert(
-            EchoAnalyzer(), RepoIndex.build(str(repo)), "Root", max_files=0
-        )

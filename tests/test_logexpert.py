@@ -12,6 +12,8 @@ from cloudrca import logexpert
 from cloudrca.backends import MockBackend, cosine, hash_embed
 from cloudrca.errors import ProtocolError
 from cloudrca.logexpert import (
+    DEFAULT_MAX_PROMPT_LEN,
+    DEFAULT_TAU,
     DEFAULT_WINDOW,
     ChunkAssignment,
     LogChunk,
@@ -151,7 +153,7 @@ def recursive_exact_partition(graph: SimilarityGraph) -> list[int]:
     return best_labels
 
 
-def per_edge_build_graph(lines, embeddings, window, tau=1.0) -> SimilarityGraph:
+def per_edge_build_graph(lines, embeddings, window, tau) -> SimilarityGraph:
     """Reference graph build: one ``cosine`` call per pair in the window."""
     n = len(lines)
     edges = []
@@ -182,28 +184,29 @@ def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
 
 class TestBuildGraph:
     def test_window_limits_edges(self):
-        be = MockBackend()
-        lines = [f"line {i}" for i in range(10)]
-        graph = build_graph(lines, be.embed(lines), window=1)
-        assert all(j - i == 1 for i, j, _ in graph.edges)
+        # identical lines: every pair has cosine 1 and a positive weight, so
+        # only the window can leave a pair out
+        lines = ["same text here"] * (DEFAULT_WINDOW + 50)
+        graph = build_graph(lines, MockBackend().embed(lines))
+        assert max(j - i for i, j, _ in graph.edges) == DEFAULT_WINDOW
 
     def test_decay_applied(self):
         be = MockBackend()
         lines = ["same text here", "same text here", "same text here"]
-        graph = build_graph(lines, be.embed(lines), window=2, tau=1.0)
+        graph = build_graph(lines, be.embed(lines))
         weights = {(i, j): w for i, j, w in graph.edges}
-        # identical lines: cosine 1, so weight is exactly exp(-d)
-        assert weights[(0, 1)] == pytest.approx(math.exp(-1))
-        assert weights[(0, 2)] == pytest.approx(math.exp(-2))
+        # identical lines: cosine 1, so weight is exactly exp(-d / tau)
+        assert weights[(0, 1)] == pytest.approx(math.exp(-1 / DEFAULT_TAU))
+        assert weights[(0, 2)] == pytest.approx(math.exp(-2 / DEFAULT_TAU))
 
     def test_mismatched_lengths_rejected(self):
         be = MockBackend()
         with pytest.raises(ValueError):
             build_graph(["a", "b"], be.embed(["a"]))
 
-    @pytest.mark.parametrize("window", [1, 3, 200])
-    def test_edges_equal_the_per_edge_cosine_loop(self, window):
-        rng = random.Random(window)
+    @pytest.mark.parametrize("seed", [1, 3, 200])
+    def test_edges_equal_the_per_edge_cosine_loop(self, seed):
+        rng = random.Random(seed)
         lines = [
             f"{rng.choice(['INFO', 'WARN', 'ERROR'])} task {rng.randrange(5)} "
             f"{rng.choice(['started', 'lost heartbeat', 'checkpoint ok'])}"
@@ -218,12 +221,11 @@ class TestBuildGraph:
             embeddings[k] = np.array(
                 tuple(rng.uniform(-1, 1) for _ in range(64))
             )
-        for tau in (1.0, 0.3, 7.0):
-            got = build_graph(lines, embeddings, window=window, tau=tau)
-            expected = per_edge_build_graph(lines, embeddings, window, tau)
-            assert got.n == expected.n
-            # tuple equality compares each float weight bit for bit
-            assert got.edges == expected.edges
+        got = build_graph(lines, embeddings)
+        expected = per_edge_build_graph(lines, embeddings, DEFAULT_WINDOW, DEFAULT_TAU)
+        assert got.n == expected.n
+        # tuple equality compares each float weight bit for bit
+        assert got.edges == expected.edges
 
     def test_batched_product_is_dot_and_its_root_is_norm_bit_for_bit(self):
         # build_graph rests on this: NumPy's stacked vector product runs the
@@ -245,15 +247,14 @@ class TestBuildGraph:
         embeddings = hash_embed(lines)
         for k in (0, 41, 42, 150, 299):
             embeddings[k] = 0.0
-        # 300 lines at the default window make about 40,000 pairs: several
-        # blocks, with zero rows at a block's edge and inside one
-        got = build_graph(lines, embeddings)
-        assert got.edges == per_edge_build_graph(lines, embeddings, DEFAULT_WINDOW).edges
-        # a block that fits neither a whole number of rows nor a row's pairs
-        monkeypatch.setattr(logexpert, "_PAIR_BLOCK", 7)
-        for window in (1, 3, 10):
-            got = build_graph(lines, embeddings, window=window)
-            assert got.edges == per_edge_build_graph(lines, embeddings, window).edges
+        expected = per_edge_build_graph(lines, embeddings, DEFAULT_WINDOW, DEFAULT_TAU)
+        # 300 lines at the window of 200 make about 40,000 pairs: at the
+        # default block several rows per block, with zero rows at a block's
+        # edge and inside one; then one row per block (a block smaller than
+        # a row), and two rows per block that are not a whole block
+        for block in (logexpert._PAIR_BLOCK, 7, 2 * DEFAULT_WINDOW + 5):
+            monkeypatch.setattr(logexpert, "_PAIR_BLOCK", block)
+            assert build_graph(lines, embeddings).edges == expected.edges
 
     def test_edges_share_one_int_per_vertex(self):
         # a million edges on a 10,000-line log hold two ints each; sharing
@@ -274,7 +275,7 @@ class TestBuildGraph:
         rows[odd] = [1.0, 0.5, 0.0]
         log = "\n".join(f"line {i}" for i in range(6))
         with pytest.raises(ProtocolError):
-            partition(log, embeddings_backend(rows), window=2)
+            partition(log, embeddings_backend(rows))
 
 
 def test_partition_sums_run_left_to_right():
@@ -470,7 +471,7 @@ class TestPartition:
             ["alpha one", "alpha two", "alpha three",
              "totally different beta", "totally different beta again"]
         )
-        chunks = partition(log, MockBackend(), window=4)
+        chunks = partition(log, MockBackend())
         covered = [line for chunk in chunks for line in chunk.lines]
         assert covered == split_log(log)
         ends = [c.end for c in chunks]
@@ -495,7 +496,7 @@ class TestPackIcl:
         store = RetrievalStore(be)
         store.add("ERROR failure in module x happened", "module x crashed")
         store.add("watermark advanced normally fine", "nothing wrong")
-        packed = pack_icl_prompt(self.chunk(), store, be, max_len=8000)
+        packed = pack_icl_prompt(self.chunk(), store, be)
         assert packed.example_count == 2
         first = packed.text.index("module x crashed")
         second = packed.text.index("nothing wrong")
@@ -504,19 +505,18 @@ class TestPackIcl:
     def test_budget_excludes_examples(self):
         be = MockBackend()
         store = RetrievalStore(be)
-        store.add("x" * 500, "y" * 500)
-        packed = pack_icl_prompt(self.chunk(), store, be, max_len=300)
-        assert packed.example_count == 0
+        store.add("x" * 4500, "y" * 4500)
+        store.add("ERROR failure in module x happened", "module x crashed")
+        packed = pack_icl_prompt(self.chunk(), store, be)
+        assert packed.example_count == 1
+        assert "module x crashed" in packed.text and "x" * 4500 not in packed.text
+        assert len(packed.text) <= DEFAULT_MAX_PROMPT_LEN
 
     def test_oversized_chunk_truncated_and_flagged(self):
         big = self.chunk("z" * 20000)
-        packed = pack_icl_prompt(big, None, MockBackend(), max_len=1000)
+        packed = pack_icl_prompt(big, None, MockBackend())
         assert packed.truncated
-        assert len(packed.text) <= 1000
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            pack_icl_prompt(self.chunk(), None, MockBackend(), max_len=0)
+        assert len(packed.text) == DEFAULT_MAX_PROMPT_LEN
 
     def test_ingest_jsonl_with_deny_filter(self, tmp_path):
         path = tmp_path / "examples.jsonl"

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudrca.textdist as textdist
-from cloudrca.textdist import deduplicate_entries, levenshtein, normalized_similarity
+from cloudrca.textdist import (
+    DEDUP_THRESHOLD,
+    deduplicate_entries,
+    levenshtein,
+    normalized_similarity,
+)
 
 
 def levenshtein_oracle(a: str, b: str) -> int:
@@ -85,7 +90,7 @@ class TestDeduplicate:
             "INFO checkpoint 42 completed in 95 ms",
             "ERROR something else entirely happened",
         ]
-        kept = deduplicate_entries(entries, threshold=0.9)
+        kept = deduplicate_entries(entries)
         assert kept == [entries[0], entries[2]]
 
     def test_exact_duplicates_removed(self):
@@ -95,9 +100,14 @@ class TestDeduplicate:
         entries = ["zebra line", "apple line", "zebra line"]
         assert deduplicate_entries(entries) == ["zebra line", "apple line"]
 
-    def test_threshold_one_keeps_distinct(self):
-        entries = ["aaaa", "aaab"]
-        assert deduplicate_entries(entries, threshold=1.0) == entries
+    def test_similarity_at_the_threshold_drops_the_later_line(self):
+        # 10 characters: one edit is similarity 0.9 exactly, two are 0.8
+        first = "abcdefghij"
+        one_edit, two_edits = "abcdefghiX", "abcdefghXY"
+        assert normalized_similarity(first, one_edit) == DEDUP_THRESHOLD
+        assert deduplicate_entries([first, one_edit]) == [first]
+        assert normalized_similarity(first, two_edits) < DEDUP_THRESHOLD
+        assert deduplicate_entries([first, two_edits]) == [first, two_edits]
 
 
 # Hypothesis text with astral-plane characters (emoji) mixed in, so the bit
@@ -177,7 +187,7 @@ def test_prefix_and_suffix_that_would_overlap(a, b):
     assert levenshtein(b, a) == levenshtein_oracle(a, b)
 
 
-def dedup_reference(entries, threshold=0.9):
+def dedup_reference(entries, threshold):
     """The all-pairs deduplication every faster version must reproduce."""
     kept = []
     for entry in entries:
@@ -187,11 +197,13 @@ def dedup_reference(entries, threshold=0.9):
     return kept
 
 
-DEDUP_THRESHOLDS = [0.0, 0.5, 0.9, 1.0, 1.1]
-
-
-@pytest.mark.parametrize("threshold", DEDUP_THRESHOLDS)
-def test_dedup_matches_reference_on_fixed_lists(threshold):
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0, 1.1])
+def test_dedup_matches_reference_on_fixed_lists(monkeypatch, threshold):
+    # the skip test and the measured pass read DEDUP_THRESHOLD at call time,
+    # so the pruning must agree with the all-pairs reference at any value of
+    # it; exact repeats go first and unmeasured, which changes the reference
+    # only above 1.0, where no measured pair could drop them
+    monkeypatch.setattr(textdist, "DEDUP_THRESHOLD", threshold)
     cases = [
         [],
         [""],
@@ -206,18 +218,18 @@ def test_dedup_matches_reference_on_fixed_lists(threshold):
         ["aaaa", "aaab", "aaab", "aaaa", "bbbb", "ab"],
     ]
     for entries in cases:
-        assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
+        expected = dedup_reference(list(dict.fromkeys(entries)), threshold)
+        assert deduplicate_entries(entries) == expected
+        if threshold <= 1.0:
+            assert expected == dedup_reference(entries, threshold)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.text(alphabet="ab c", max_size=12), max_size=25),
-    st.sampled_from(DEDUP_THRESHOLDS),
-)
-def test_dedup_matches_reference_property(entries, threshold):
+@given(st.lists(st.text(alphabet="ab c", max_size=12), max_size=25))
+def test_dedup_matches_reference_property(entries):
     # the tiny alphabet makes exact repeats, near-duplicates and empty
     # strings all common
-    assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
+    assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
 @pytest.fixture
@@ -243,30 +255,21 @@ def test_length_bound_skips_distance(distance_calls):
     # each entry is more than 10% longer than every shorter one, so no pair
     # can reach similarity 0.9
     entries = ["x" * n for n in (10, 12, 14, 17, 20, 23, 27, 31, 36, 42)]
-    assert deduplicate_entries(entries, 0.9) == entries
+    assert deduplicate_entries(entries) == entries
     assert distance_calls == []
 
 
 # '0' and 'p' (48 and 112) share a histogram bucket, and so do '1' and 'q'
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.text(alphabet="0p1q a🚀", max_size=12), max_size=25),
-    st.sampled_from(DEDUP_THRESHOLDS + [-0.5, float("nan")]),
-)
-def test_dedup_matches_reference_when_buckets_collide(entries, threshold):
-    assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
-
-
-@pytest.mark.parametrize("threshold", [-0.5, float("nan")])
-def test_dedup_matches_reference_below_zero_and_nan(threshold):
-    entries = ["", "abc", "abc", "abd", "", "zzzz", "x" * 30]
-    assert deduplicate_entries(entries, threshold) == dedup_reference(entries, threshold)
+@given(st.lists(st.text(alphabet="0p1q a🚀", max_size=12), max_size=25))
+def test_dedup_matches_reference_when_buckets_collide(entries):
+    assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
 def test_dedup_takes_lone_surrogates():
     # json.loads turns "\ud800" in a log line into a lone surrogate
     entries = ["x\ud800y", "x\ud800z", "abc"]
-    assert deduplicate_entries(entries) == dedup_reference(entries)
+    assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
 def test_dedup_counts_do_not_wrap_on_long_lines():
@@ -276,7 +279,8 @@ def test_dedup_counts_do_not_wrap_on_long_lines():
     first = "a" * 32768 + "b" * 7232
     second = "a" * 32767 + "b" * 7233
     assert len(first) == len(second) == 40000
-    assert deduplicate_entries([first, second]) == dedup_reference([first, second]) == [first]
+    pair = [first, second]
+    assert deduplicate_entries(pair) == dedup_reference(pair, DEDUP_THRESHOLD) == [first]
 
 
 def _two_template_lines(rng: random.Random, count: int) -> list[str]:
