@@ -138,7 +138,7 @@ def run_step(
         if error is not None:
             step = Step(thought, call, error.render(), error_flag=True)
         elif spec is not None and spec.kind == KIND_FINALIZE:
-            trajectory.result = parse_finalize(call).result
+            trajectory.result = parse_finalize(call)
             step = Step(thought, call, "Finalized.")
         else:
             result = dispatch(registry, call, store)

@@ -341,7 +341,6 @@ class AdaptiveGeneration:
     text: str
     attempts: int
     over_threshold: bool
-    final_params: GenerationParams
 
 
 def ask(backend: Backend, system: str, user: str) -> str:
@@ -368,7 +367,7 @@ def generate_adaptive(
         text = backend.complete(exchange, current)
         attempts += 1
         if approx_token_count(text) <= DEFAULT_RESTART_THRESHOLD:
-            return AdaptiveGeneration(text, attempts, False, current)
+            return AdaptiveGeneration(text, attempts, False)
         if attempts > DEFAULT_MAX_ESCALATIONS:
-            return AdaptiveGeneration(text, attempts, True, current)
+            return AdaptiveGeneration(text, attempts, True)
         current = current.escalated()

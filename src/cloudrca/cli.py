@@ -25,6 +25,7 @@ from .trajectory import AnalysisResult, Trajectory
 
 # --aggregate flag -> the method name result.json records and replay reads back
 AGGREGATES = {"vote": METHOD_EMBEDDING_VOTE, "llm": METHOD_LLM_AGGREGATE}
+BACKENDS = ("mock", "http")
 
 
 @dataclass
@@ -70,14 +71,10 @@ def _make_backend(settings: RunSettings) -> Backend:
         return PolicyBackend(
             malformed_pct=settings.malformed_pct, seed=settings.seed
         )
-    if settings.backend == "http":
-        if not settings.endpoint:
-            raise ConfigurationError("http backend requires --endpoint")
-        api_key = os.environ.get("CLOUDRCA_API_KEY") or os.environ.get(
-            "OPENAI_API_KEY", ""
-        )
-        return HttpBackend(settings.endpoint, settings.model, api_key=api_key)
-    raise ConfigurationError(f"unknown backend {settings.backend!r}")
+    api_key = os.environ.get("CLOUDRCA_API_KEY") or os.environ.get(
+        "OPENAI_API_KEY", ""
+    )
+    return HttpBackend(settings.endpoint, settings.model, api_key=api_key)
 
 
 def _load_sandbox(path: str) -> Sandbox:
@@ -97,11 +94,13 @@ def _agent_config(settings: RunSettings, job_id: str) -> AgentConfig:
     )
 
 
-def run_job(settings: RunSettings, sandbox: Sandbox, job_id: str) -> ConsistencyReport:
+def run_job(
+    settings: RunSettings, sandbox: Sandbox, job_id: str, backend: Backend
+) -> ConsistencyReport:
     return run_with_consistency(
         _agent_config(settings, job_id),
         sandbox.build_registry,
-        _make_backend(settings),
+        backend,
         mode=settings.mode,
         aggregation=settings.aggregate,
         k=settings.k,
@@ -142,7 +141,7 @@ def main():
 
 def _common_options(fn):
     options = [
-        click.option("--backend", type=click.Choice(["mock", "http"]), default=None),
+        click.option("--backend", type=click.Choice(BACKENDS), default=None),
         click.option("--endpoint", default=None, help="OpenAI-compatible base URL"),
         click.option("--model", default=None),
         click.option("--mode", type=click.Choice(MODES), default=None),
@@ -181,9 +180,13 @@ def _settings_from(data: dict, **flags) -> RunSettings:
             raise click.UsageError(f"{name} must be at least 1")
     if not 0 <= settings.malformed_pct <= 100:
         raise click.UsageError("malformed_pct must be from 0 to 100")
-    for name, allowed in (("mode", MODES), ("aggregate", AGGREGATES.values())):
+    for name, allowed in (
+        ("backend", BACKENDS), ("mode", MODES), ("aggregate", AGGREGATES.values())
+    ):
         if getattr(settings, name) not in allowed:
             raise click.UsageError(f"{name} must be one of {', '.join(allowed)}")
+    if settings.backend == "http" and not settings.endpoint:
+        raise click.UsageError("http backend requires --endpoint")
     return settings
 
 
@@ -211,7 +214,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
         raise click.ClickException(
             f"job {job_id} is not in scenario bundle {scenarios}"
         )
-    report = run_job(settings, sandbox, job_id)
+    report = run_job(settings, sandbox, job_id, _make_backend(settings))
     _write_job_artifacts(out_dir, job_id, settings, report)
     click.echo(
         f"{job_id}: passed={report.greedy.passed} steps={len(report.greedy.steps)}"
@@ -229,20 +232,20 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
 def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     """Diagnose every job in a bundle, then write an evaluation report."""
     settings = _settings_from(config, **flags)
-    # a bad backend setting fails the command before any job runs, instead
-    # of becoming one failed row per job
-    _make_backend(settings)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = _load_sandbox(settings.scenarios)
     if not sandbox.job_ids:
         raise click.ClickException(f"scenario bundle {scenarios} has no jobs")
     os.makedirs(out_dir, exist_ok=True)
+    # one backend for every job: the mock policy is a pure function of the
+    # prompt, and an http backend must accept concurrent calls anyway
+    backend = _make_backend(settings)
 
     def one(job_id: str) -> JobOutcome:
         outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
         try:
             outcome.reference = sandbox.job(job_id).ground_truth
-            report = run_job(settings, sandbox, job_id)
+            report = run_job(settings, sandbox, job_id, backend)
             _write_job_artifacts(out_dir, job_id, settings, report)
             outcome.trajectory = report.greedy
             outcome.prediction = report.outcome.result
@@ -286,7 +289,7 @@ def cmd_replay(trajectory_file):
     with open(trajectory_file, "r", encoding="utf-8") as fh:
         recorded_text = fh.read()
     recorded = Trajectory.from_jsonl(recorded_text)
-    report = run_job(settings, sandbox, manifest["job_id"])
+    report = run_job(settings, sandbox, manifest["job_id"], _make_backend(settings))
     replayed = report.greedy
     for idx, (old, new) in enumerate(zip(recorded.steps, replayed.steps)):
         if old.to_dict() != new.to_dict():

@@ -28,7 +28,6 @@ EXTERNAL_PREFIXES = ["java", "javax", "org.apache", "com.external"]
 class RepoIndex:
     root: str
     class_to_path: dict[str, str] = field(default_factory=dict)
-    ambiguous: list[str] = field(default_factory=list)
 
     @classmethod
     def build(cls, root: str) -> "RepoIndex":
@@ -42,8 +41,6 @@ class RepoIndex:
                 candidates.setdefault(stem, []).append(rel)
         index = cls(root=root)
         for stem, paths in candidates.items():
-            if len(paths) > 1:
-                index.ambiguous.append(stem)
             paths.sort(key=lambda p: (len(p.split(os.sep)), p))
             index.class_to_path[stem] = paths[0]
         return index

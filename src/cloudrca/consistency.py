@@ -45,9 +45,6 @@ class Candidate:
 @dataclass
 class AggregationOutcome:
     result: AnalysisResult
-    method: str
-    candidate_count: int
-    chosen_index: Optional[int] = None
     field_choices: dict = field(default_factory=dict)
 
 
@@ -142,14 +139,7 @@ def aggregate(
     merged["responsibility"] = _majority_responsibility(
         [c.result.responsibility for c in candidates]
     )
-    chosen = field_choices.get("root_cause") if field_choices else None
-    return AggregationOutcome(
-        result=AnalysisResult(**merged),
-        method=method,
-        candidate_count=len(candidates),
-        chosen_index=chosen,
-        field_choices=field_choices,
-    )
+    return AggregationOutcome(AnalysisResult(**merged), field_choices)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +277,6 @@ class ConsistencyReport:
     outcome: AggregationOutcome
     candidates: list[Candidate]
     greedy: Trajectory
-    mode: str
 
 
 def run_with_consistency(
@@ -311,13 +300,7 @@ def run_with_consistency(
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()
         candidates = [Candidate(result, greedy)] if greedy.passed else []
-        outcome = AggregationOutcome(
-            result=result,
-            method=aggregation,
-            candidate_count=len(candidates),
-            chosen_index=0 if candidates else None,
-        )
-        return ConsistencyReport(outcome, candidates, greedy, mode)
+        return ConsistencyReport(AggregationOutcome(result), candidates, greedy)
     if mode == "sc":
         candidates = sc_stepwise(
             config,
@@ -351,4 +334,4 @@ def run_with_consistency(
         # all samples rejected: fall back to the (passing) greedy result
         candidates = [Candidate(greedy.result, greedy)]
     outcome = aggregate(candidates, aggregation, backend)
-    return ConsistencyReport(outcome, candidates, greedy, mode)
+    return ConsistencyReport(outcome, candidates, greedy)

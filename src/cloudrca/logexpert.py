@@ -494,7 +494,6 @@ class RetrievalStore:
 class PackedPrompt:
     text: str
     truncated: bool
-    example_count: int
 
 
 def pack_icl_prompt(
@@ -525,7 +524,7 @@ def pack_icl_prompt(
             body.append(block)
             used += len(block)
     text = instruction + "".join(body) + chunk_header + chunk_text
-    return PackedPrompt(text, truncated, len(body))
+    return PackedPrompt(text, truncated)
 
 
 # ---------------------------------------------------------------------------

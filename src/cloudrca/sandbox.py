@@ -313,10 +313,10 @@ class Sandbox:
             raise ConfigurationError(f"no scenario index at {index_path}")
         try:
             with open(index_path, "r", encoding="utf-8") as fh:
-                self.index = json.load(fh)
+                index = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read scenario index {index_path}: {exc}")
-        job_ids = self.index.get("job_ids") if isinstance(self.index, dict) else None
+        job_ids = index.get("job_ids") if isinstance(index, dict) else None
         if not isinstance(job_ids, list):
             raise ConfigurationError(f"scenario index {index_path} holds no job_ids list")
         self.job_ids: list[str] = job_ids

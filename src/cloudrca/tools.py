@@ -124,7 +124,6 @@ class DispatchResult:
     error: bool = False
     # the call itself is malformed: an unknown tool or a missing parameter
     invalid: bool = False
-    raw_text: Optional[str] = None
 
 
 def _error_result(message: str, invalid: bool = False) -> DispatchResult:
@@ -166,7 +165,7 @@ def dispatch(
     if not raw:
         raw = EMPTY_OBSERVATION
     key = store.put(raw)
-    return DispatchResult(observation=render_head(raw, key), raw_text=raw)
+    return DispatchResult(observation=render_head(raw, key))
 
 
 def check_errors(
@@ -267,34 +266,23 @@ def finalize_spec() -> ToolSpec:
     )
 
 
-@dataclass
-class FinalizeParse:
-    result: AnalysisResult
-    complete: bool
-    unrecognized_responsibility: bool = False
-
-
-def parse_finalize(call: ToolCall) -> FinalizeParse:
+def parse_finalize(call: ToolCall) -> AnalysisResult:
     """Extract the analysis payload from a finalize call; missing or empty
-    fields are filled with the baseline string."""
+    fields, and a responsibility other than User or Platform, are filled
+    with the baseline string."""
     kwargs = call.kwargs or {}
     values = {}
-    complete = True
     for name in RESULT_FIELDS:
         value = kwargs.get(name)
         if not isinstance(value, str) or not value.strip():
             values[name] = UNCLEAR
-            complete = False
         else:
             values[name] = value.strip()
-    unrecognized = False
     resp = values["responsibility"].lower()
     if resp == "user":
         values["responsibility"] = "User"
     elif resp == "platform":
         values["responsibility"] = "Platform"
-    elif values["responsibility"] != UNCLEAR:
+    else:
         values["responsibility"] = UNCLEAR
-        unrecognized = True
-        complete = False
-    return FinalizeParse(AnalysisResult(**values), complete, unrecognized)
+    return AnalysisResult(**values)

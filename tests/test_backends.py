@@ -218,8 +218,8 @@ class TestGenerateAdaptive:
         out = generate_adaptive(be, exchange(), base)
         assert out.text == "recovered"
         assert out.attempts == 2
-        assert out.final_params.repetition_penalty == pytest.approx(1.5)
-        assert out.final_params.frequency_penalty == pytest.approx(0.5)
+        assert be.calls[-1].params.repetition_penalty == pytest.approx(1.5)
+        assert be.calls[-1].params.frequency_penalty == pytest.approx(0.5)
 
     def test_escalation_capped(self):
         long_text = "x" * (4097 * 4)

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from cloudrca import cli
 from cloudrca.backends import MockBackend
 from cloudrca.cli import RunSettings, _read_mapping, _settings_from, main
-from cloudrca.errors import ConfigurationError, TransportError
+from cloudrca.errors import TransportError
 from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
 
@@ -131,7 +131,7 @@ class TestDiagnose:
         assert manifest["mode"] == "tsc"
         assert len(manifest["candidates"]) == 3
 
-    def test_http_without_endpoint_is_a_configuration_error(
+    def test_http_without_endpoint_is_a_usage_error(
         self, runner, scenario_dir, tmp_path, sandbox
     ):
         result = runner.invoke(
@@ -147,9 +147,24 @@ class TestDiagnose:
                 "http",
             ],
         )
-        assert result.exit_code == 1
-        assert isinstance(result.exception, ConfigurationError)
-        assert "--endpoint" in str(result.exception)
+        assert result.exit_code == 2, result.output
+        assert "--endpoint" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_backend_in_config_is_a_usage_error(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        path = tmp_path / "run.yaml"
+        path.write_text("backend: foo\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["diagnose", sandbox.job_ids[0], "--scenarios", scenario_dir,
+             "--out-dir", str(out), "--config", str(path)],
+        )
+        assert result.exit_code == 2, result.output
+        assert "backend must be one of mock, http" in result.output
+        assert not out.exists()
 
 
 class TestBatch:
@@ -203,8 +218,7 @@ class TestBatch:
             main,
             ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), "--backend", "http"],
         )
-        assert result.exit_code == 1
-        assert isinstance(result.exception, ConfigurationError)
+        assert result.exit_code == 2, result.output
         assert not (out / "report.json").exists()
 
     def test_scores_use_the_fixed_offline_scorer(self, runner, scenario_dir, tmp_path):
@@ -249,6 +263,7 @@ class TestBadSettings:
             (["--malformed-pct", "-1"], None),
             ([], {"json_regen": "false"}),
             ([], {"backend": ["mock"]}),
+            ([], {"backend": "foo"}),
             ([], {"endpoint": 8080}),
             ([], {"model": None}),
         ],
@@ -267,6 +282,7 @@ class TestBadSettings:
             "malformed-pct-negative-flag",
             "json-regen-string-in-config",
             "backend-list-in-config",
+            "backend-unknown-in-config",
             "endpoint-int-in-config",
             "model-null-in-config",
         ],
@@ -382,10 +398,10 @@ class TestBatchJobFailure:
         broken = sandbox.job_ids[2]
         real_run_job = cli.run_job
 
-        def run_job(settings, bundle, job_id):
+        def run_job(settings, bundle, job_id, backend):
             if job_id == broken:
                 raise error
-            return real_run_job(settings, bundle, job_id)
+            return real_run_job(settings, bundle, job_id, backend)
 
         monkeypatch.setattr(cli, "run_job", run_job)
         out = tmp_path / "out"
@@ -485,6 +501,21 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert "malformed_pct must be of type int" in result.output
+
+    def test_http_without_endpoint_in_result_json_is_a_usage_error(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        manifest_path = os.path.join(os.path.dirname(path), "result.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["settings"]["backend"] = "http"
+        manifest["settings"]["endpoint"] = ""
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 2, result.output
+        assert "--endpoint" in result.output
 
     @pytest.mark.parametrize(
         "damage, message",

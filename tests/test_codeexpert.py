@@ -56,7 +56,6 @@ class TestRepoIndex:
         (nested / "Dup.java").write_text("deep")
         index = RepoIndex.build(str(tmp_path))
         assert index.class_to_path["Dup"] == "Dup.java"
-        assert "Dup" in index.ambiguous
 
     def test_lexicographic_tiebreak_at_same_depth(self, tmp_path):
         for sub in ("zeta", "alpha"):

@@ -147,8 +147,6 @@ class TestAggregate:
         assert outcome.result.solution == "raise memory"
         assert outcome.result.evidence == "ev-a"
         assert outcome.result.responsibility == "User"
-        assert outcome.candidate_count == 3
-        assert outcome.chosen_index == 0
         assert set(outcome.field_choices) == {"root_cause", "solution", "evidence"}
 
     def test_llm_aggregate(self, policy_backend):
@@ -157,7 +155,6 @@ class TestAggregate:
         assert outcome.result.root_cause == "oom"
         assert outcome.result.responsibility == "User"
         assert outcome.field_choices == {}
-        assert outcome.chosen_index is None
 
     def test_unknown_method(self, policy_backend):
         with pytest.raises(ValueError):
@@ -371,7 +368,6 @@ class TestRunWithConsistency:
         report = run_with_consistency(
             config, _registry_factory(sandbox), policy_backend, mode="greedy"
         )
-        assert report.mode == "greedy"
         assert report.greedy.passed
         assert len(report.candidates) == 1
         assert report.outcome.result.to_dict() == report.greedy.result.to_dict()
@@ -401,7 +397,6 @@ class TestRunWithConsistency:
         report = run_with_consistency(
             config, _registry_factory(sandbox), policy_backend, mode="sample-full", k=3
         )
-        assert report.mode == "sample-full"
         assert len(report.candidates) == 3
         for cand in report.candidates:
             assert cand.trajectory.seed_prefix_len == 0

@@ -489,7 +489,7 @@ class TestPackIcl:
         packed = pack_icl_prompt(self.chunk(), None, MockBackend())
         assert "=== Log chunk to analyze ===" in packed.text
         assert packed.text.endswith("ERROR failure in module x")
-        assert packed.example_count == 0 and not packed.truncated
+        assert "=== Example ===" not in packed.text and not packed.truncated
 
     def test_similar_example_packed_first(self):
         be = MockBackend()
@@ -497,7 +497,7 @@ class TestPackIcl:
         store.add("ERROR failure in module x happened", "module x crashed")
         store.add("watermark advanced normally fine", "nothing wrong")
         packed = pack_icl_prompt(self.chunk(), store, be)
-        assert packed.example_count == 2
+        assert packed.text.count("=== Example ===") == 2
         first = packed.text.index("module x crashed")
         second = packed.text.index("nothing wrong")
         assert first < second
@@ -508,7 +508,7 @@ class TestPackIcl:
         store.add("x" * 4500, "y" * 4500)
         store.add("ERROR failure in module x happened", "module x crashed")
         packed = pack_icl_prompt(self.chunk(), store, be)
-        assert packed.example_count == 1
+        assert packed.text.count("=== Example ===") == 1
         assert "module x crashed" in packed.text and "x" * 4500 not in packed.text
         assert len(packed.text) <= DEFAULT_MAX_PROMPT_LEN
 

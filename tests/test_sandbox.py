@@ -10,7 +10,7 @@ import pytest
 
 import cloudrca.sandbox as sandbox_module
 from cloudrca import PolicyBackend, RepoIndex, Sandbox, generate_scenarios, prompts
-from cloudrca.cli import RunSettings, run_job
+from cloudrca.cli import RunSettings, _make_backend, run_job
 from cloudrca.codeexpert import find_class_file
 from cloudrca.errors import ConfigurationError
 from cloudrca.sandbox import LOG_LEVELS
@@ -210,7 +210,7 @@ class TestPolicyRouting:
 
         def results():
             return [
-                run_job(settings, bundle, job_id).outcome.result
+                run_job(settings, bundle, job_id, _make_backend(settings)).outcome.result
                 for settings in runs
                 for job_id in bundle.job_ids
             ]

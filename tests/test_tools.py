@@ -291,7 +291,7 @@ class TestParseFinalize:
         assert spec.kind == KIND_FINALIZE
         assert [p.name for p in spec.params] == list(RESULT_FIELDS)
         call = ToolCall("finalize", {p.name: "User" for p in spec.params})
-        assert parse_finalize(call).complete
+        assert parse_finalize(call).to_dict() == {name: "User" for name in RESULT_FIELDS}
 
     def test_complete_payload(self):
         call = ToolCall(
@@ -303,31 +303,31 @@ class TestParseFinalize:
                 "responsibility": "user",
             },
         )
-        parsed = parse_finalize(call)
-        assert parsed.complete
-        assert parsed.result.responsibility == "User"
-        assert not parsed.unrecognized_responsibility
+        assert parse_finalize(call).to_dict() == {
+            "root_cause": "heap too small",
+            "solution": "raise heap",
+            "evidence": "OutOfMemoryError",
+            "responsibility": "User",
+        }
 
     def test_platform_normalized(self):
         parsed = parse_finalize(ToolCall("finalize", {"responsibility": "PLATFORM"}))
-        assert parsed.result.responsibility == "Platform"
-        assert not parsed.complete  # other fields missing
+        assert parsed.responsibility == "Platform"
+        assert parsed.root_cause == "Unclear"  # other fields missing
 
     def test_missing_fields_become_unclear(self):
         parsed = parse_finalize(ToolCall("finalize", {}))
-        assert parsed.result.root_cause == "Unclear"
-        assert parsed.result.responsibility == "Unclear"
-        assert not parsed.complete
+        assert parsed.to_dict() == {name: "Unclear" for name in RESULT_FIELDS}
 
-    def test_unrecognized_responsibility_flagged(self):
+    def test_unrecognized_responsibility_becomes_unclear(self):
         parsed = parse_finalize(
             ToolCall("finalize", {"responsibility": "the network team"})
         )
-        assert parsed.unrecognized_responsibility
+        assert parsed.responsibility == "Unclear"
 
     def test_blank_strings_treated_as_missing(self):
         parsed = parse_finalize(ToolCall("finalize", {"root_cause": "   "}))
-        assert parsed.result.root_cause == "Unclear"
+        assert parsed.root_cause == "Unclear"
 
 
 class TestSnapshotParams:
@@ -366,9 +366,10 @@ class TestSnapshotParams:
 
     def test_epoch_argument_reaches_info_tool(self):
         registry = self.registry(with_expert=False)
-        result = dispatch(registry, ToolCall("events", {"since": self.EPOCH}), context())
+        ctx = context()
+        result = dispatch(registry, ToolCall("events", {"since": self.EPOCH}), ctx)
         assert not result.error
-        assert result.raw_text == f"events since {self.EPOCH}"
+        assert ctx.get(snapshot_keys(result.observation)[0]) == f"events since {self.EPOCH}"
 
     def test_epoch_argument_beside_snapshot_key(self):
         ctx = context()
@@ -376,7 +377,7 @@ class TestSnapshotParams:
         call = ToolCall("expert", {"snapshot": key, "since": self.EPOCH})
         assert check_errors([], call, self.registry(), ctx) is None
         result = dispatch(self.registry(), call, ctx)
-        assert result.raw_text == f"100 chars since {self.EPOCH}"
+        assert ctx.get(snapshot_keys(result.observation)[0]) == f"100 chars since {self.EPOCH}"
 
     def test_snapshot_parameter_rejects_unissued_key(self):
         call = ToolCall("expert", {"snapshot": "0000000000", "since": self.EPOCH})
