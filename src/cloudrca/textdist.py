@@ -10,8 +10,14 @@ import numpy as np
 
 # deduplicate_entries drops an entry this similar to a kept one
 DEDUP_THRESHOLD = 0.9
-# deduplicate_entries buckets each character by ord(ch) % _BUCKETS
-_BUCKETS = 64
+# deduplicate_entries hashes each bigram (a, b) of code points into bucket
+# (a * _BIGRAM_MIX + b) % _BUCKETS, a power of two
+_BUCKETS = 256
+_BIGRAM_MIX = 31
+# most one-columns a bucket's count is encoded in
+_LEVELS = 16
+# entries scored by one product, against the kept entries and each other
+_BLOCK = 64
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -86,22 +92,65 @@ def normalized_similarity(a: str, b: str) -> float:
     return 1.0 - levenshtein(a, b) / longest
 
 
-def _histograms(texts: list[str]) -> np.ndarray:
-    """One (len(texts), _BUCKETS + 1) int64 row per text: the count of its
-    code points in each ord(ch) % _BUCKETS bucket, then its length.
+def _bigram_levels(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unary encoding of every text's bucketed bigram counts, one row per
+    text, and the weight of each column, both in a dtype that sums exactly.
 
-    One bincount over the joined text fills every row.  surrogatepass lets a
-    lone surrogate, which json.loads can produce, through as its own code
-    point.
+    One bincount over the joined text counts each text's bigrams (adjacent
+    code points within the text) in _BUCKETS hash buckets.  Bucket b's count
+    c becomes ceil(c / step) one-columns, where step is the smallest that
+    keeps the bucket's largest count to _LEVELS columns, and each of those
+    columns weighs step.  So (weights * row_a) . row_b is the sum over
+    buckets of step * min(ceil(ca / step), ceil(cb / step)), which is at
+    least the sum of min(ca, cb).  Every term of a product is a nonnegative
+    integer, and a row's weighted total, which bounds every partial sum, is
+    less than its length plus step - 1 per bucket: float32 is exact while
+    that stays below 2**24, float64 above it.  surrogatepass lets a lone
+    surrogate, which json.loads can produce, through as its own code point.
     """
-    width = _BUCKETS + 1
-    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    n = len(texts)
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    cells = np.repeat(np.arange(len(texts), dtype=np.int64) * width, lengths)
-    cells += codes % _BUCKETS
-    rows = np.bincount(cells, minlength=len(texts) * width).reshape(len(texts), width)
-    rows[:, _BUCKETS] = lengths
-    return rows
+    codes = codes.astype(np.int64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    inside = owner[:-1] == owner[1:]
+    cells = owner[:-1] * _BUCKETS + ((codes[:-1] * _BIGRAM_MIX + codes[1:]) & (_BUCKETS - 1))
+    counts = np.bincount(cells[inside], minlength=n * _BUCKETS).reshape(n, _BUCKETS)
+    step = np.maximum(-(-counts.max(axis=0) // _LEVELS), 1)
+    coarse = np.flatnonzero(step > 1)
+    counts[:, coarse] = -(-counts[:, coarse] // step[coarse])
+    # at most _LEVELS per cell now, so a byte holds it and gathers fast
+    counts = counts.astype(np.uint8)
+    levels = counts.max(axis=0)
+    bucket = np.repeat(np.arange(_BUCKETS), levels)
+    level = np.arange(len(bucket)) - np.repeat(np.cumsum(levels) - levels, levels)
+    exact = np.float32 if lengths.max() + (step - 1).sum() < 2**24 else np.float64
+    return (counts[:, bucket] > level).astype(exact), step[bucket].astype(exact)
+
+
+def _bounds(
+    rows: np.ndarray, row_lengths: np.ndarray, basis: np.ndarray, basis_lengths: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, longest) for every pair of a text of rows and a text of basis,
+    as float matrices: a lower bound on their edit distance, and the length
+    of the longer one.  Both matrices are _bigram_levels rows, the lengths
+    float.
+
+    By the q-gram count lemma (Ukkonen, TCS 1992) for q = 2, a string of
+    length la has la - 1 bigrams and one edit destroys at most two of them,
+    so strings at distance d share at least max(la, lb) - 1 - 2d bigrams:
+    with common the shared count, d >= (max(la, lb) - common) // 2.  Also
+    d >= |la - lb|.  _bigram_levels hashes bigrams into buckets and rounds
+    large counts up to coarse levels; both can only raise common, so lower
+    stays a lower bound.  The product of the unary encodings runs in
+    np.einsum, NumPy's own loop, not in BLAS: OpenBLAS spreads `@` over its
+    threads at these sizes, and on two shared vCPUs that stalled about one
+    product in a hundred for ~15 ms, where einsum's slowest took ~1 ms.
+    """
+    common = np.einsum("ij,kj->ik", rows * weights, basis)
+    la, lb = row_lengths[:, None], basis_lengths[None, :]
+    longest = np.maximum(la, lb)
+    return np.maximum(np.abs(la - lb), (longest - common) // 2), longest
 
 
 def deduplicate_entries(entries: list[str]) -> list[str]:
@@ -111,35 +160,53 @@ def deduplicate_entries(entries: list[str]) -> list[str]:
     DEDUP_THRESHOLD.  Idempotent: a second pass keeps everything.
 
     Pairs that cannot reach the threshold are never measured.  An entry
-    equal to an earlier one is dropped unmeasured.  Every other entry is
-    tested against all kept entries at once with the frequency distance of
-    Kahveci & Singh (VLDB 2001): with H and h the bucket histograms and L
-    and la the lengths, lower = (sum|H - h| + |L - la|) // 2 is the larger
-    of the two one-sided histogram excesses, and one edit lowers either
-    excess by at most one, so the distance is at least lower.  With the
-    length as each histogram row's last column, the numerator is one sum of
-    |row - row|.  A kept entry is skipped when 1 - lower / longest is below
-    the threshold: the integers convert to float64 exactly and float
-    subtraction and division are monotone, so normalized_similarity can
-    return no more.  Where longest is 0 both entries are empty, lower is 0,
-    and dividing by 1 gives their exact similarity 1.0.  The rest are
-    measured in kept order.
+    equal to an earlier one is dropped unmeasured.  The rest go in blocks of
+    _BLOCK, each scored by one _bounds call against the kept entries and
+    itself, so the work grows with entries times kept entries.  A pair is
+    skipped when 1 - lower / longest is below the threshold: the integers
+    convert to float64 exactly and float subtraction and division are
+    monotone, so normalized_similarity can return no more.  Where longest is
+    0 both entries are empty, lower is 0, and dividing by 1 gives their
+    exact similarity 1.0.  An entry's candidates, its row of that test as a
+    bitmask ANDed with the mask of kept entries, are measured in entry
+    order, so the output is that of measuring every pair.
     """
+    threshold = DEDUP_THRESHOLD
     entries = list(dict.fromkeys(entries))
-    rows = _histograms(entries)
+    if not entries:
+        return []
+    lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
+    ones, weights = _bigram_levels(entries, lengths)
+    lengths = lengths.astype(np.float64)
     kept: list[str] = []
-    for k, entry in enumerate(entries):
-        # rows[:n] are the kept lines' rows: each is moved to the front when
-        # its line is kept, over a row already tested
-        n = len(kept)
-        lower = np.abs(rows[:n] - rows[k]).sum(axis=1) // 2
-        longest = np.maximum(rows[:n, _BUCKETS], max(len(entry), 1))
-        bound = 1.0 - lower / longest
-        if any(
-            normalized_similarity(entry, kept[i]) >= DEDUP_THRESHOLD
-            for i in np.flatnonzero(~(bound < DEDUP_THRESHOLD))
-        ):
-            continue
-        rows[n] = rows[k]
-        kept.append(entry)
+    for start in range(0, len(entries), _BLOCK):
+        end = min(start + _BLOCK, len(entries))
+        # rows [0, front) are the kept entries', in kept order; the block's
+        # rows go right after them
+        front, stop = len(kept), len(kept) + end - start
+        ones[front:stop] = ones[start:end]
+        lengths[front:stop] = lengths[start:end]
+        lower, longest = _bounds(
+            ones[front:stop], lengths[front:stop], ones[:stop], lengths[:stop], weights
+        )
+        maybe = ~(1.0 - lower / np.maximum(longest, 1.0) < threshold)
+        bits = np.packbits(maybe, axis=1, bitorder="little")
+        width, packed = bits.shape[1], bits.tobytes()
+        mask = (1 << front) - 1
+        block_kept = []
+        for row, entry in enumerate(entries[start:end]):
+            candidates = int.from_bytes(packed[row * width : (row + 1) * width], "little") & mask
+            while candidates:
+                low = candidates & -candidates
+                at = low.bit_length() - 1
+                other = kept[at] if at < front else entries[start + at - front]
+                if normalized_similarity(entry, other) >= threshold:
+                    break
+                candidates ^= low
+            else:
+                mask |= 1 << (front + row)
+                block_kept.append(front + row)
+                kept.append(entry)
+        ones[front : len(kept)] = ones[block_kept]
+        lengths[front : len(kept)] = lengths[block_kept]
     return kept

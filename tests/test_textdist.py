@@ -1,7 +1,8 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cloudrca.textdist as textdist
@@ -232,6 +233,41 @@ def test_dedup_matches_reference_property(entries):
     assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text(alphabet="ab c", max_size=12), max_size=25),
+    st.sampled_from([1, 2, 3, 5]),
+)
+def test_dedup_matches_reference_across_blocks(entries, block):
+    # small blocks put kept entries, dropped ones and their matches in
+    # different blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textdist, "_BLOCK", block)
+        assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
+
+
+def test_blocks_are_scored_against_kept_entries_only(monkeypatch):
+    # 1,000 lines of 10 templates, nearly all near-duplicates: the products
+    # must grow with entries times kept entries, not entries squared
+    rng = random.Random(10)
+    templates = [f"worker {w} finished stage {{}} of job {{}} in {w}{w} ms" for w in "abcdefghij"]
+    lines = [rng.choice(templates).format(rng.randrange(10, 99), rng.randrange(100, 999))
+             for _ in range(1000)]
+    cells = []
+    original = textdist._bounds
+
+    def counting(rows, row_lengths, basis, basis_lengths, weights):
+        cells.append(len(rows) * len(basis))
+        return original(rows, row_lengths, basis, basis_lengths, weights)
+
+    monkeypatch.setattr(textdist, "_bounds", counting)
+    unique = list(dict.fromkeys(lines))
+    kept = deduplicate_entries(lines)
+    assert kept == dedup_reference(unique, DEDUP_THRESHOLD)
+    assert len(kept) < 100
+    assert sum(cells) <= len(unique) * (len(kept) + textdist._BLOCK)
+
+
 @pytest.fixture
 def distance_calls(monkeypatch):
     calls = []
@@ -259,9 +295,9 @@ def test_length_bound_skips_distance(distance_calls):
     assert distance_calls == []
 
 
-# '0' and 'p' (48 and 112) share a histogram bucket, and so do '1' and 'q'
+# the bigrams "01" and "89" share a bucket, as do "0p" and "8x"
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.text(alphabet="0p1q a🚀", max_size=12), max_size=25))
+@given(st.lists(st.text(alphabet="0p1q89x a🚀", max_size=12), max_size=25))
 def test_dedup_matches_reference_when_buckets_collide(entries):
     assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
@@ -273,9 +309,9 @@ def test_dedup_takes_lone_surrogates():
 
 
 def test_dedup_counts_do_not_wrap_on_long_lines():
-    # one bucket holds 32,768 of the kept line's characters and 32,767 of
-    # the next one's, so a 16-bit count would wrap and the bound would rule
-    # out a pair at distance 1
+    # the "aa" bucket holds 32,767 of the kept line's bigrams and 32,766 of
+    # the next one's: a 16-bit count would wrap, and the bucket takes coarse
+    # levels, which must still let the pair at distance 1 through
     first = "a" * 32768 + "b" * 7232
     second = "a" * 32767 + "b" * 7233
     assert len(first) == len(second) == 40000
@@ -301,9 +337,78 @@ def _two_template_lines(rng: random.Random, count: int) -> list[str]:
     return lines
 
 
-def test_histogram_bound_skips_most_pairs(distance_calls):
+def test_bigram_bound_skips_most_pairs(distance_calls):
     lines = _two_template_lines(random.Random(500), 500)
     assert len(set(lines)) == 500
     assert deduplicate_entries(lines) == lines
     # a tenth of the 124,750 pairs
     assert len(distance_calls) <= 12475
+
+
+def test_bigram_bound_skips_same_template_pairs_at_scale(distance_calls):
+    # lines of one template differ only in their duration and 16-character
+    # tag, so any two of them share most of their bigrams
+    lines = _two_template_lines(random.Random(2000), 2000)
+    assert len(set(lines)) == 2000
+    assert deduplicate_entries(lines) == lines
+    # a hundredth of the 1,999,000 pairs
+    assert len(distance_calls) <= 19990
+
+
+# "01" and "89" share a bucket; a run of more than _LEVELS + 1 equal
+# characters puts its bucket on coarse levels; "\ud800" is a lone surrogate
+_bound_text = st.one_of(
+    st.text(alphabet="0189ab \ud800", max_size=12),
+    st.builds(
+        lambda ch, run, tail: ch * run + tail,
+        st.sampled_from("a0\ud800"),
+        st.integers(textdist._LEVELS + 2, 4 * textdist._LEVELS),
+        st.text(alphabet="ab0", max_size=4),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_bound_text, min_size=1, max_size=10))
+@example(["", "x", "y", "x", "ab", "ac", "a" * 40, "a" * 41])
+def test_block_bound_never_exceeds_levenshtein(texts):
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    ones, weights = textdist._bigram_levels(texts, lengths)
+    lengths = lengths.astype(np.float64)
+    lower, _ = textdist._bounds(ones, lengths, ones, lengths, weights)
+    for i, a in enumerate(texts):
+        for k, b in enumerate(texts):
+            assert lower[i, k] <= levenshtein(a, b)
+
+
+def _edited(rng: random.Random, line: str, edits: int) -> str:
+    chars = list(line)
+    for _ in range(edits):
+        at = rng.randrange(len(chars))
+        op = rng.choice("sid")
+        if op == "s":
+            chars[at] = rng.choice("xyz#7")
+        elif op == "i":
+            chars.insert(at, rng.choice("xyz#7"))
+        else:
+            del chars[at]
+    return "".join(chars)
+
+
+def test_longlog_style_list_matches_reference():
+    # both templates interleaved, with exact repeats and near-duplicates of
+    # at most 3 changed characters mixed among the fresh lines
+    rng = random.Random(300)
+    fresh = iter(_two_template_lines(rng, 300))
+    lines = []
+    while len(lines) < 300:
+        roll = rng.random()
+        if lines and roll < 0.2:
+            lines.append(rng.choice(lines))
+        elif lines and roll < 0.45:
+            lines.append(_edited(rng, rng.choice(lines), rng.randint(1, 3)))
+        else:
+            lines.append(next(fresh))
+    kept = deduplicate_entries(lines)
+    assert kept == dedup_reference(lines, DEDUP_THRESHOLD)
+    assert 0 < len(kept) < len(set(lines)) < len(lines)
