@@ -107,31 +107,42 @@ def run_job(
     )
 
 
-def _results(report: ConsistencyReport) -> dict:
-    """The filled result and the candidates, as result.json records them."""
-    return {
-        "result": fill_baseline(report.outcome.result).to_dict(),
-        "candidates": [c.result.to_dict() for c in report.candidates],
-    }
-
-
-def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report):
-    job_out = os.path.join(out_dir, job_id)
-    os.makedirs(job_out, exist_ok=True)
-    trajectory_path = os.path.join(job_out, "trajectory.jsonl")
-    with open(trajectory_path, "w", encoding="utf-8") as fh:
-        fh.write(report.greedy.to_jsonl())
+def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -> dict:
+    """The bytes of each file a job writes, by file name: diagnose and batch
+    write them, and replay compares them with the files on disk."""
     result = {
         "job_id": job_id,
         "passed": report.greedy.passed,
         "mode": settings.mode,
-        **_results(report),
+        "result": fill_baseline(report.outcome.result).to_dict(),
+        "candidates": [c.result.to_dict() for c in report.candidates],
         "settings": settings.to_dict(),
     }
-    with open(os.path.join(job_out, "result.json"), "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return trajectory_path
+    return {
+        "trajectory.jsonl": report.greedy.to_jsonl().encode(),
+        "result.json": (json.dumps(result, indent=2, sort_keys=True) + "\n").encode(),
+    }
+
+
+def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report) -> None:
+    job_out = os.path.join(out_dir, job_id)
+    os.makedirs(job_out, exist_ok=True)
+    for name, data in _render_job(job_id, settings, report).items():
+        with open(os.path.join(job_out, name), "wb") as fh:
+            fh.write(data)
+
+
+def _trajectory_divergence(recorded: bytes, replayed: bytes) -> str:
+    """The message for the first line where two trajectory files differ: the
+    last line is the result record, the lines before it are steps, none is parsed."""
+    old, new = recorded.splitlines(keepends=True), replayed.splitlines(keepends=True)
+    line = len(os.path.commonprefix([old, new]))  # lines, not characters
+    old_steps, new_steps = max(len(old) - 1, 0), len(new) - 1
+    if line < min(old_steps, new_steps):
+        return f"divergence at step {line}"
+    if old_steps != new_steps:
+        return f"divergence: step count {old_steps} vs {new_steps}"
+    return "divergence in trailing result record"
 
 
 @click.group()
@@ -192,7 +203,7 @@ def _settings_from(data: dict, **flags) -> RunSettings:
 
 @main.command("gen-scenarios")
 @click.option("--seed", type=int, default=0)
-@click.option("--count", type=int, default=10)
+@click.option("--count", type=click.IntRange(min=0), default=10)
 @click.option("--out-dir", required=True)
 def cmd_gen_scenarios(seed, count, out_dir):
     """Generate a deterministic synthetic scenario bundle."""
@@ -226,7 +237,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
 @click.option("--scenarios", required=True)
 @click.option("--out-dir", required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, help="concurrent jobs")
-@click.option("--pass-floor", type=float, default=0.0,
+@click.option("--pass-floor", type=click.FloatRange(0, 100), default=0.0,
               help="minimum acceptable pass rate in percent (0-100)")
 @_common_options
 def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
@@ -274,9 +285,9 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
 @main.command("replay")
 @click.argument("trajectory_file", type=click.Path(exists=True, dir_okay=False))
 def cmd_replay(trajectory_file):
-    """Re-run a persisted trajectory deterministically and verify that it and
-    result.json match.  Exits nonzero on the first divergence (regression
-    guard)."""
+    """Re-run the job of a persisted trajectory and compare the bytes of its
+    trajectory.jsonl and result.json with the files on disk.  Exits 1 on the
+    first divergence (regression guard)."""
     manifest_path = os.path.join(os.path.dirname(trajectory_file), "result.json")
     manifest = _read_mapping(manifest_path)
     for name in ("job_id", "settings", "result", "candidates"):
@@ -286,26 +297,18 @@ def cmd_replay(trajectory_file):
         raise click.UsageError(f"settings in {manifest_path} is not a mapping")
     settings = _settings_from(manifest["settings"])
     sandbox = _load_sandbox(settings.scenarios)
-    with open(trajectory_file, "r", encoding="utf-8") as fh:
-        recorded_text = fh.read()
-    recorded = Trajectory.from_jsonl(recorded_text)
     report = run_job(settings, sandbox, manifest["job_id"], _make_backend(settings))
-    replayed = report.greedy
-    for idx, (old, new) in enumerate(zip(recorded.steps, replayed.steps)):
-        if old.to_dict() != new.to_dict():
-            click.echo(f"divergence at step {idx}")
+    paths = {"trajectory.jsonl": trajectory_file, "result.json": manifest_path}
+    for name, replayed in _render_job(manifest["job_id"], settings, report).items():
+        with open(paths[name], "rb") as fh:
+            recorded = fh.read()
+        if recorded != replayed:
+            click.echo(
+                _trajectory_divergence(recorded, replayed)
+                if name == "trajectory.jsonl"
+                else "divergence in result.json"
+            )
             sys.exit(1)
-    if len(recorded.steps) != len(replayed.steps):
-        click.echo(
-            f"divergence: step count {len(recorded.steps)} vs {len(replayed.steps)}"
-        )
-        sys.exit(1)
-    if replayed.to_jsonl() != recorded_text:
-        click.echo("divergence in trailing result record")
-        sys.exit(1)
-    if _results(report) != {name: manifest[name] for name in ("result", "candidates")}:
-        click.echo("divergence in result.json: result or candidates differ")
-        sys.exit(1)
     click.echo("replay matches recorded trajectory")
     sys.exit(0)
 

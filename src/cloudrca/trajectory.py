@@ -74,17 +74,6 @@ class Step:
             "invalid_flag": self.invalid_flag,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Step":
-        action = data.get("action")
-        return cls(
-            thought=data["thought"],
-            action=ToolCall(action["function"], action["kwargs"]) if action else None,
-            observation=data["observation"],
-            error_flag=bool(data.get("error_flag")),
-            invalid_flag=bool(data.get("invalid_flag")),
-        )
-
 
 @dataclass
 class Trajectory:
@@ -114,20 +103,3 @@ class Trajectory:
             )
         )
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "Trajectory":
-        traj = cls()
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if "step" in record:
-                traj.steps.append(Step.from_dict(record["step"]))
-            else:
-                result = record.get("result")
-                traj.result = AnalysisResult.from_dict(result) if result else None
-                traj.passed = bool(record.get("passed"))
-                traj.seed_prefix_len = int(record.get("seed_prefix_len", 0))
-                traj.diagnostic = record.get("diagnostic", "")
-        return traj

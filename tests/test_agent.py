@@ -328,14 +328,6 @@ class TestRunTrajectory:
         prompt = backend.calls[0].exchange.system_prompt
         assert "fetch" in prompt and "finalize" in prompt
 
-    def test_jsonl_roundtrip(self):
-        trajectory = self.run()
-        text = trajectory.to_jsonl()
-        restored = Trajectory.from_jsonl(text)
-        assert restored.to_jsonl() == text
-        assert restored.result.to_dict() == trajectory.result.to_dict()
-        assert len(restored.steps) == len(trajectory.steps)
-
 
 def test_invalid_ratio():
     steps = [

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from cloudrca import cli
 from cloudrca.backends import MockBackend
-from cloudrca.cli import RunSettings, _read_mapping, _settings_from, main
+from cloudrca.cli import RunSettings, _read_mapping, _settings_from, _trajectory_divergence, main
 from cloudrca.errors import TransportError
 from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
@@ -54,6 +54,18 @@ class TestGenScenarios:
         assert "generated 3 scenarios" in result.output
         index = json.loads((out / "index.json").read_text())
         assert len(index["job_ids"]) == 3
+
+    def test_negative_count_is_a_usage_error(self, runner, tmp_path):
+        out = tmp_path / "bundle"
+        result = runner.invoke(main, ["gen-scenarios", "--count", "-3", "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
+
+    def test_zero_count_writes_an_empty_bundle(self, runner, tmp_path):
+        out = tmp_path / "bundle"
+        result = runner.invoke(main, ["gen-scenarios", "--count", "0", "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "index.json").read_text())["job_ids"] == []
 
 
 class TestDiagnose:
@@ -189,6 +201,7 @@ class TestBatch:
         assert len(predictions) == len(report["jobs"]) * 4
 
     def test_floor_failure_exits_nonzero(self, runner, scenario_dir, tmp_path):
+        # one step cannot both gather evidence and finalize, so no job passes
         result = runner.invoke(
             main,
             [
@@ -197,11 +210,24 @@ class TestBatch:
                 scenario_dir,
                 "--out-dir",
                 str(tmp_path / "out"),
+                "--max-steps",
+                "1",
                 "--pass-floor",
-                "100.1",
+                "50",
             ],
         )
-        assert result.exit_code == 1
+        assert result.exit_code == 1, result.output
+        assert "pass_rate=0.00" in result.output
+
+    @pytest.mark.parametrize("floor", ["150", "-5", "100.1"])
+    def test_floor_out_of_range_is_a_usage_error(self, runner, scenario_dir, tmp_path, floor):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", scenario_dir, "--out-dir", str(out), "--pass-floor", floor],
+        )
+        assert result.exit_code == 2, result.output
+        assert not out.exists()
 
     def test_zero_jobs_is_a_usage_error(self, runner, scenario_dir, tmp_path):
         result = runner.invoke(
@@ -542,3 +568,70 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda lines: [b"not json\n"] + lines[1:],
+            lambda lines: [lines[0].replace(b'"observation":', b'"observed":')] + lines[1:],
+            lambda lines: [b"\xff\xfe" + lines[0][2:]] + lines[1:],
+            lambda lines: [],
+        ],
+        ids=["not-json", "no-observation", "not-utf8", "empty"],
+    )
+    def test_damaged_trajectory_is_a_divergence(
+        self, runner, scenario_dir, tmp_path, sandbox, damage
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(damage(lines)))
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "divergence" in result.output
+
+    def test_reordered_keys_diverge_at_their_step(self, runner, scenario_dir, tmp_path, sandbox):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        step = json.loads(lines[1])["step"]
+        reordered = json.dumps({"step": dict(reversed(list(step.items())))})
+        assert reordered != lines[1] and json.loads(reordered) == json.loads(lines[1])
+        lines[1] = reordered
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 1
+        assert "divergence at step 1" in result.output
+
+    def test_job_written_by_batch_replays(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_ids = generate_scenarios(seed=11, count=2, out_dir=str(bundle))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["batch", "--scenarios", str(bundle), "--out-dir", str(out),
+             "--mode", "tsc", "--k", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        for job_id in job_ids:
+            result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
+            assert result.exit_code == 0, result.output
+            assert "replay matches" in result.output
+
+
+@pytest.mark.parametrize(
+    "recorded, message",
+    [
+        (b"s0\nX\nr\n", "divergence at step 1"),
+        (b"s0\nr\n", "divergence: step count 1 vs 2"),
+        (b"s0\ns1\nr\nextra\n", "divergence: step count 3 vs 2"),
+        (b"", "divergence: step count 0 vs 2"),
+        (b"s0\ns1\nX\n", "divergence in trailing result record"),
+        (b"s0\ns1\nr", "divergence in trailing result record"),
+    ],
+)
+def test_first_differing_line_names_the_divergence(recorded, message):
+    assert _trajectory_divergence(recorded, b"s0\ns1\nr\n") == message
