@@ -9,7 +9,6 @@ only needs a backend handle.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import threading
@@ -39,8 +38,9 @@ RETRY_WAIT_S = 0.5
 MAX_RETRY_AFTER_S = 60
 HASH_EMBED_DIM = 64
 HASH_EMBED_MODEL = "mock-hash"
-# (seed, trigram) pairs hash_embed remembers, at about 270 bytes each (under
-# 9 MB when full); one pass of a benchmark workload meets under 6k of them
+# (seed, trigram) pairs hash_embed remembers, at 17 bytes each (an int64 key,
+# a uint8 bucket and a float64 sign: under 600 kB when full); one pass of a
+# benchmark workload meets under 6k of them
 HASH_EMBED_MEMO_SIZE = 1 << 15
 
 
@@ -113,12 +113,85 @@ def approx_token_count(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
-@functools.lru_cache(maxsize=HASH_EMBED_MEMO_SIZE)
-def _trigram_bucket(seed: int, gram: str) -> tuple[int, float]:
-    """The bucket and the sign one trigram adds to a hash embedding."""
+# A trigram's key packs its code points (at most 0x10FFFF, 21 bits each) into
+# 63 bits; the lone gram "^$" of an empty text ends in the sentinel _NO_CHAR.
+_CHAR_BITS = 21
+_CHAR_MASK = (1 << _CHAR_BITS) - 1
+_NO_CHAR = 0x110000
+_EMPTY_TEXT_GRAM = (ord("^") << 2 * _CHAR_BITS) | (ord("$") << _CHAR_BITS) | _NO_CHAR
+_EMBED_BLOCK_CHARS = 4096
+_NO_TABLE = (np.empty(0, np.int64), np.empty(0, np.uint8), np.empty(0, np.float64))
+
+# seed -> (sorted trigram keys, their buckets, their signs); each update
+# publishes a new dict, so a concurrent call reads one whole table
+_memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _hash_gram(seed: int, key: int) -> tuple[int, float]:
+    """The bucket and the sign the trigram with this key adds to a hash
+    embedding."""
+    gram = chr(key >> 2 * _CHAR_BITS) + chr(key >> _CHAR_BITS & _CHAR_MASK)
+    if key & _CHAR_MASK != _NO_CHAR:
+        gram += chr(key & _CHAR_MASK)
     digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
     idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
     return idx, 1.0 if digest[4] & 1 else -1.0
+
+
+def _gram_buckets(seed: int, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket and the sign of each trigram key in ``grams``, looked up in
+    the seed's memo.  Each missing distinct key is hashed once and the memo is
+    replaced by the grown table, or cleared if that would hold more than
+    HASH_EMBED_MEMO_SIZE keys."""
+    global _memo
+    memo = _memo
+    keys, buckets, signs = memo.get(seed, _NO_TABLE)
+    at = np.searchsorted(keys, grams)
+    if keys.size:
+        known = keys.take(at, mode="clip") == grams
+    else:
+        known = np.zeros(len(grams), dtype=bool)
+    if not known.all():
+        new = sorted(set(grams[~known].tolist()))
+        new_buckets, new_signs = zip(*(_hash_gram(seed, key) for key in new))
+        place = np.searchsorted(keys, new)
+        keys = np.insert(keys, place, new)
+        buckets = np.insert(buckets, place, new_buckets)
+        signs = np.insert(signs, place, new_signs)
+        others = sum(len(t[0]) for s, t in memo.items() if s != seed)
+        if others + len(keys) <= HASH_EMBED_MEMO_SIZE:
+            _memo = {**memo, seed: (keys, buckets, signs)}
+        else:
+            _memo = {}
+        at = np.searchsorted(keys, grams)
+    return buckets[at], signs[at]
+
+
+def _gram_counts(texts: Sequence[str], lengths: np.ndarray, seed: int) -> np.ndarray:
+    """Each text's signed trigram counts, one HASH_EMBED_DIM row per text."""
+    n = len(texts)
+    joined = ("^" + "$^".join(texts) + "$").encode("utf-32-le", "surrogatepass")
+    # two trailing sentinels give the last text's grams a third code point
+    points = np.full(len(joined) // 4 + 2, _NO_CHAR, dtype=np.int64)
+    points[:-2] = np.frombuffer(joined, np.uint32)
+    keys = points[:-2] << 2 * _CHAR_BITS
+    keys |= points[1:-1] << _CHAR_BITS
+    keys |= points[2:]
+    # a text's grams start at its "^" and at each of its characters but the
+    # last; an empty text has the one gram "^$"
+    ends = np.cumsum(lengths + 2)
+    empty = (ends - 2)[lengths == 0]
+    take = np.ones(len(keys), dtype=bool)
+    take[ends - 2] = False
+    take[ends - 1] = False
+    take[empty] = True
+    keys[empty] = _EMPTY_TEXT_GRAM
+    buckets, signs = _gram_buckets(seed, keys[take])
+    bins = np.repeat(np.arange(0, n * HASH_EMBED_DIM, HASH_EMBED_DIM), np.maximum(lengths, 1))
+    bins += buckets
+    # the signed counts are small integers, so the sums are exact
+    counts = np.bincount(bins, weights=signs, minlength=n * HASH_EMBED_DIM)
+    return counts.reshape(n, HASH_EMBED_DIM)
 
 
 def hash_embed(texts: Sequence[str], seed: int = 0) -> np.ndarray:
@@ -127,24 +200,28 @@ def hash_embed(texts: Sequence[str], seed: int = 0) -> np.ndarray:
 
     Deterministic and similarity-respecting enough for tests and offline
     scoring: shared trigrams land in shared buckets regardless of position.
+    Each trigram of "^text$" adds the sign its sha256 gives to one bucket.
+    Texts are counted a block of about _EMBED_BLOCK_CHARS characters at a
+    time, which bounds the temporaries, and each row is divided by its norm
+    (the square root of its own product, as np.linalg.norm computes it).
     """
     if not texts:
         raise ValueError("embed() requires a non-empty list")
-    vectors = np.empty((len(texts), HASH_EMBED_DIM), dtype=np.float64)
-    for vec, text in zip(vectors, texts):
-        # bucket sums are small integers, so a list sums them exactly
-        counts = [0.0] * HASH_EMBED_DIM
-        padded = f"^{text}$"
-        for i in range(max(1, len(padded) - 2)):
-            idx, sign = _trigram_bucket(seed, padded[i : i + 3])
-            counts[idx] += sign
-        vec[:] = counts
-        # one norm per row: a norm along axis 1 can differ in the last bit
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        else:
-            vec[0] = 1.0
+    n = len(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+    total = np.cumsum(lengths)
+    vectors = np.empty((n, HASH_EMBED_DIM), dtype=np.float64)
+    top = 0
+    while top < n:
+        limit = _EMBED_BLOCK_CHARS + (total[top - 1] if top else 0)
+        stop = max(top + 1, int(np.searchsorted(total, limit, "right")))
+        vectors[top:stop] = _gram_counts(texts[top:stop], lengths[top:stop], seed)
+        top = stop
+    norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
+    zero = norms == 0
+    norms[zero] = 1.0
+    vectors /= norms[:, None]
+    vectors[zero, 0] = 1.0
     return vectors
 
 

@@ -290,7 +290,7 @@ def cmd_replay(trajectory_file):
     first divergence (regression guard)."""
     manifest_path = os.path.join(os.path.dirname(trajectory_file), "result.json")
     manifest = _read_mapping(manifest_path)
-    for name in ("job_id", "settings", "result", "candidates"):
+    for name in ("job_id", "settings"):
         if name not in manifest:
             raise click.UsageError(f"{manifest_path} has no {name!r} entry")
     if not isinstance(manifest["settings"], dict):

@@ -7,6 +7,7 @@ rather than an exception.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
@@ -52,6 +53,10 @@ def sanitize_prompt(text: str) -> str:
     return text.translate(_SANITIZE)
 
 
+# the only characters balanced_spans acts on
+_SPAN_TOKENS = re.compile(r'[{}"\\]')
+
+
 def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
     """Yield ``(start, span)`` for every ``{`` that opens a balanced
     curly-brace span, in text order.
@@ -63,26 +68,26 @@ def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
     while start != -1:
         depth = 0
         in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
+        escaped = -1  # the position an in-string backslash escapes
+        for match in _SPAN_TOKENS.finditer(text, start):
+            i = match.start()
+            if i == escaped:
+                continue
+            ch = match.group()
             if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
+                if ch == "\\":
+                    escaped = i + 1
                 elif ch == '"':
                     in_string = False
-            else:
-                if ch == '"':
-                    in_string = True
-                elif ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth == 0:
-                        yield start, text[start : i + 1]
-                        break
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    yield start, text[start : i + 1]
+                    break
         start = text.find("{", start + 1)
 
 

@@ -10,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudrca import backends as backends_module
 from cloudrca.backends import (
@@ -124,9 +126,89 @@ class TestHashEmbed:
     def test_seeds_differ(self):
         assert not np.array_equal(hash_embed(self.TEXTS, 0), hash_embed(self.TEXTS, 3))
 
-    def test_memo_is_bounded(self):
-        maxsize = backends_module._trigram_bucket.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < 1 << 20
+    def test_memo_is_bounded(self, monkeypatch):
+        assert 0 < backends_module.HASH_EMBED_MEMO_SIZE < 1 << 20
+        monkeypatch.setattr(backends_module, "_memo", {})
+        monkeypatch.setattr(backends_module, "HASH_EMBED_MEMO_SIZE", 16)
+        for seed in (0, 3):
+            for text in self.TEXTS:
+                assert np.array_equal(hash_embed([text], seed), sha256_hash_embed([text], seed))
+                memo = backends_module._memo
+                assert sum(len(keys) for keys, _, _ in memo.values()) <= 16
+
+    def test_one_digest_per_distinct_trigram(self, monkeypatch):
+        digests = []
+        real_sha256 = hashlib.sha256
+
+        def counting_sha256(data):
+            digests.append(data)
+            return real_sha256(data)
+
+        monkeypatch.setattr(backends_module, "_memo", {})
+        monkeypatch.setattr(backends_module.hashlib, "sha256", counting_sha256)
+        grams = set()
+        for text in self.TEXTS:
+            padded = f"^{text}$"
+            grams.update(padded[i : i + 3] for i in range(max(1, len(padded) - 2)))
+        hash_embed(self.TEXTS, 3)
+        assert sorted(digests) == sorted(f"3:{gram}".encode() for gram in grams)
+        digests.clear()
+        hash_embed(self.TEXTS, 3)
+        assert digests == []
+
+    def test_lone_surrogate_is_an_encode_error(self):
+        with pytest.raises(UnicodeEncodeError):
+            hash_embed(["a\ud800b"])
+
+    def test_concurrent_calls_share_the_memo_safely(self, monkeypatch):
+        monkeypatch.setattr(backends_module, "_memo", {})
+        monkeypatch.setattr(backends_module, "HASH_EMBED_MEMO_SIZE", 64)
+        batches = [[f"{w} line {i} of worker {w}" for i in range(6)] for w in range(6)]
+        expected = [sha256_hash_embed(batch) for batch in batches]
+        mismatches = []
+
+        def work(w):
+            for _ in range(30):
+                if not np.array_equal(hash_embed(batches[w]), expected[w]):
+                    mismatches.append(w)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        for keys, buckets, signs in backends_module._memo.values():
+            assert len(keys) == len(buckets) == len(signs) <= 64
+            assert (np.diff(keys) > 0).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text(alphabet="ab^$ \x00\U0001f680", max_size=8), min_size=1, max_size=6
+        ),
+        seed=st.sampled_from([0, 3]),
+    )
+    def test_matches_the_sha256_loop_on_any_batch(self, texts, seed):
+        expected = sha256_hash_embed(texts, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backends_module, "_memo", {})
+            # cold, then warm
+            assert np.array_equal(hash_embed(texts, seed), expected)
+            assert np.array_equal(hash_embed(texts, seed), expected)
+            # a memo too small for the batch is cleared as it fills, and
+            # blocks of a few characters split the batch
+            mp.setattr(backends_module, "HASH_EMBED_MEMO_SIZE", 4)
+            mp.setattr(backends_module, "_EMBED_BLOCK_CHARS", 5)
+            mp.setattr(backends_module, "_memo", {})
+            assert np.array_equal(hash_embed(texts, seed), expected)
+            assert np.array_equal(hash_embed(texts, seed), expected)
 
 
 def test_approx_token_count():

@@ -547,11 +547,11 @@ class TestReplay:
         "damage, message",
         [
             (lambda m: {**m, "settings": ["x"]}, "is not a mapping"),
-            (lambda m: {k: v for k, v in m.items() if k != "candidates"}, "'candidates'"),
+            (lambda m: {k: v for k, v in m.items() if k != "job_id"}, "'job_id'"),
             (lambda m: [m], "does not hold a mapping"),
             (None, "does not exist"),
         ],
-        ids=["settings-list", "no-candidates", "list-file", "missing-trajectory"],
+        ids=["settings-list", "no-job-id", "list-file", "missing-trajectory"],
     )
     def test_malformed_inputs_are_usage_errors(
         self, runner, scenario_dir, tmp_path, sandbox, damage, message
@@ -568,6 +568,21 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    @pytest.mark.parametrize("entry", ["result", "candidates"])
+    def test_result_json_without_an_output_entry_diverges(
+        self, runner, scenario_dir, tmp_path, sandbox, entry
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        manifest_path = os.path.join(os.path.dirname(path), "result.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        del manifest[entry]
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 1, result.output
+        assert "divergence in result.json" in result.output
 
     @pytest.mark.parametrize(
         "damage",

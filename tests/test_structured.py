@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from cloudrca.structured import (
     STAGE_FAILED,
     STAGE_REGENERATED,
     SUBSTITUTION_TABLE,
+    balanced_spans,
     extract_json,
     fix_escapes,
     json_regen,
@@ -63,6 +65,70 @@ class TestExtractJson:
     def test_unbalanced_first_brace_tries_later(self):
         text = '{ broken\n{"a": 1}'
         assert try_parse(extract_json(text)) == {"a": 1}
+
+
+def char_by_char_spans(text):
+    """Reference scanner: visit every character from each ``{``."""
+    spans = []
+    start = text.find("{")
+    while start != -1:
+        depth = 0
+        in_string = False
+        escaped = False
+        for i in range(start, len(text)):
+            ch = text[i]
+            if in_string:
+                if escaped:
+                    escaped = False
+                elif ch == "\\":
+                    escaped = True
+                elif ch == '"':
+                    in_string = False
+            elif ch == '"':
+                in_string = True
+            elif ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    spans.append((start, text[start : i + 1]))
+                    break
+        start = text.find("{", start + 1)
+    return spans
+
+
+class TestBalancedSpans:
+    @settings(max_examples=500)
+    @given(st.text(alphabet='{}"\\ab:,', max_size=40))
+    def test_matches_the_char_by_char_scanner(self, text):
+        assert list(balanced_spans(text)) == char_by_char_spans(text)
+
+    @pytest.mark.parametrize(
+        "text, spans",
+        [
+            # the escaped quote keeps the string open, so its } is text
+            ('{"a": "x\\"}", "b": 1}', [(0, '{"a": "x\\"}", "b": 1}')]),
+            # a trailing backslash inside a string leaves it open
+            ('{"a": "\\', []),
+            ('{"a": 1} {"b": "\\', [(0, '{"a": 1}')]),
+            # outside a string a backslash is text and the brace after it counts
+            ("{\\}", [(0, "{\\}")]),
+            ("{a\\{}}", [(0, "{a\\{}}"), (3, "{}")]),
+            # each { opens its own span, outer first
+            ('{"a": {"b": {}}}', [(0, '{"a": {"b": {}}}'), (6, '{"b": {}}'), (12, "{}")]),
+        ],
+        ids=[
+            "escaped-quote-before-brace",
+            "trailing-backslash",
+            "trailing-backslash-later",
+            "backslash-outside-string",
+            "backslash-before-brace",
+            "nested",
+        ],
+    )
+    def test_explicit_cases(self, text, spans):
+        assert list(balanced_spans(text)) == spans
+        assert char_by_char_spans(text) == spans
 
 
 class TestFixEscapes:
