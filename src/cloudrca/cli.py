@@ -112,8 +112,6 @@ def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -
     write them, and replay compares them with the files on disk."""
     result = {
         "job_id": job_id,
-        "passed": report.greedy.passed,
-        "mode": settings.mode,
         "result": fill_baseline(report.outcome.result).to_dict(),
         "candidates": [c.result.to_dict() for c in report.candidates],
         "settings": settings.to_dict(),

@@ -53,8 +53,13 @@ def sanitize_prompt(text: str) -> str:
     return text.translate(_SANITIZE)
 
 
-# the only characters balanced_spans acts on
-_SPAN_TOKENS = re.compile(r'[{}"\\]')
+# A JSON string literal (RFC 8259 section 7): an unescaped ``"`` closes it
+# and ``\`` escapes the next character.  An open literal runs to the end of
+# the text, a lone ``\`` at the very end included.  Both scanners below read
+# string literals through this one pattern.
+_STRING = r'"(?:[^"\\]+|\\.)*(?:"|\\?\Z)'
+
+_SPAN_TOKENS = re.compile(_STRING + r"|[{}]", re.S)
 
 
 def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
@@ -67,26 +72,14 @@ def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
     start = text.find("{")
     while start != -1:
         depth = 0
-        in_string = False
-        escaped = -1  # the position an in-string backslash escapes
         for match in _SPAN_TOKENS.finditer(text, start):
-            i = match.start()
-            if i == escaped:
-                continue
-            ch = match.group()
-            if in_string:
-                if ch == "\\":
-                    escaped = i + 1
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
+            ch = text[match.start()]
+            if ch == "{":
                 depth += 1
             elif ch == "}":
                 depth -= 1
                 if depth == 0:
-                    yield start, text[start : i + 1]
+                    yield start, text[start : match.end()]
                     break
         start = text.find("{", start + 1)
 
@@ -103,10 +96,26 @@ _SMART_QUOTES = {
     "’": "'",
 }
 
-# Valid JSON escape successors; anything else after a backslash is a wrong
-# escape and the backslash gets doubled.
-_VALID_ESCAPES = set('"\\/bfnrtu')
+# A string literal, or a trailing comma: one whose next non-whitespace
+# character closes the container.
+_STRING_OR_TRAILING_COMMA = re.compile(_STRING + r"|,(?=[ \t\r\n]*[}\]])", re.S)
 
+# Inside a literal: a valid escape pair stays; any other backslash is doubled,
+# a raw newline or tab is escaped and a raw carriage return is dropped.
+# _NEEDS_FIX finds every literal that sub would change (and a few it would
+# not), so a literal it does not match is kept as it is.
+_IN_STRING_FIX = re.compile(r'\\["\\/bfnrtu]|[\\\n\t\r]')
+_IN_STRING_SUBSTITUTES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": ""}
+_NEEDS_FIX = re.compile(r'\\(?:[^"\\/bfnrtu]|\Z)|[\n\t\r]')
+
+
+def _fix_token(match: re.Match) -> str:
+    token = match[0]
+    if token == ",":
+        return ""
+    if not _NEEDS_FIX.search(token):
+        return token
+    return _IN_STRING_FIX.sub(lambda m: _IN_STRING_SUBSTITUTES.get(m[0], m[0]), token)
 
 
 def fix_escapes(text: str) -> str:
@@ -116,49 +125,7 @@ def fix_escapes(text: str) -> str:
     """
     for smart, plain in _SMART_QUOTES.items():
         text = text.replace(smart, plain)
-
-    out = []
-    in_string = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            if ch == "\\":
-                nxt = text[i + 1] if i + 1 < len(text) else ""
-                if nxt in _VALID_ESCAPES:
-                    out.append(ch)
-                    out.append(nxt)
-                    i += 2
-                    continue
-                out.append("\\\\")  # lone backslash: double it
-                i += 1
-                continue
-            if ch == "\n":
-                out.append("\\n")
-                i += 1
-                continue
-            if ch == "\r":
-                i += 1
-                continue
-            if ch == "\t":
-                out.append("\\t")
-                i += 1
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == ",":
-            # trailing comma: next non-whitespace char closes the container
-            j = i + 1
-            while j < len(text) and text[j] in " \t\r\n":
-                j += 1
-            if j < len(text) and text[j] in "}]":
-                i += 1
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _STRING_OR_TRAILING_COMMA.sub(_fix_token, text)
 
 
 def try_parse(text: Optional[str]) -> Optional[Any]:
@@ -166,7 +133,7 @@ def try_parse(text: Optional[str]) -> Optional[Any]:
         return None
     try:
         value = json.loads(text)
-    except (json.JSONDecodeError, ValueError):
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
         return None
     return value if isinstance(value, dict) else None
 

@@ -232,6 +232,15 @@ class TestRunStep:
         # "{heap}" fails as is; a well-formed action is never escape-fixed
         assert calls == ["{heap}"] + ([action] if corrupt else [])
 
+    def test_too_deep_action_is_an_invalid_step(self):
+        config, registry = make_config()
+        deep = '{"a":' * 1000 + "1" + "}" * 1000
+        backend = MockBackend([f"Thought.\nFunction: {deep}"] + ["junk"] * 6)
+        trajectory = Trajectory()
+        step = run_step(config, trajectory, backend, registry, SnapshotStore())
+        assert step.invalid_flag and step.action is None
+        assert trajectory.steps == [step]
+
     def test_unknown_tool_marks_structurally_invalid(self):
         config, registry = make_config()
         backend = MockBackend([f"Hmm.\nFunction: {wire('bogus')}"])

@@ -86,7 +86,8 @@ class TestDiagnose:
         assert result.exit_code == 0, result.output
         assert f"{job_id}: passed=True" in result.output
         manifest = json.loads((out / job_id / "result.json").read_text())
-        assert manifest["passed"] is True
+        trailer = (out / job_id / "trajectory.jsonl").read_text().splitlines()[-1]
+        assert json.loads(trailer)["passed"] is True
         assert manifest["result"]["responsibility"] in ("User", "Platform")
         assert (out / job_id / "trajectory.jsonl").exists()
 
@@ -140,7 +141,7 @@ class TestDiagnose:
         )
         assert result.exit_code == 0, result.output
         manifest = json.loads((out / job_id / "result.json").read_text())
-        assert manifest["mode"] == "tsc"
+        assert manifest["settings"]["mode"] == "tsc"
         assert len(manifest["candidates"]) == 3
 
     def test_http_without_endpoint_is_a_usage_error(

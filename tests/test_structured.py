@@ -97,9 +97,13 @@ def char_by_char_spans(text):
     return spans
 
 
+# JSON punctuation, every character the repair acts on, and plain text
+REPLY_ALPHABET = '{}[]"\\ab:, \n\r\t\f/u\u201c\u201d\u2018\u2019'
+
+
 class TestBalancedSpans:
     @settings(max_examples=500)
-    @given(st.text(alphabet='{}"\\ab:,', max_size=40))
+    @given(st.text(alphabet=REPLY_ALPHABET, max_size=40))
     def test_matches_the_char_by_char_scanner(self, text):
         assert list(balanced_spans(text)) == char_by_char_spans(text)
 
@@ -116,6 +120,8 @@ class TestBalancedSpans:
             ("{a\\{}}", [(0, "{a\\{}}"), (3, "{}")]),
             # each { opens its own span, outer first
             ('{"a": {"b": {}}}', [(0, '{"a": {"b": {}}}'), (6, '{"b": {}}'), (12, "{}")]),
+            # an unclosed literal swallows the later } of the outer span
+            ('{"a": "} {}', [(9, "{}")]),
         ],
         ids=[
             "escaped-quote-before-brace",
@@ -124,6 +130,7 @@ class TestBalancedSpans:
             "backslash-outside-string",
             "backslash-before-brace",
             "nested",
+            "unclosed-literal",
         ],
     )
     def test_explicit_cases(self, text, spans):
@@ -131,7 +138,88 @@ class TestBalancedSpans:
         assert char_by_char_spans(text) == spans
 
 
+def char_by_char_fix_escapes(text):
+    """Reference repair: one pass over every character with a string flag."""
+    for smart, plain in {"\u201c": '"', "\u201d": '"', "\u2018": "'", "\u2019": "'"}.items():
+        text = text.replace(smart, plain)
+    out = []
+    in_string = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if in_string:
+            if ch == "\\":
+                nxt = text[i + 1] if i + 1 < len(text) else ""
+                if nxt and nxt in '"\\/bfnrtu':
+                    out.append(ch + nxt)
+                    i += 2
+                    continue
+                out.append("\\\\")  # lone backslash: double it
+                i += 1
+                continue
+            if ch == "\n":
+                out.append("\\n")
+                i += 1
+                continue
+            if ch == "\r":
+                i += 1
+                continue
+            if ch == "\t":
+                out.append("\\t")
+                i += 1
+                continue
+            if ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == ",":
+            # trailing comma: next non-whitespace char closes the container
+            j = i + 1
+            while j < len(text) and text[j] in " \t\r\n":
+                j += 1
+            if j < len(text) and text[j] in "}]":
+                i += 1
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 class TestFixEscapes:
+    @settings(max_examples=500)
+    @given(st.text(alphabet=REPLY_ALPHABET, max_size=40))
+    def test_matches_the_char_by_char_repair(self, text):
+        assert fix_escapes(text) == char_by_char_fix_escapes(text)
+
+    @pytest.mark.parametrize(
+        "text, fixed",
+        [
+            # an open literal keeps its lone trailing backslash, doubled
+            ('{"a": "x\\', '{"a": "x\\\\'),
+            # a backslash before a raw newline is doubled, the newline escaped
+            ('{"a": "x\\\ny"}', '{"a": "x\\\\\\ny"}'),
+            # a raw carriage return inside a string is dropped
+            ('{"a": "x\ry"}', '{"a": "xy"}'),
+            # a form feed is not JSON whitespace, so the comma stays
+            ('{"a": 1,\f}', '{"a": 1,\f}'),
+            # ",}" inside a string is text
+            ('{"a": ",}"}', '{"a": ",}"}'),
+            # an unclosed literal swallows the later "}" and its comma
+            ('{"a": "x, }\n', '{"a": "x, }\\n'),
+        ],
+        ids=[
+            "trailing-backslash",
+            "backslash-newline",
+            "raw-carriage-return",
+            "form-feed-before-brace",
+            "comma-brace-in-string",
+            "unclosed-literal",
+        ],
+    )
+    def test_explicit_cases(self, text, fixed):
+        assert fix_escapes(text) == fixed
+        assert char_by_char_fix_escapes(text) == fixed
+
     def test_smart_quotes(self):
         assert try_parse(extract_json(fix_escapes("{\u201ca\u201d: 1}"))) == {"a": 1}
 
@@ -203,6 +291,13 @@ class TestJsonRegen:
 
     def test_no_backend_stops_before_regeneration(self):
         out = json_regen(None, "broken beyond local repair")
+        assert not out.ok and out.stage == STAGE_FAILED
+
+    def test_too_deep_to_parse_is_a_failed_repair(self):
+        # json.loads raises RecursionError here, not a ValueError
+        deep = '{"a":' * 1000 + "1" + "}" * 1000
+        assert try_parse(deep) is None
+        out = json_regen(None, deep)
         assert not out.ok and out.stage == STAGE_FAILED
 
 
