@@ -35,7 +35,6 @@ from .errors import (
     TransportError,
 )
 from .logexpert import (
-    LogChunk,
     RetrievalStore,
     evidence_accepted,
     louvain,
@@ -83,7 +82,6 @@ __all__ = [
     "GenerationParams",
     "HttpBackend",
     "JobOutcome",
-    "LogChunk",
     "MockBackend",
     "NotComputable",
     "PolicyBackend",

@@ -202,7 +202,7 @@ def _settings_from(data: dict, **flags) -> RunSettings:
 @main.command("gen-scenarios")
 @click.option("--seed", type=int, default=0)
 @click.option("--count", type=click.IntRange(min=0), default=10)
-@click.option("--out-dir", required=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 def cmd_gen_scenarios(seed, count, out_dir):
     """Generate a deterministic synthetic scenario bundle."""
     job_ids = generate_scenarios(seed, count, out_dir)
@@ -212,7 +212,7 @@ def cmd_gen_scenarios(seed, count, out_dir):
 @main.command("diagnose")
 @click.argument("job_id")
 @click.option("--scenarios", required=True, help="scenario bundle directory")
-@click.option("--out-dir", required=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @_common_options
 def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     """Run one job end-to-end; exit 0 iff the trajectory passed."""
@@ -233,7 +233,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
 
 @main.command("batch")
 @click.option("--scenarios", required=True)
-@click.option("--out-dir", required=True)
+@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, help="concurrent jobs")
 @click.option("--pass-floor", type=click.FloatRange(0, 100), default=0.0,
               help="minimum acceptable pass rate in percent (0-100)")

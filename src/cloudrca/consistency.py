@@ -1,9 +1,11 @@
 """Self-consistency aggregation for open-ended text output.
 
-Two aggregation methods (embedding vote and LLM merge) and two sampling
-strategies: step-wise SC, which only re-samples the finalization step, and
-trajectory-level SC, which branches sampled continuations from the step
-before the greedy trajectory finalizes, sharing the greedy prefix.
+Two aggregation methods (embedding vote and LLM merge) and three sampled
+modes, all run by one branch runner: step-wise SC (``sc``), which only
+re-samples the finalization step; trajectory-level SC (``tsc``), which
+branches sampled continuations from the step before the greedy trajectory
+finalizes, sharing the greedy prefix; and ``sample-full``, an evaluation
+baseline of full sampled trajectories from step 1.
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ BackendFactory = Callable[[int], Backend]
 
 @dataclass
 class Candidate:
-    result: AnalysisResult
     trajectory: Trajectory
+
+    @property
+    def result(self) -> AnalysisResult:
+        return self.trajectory.result
 
 
 @dataclass
@@ -167,13 +172,23 @@ def _run_branches(
 ) -> list[Candidate]:
     """Run k sampled trajectories, each on its own backend, registry and
     snapshot-store branch, under ``config`` with sampled decoding and a
-    budget of ``max_steps``.  With ``greedy`` every branch starts from a copy
-    of its steps before finalization.  A branch that fails or never
-    finalizes within ``max_steps`` yields no candidate.
+    budget of ``max_steps``.  With ``greedy``, which must have passed within
+    ``max_steps`` steps and whose snapshot state is ``store``, every branch
+    starts from a copy of its steps before finalization.  A branch that
+    fails or never finalizes within ``max_steps`` yields no candidate.
 
     Branches run concurrently, at most ``DEFAULT_K`` at a time, so a backend
     shared by the branches must accept concurrent calls.  Their inputs are
     built here in index order and candidates keep that order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if greedy is not None:
+        if not greedy.passed:
+            raise ConfigurationError(
+                "greedy trajectory did not pass; self-consistency unavailable"
+            )
+        if max_steps < len(greedy.steps):
+            raise ValueError("global_step_bound must cover the greedy trajectory")
     config = replace(
         config, params=replace(config.params, mode="sampled"), max_steps=max_steps
     )
@@ -194,38 +209,9 @@ def _run_branches(
                 initial=initial,
             )
         )
-    # at least one worker: sample-full does not reject k < 1, which runs no
-    # branch
-    with ThreadPoolExecutor(max_workers=max(1, min(k, DEFAULT_K))) as pool:
+    with ThreadPoolExecutor(max_workers=min(k, DEFAULT_K)) as pool:
         trajectories = list(pool.map(lambda branch: branch(), branches))
-    return [Candidate(t.result, t) for t in trajectories if t.passed]
-
-
-def _branch_from_greedy(
-    config: AgentConfig,
-    registry_factory: RegistryFactory,
-    backend: Backend,
-    k: int,
-    store: SnapshotStore,
-    greedy: Trajectory,
-    backend_factory: Optional[BackendFactory],
-    bound: int,
-) -> list[Candidate]:
-    """The body of sc_stepwise and tsc: k branches from the step before the
-    finalization of ``greedy``, whose snapshot state is ``store``, each run
-    to at most ``bound`` steps."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not greedy.passed:
-        raise ConfigurationError(
-            "greedy trajectory did not pass; self-consistency unavailable"
-        )
-    if bound < len(greedy.steps):
-        raise ValueError("global_step_bound must cover the greedy trajectory")
-    return _run_branches(
-        config, registry_factory, backend, k, backend_factory,
-        max_steps=bound, greedy=greedy, store=store,
-    )
+    return [Candidate(t) for t in trajectories if t.passed]
 
 
 def sc_stepwise(
@@ -242,9 +228,9 @@ def sc_stepwise(
 
     Samples whose parsed action is not finalize are dropped; no additional
     action steps are permitted."""
-    return _branch_from_greedy(
-        config, registry_factory, backend, k, store, greedy,
-        branch_backend_factory, len(greedy.steps),
+    return _run_branches(
+        config, registry_factory, backend, k, branch_backend_factory,
+        max_steps=len(greedy.steps), greedy=greedy, store=store,
     )
 
 
@@ -265,9 +251,9 @@ def tsc(
     finalizes or hits the global step bound; branches that never finalize
     yield no candidate.  Returns the candidates and ``greedy``."""
     bound = global_step_bound if global_step_bound is not None else config.max_steps
-    candidates = _branch_from_greedy(
-        config, registry_factory, backend, k, store, greedy,
-        branch_backend_factory, bound,
+    candidates = _run_branches(
+        config, registry_factory, backend, k, branch_backend_factory,
+        max_steps=bound, greedy=greedy, store=store,
     )
     return candidates, greedy
 
@@ -299,7 +285,7 @@ def run_with_consistency(
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()
-        candidates = [Candidate(result, greedy)] if greedy.passed else []
+        candidates = [Candidate(greedy)] if greedy.passed else []
         return ConsistencyReport(AggregationOutcome(result), candidates, greedy)
     if mode == "sc":
         candidates = sc_stepwise(
@@ -332,6 +318,6 @@ def run_with_consistency(
         )
     if not candidates:
         # all samples rejected: fall back to the (passing) greedy result
-        candidates = [Candidate(greedy.result, greedy)]
+        candidates = [Candidate(greedy)]
     outcome = aggregate(candidates, aggregation, backend)
     return ConsistencyReport(outcome, candidates, greedy)

@@ -419,25 +419,15 @@ def remove_overlaps(assignment: ChunkAssignment) -> ChunkAssignment:
     return ChunkAssignment(_greedy_contiguous(labels))
 
 
-@dataclass
-class LogChunk:
-    text: str
-    lines: list[str]
-    start: int
-    end: int  # exclusive line index
-
-
-def partition(log: str, backend: Backend) -> list[LogChunk]:
+def partition(log: str, backend: Backend) -> list[str]:
+    """The log's lines cut into contiguous chunks; each chunk is returned as
+    its lines joined by newlines, in log order."""
     lines = split_log(log)
     if not lines:
         return []
     graph = build_graph(lines, backend.embed(lines))
     assignment = remove_overlaps(louvain(graph))
-    chunks = []
-    for _, start, end in _runs(assignment.labels):
-        segment = lines[start:end]
-        chunks.append(LogChunk("\n".join(segment), segment, start, end))
-    return chunks
+    return ["\n".join(lines[start:end]) for _, start, end in _runs(assignment.labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +487,7 @@ class PackedPrompt:
 
 
 def pack_icl_prompt(
-    chunk: LogChunk, store: Optional[RetrievalStore], backend: Backend
+    chunk: str, store: Optional[RetrievalStore], backend: Backend
 ) -> PackedPrompt:
     """Greedy similarity-ordered example packing under a budget of
     DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
@@ -506,14 +496,14 @@ def pack_icl_prompt(
     instruction = prompts.LOG_ANALYSIS_INSTRUCTION
     base_len = len(instruction) + len(chunk_header)
     truncated = False
-    chunk_text = chunk.text
+    chunk_text = chunk
     if base_len + len(chunk_text) > DEFAULT_MAX_PROMPT_LEN:
         truncated = True
         chunk_text = chunk_text[: DEFAULT_MAX_PROMPT_LEN - base_len]
     body = []
     used = base_len + len(chunk_text)
     if store is not None and store.examples:
-        query = backend.embed([chunk.text])[0]
+        query = backend.embed([chunk])[0]
         for example in store.ranked(query):
             block = (
                 f"\n\n=== Example ===\n{example.example_text}\n"
@@ -570,10 +560,10 @@ def evidence_accepted(evidence: str, chunk_text: str) -> bool:
     return levenshtein(evidence, chunk_text) < len(chunk_text) - 0.9 * len(evidence)
 
 
-def filter_evidence(analysis: ChunkAnalysis, chunk: LogChunk) -> ChunkAnalysis:
+def filter_evidence(analysis: ChunkAnalysis, chunk: str) -> ChunkAnalysis:
     kept_r, kept_e = [], []
     for interpretation, evidence in analysis.pairs():
-        if evidence_accepted(evidence, chunk.text):
+        if evidence_accepted(evidence, chunk):
             kept_r.append(interpretation)
             kept_e.append(evidence)
     return ChunkAnalysis(kept_r, kept_e, analysis.warning)

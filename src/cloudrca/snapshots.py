@@ -92,19 +92,17 @@ class SnapshotStore:
         return resolved
 
 
-def render_head(full_text: str, key: str, head_lines: int = DEFAULT_HEAD_LINES) -> str:
+def render_head(full_text: str, key: str) -> str:
     """Render the truncated view shown to the controller agent.
 
-    Format is bit-exact: head lines, then `...N lines omitted.` when lines
-    were dropped, then `[ snapshot: KEY ]`.
+    Format is bit-exact: the first DEFAULT_HEAD_LINES lines, then
+    `...N lines omitted.` when lines were dropped, then `[ snapshot: KEY ]`.
     """
-    if head_lines < 1:
-        raise ValueError("head_lines must be >= 1")
     lines = full_text.splitlines()
     if not lines:
         lines = [EMPTY_OBSERVATION]
-    shown = lines[:head_lines]
-    omitted = len(lines) - head_lines
+    shown = lines[:DEFAULT_HEAD_LINES]
+    omitted = len(lines) - DEFAULT_HEAD_LINES
     parts = list(shown)
     if omitted > 0:
         parts.append(f"...{omitted} lines omitted.")

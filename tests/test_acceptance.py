@@ -213,7 +213,7 @@ def test_criterion_06_snapshot_protocol():
     body = "\n".join(f"line {i:02d}" for i in range(60))
     key = store.put(body)
     assert len(key) == 10 and key.isdigit()
-    rendered = render_head(body, key, head_lines=7)
+    rendered = render_head(body, key)
     lines = rendered.splitlines()
     assert lines[:7] == body.splitlines()[:7]
     assert lines[7] == "...53 lines omitted."

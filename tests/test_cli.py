@@ -411,6 +411,55 @@ class TestUnreadableBundle:
         self.assert_usage_error(result, bundle / "index.json")
 
 
+class TestOutDirIsAFile:
+    """An --out-dir naming an existing file is a usage error, raised before
+    any job runs; an existing directory is accepted."""
+
+    @pytest.fixture
+    def no_job(self, monkeypatch):
+        def run_job(*args):
+            raise AssertionError("run_job called with an unusable --out-dir")
+
+        monkeypatch.setattr(cli, "run_job", run_job)
+
+    @staticmethod
+    def assert_usage_error(result, path):
+        assert result.exit_code == 2, result.output
+        assert "--out-dir" in result.output
+        assert path.read_text() == "a file"
+
+    def test_gen_scenarios(self, runner, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(main, ["gen-scenarios", "--count", "1", "--out-dir", str(path)])
+        self.assert_usage_error(result, path)
+
+    def test_diagnose(self, runner, scenario_dir, sandbox, tmp_path, no_job):
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(
+            main,
+            ["diagnose", sandbox.job_ids[0], "--scenarios", scenario_dir, "--out-dir", str(path)],
+        )
+        self.assert_usage_error(result, path)
+
+    def test_batch(self, runner, scenario_dir, tmp_path, no_job):
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(path)])
+        self.assert_usage_error(result, path)
+
+    def test_existing_directory_is_accepted(self, runner, scenario_dir, sandbox, tmp_path):
+        job_id = sandbox.job_ids[0]
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(
+            main, ["diagnose", job_id, "--scenarios", scenario_dir, "--out-dir", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / job_id / "result.json").exists()
+
+
 class TestBatchJobFailure:
     """A job that raises is recorded as a failed row; the batch goes on."""
 

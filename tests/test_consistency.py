@@ -139,7 +139,7 @@ class TestAggregate:
             AnalysisResult("oom", "raise memory", "ev-a", "User"),
             AnalysisResult("timeout", "retry", "ev-b", "Platform"),
         ]
-        return [Candidate(r, Trajectory()) for r in results]
+        return [Candidate(Trajectory(result=r)) for r in results]
 
     def test_embedding_vote_per_field(self, policy_backend):
         outcome = aggregate(self._candidates(), METHOD_EMBEDDING_VOTE, policy_backend)
@@ -289,7 +289,7 @@ class TestTsc:
         config = make_config(sandbox.job_ids[0])
         factory = _registry_factory(sandbox)
         greedy, store = run_greedy(config, factory, policy_backend)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be >= 1"):
             tsc(config, factory, policy_backend, k=0, store=store, greedy=greedy)
 
 
@@ -551,7 +551,7 @@ def _sequential_branches(
             initial=initial,
         )
         if trajectory.passed:
-            candidates.append(Candidate(trajectory.result, trajectory))
+            candidates.append(Candidate(trajectory))
     return candidates
 
 
@@ -632,14 +632,13 @@ class TestConcurrentBranches:
         )
         assert threading.active_count() == before
 
-    def test_sample_full_with_no_branches_falls_back_to_greedy(
-        self, sandbox, policy_backend
-    ):
+    @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
+    def test_no_branches_is_an_error(self, sandbox, policy_backend, mode):
         config = make_config(sandbox.job_ids[0])
-        report = run_with_consistency(
-            config, _registry_factory(sandbox), policy_backend, mode="sample-full", k=0
-        )
-        assert report.candidates == [Candidate(report.greedy.result, report.greedy)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_with_consistency(
+                config, _registry_factory(sandbox), policy_backend, mode=mode, k=0
+            )
 
     @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
     def test_report_equals_sequential_run(self, sandbox, monkeypatch, mode):

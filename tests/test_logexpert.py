@@ -16,7 +16,6 @@ from cloudrca.logexpert import (
     DEFAULT_TAU,
     DEFAULT_WINDOW,
     ChunkAssignment,
-    LogChunk,
     NO_EVIDENCE_SENTINEL,
     RetrievalStore,
     SimilarityGraph,
@@ -472,21 +471,16 @@ class TestPartition:
              "totally different beta", "totally different beta again"]
         )
         chunks = partition(log, MockBackend())
-        covered = [line for chunk in chunks for line in chunk.lines]
+        assert all(chunks)
+        covered = [line for chunk in chunks for line in chunk.split("\n")]
         assert covered == split_log(log)
-        ends = [c.end for c in chunks]
-        starts = [c.start for c in chunks]
-        assert starts[0] == 0 and ends[-1] == len(covered)
-        assert all(e == s for e, s in zip(ends, starts[1:]))
 
 
 class TestPackIcl:
-    def chunk(self, text="ERROR failure in module x"):
-        lines = text.split("\n")
-        return LogChunk(text, lines, 0, len(lines))
+    chunk = "ERROR failure in module x"
 
     def test_chunk_always_present(self):
-        packed = pack_icl_prompt(self.chunk(), None, MockBackend())
+        packed = pack_icl_prompt(self.chunk, None, MockBackend())
         assert "=== Log chunk to analyze ===" in packed.text
         assert packed.text.endswith("ERROR failure in module x")
         assert "=== Example ===" not in packed.text and not packed.truncated
@@ -496,7 +490,7 @@ class TestPackIcl:
         store = RetrievalStore(be)
         store.add("ERROR failure in module x happened", "module x crashed")
         store.add("watermark advanced normally fine", "nothing wrong")
-        packed = pack_icl_prompt(self.chunk(), store, be)
+        packed = pack_icl_prompt(self.chunk, store, be)
         assert packed.text.count("=== Example ===") == 2
         first = packed.text.index("module x crashed")
         second = packed.text.index("nothing wrong")
@@ -507,14 +501,13 @@ class TestPackIcl:
         store = RetrievalStore(be)
         store.add("x" * 4500, "y" * 4500)
         store.add("ERROR failure in module x happened", "module x crashed")
-        packed = pack_icl_prompt(self.chunk(), store, be)
+        packed = pack_icl_prompt(self.chunk, store, be)
         assert packed.text.count("=== Example ===") == 1
         assert "module x crashed" in packed.text and "x" * 4500 not in packed.text
         assert len(packed.text) <= DEFAULT_MAX_PROMPT_LEN
 
     def test_oversized_chunk_truncated_and_flagged(self):
-        big = self.chunk("z" * 20000)
-        packed = pack_icl_prompt(big, None, MockBackend())
+        packed = pack_icl_prompt("z" * 20000, None, MockBackend())
         assert packed.truncated
         assert len(packed.text) == DEFAULT_MAX_PROMPT_LEN
 
@@ -572,7 +565,7 @@ class TestEvidenceFilter:
             prev_accepted = prev_accepted and accepted
 
     def test_filter_drops_pairs(self):
-        chunk = LogChunk("ERROR a happened\nINFO b", ["ERROR a happened", "INFO b"], 0, 2)
+        chunk = "ERROR a happened\nINFO b"
         analysis = ChunkAnalysis(
             interpretations=["real", "hallucinated"],
             evidences=["ERROR a happened", "completely unrelated fabricated text"],

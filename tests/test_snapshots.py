@@ -48,19 +48,10 @@ class TestKeyDerivation:
         assert store.put("same text") == store.put("same text")
 
     def test_collision_probes_linearly(self):
-        # find two short texts with identical FNV-1a hashes
-        seen = {}
-        pair = None
-        i = 0
-        while pair is None:
-            text = f"probe-{i}"
-            h = fnv1a_32_oracle(text)
-            if h in seen:
-                pair = (seen[h], text)
-            seen[h] = text
-            i += 1
-            assert i < 3_000_000, "no collision found"
-        a, b = pair
+        # the first FNV-1a collision among the texts probe-0, probe-1, ...
+        a, b = "probe-135449", "probe-1055184"
+        assert a != b
+        assert fnv1a_32_oracle(a) == fnv1a_32_oracle(b) == 1501801726
         store = SnapshotStore()
         key_a = store.put(a)
         key_b = store.put(b)
@@ -112,7 +103,7 @@ class TestStore:
 class TestRenderHead:
     def test_sixty_lines_head_seven(self):
         text = "\n".join(f"line {i}" for i in range(60))
-        rendered = render_head(text, "0123456789", head_lines=7)
+        rendered = render_head(text, "0123456789")
         lines = rendered.split("\n")
         assert lines[:7] == [f"line {i}" for i in range(7)]
         assert lines[7] == "...53 lines omitted."
@@ -120,7 +111,7 @@ class TestRenderHead:
         assert len(lines) == 9
 
     def test_short_text_no_omission_marker(self):
-        rendered = render_head("a\nb", "0000000042", head_lines=7)
+        rendered = render_head("a\nb", "0000000042")
         assert rendered == "a\nb\n[ snapshot: 0000000042 ]"
 
     def test_empty_text_uses_sentinel(self):
@@ -131,10 +122,6 @@ class TestRenderHead:
         text = "\n".join(str(i) for i in range(DEFAULT_HEAD_LINES))
         rendered = render_head(text, "0000000001")
         assert "omitted" not in rendered
-
-    def test_head_lines_must_be_positive(self):
-        with pytest.raises(ValueError):
-            render_head("x", "0000000001", head_lines=0)
 
 
 class TestParse:
@@ -161,11 +148,11 @@ class TestParse:
 
 
 @settings(max_examples=200)
-@given(st.text(min_size=1, max_size=2000), st.integers(min_value=1, max_value=20))
-def test_render_parse_roundtrip_property(text, head_lines):
+@given(st.text(min_size=1, max_size=2000))
+def test_render_parse_roundtrip_property(text):
     store = SnapshotStore()
     key = store.put(text)
-    rendered = render_head(text, key, head_lines=head_lines)
+    rendered = render_head(text, key)
     assert snapshot_keys(rendered)[-1] == key
     assert store.get(key) == text
 
