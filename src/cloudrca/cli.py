@@ -122,6 +122,15 @@ def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -
     }
 
 
+def _make_out_dir(out_dir: str) -> None:
+    """Create --out-dir and its parents; a usage error when the path cannot
+    be a directory, as when it or a parent is a file."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise click.BadParameter(str(exc), param_hint="'--out-dir'")
+
+
 def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report) -> None:
     job_out = os.path.join(out_dir, job_id)
     os.makedirs(job_out, exist_ok=True)
@@ -202,9 +211,10 @@ def _settings_from(data: dict, **flags) -> RunSettings:
 @main.command("gen-scenarios")
 @click.option("--seed", type=int, default=0)
 @click.option("--count", type=click.IntRange(min=0), default=10)
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@click.option("--out-dir", type=click.Path(), required=True)
 def cmd_gen_scenarios(seed, count, out_dir):
     """Generate a deterministic synthetic scenario bundle."""
+    _make_out_dir(out_dir)
     job_ids = generate_scenarios(seed, count, out_dir)
     click.echo(f"generated {len(job_ids)} scenarios under {out_dir}")
 
@@ -212,7 +222,7 @@ def cmd_gen_scenarios(seed, count, out_dir):
 @main.command("diagnose")
 @click.argument("job_id")
 @click.option("--scenarios", required=True, help="scenario bundle directory")
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@click.option("--out-dir", type=click.Path(), required=True)
 @_common_options
 def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     """Run one job end-to-end; exit 0 iff the trajectory passed."""
@@ -223,6 +233,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
         raise click.ClickException(
             f"job {job_id} is not in scenario bundle {scenarios}"
         )
+    _make_out_dir(out_dir)
     report = run_job(settings, sandbox, job_id, _make_backend(settings))
     _write_job_artifacts(out_dir, job_id, settings, report)
     click.echo(
@@ -233,7 +244,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
 
 @main.command("batch")
 @click.option("--scenarios", required=True)
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True)
+@click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, help="concurrent jobs")
 @click.option("--pass-floor", type=click.FloatRange(0, 100), default=0.0,
               help="minimum acceptable pass rate in percent (0-100)")
@@ -245,7 +256,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     sandbox = _load_sandbox(settings.scenarios)
     if not sandbox.job_ids:
         raise click.ClickException(f"scenario bundle {scenarios} has no jobs")
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     # one backend for every job: the mock policy is a pure function of the
     # prompt, and an http backend must accept concurrent calls anyway
     backend = _make_backend(settings)

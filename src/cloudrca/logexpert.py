@@ -137,11 +137,25 @@ def _louvain_level(
     n: int, adj: list[dict[int, float]]
 ) -> tuple[list[int], bool]:
     """One level of local moving.  Nodes are visited in natural order; ties in
-    modularity gain resolve to the lowest community id."""
+    modularity gain resolve to the lowest community id.
+
+    Only targets that can gain are evaluated.  With cd the community
+    degrees, target t gains links[t] - links[current] - degree[v] *
+    (cd[t] - cd[current]) / two_m, and cd[t] >= 0, so a target with links[t]
+    <= floor = links[current] - degree[v] * cd[current] / two_m - margin
+    gains at most -margin in exact arithmetic.  No term exceeds two_m, so
+    each float operation errs by at most 2**-53 * two_m, as does each
+    update of cd: margin = 1e-9 * max(1, two_m) covers the rounding of the
+    gain and of the floor, and the drift of cd over millions of updates, at
+    any scale of weights.  A skipped target's float gain is then negative
+    and could not pass gain > best_gain + 1e-12 (best_gain >= 0).  The
+    survivors are evaluated in the same sorted order with the same
+    arithmetic, so the labels are those of evaluating every target."""
     degree = [_left_sum(nb.values()) for nb in adj]
     two_m = _left_sum(degree)
     if two_m == 0:
         return list(range(n)), False
+    margin = 1e-9 * max(1.0, two_m)
     community = list(range(n))
     community_degree = degree[:]
     moved_any = False
@@ -157,8 +171,13 @@ def _louvain_level(
                     links[community[u]] = links.get(community[u], 0.0) + w
             community_degree[current] -= degree[v]
             best, best_gain = current, 0.0
+            floor = (
+                links.get(current, 0.0)
+                - degree[v] * community_degree[current] / two_m
+                - margin
+            )
             for target in sorted(links):
-                if target == current:
+                if target == current or links[target] <= floor:
                     continue
                 gain = links[target] - links.get(current, 0.0)
                 gain -= (

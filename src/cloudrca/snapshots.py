@@ -8,6 +8,7 @@ pass the key back to tools that need the full text.
 from __future__ import annotations
 
 import re
+import zlib
 from typing import Optional
 
 from .errors import SnapshotKeyError
@@ -22,18 +23,6 @@ SNAPSHOT_PARAM = "snapshot"
 _KEY_RE = re.compile(r"^\d{10}$")
 _SNAPSHOT_LINE_RE = re.compile(r"^(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)$", re.M)
 
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
-
-
-def _fnv1a_32(text: str) -> int:
-    value = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFF
-    return value
-
-
 def looks_like_key(value: str) -> bool:
     return bool(_KEY_RE.match(value))
 
@@ -41,7 +30,7 @@ def looks_like_key(value: str) -> bool:
 class SnapshotStore:
     """Key-value store for full observations, scoped to one trajectory run.
 
-    Keys are the 32-bit FNV-1a hash of the content rendered as a zero-padded
+    Keys are the CRC-32 of the content's UTF-8 bytes rendered as a zero-padded
     decimal string; collisions between distinct contents are resolved by
     linear probing on the key value.  A branch store (self-consistency
     branches) reads through to its parent and writes locally.
@@ -63,7 +52,7 @@ class SnapshotStore:
     def put(self, full_text: str) -> str:
         if not full_text:
             raise ValueError("cannot store an empty observation")
-        value = _fnv1a_32(full_text)
+        value = zlib.crc32(full_text.encode("utf-8"))
         while True:
             key = f"{value:0{KEY_WIDTH}d}"
             existing = self._lookup(key)

@@ -93,19 +93,18 @@ def normalized_similarity(a: str, b: str) -> float:
 
 
 def _bigram_levels(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unary encoding of every text's bucketed bigram counts, one row per
-    text, and the weight of each column, both in a dtype that sums exactly.
+    """The unary encoding of every text's bucketed bigram counts, packed into
+    uint64 words, one row per text, and the int64 weight of each word.
 
     One bincount over the joined text counts each text's bigrams (adjacent
     code points within the text) in _BUCKETS hash buckets.  Bucket b's count
     c becomes ceil(c / step) one-columns, where step is the smallest that
     keeps the bucket's largest count to _LEVELS columns, and each of those
-    columns weighs step.  So (weights * row_a) . row_b is the sum over
-    buckets of step * min(ceil(ca / step), ceil(cb / step)), which is at
-    least the sum of min(ca, cb).  Every term of a product is a nonnegative
-    integer, and a row's weighted total, which bounds every partial sum, is
-    less than its length plus step - 1 per bucket: float32 is exact while
-    that stays below 2**24, float64 above it.  surrogatepass lets a lone
+    columns weighs step.  The columns of one step share words, padded with
+    columns that are zero in every row, so a word's columns all weigh its
+    weight.  So the sum over words of weight * popcount(word_a & word_b) is
+    the sum over buckets of step * min(ceil(ca / step), ceil(cb / step)),
+    which is at least the sum of min(ca, cb).  surrogatepass lets a lone
     surrogate, which json.loads can produce, through as its own code point.
     """
     n = len(texts)
@@ -115,26 +114,40 @@ def _bigram_levels(texts: list[str], lengths: np.ndarray) -> tuple[np.ndarray, n
     inside = owner[:-1] == owner[1:]
     cells = owner[:-1] * _BUCKETS + ((codes[:-1] * _BIGRAM_MIX + codes[1:]) & (_BUCKETS - 1))
     counts = np.bincount(cells[inside], minlength=n * _BUCKETS).reshape(n, _BUCKETS)
-    step = np.maximum(-(-counts.max(axis=0) // _LEVELS), 1)
+    peak = counts.max(axis=0)
+    step = np.maximum(-(-peak // _LEVELS), 1)
     coarse = np.flatnonzero(step > 1)
     counts[:, coarse] = -(-counts[:, coarse] // step[coarse])
     # at most _LEVELS per cell now, so a byte holds it and gathers fast
     counts = counts.astype(np.uint8)
-    levels = counts.max(axis=0)
-    bucket = np.repeat(np.arange(_BUCKETS), levels)
-    level = np.arange(len(bucket)) - np.repeat(np.cumsum(levels) - levels, levels)
-    exact = np.float32 if lengths.max() + (step - 1).sum() < 2**24 else np.float64
-    return (counts[:, bucket] > level).astype(exact), step[bucket].astype(exact)
+    levels = -(-peak // step)
+    buckets, widths, weights = [], [], []
+    for weight in sorted(set(step.tolist())):
+        group = np.flatnonzero(step == weight)
+        width = levels[group]
+        columns = int(width.sum())
+        # columns past a bucket's largest count are zero in every row: they
+        # pad the group to whole words
+        width[-1] += -columns % 64
+        buckets.append(group)
+        widths.append(width)
+        weights += [weight] * -(-columns // 64)
+    width = np.concatenate(widths)
+    bucket = np.repeat(np.concatenate(buckets), width)
+    level = np.arange(len(bucket)) - np.repeat(np.cumsum(width) - width, width)
+    # a byte compares with a byte without widening; each row is whole words,
+    # so packing the flat array keeps rows apart
+    bits = np.packbits((counts[:, bucket] > level.astype(np.uint8)).ravel(), bitorder="little")
+    return bits.view(np.uint64).reshape(n, -1), np.array(weights, dtype=np.int64)
 
 
 def _bounds(
     rows: np.ndarray, row_lengths: np.ndarray, basis: np.ndarray, basis_lengths: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, longest) for every pair of a text of rows and a text of basis,
-    as float matrices: a lower bound on their edit distance, and the length
-    of the longer one.  Both matrices are _bigram_levels rows, the lengths
-    float.
+    """(lower, longest) for every pair of a text of rows and a text of basis:
+    a lower bound on their edit distance, and the length of the longer one.
+    Both matrices are _bigram_levels rows.
 
     By the q-gram count lemma (Ukkonen, TCS 1992) for q = 2, a string of
     length la has la - 1 bigrams and one edit destroys at most two of them,
@@ -142,12 +155,16 @@ def _bounds(
     with common the shared count, d >= (max(la, lb) - common) // 2.  Also
     d >= |la - lb|.  _bigram_levels hashes bigrams into buckets and rounds
     large counts up to coarse levels; both can only raise common, so lower
-    stays a lower bound.  The product of the unary encodings runs in
-    np.einsum, NumPy's own loop, not in BLAS: OpenBLAS spreads `@` over its
-    threads at these sizes, and on two shared vCPUs that stalled about one
-    product in a hundred for ~15 ms, where einsum's slowest took ~1 ms.
+    stays a lower bound.  common is counted word by word, a popcount of each
+    pair's AND times the word's weight, in int64, so it is exact at any
+    length.  No product goes to BLAS: OpenBLAS spreads `@` over its threads
+    at these sizes, and on two shared vCPUs that stalled about one product
+    in a hundred for ~15 ms.
     """
-    common = np.einsum("ij,kj->ik", rows * weights, basis)
+    common = np.zeros((len(rows), len(basis)), dtype=np.int64)
+    for word, weight in enumerate(weights):
+        count = np.bitwise_count(np.bitwise_and.outer(rows[:, word], basis[:, word]))
+        common += count * weight
     la, lb = row_lengths[:, None], basis_lengths[None, :]
     longest = np.maximum(la, lb)
     return np.maximum(np.abs(la - lb), (longest - common) // 2), longest
@@ -176,18 +193,17 @@ def deduplicate_entries(entries: list[str]) -> list[str]:
     if not entries:
         return []
     lengths = np.fromiter(map(len, entries), dtype=np.int64, count=len(entries))
-    ones, weights = _bigram_levels(entries, lengths)
-    lengths = lengths.astype(np.float64)
+    rows, weights = _bigram_levels(entries, lengths)
     kept: list[str] = []
     for start in range(0, len(entries), _BLOCK):
         end = min(start + _BLOCK, len(entries))
         # rows [0, front) are the kept entries', in kept order; the block's
         # rows go right after them
         front, stop = len(kept), len(kept) + end - start
-        ones[front:stop] = ones[start:end]
+        rows[front:stop] = rows[start:end]
         lengths[front:stop] = lengths[start:end]
         lower, longest = _bounds(
-            ones[front:stop], lengths[front:stop], ones[:stop], lengths[:stop], weights
+            rows[front:stop], lengths[front:stop], rows[:stop], lengths[:stop], weights
         )
         maybe = ~(1.0 - lower / np.maximum(longest, 1.0) < threshold)
         bits = np.packbits(maybe, axis=1, bitorder="little")
@@ -207,6 +223,6 @@ def deduplicate_entries(entries: list[str]) -> list[str]:
                 mask |= 1 << (front + row)
                 block_kept.append(front + row)
                 kept.append(entry)
-        ones[front : len(kept)] = ones[block_kept]
+        rows[front : len(kept)] = rows[block_kept]
         lengths[front : len(kept)] = lengths[block_kept]
     return kept

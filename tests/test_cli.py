@@ -412,8 +412,8 @@ class TestUnreadableBundle:
 
 
 class TestOutDirIsAFile:
-    """An --out-dir naming an existing file is a usage error, raised before
-    any job runs; an existing directory is accepted."""
+    """An --out-dir naming an existing file, or a path below one, is a usage
+    error, raised before any job runs; an existing directory is accepted."""
 
     @pytest.fixture
     def no_job(self, monkeypatch):
@@ -447,6 +447,36 @@ class TestOutDirIsAFile:
         path = tmp_path / "taken"
         path.write_text("a file")
         result = runner.invoke(main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(path)])
+        self.assert_usage_error(result, path)
+
+    def test_gen_scenarios_below_a_file(self, runner, tmp_path, monkeypatch):
+        def generate_scenarios(*args):
+            raise AssertionError("scenarios generated under an unusable --out-dir")
+
+        monkeypatch.setattr(cli, "generate_scenarios", generate_scenarios)
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(
+            main, ["gen-scenarios", "--count", "1", "--out-dir", str(path / "sub")]
+        )
+        self.assert_usage_error(result, path)
+
+    def test_diagnose_below_a_file(self, runner, scenario_dir, sandbox, tmp_path, no_job):
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(
+            main,
+            ["diagnose", sandbox.job_ids[0], "--scenarios", scenario_dir,
+             "--out-dir", str(path / "sub")],
+        )
+        self.assert_usage_error(result, path)
+
+    def test_batch_below_a_file(self, runner, scenario_dir, tmp_path, no_job):
+        path = tmp_path / "taken"
+        path.write_text("a file")
+        result = runner.invoke(
+            main, ["batch", "--scenarios", scenario_dir, "--out-dir", str(path / "sub")]
+        )
         self.assert_usage_error(result, path)
 
     def test_existing_directory_is_accepted(self, runner, scenario_dir, sandbox, tmp_path):

@@ -21,10 +21,10 @@ from conftest import make_config
 DOCUMENTATION_SHA256 = "3e115414df67131d5e810d0e2b4c14120408c7ee0716392a2cb9709807c36b08"
 
 RUN_SHA256 = {
-    "greedy": "ab5efee21a63a7f6949b4fbcc4197c34868bcd868dedca66376a221ace1b7c57",
-    "sc": "b5ec0aaef47244cda84264385d170ff5bb9ac8a153a60449802ba161845c53df",
-    "tsc": "b5ec0aaef47244cda84264385d170ff5bb9ac8a153a60449802ba161845c53df",
-    "sample-full": "e6a3a03e71904cbf3cc224a733bbbecafa32433734ead32ce0a67d49dea1eb9e",
+    "greedy": "a65bd39348968f282a7308523694501e31595cb342d6a6550ae1e2ebd7cf209b",
+    "sc": "266268276c8b34d11848d22db833fa20020b3130d1ed647dd9ec71368ef13079",
+    "tsc": "266268276c8b34d11848d22db833fa20020b3130d1ed647dd9ec71368ef13079",
+    "sample-full": "5cba937e97940206e4955e29b0b1fd64b7992ce9a31e95b0bae8f3f3b3348bf6",
 }
 
 

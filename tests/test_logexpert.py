@@ -177,6 +177,86 @@ def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
     return SimilarityGraph(n, edges)
 
 
+def dict_louvain_oracle(graph: SimilarityGraph) -> list[int]:
+    """Louvain labels from local moving that evaluates every neighbouring
+    community, and the same aggregation, for any n."""
+
+    def level(n, adj):
+        degree = [logexpert._left_sum(nb.values()) for nb in adj]
+        two_m = logexpert._left_sum(degree)
+        if two_m == 0:
+            return list(range(n)), False
+        community = list(range(n))
+        community_degree = degree[:]
+        moved_any = False
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                current = community[v]
+                links = {}
+                for u, w in adj[v].items():
+                    if u != v:
+                        links[community[u]] = links.get(community[u], 0.0) + w
+                community_degree[current] -= degree[v]
+                best, best_gain = current, 0.0
+                for target in sorted(links):
+                    if target == current:
+                        continue
+                    gain = links[target] - links.get(current, 0.0)
+                    gain -= (
+                        degree[v]
+                        * (community_degree[target] - community_degree[current])
+                        / two_m
+                    )
+                    if gain > best_gain + 1e-12:
+                        best, best_gain = target, gain
+                community_degree[best] += degree[v]
+                if best != current:
+                    community[v] = best
+                    improved = True
+                    moved_any = True
+        return community, moved_any
+
+    def aggregate(n, adj, community):
+        ids = sorted(set(community))
+        remap = {cid: idx for idx, cid in enumerate(ids)}
+        new_adj = [dict() for _ in ids]
+        for v in range(n):
+            cv = remap[community[v]]
+            for u, w in adj[v].items():
+                cu = remap[community[u]]
+                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+        return len(ids), new_adj, [remap[c] for c in community]
+
+    adj = graph.adjacency()
+    n = graph.n
+    labels = list(range(n))
+    while True:
+        community, moved = level(n, adj)
+        if not moved:
+            break
+        n, adj, compact = aggregate(n, adj, community)
+        labels = [compact[labels[v]] for v in range(graph.n)]
+    seen = {}
+    return [seen.setdefault(label, len(seen)) for label in labels]
+
+
+def decayed_graph(
+    rng: random.Random, n: int, density: float, scale: float = 1.0
+) -> SimilarityGraph:
+    """Pairs within DEFAULT_WINDOW, each kept with probability density and
+    weighted by a random similarity decayed by exp(-distance), as build_graph
+    weighs them, times scale.  In a sparse graph many vertices reach others
+    only by tiny weights, so their best moves gain little."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, min(i + DEFAULT_WINDOW + 1, n)):
+            if rng.random() < density:
+                edges.append((i, j, scale * rng.random() * math.exp(-(j - i))))
+    return SimilarityGraph(n, edges)
+
+
 # ---------------------------------------------------------------------------
 # Graph construction
 
@@ -409,6 +489,41 @@ class TestLouvain:
                 if lab not in seen:
                     seen.append(lab)
             assert seen == list(range(len(seen)))
+
+
+class TestLouvainSkipsTargetsThatCannotGain:
+    # louvain evaluates only the targets that can gain; each labelling must
+    # equal the loop that evaluates every target
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+    def test_decayed_graphs(self, density):
+        rng = random.Random(31)
+        for n in list(range(9, 30)) + [40, 53, 64, 80]:
+            graph = decayed_graph(rng, n, density)
+            assert louvain(graph).labels == dict_louvain_oracle(graph)
+
+    def test_tie_prone_graphs(self):
+        rng = random.Random(32)
+        for _ in range(60):
+            graph = tie_prone_graph(rng, rng.randint(9, 30))
+            assert louvain(graph).labels == dict_louvain_oracle(graph)
+
+    def test_weights_scaled_by_a_million(self):
+        rng = random.Random(33)
+        for n in (9, 17, 33, 53, 80):
+            graph = decayed_graph(rng, n, 0.5, scale=1e6)
+            assert louvain(graph).labels == dict_louvain_oracle(graph)
+
+    @pytest.mark.parametrize("count", [12, 50, 113, 300])
+    def test_partition_of_two_template_logs(self, count):
+        lines = _two_template_lines(random.Random(count), count)
+        backend = MockBackend()
+        graph = build_graph(lines, backend.embed(lines))
+        labels = dict_louvain_oracle(graph)
+        assert louvain(graph).labels == labels
+        runs = logexpert._runs(remove_overlaps(ChunkAssignment(labels)).labels)
+        want = ["\n".join(lines[start:end]) for _, start, end in runs]
+        assert partition("\n".join(lines), backend) == want
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,26 @@ from cloudrca.snapshots import (
 )
 
 
-def fnv1a_32_oracle(text: str) -> int:
-    """Independent reference: FNV-1a, 32-bit, over UTF-8 bytes."""
-    value = 0x811C9DC5
+def _crc32_table() -> list[int]:
+    table = []
+    for index in range(256):
+        value = index
+        for _ in range(8):
+            value = (value >> 1) ^ 0xEDB88320 if value & 1 else value >> 1
+        table.append(value)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
+def crc32_oracle(text: str) -> int:
+    """Independent reference: CRC-32 (reflected polynomial 0xEDB88320, as in
+    zlib and PNG), one table lookup per UTF-8 byte."""
+    value = 0xFFFFFFFF
     for byte in text.encode("utf-8"):
-        value ^= byte
-        value = (value * 0x01000193) % (1 << 32)
-    return value
+        value = (value >> 8) ^ _CRC32_TABLE[(value ^ byte) & 0xFF]
+    return value ^ 0xFFFFFFFF
 
 
 def known(store: SnapshotStore, key: str) -> bool:
@@ -32,11 +45,13 @@ def known(store: SnapshotStore, key: str) -> bool:
 
 
 class TestKeyDerivation:
-    def test_key_matches_fnv_oracle(self):
+    def test_key_matches_crc32_oracle(self):
+        # the standard CRC-32 check value
+        assert crc32_oracle("123456789") == 0xCBF43926
         store = SnapshotStore()
         for text in ["hello", "line one\nline two", "日本語テキスト"]:
             key = store.put(text)
-            assert key == f"{fnv1a_32_oracle(text):0{KEY_WIDTH}d}"
+            assert key == f"{crc32_oracle(text):0{KEY_WIDTH}d}"
 
     def test_key_is_ten_decimal_digits(self):
         store = SnapshotStore()
@@ -48,10 +63,10 @@ class TestKeyDerivation:
         assert store.put("same text") == store.put("same text")
 
     def test_collision_probes_linearly(self):
-        # the first FNV-1a collision among the texts probe-0, probe-1, ...
-        a, b = "probe-135449", "probe-1055184"
+        # the first CRC-32 collision among the texts probe-0, probe-1, ...
+        a, b = "probe-295784", "probe-19040060"
         assert a != b
-        assert fnv1a_32_oracle(a) == fnv1a_32_oracle(b) == 1501801726
+        assert crc32_oracle(a) == crc32_oracle(b) == 2830132076
         store = SnapshotStore()
         key_a = store.put(a)
         key_b = store.put(b)

@@ -381,6 +381,44 @@ def test_block_bound_never_exceeds_levenshtein(texts):
             assert lower[i, k] <= levenshtein(a, b)
 
 
+def unary_bounds_oracle(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, longest) from unpacked unary columns: one float column per
+    bucket level, weighted by the bucket's step, and one einsum product."""
+    n = len(texts)
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=n)
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    codes = codes.astype(np.int64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    inside = owner[:-1] == owner[1:]
+    buckets = textdist._BUCKETS
+    cells = owner[:-1] * buckets + ((codes[:-1] * textdist._BIGRAM_MIX + codes[1:]) & (buckets - 1))
+    counts = np.bincount(cells[inside], minlength=n * buckets).reshape(n, buckets)
+    step = np.maximum(-(-counts.max(axis=0) // textdist._LEVELS), 1)
+    counts = -(-counts // step)
+    levels = counts.max(axis=0)
+    bucket = np.repeat(np.arange(buckets), levels)
+    level = np.arange(len(bucket)) - np.repeat(np.cumsum(levels) - levels, levels)
+    ones = (counts[:, bucket] > level).astype(np.float64)
+    common = np.einsum("ij,kj->ik", ones * step[bucket], ones)
+    la, lb = lengths[:, None].astype(np.float64), lengths[None, :].astype(np.float64)
+    longest = np.maximum(la, lb)
+    return np.maximum(np.abs(la - lb), (longest - common) // 2), longest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_bound_text, min_size=1, max_size=10))
+# three coarse steps (2, 3 and 4) in one call, and groups of several words
+@example(["a" * 40, "0" * 64, "a0" * 30, ""])
+@example(_two_template_lines(random.Random(7), 8) + ["a" * 50 + "b" * 50])
+def test_packed_bound_equals_the_unary_product(texts):
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    rows, weights = textdist._bigram_levels(texts, lengths)
+    lower, longest = textdist._bounds(rows, lengths, rows, lengths, weights)
+    want_lower, want_longest = unary_bounds_oracle(texts)
+    assert np.array_equal(lower, want_lower)
+    assert np.array_equal(longest, want_longest)
+
+
 def _edited(rng: random.Random, line: str, edits: int) -> str:
     chars = list(line)
     for _ in range(edits):
