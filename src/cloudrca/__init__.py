@@ -19,7 +19,6 @@ from .backends import (
 )
 from .consistency import (
     AggregationOutcome,
-    Candidate,
     ConsistencyReport,
     aggregate,
     run_with_consistency,
@@ -74,7 +73,6 @@ __all__ = [
     "AggregationOutcome",
     "AnalysisResult",
     "Backend",
-    "Candidate",
     "ChatExchange",
     "CloudRcaError",
     "ConfigurationError",

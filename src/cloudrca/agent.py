@@ -29,10 +29,9 @@ from .tools import (
     ToolRegistry,
     check_errors,
     dispatch,
-    parse_finalize,
     render_documentation,
 )
-from .trajectory import Step, ToolCall, Trajectory
+from .trajectory import AnalysisResult, Step, ToolCall, Trajectory
 
 DEFAULT_MAX_STEPS = 15
 
@@ -138,7 +137,7 @@ def run_step(
         if error is not None:
             step = Step(thought, call, error.render(), error_flag=True)
         elif spec is not None and spec.kind == KIND_FINALIZE:
-            trajectory.result = parse_finalize(call)
+            trajectory.result = AnalysisResult.from_dict(call.kwargs)
             step = Step(thought, call, "Finalized.")
         else:
             result = dispatch(registry, call, store)

@@ -86,6 +86,12 @@ def _load_sandbox(path: str) -> Sandbox:
         raise click.UsageError(str(exc))
 
 
+def _require_job(sandbox: Sandbox, job_id: str, scenarios: str) -> None:
+    """Stop (exit 1) before any model call when the bundle has no such job."""
+    if job_id not in sandbox.job_ids:
+        raise click.ClickException(f"job {job_id} is not in scenario bundle {scenarios}")
+
+
 def _agent_config(settings: RunSettings, job_id: str) -> AgentConfig:
     return AgentConfig(
         max_steps=settings.max_steps,
@@ -229,10 +235,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     settings = _settings_from(config, **flags)
     settings.scenarios = os.path.abspath(scenarios)
     sandbox = _load_sandbox(settings.scenarios)
-    if job_id not in sandbox.job_ids:
-        raise click.ClickException(
-            f"job {job_id} is not in scenario bundle {scenarios}"
-        )
+    _require_job(sandbox, job_id, scenarios)
     _make_out_dir(out_dir)
     report = run_job(settings, sandbox, job_id, _make_backend(settings))
     _write_job_artifacts(out_dir, job_id, settings, report)
@@ -304,11 +307,15 @@ def cmd_replay(trajectory_file):
             raise click.UsageError(f"{manifest_path} has no {name!r} entry")
     if not isinstance(manifest["settings"], dict):
         raise click.UsageError(f"settings in {manifest_path} is not a mapping")
+    job_id = manifest["job_id"]
+    if not isinstance(job_id, str):
+        raise click.UsageError(f"job_id in {manifest_path} is not a string")
     settings = _settings_from(manifest["settings"])
     sandbox = _load_sandbox(settings.scenarios)
-    report = run_job(settings, sandbox, manifest["job_id"], _make_backend(settings))
+    _require_job(sandbox, job_id, settings.scenarios)
+    report = run_job(settings, sandbox, job_id, _make_backend(settings))
     paths = {"trajectory.jsonl": trajectory_file, "result.json": manifest_path}
-    for name, replayed in _render_job(manifest["job_id"], settings, report).items():
+    for name, replayed in _render_job(job_id, settings, report).items():
         with open(paths[name], "rb") as fh:
             recorded = fh.read()
         if recorded != replayed:

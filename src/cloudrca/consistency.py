@@ -39,15 +39,6 @@ BackendFactory = Callable[[int], Backend]
 
 
 @dataclass
-class Candidate:
-    trajectory: Trajectory
-
-    @property
-    def result(self) -> AnalysisResult:
-        return self.trajectory.result
-
-
-@dataclass
 class AggregationOutcome:
     result: AnalysisResult
     field_choices: dict = field(default_factory=dict)
@@ -123,7 +114,7 @@ def _majority_responsibility(values: list[str]) -> str:
 
 
 def aggregate(
-    candidates: list[Candidate], method: str, backend: Backend
+    candidates: list[Trajectory], method: str, backend: Backend
 ) -> AggregationOutcome:
     """Per-field aggregation: each text field is voted or merged on its own;
     responsibility is a categorical majority with ties going to Unclear."""
@@ -144,7 +135,7 @@ def aggregate(
     merged["responsibility"] = _majority_responsibility(
         [c.result.responsibility for c in candidates]
     )
-    return AggregationOutcome(AnalysisResult(**merged), field_choices)
+    return AggregationOutcome(AnalysisResult.from_dict(merged), field_choices)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,7 @@ def _run_branches(
     max_steps: int,
     greedy: Optional[Trajectory] = None,
     store: Optional[SnapshotStore] = None,
-) -> list[Candidate]:
+) -> list[Trajectory]:
     """Run k sampled trajectories, each on its own backend, registry and
     snapshot-store branch, under ``config`` with sampled decoding and a
     budget of ``max_steps``.  With ``greedy``, which must have passed within
@@ -188,7 +179,7 @@ def _run_branches(
                 "greedy trajectory did not pass; self-consistency unavailable"
             )
         if max_steps < len(greedy.steps):
-            raise ValueError("global_step_bound must cover the greedy trajectory")
+            raise ValueError("max_steps must cover the greedy trajectory")
     config = replace(
         config, params=replace(config.params, mode="sampled"), max_steps=max_steps
     )
@@ -211,7 +202,7 @@ def _run_branches(
         )
     with ThreadPoolExecutor(max_workers=min(k, DEFAULT_K)) as pool:
         trajectories = list(pool.map(lambda branch: branch(), branches))
-    return [Candidate(t) for t in trajectories if t.passed]
+    return [t for t in trajectories if t.passed]
 
 
 def sc_stepwise(
@@ -223,7 +214,7 @@ def sc_stepwise(
     store: SnapshotStore,
     greedy: Trajectory,
     branch_backend_factory: Optional[BackendFactory] = None,
-) -> list[Candidate]:
+) -> list[Trajectory]:
     """Re-sample only the finalization generation of the greedy trajectory.
 
     Samples whose parsed action is not finalize are dropped; no additional
@@ -242,26 +233,23 @@ def tsc(
     *,
     store: SnapshotStore,
     greedy: Trajectory,
-    global_step_bound: Optional[int] = None,
     branch_backend_factory: Optional[BackendFactory] = None,
-) -> tuple[list[Candidate], Trajectory]:
+) -> list[Trajectory]:
     """Trajectory-level self-consistency: branch sampled continuations from
     the step preceding the greedy finalization.  Each branch reuses the
     greedy prefix and may take zero or more extra full steps until it
-    finalizes or hits the global step bound; branches that never finalize
-    yield no candidate.  Returns the candidates and ``greedy``."""
-    bound = global_step_bound if global_step_bound is not None else config.max_steps
-    candidates = _run_branches(
+    finalizes or hits ``config.max_steps``; branches that never finalize
+    yield no candidate."""
+    return _run_branches(
         config, registry_factory, backend, k, branch_backend_factory,
-        max_steps=bound, greedy=greedy, store=store,
+        max_steps=config.max_steps, greedy=greedy, store=store,
     )
-    return candidates, greedy
 
 
 @dataclass
 class ConsistencyReport:
     outcome: AggregationOutcome
-    candidates: list[Candidate]
+    candidates: list[Trajectory]
     greedy: Trajectory
 
 
@@ -285,7 +273,7 @@ def run_with_consistency(
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()
-        candidates = [Candidate(greedy)] if greedy.passed else []
+        candidates = [greedy] if greedy.passed else []
         return ConsistencyReport(AggregationOutcome(result), candidates, greedy)
     if mode == "sc":
         candidates = sc_stepwise(
@@ -298,7 +286,7 @@ def run_with_consistency(
             branch_backend_factory=branch_backend_factory,
         )
     elif mode == "tsc":
-        candidates, _ = tsc(
+        candidates = tsc(
             config,
             registry_factory,
             backend,
@@ -318,6 +306,6 @@ def run_with_consistency(
         )
     if not candidates:
         # all samples rejected: fall back to the (passing) greedy result
-        candidates = [Candidate(greedy)]
+        candidates = [greedy]
     outcome = aggregate(candidates, aggregation, backend)
     return ConsistencyReport(outcome, candidates, greedy)

@@ -212,11 +212,6 @@ def _aggregate(
     return new_n, new_adj, [remap[c] for c in community]
 
 
-@dataclass
-class ChunkAssignment:
-    labels: list[int]
-
-
 def _canonical(labels: Sequence[int]) -> list[int]:
     seen: dict[int, int] = {}
     out = []
@@ -286,7 +281,7 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     return best_labels if best < 0 else labels[best].tolist()
 
 
-def louvain(graph: SimilarityGraph) -> ChunkAssignment:
+def louvain(graph: SimilarityGraph) -> list[int]:
     """Deterministic modularity clustering.
 
     Tiny graphs are solved exactly by partition enumeration, so the result
@@ -297,7 +292,7 @@ def louvain(graph: SimilarityGraph) -> ChunkAssignment:
     if graph.n < 1:
         raise ValueError("graph needs at least one vertex")
     if graph.n <= _EXACT_VERTEX_LIMIT:
-        return ChunkAssignment(_canonical(_exact_partition(graph)))
+        return _canonical(_exact_partition(graph))
     adj = graph.adjacency()
     n = graph.n
     labels = list(range(n))
@@ -307,7 +302,7 @@ def louvain(graph: SimilarityGraph) -> ChunkAssignment:
             break
         n, adj, compact = _aggregate(n, adj, community)
         labels = [compact[labels[v]] for v in range(graph.n)]
-    return ChunkAssignment(_canonical(labels))
+    return _canonical(labels)
 
 
 def _runs(labels: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -421,21 +416,21 @@ def _greedy_contiguous(labels: list[int]) -> list[int]:
                 labels[k] = neighbor
 
 
-def remove_overlaps(assignment: ChunkAssignment) -> ChunkAssignment:
+def remove_overlaps(labels: Sequence[int]) -> list[int]:
     """Force every cluster label into one contiguous interval with few line
     flips.  Short inputs are solved exactly (minimum flips); long inputs use
     a deterministic greedy repair.  Ties merge a split label into its
     earlier occurrence."""
-    labels = list(assignment.labels)
+    labels = list(labels)
     if not labels:
-        return ChunkAssignment([])
+        return []
     runs = _runs(labels)
     if (
         len(runs) <= _EXACT_RUN_LIMIT
         and len(set(labels)) <= _EXACT_ALPHABET_LIMIT
     ):
-        return ChunkAssignment(_min_flip_contiguous(labels))
-    return ChunkAssignment(_greedy_contiguous(labels))
+        return _min_flip_contiguous(labels)
+    return _greedy_contiguous(labels)
 
 
 def partition(log: str, backend: Backend) -> list[str]:
@@ -445,8 +440,8 @@ def partition(log: str, backend: Backend) -> list[str]:
     if not lines:
         return []
     graph = build_graph(lines, backend.embed(lines))
-    assignment = remove_overlaps(louvain(graph))
-    return ["\n".join(lines[start:end]) for _, start, end in _runs(assignment.labels)]
+    labels = remove_overlaps(louvain(graph))
+    return ["\n".join(lines[start:end]) for _, start, end in _runs(labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +494,14 @@ class RetrievalStore:
         return [ex for _, _, ex in scored]
 
 
-@dataclass
-class PackedPrompt:
-    text: str
-    truncated: bool
-
-
-def pack_icl_prompt(
-    chunk: str, store: Optional[RetrievalStore], backend: Backend
-) -> PackedPrompt:
+def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backend) -> str:
     """Greedy similarity-ordered example packing under a budget of
     DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
-    explicit delimiter."""
+    explicit delimiter, cut to fit the budget when it is too long."""
     chunk_header = "\n\n" + prompts.LOG_CHUNK_DELIMITER
     instruction = prompts.LOG_ANALYSIS_INSTRUCTION
     base_len = len(instruction) + len(chunk_header)
-    truncated = False
-    chunk_text = chunk
-    if base_len + len(chunk_text) > DEFAULT_MAX_PROMPT_LEN:
-        truncated = True
-        chunk_text = chunk_text[: DEFAULT_MAX_PROMPT_LEN - base_len]
+    chunk_text = chunk[: DEFAULT_MAX_PROMPT_LEN - base_len]
     body = []
     used = base_len + len(chunk_text)
     if store is not None and store.examples:
@@ -532,8 +515,7 @@ def pack_icl_prompt(
                 continue
             body.append(block)
             used += len(block)
-    text = instruction + "".join(body) + chunk_header + chunk_text
-    return PackedPrompt(text, truncated)
+    return instruction + "".join(body) + chunk_header + chunk_text
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +597,7 @@ def run_log_expert(
     summarize.  Returns the observation text for the controller."""
     kept: list[tuple[str, str]] = []
     for chunk in partition(log_text, backend):
-        packed = pack_icl_prompt(chunk, store, backend)
-        analysis = analyze_chunk(backend, packed.text)
+        analysis = analyze_chunk(backend, pack_icl_prompt(chunk, store, backend))
         analysis = filter_evidence(analysis, chunk)
         kept.extend(analysis.pairs())
     interpretation, evidence = summarize(backend, kept)

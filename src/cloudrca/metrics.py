@@ -48,14 +48,9 @@ def norm_score(
 
 
 def fill_baseline(result: Optional[AnalysisResult]) -> AnalysisResult:
-    """Failed or incomplete results degrade to the baseline text per field."""
-    if result is None:
-        return AnalysisResult()
-    filled = {}
-    for name in RESULT_FIELDS:
-        value = result.field_text(name)
-        filled[name] = value if value and value.strip() else UNCLEAR
-    return AnalysisResult(**filled)
+    """Failed or incomplete results degrade to the baseline text per field,
+    by the one normalizing rule of ``AnalysisResult.from_dict``."""
+    return AnalysisResult.from_dict(result.to_dict() if result is not None else {})
 
 
 def pass_rate(trajectories: Sequence[Trajectory]) -> float:

@@ -319,6 +319,17 @@ class Sandbox:
         job_ids = index.get("job_ids") if isinstance(index, dict) else None
         if not isinstance(job_ids, list):
             raise ConfigurationError(f"scenario index {index_path} holds no job_ids list")
+        # a job id names its directory, in the bundle and under --out-dir
+        for job_id in job_ids:
+            if not isinstance(job_id, str) or job_id in ("", ".", "..") or any(
+                sep in job_id for sep in ("/", os.sep)
+            ):
+                raise ConfigurationError(
+                    f"scenario index {index_path} holds job id {job_id!r}, "
+                    "which is not a single path component"
+                )
+        if len(set(job_ids)) < len(job_ids):
+            raise ConfigurationError(f"scenario index {index_path} lists a job id twice")
         self.job_ids: list[str] = job_ids
         self.repo_index = RepoIndex.build(os.path.join(root, "src"))
         self._records: dict[str, JobRecord] = {}

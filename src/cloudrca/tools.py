@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .errors import ConfigurationError, SnapshotKeyError
 from .snapshots import SnapshotStore, render_head, EMPTY_OBSERVATION
 from .textdist import deduplicate_entries
-from .trajectory import RESULT_FIELDS, AnalysisResult, Step, ToolCall, UNCLEAR
+from .trajectory import RESULT_FIELDS, Step, ToolCall
 
 KIND_INFO = "info"
 KIND_EXPERT = "expert"
@@ -250,8 +250,8 @@ def check_errors(
 
 
 def finalize_spec() -> ToolSpec:
-    """The finalize tool; its parameters are the fields ``parse_finalize``
-    reads, in ``RESULT_FIELDS`` order."""
+    """The finalize tool; its parameters are the fields
+    ``AnalysisResult.from_dict`` reads, in ``RESULT_FIELDS`` order."""
     descriptions = {
         "root_cause": "the fundamental cause",
         "solution": "the mitigation method",
@@ -265,24 +265,3 @@ def finalize_spec() -> ToolSpec:
         kind=KIND_FINALIZE,
     )
 
-
-def parse_finalize(call: ToolCall) -> AnalysisResult:
-    """Extract the analysis payload from a finalize call; missing or empty
-    fields, and a responsibility other than User or Platform, are filled
-    with the baseline string."""
-    kwargs = call.kwargs or {}
-    values = {}
-    for name in RESULT_FIELDS:
-        value = kwargs.get(name)
-        if not isinstance(value, str) or not value.strip():
-            values[name] = UNCLEAR
-        else:
-            values[name] = value.strip()
-    resp = values["responsibility"].lower()
-    if resp == "user":
-        values["responsibility"] = "User"
-    elif resp == "platform":
-        values["responsibility"] = "Platform"
-    else:
-        values["responsibility"] = UNCLEAR
-    return AnalysisResult(**values)

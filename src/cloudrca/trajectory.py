@@ -14,6 +14,7 @@ UNCLEAR = "Unclear"
 RESULT_FIELDS = ("root_cause", "solution", "evidence", "responsibility")
 # the free-text fields; responsibility is one of two categories
 TEXT_FIELDS = RESULT_FIELDS[:-1]
+RESPONSIBILITIES = {"user": "User", "platform": "Platform"}  # by lower-cased text
 
 
 @dataclass
@@ -43,11 +44,16 @@ class AnalysisResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalysisResult":
-        kwargs = {}
+        """The one rule that normalizes a result: each field is stripped, and a
+        missing, non-string or blank field, or a responsibility other than User
+        or Platform in any case, reads Unclear."""
+        values = {}
         for name in RESULT_FIELDS:
             value = data.get(name)
-            kwargs[name] = value if isinstance(value, str) and value else UNCLEAR
-        return cls(**kwargs)
+            values[name] = (value.strip() if isinstance(value, str) else "") or UNCLEAR
+        responsibility = values["responsibility"].lower()
+        values["responsibility"] = RESPONSIBILITIES.get(responsibility, UNCLEAR)
+        return cls(**values)
 
     def field_text(self, name: str) -> str:
         return getattr(self, name)

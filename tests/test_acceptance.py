@@ -10,6 +10,7 @@ import importlib.resources
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -27,7 +28,6 @@ from cloudrca.consistency import (
     tsc,
 )
 from cloudrca.logexpert import (
-    ChunkAssignment,
     SimilarityGraph,
     evidence_accepted,
     louvain,
@@ -155,23 +155,23 @@ def test_criterion_04_clustering_oracles():
     # exhaustive modularity maximum on every graph with <= 8 vertices
     for _ in range(30):
         graph = random_graph(rng, rng.randrange(2, 9))
-        assignment = louvain(graph)
-        assert modularity_oracle(graph, assignment.labels) == pytest.approx(
+        labels = louvain(graph)
+        assert modularity_oracle(graph, labels) == pytest.approx(
             best_partition_oracle(graph), abs=1e-9
         )
     # brute-force minimum flip count on <= 6-line cases
     for _ in range(200):
         labels = [rng.randrange(3) for _ in range(rng.randrange(1, 7))]
-        repaired = remove_overlaps(ChunkAssignment(labels=list(labels)))
-        assert is_contiguous(repaired.labels)
-        assert flips_between(labels, repaired.labels) == min_flips_oracle(labels)
+        repaired = remove_overlaps(list(labels))
+        assert is_contiguous(repaired)
+        assert flips_between(labels, repaired) == min_flips_oracle(labels)
     # contiguity and coverage on 1000 randomized logs
     for _ in range(1000):
         n = rng.randrange(1, 40)
         labels = [rng.randrange(6) for _ in range(n)]
-        repaired = remove_overlaps(ChunkAssignment(labels=list(labels)))
-        assert len(repaired.labels) == n
-        assert is_contiguous(repaired.labels)
+        repaired = remove_overlaps(list(labels))
+        assert len(repaired) == n
+        assert is_contiguous(repaired)
 
 
 @criterion(5, "evidence filter threshold and monotonicity under chunk extension")
@@ -231,20 +231,19 @@ def test_criterion_07_trajectory_self_consistency(sandbox):
     assert greedy.passed
 
     # shared prefix on every branch of a k=10 run
-    candidates, _ = tsc(config, factory, backend, k=10, store=store, greedy=greedy)
+    candidates = tsc(config, factory, backend, k=10, store=store, greedy=greedy)
     assert len(candidates) == 10
     prefix = [s.to_dict() for s in greedy.steps[:-1]]
     for cand in candidates:
-        assert [s.to_dict() for s in cand.trajectory.steps[: len(prefix)]] == prefix
+        assert [s.to_dict() for s in cand.steps[: len(prefix)]] == prefix
 
     # branches exceeding the global bound produce no candidate
     slow = lambda _i: DetourBackend(detours=1)
-    excluded, _ = tsc(
-        config,
+    excluded = tsc(
+        replace(config, max_steps=len(greedy.steps)),
         factory,
         backend,
         k=3,
-        global_step_bound=len(greedy.steps),
         store=store,
         greedy=greedy,
         branch_backend_factory=slow,
@@ -255,7 +254,7 @@ def test_criterion_07_trajectory_self_consistency(sandbox):
     variants = lambda i: (
         VariantBackend("unrelated cosmic ray event") if i == 2 else PolicyBackend()
     )
-    voted, _ = tsc(
+    voted = tsc(
         config,
         factory,
         backend,

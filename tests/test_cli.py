@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 import yaml
@@ -269,6 +270,32 @@ class TestBatch:
             assert scores["emb_score"] == pytest.approx(sum(expected) / len(expected))
 
 
+class TestGroundTruthIsNormalized:
+    """Ground truth loads by the rule that normalizes every result, so a
+    reference written "user " is User and scores as one."""
+
+    def test_padded_responsibility_counts_in_precision(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_ids = generate_scenarios(seed=11, count=2, out_dir=str(bundle))
+        wanted = {}
+        for job_id in job_ids:
+            path = bundle / job_id / "ground_truth.json"
+            truth = json.loads(path.read_text())
+            wanted[job_id] = truth["responsibility"]
+            truth["responsibility"] = truth["responsibility"].lower() + " "
+            truth["root_cause"] = "   "
+            path.write_text(json.dumps(truth))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["batch", "--scenarios", str(bundle), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        for row in report["jobs"]:
+            assert row["reference"]["responsibility"] == wanted[row["job_id"]]
+            assert row["reference"]["root_cause"] == "Unclear"
+            assert row["prediction"]["responsibility"] == wanted[row["job_id"]]
+        assert report["fields"]["responsibility"]["precision"] == 100.0
+
+
 class TestBadSettings:
     """A bad run setting or an empty bundle stops the batch before any job
     runs."""
@@ -409,6 +436,30 @@ class TestUnreadableBundle:
         bundle.rename(tmp_path / "moved")
         result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
         self.assert_usage_error(result, bundle / "index.json")
+
+
+class TestIndexJobIds:
+    """An index job id names a directory in the bundle and in --out-dir, so
+    one that is not a single path component, or is listed twice, is a usage
+    error before any job runs."""
+
+    @pytest.mark.parametrize("command", ["batch", "diagnose"])
+    def test_escaping_id_writes_nothing(self, runner, tmp_path, command):
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=11, count=1, out_dir=str(bundle))
+        # a readable job outside the bundle, where "../victim/esc" points
+        shutil.copytree(bundle / job_id, tmp_path / "victim" / "esc")
+        (bundle / "index.json").write_text(
+            json.dumps({"job_ids": ["../victim/esc", job_id, job_id]})
+        )
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "runs" / "out"
+        args = ["--scenarios", str(bundle), "--out-dir", str(out)]
+        args = ["batch", *args] if command == "batch" else ["diagnose", job_id, *args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "'../victim/esc', which is not a single path component" in result.output
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestOutDirIsAFile:
@@ -628,10 +679,11 @@ class TestReplay:
         [
             (lambda m: {**m, "settings": ["x"]}, "is not a mapping"),
             (lambda m: {k: v for k, v in m.items() if k != "job_id"}, "'job_id'"),
+            (lambda m: {**m, "job_id": 7}, "job_id in"),
             (lambda m: [m], "does not hold a mapping"),
             (None, "does not exist"),
         ],
-        ids=["settings-list", "no-job-id", "list-file", "missing-trajectory"],
+        ids=["settings-list", "no-job-id", "job-id-int", "list-file", "missing-trajectory"],
     )
     def test_malformed_inputs_are_usage_errors(
         self, runner, scenario_dir, tmp_path, sandbox, damage, message
@@ -648,6 +700,27 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    def test_job_not_in_the_bundle_stops_before_any_model_call(
+        self, runner, scenario_dir, tmp_path, sandbox, monkeypatch
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        manifest_path = os.path.join(os.path.dirname(path), "result.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["job_id"] = "fjdeadbeef"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+
+        def run_job(*args):
+            raise AssertionError("run_job called for a job not in the bundle")
+
+        monkeypatch.setattr(cli, "run_job", run_job)
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 1, result.output
+        assert result.output == (
+            f"Error: job fjdeadbeef is not in scenario bundle {scenario_dir}\n"
+        )
 
     @pytest.mark.parametrize("entry", ["result", "candidates"])
     def test_result_json_without_an_output_entry_diverges(

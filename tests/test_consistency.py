@@ -21,7 +21,6 @@ from cloudrca.consistency import (
     DEFAULT_K,
     METHOD_EMBEDDING_VOTE,
     METHOD_LLM_AGGREGATE,
-    Candidate,
     aggregate,
     aggregate_with_llm,
     _majority_responsibility,
@@ -139,7 +138,7 @@ class TestAggregate:
             AnalysisResult("oom", "raise memory", "ev-a", "User"),
             AnalysisResult("timeout", "retry", "ev-b", "Platform"),
         ]
-        return [Candidate(Trajectory(result=r)) for r in results]
+        return [Trajectory(result=r) for r in results]
 
     def test_embedding_vote_per_field(self, policy_backend):
         outcome = aggregate(self._candidates(), METHOD_EMBEDDING_VOTE, policy_backend)
@@ -186,16 +185,16 @@ class TestTsc:
         factory = _registry_factory(sandbox)
         greedy, store = run_greedy(config, factory, policy_backend)
         assert greedy.passed
-        candidates, _ = tsc(
+        candidates = tsc(
             config, factory, policy_backend, k=10, store=store, greedy=greedy
         )
         assert len(candidates) == 10
         prefix = [s.to_dict() for s in greedy.steps[:-1]]
         for cand in candidates:
-            shared = [s.to_dict() for s in cand.trajectory.steps[: len(prefix)]]
+            shared = [s.to_dict() for s in cand.steps[: len(prefix)]]
             assert shared == prefix
-            assert cand.trajectory.seed_prefix_len == len(prefix)
-            assert cand.trajectory.passed
+            assert cand.seed_prefix_len == len(prefix)
+            assert cand.passed
 
     def test_bound_excludes_slow_branches(self, sandbox, policy_backend):
         job_id = sandbox.job_ids[0]
@@ -207,12 +206,11 @@ class TestTsc:
         def detouring(_: int):
             return DetourBackend(detours=1)
 
-        candidates, _ = tsc(
-            config,
+        candidates = tsc(
+            replace(config, max_steps=bound),
             factory,
             policy_backend,
             k=3,
-            global_step_bound=bound,
             store=store,
             greedy=greedy,
             branch_backend_factory=detouring,
@@ -220,19 +218,18 @@ class TestTsc:
         assert candidates == []
 
         # one more step of headroom and the same branches finalize
-        candidates, _ = tsc(
-            config,
+        candidates = tsc(
+            replace(config, max_steps=bound + 1),
             factory,
             policy_backend,
             k=3,
-            global_step_bound=bound + 1,
             store=store,
             greedy=greedy,
             branch_backend_factory=detouring,
         )
         assert len(candidates) == 3
         for cand in candidates:
-            assert len(cand.trajectory.steps) == bound + 1
+            assert len(cand.steps) == bound + 1
 
     def test_bound_must_cover_greedy(self, sandbox, policy_backend):
         job_id = sandbox.job_ids[0]
@@ -241,11 +238,10 @@ class TestTsc:
         greedy, store = run_greedy(config, factory, policy_backend)
         with pytest.raises(ValueError):
             tsc(
-                config,
+                replace(config, max_steps=len(greedy.steps) - 1),
                 factory,
                 policy_backend,
                 k=2,
-                global_step_bound=len(greedy.steps) - 1,
                 store=store,
                 greedy=greedy,
             )
@@ -261,7 +257,7 @@ class TestTsc:
                 return VariantBackend("a stray cosmic ray flipped a bit")
             return policy_backend.clone()
 
-        candidates, _ = tsc(
+        candidates = tsc(
             config,
             factory,
             policy_backend,
@@ -304,8 +300,8 @@ class TestScStepwise:
         )
         assert len(candidates) == 5
         for cand in candidates:
-            assert len(cand.trajectory.steps) == len(greedy.steps)
-            assert cand.trajectory.steps[-1].action.function == "finalize"
+            assert len(cand.steps) == len(greedy.steps)
+            assert cand.steps[-1].action.function == "finalize"
             assert cand.result.to_dict() == greedy.result.to_dict()
 
     def test_non_finalize_samples_dropped(self, sandbox, policy_backend):
@@ -354,11 +350,11 @@ def test_branches_decode_sampled_with_the_config_penalties(sandbox):
 
     # tsc: the same branches take the detour, then finalize
     branch_calls.clear()
-    candidates, _ = tsc(
+    candidates = tsc(
         config, factory, PolicyBackend(), k=3, store=store, greedy=greedy,
         branch_backend_factory=detouring,
     )
-    assert [len(c.trajectory.steps) for c in candidates] == [len(greedy.steps) + 1] * 3
+    assert [len(c.steps) for c in candidates] == [len(greedy.steps) + 1] * 3
     assert branch_calls == [sampled] * 6
 
 
@@ -399,7 +395,7 @@ class TestRunWithConsistency:
         )
         assert len(report.candidates) == 3
         for cand in report.candidates:
-            assert cand.trajectory.seed_prefix_len == 0
+            assert cand.seed_prefix_len == 0
 
     def test_empty_candidates_fall_back_to_greedy(self, sandbox, policy_backend):
         config = make_config(sandbox.job_ids[0])
@@ -457,7 +453,7 @@ def test_failed_branch_yields_no_candidate(sandbox, policy_backend, mode):
     )
     assert report.greedy.passed
     assert len(report.candidates) == 1
-    assert report.candidates[0].trajectory is report.greedy
+    assert report.candidates[0] is report.greedy
     assert report.outcome.result.to_dict() == report.greedy.result.to_dict()
 
 
@@ -491,7 +487,7 @@ class TestNonStringContent:
         )
         assert report.greedy.passed
         assert len(report.candidates) == 2
-        assert all(c.trajectory.passed for c in report.candidates)
+        assert all(c.passed for c in report.candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +547,7 @@ def _sequential_branches(
             initial=initial,
         )
         if trajectory.passed:
-            candidates.append(Candidate(trajectory))
+            candidates.append(trajectory)
     return candidates
 
 
@@ -563,7 +559,7 @@ class TestConcurrentBranches:
         delay = 0.1
         slow = SlowBackend(delay)
         start = time.perf_counter()
-        candidates, _ = tsc(config, factory, slow, k=10, store=store, greedy=greedy)
+        candidates = tsc(config, factory, slow, k=10, store=store, greedy=greedy)
         elapsed = time.perf_counter() - start
         assert len(candidates) == 10
         assert slow.peak >= 2
@@ -589,7 +585,7 @@ class TestConcurrentBranches:
                 finished.append(self.index)
                 return reply
 
-        candidates, _ = tsc(
+        candidates = tsc(
             config,
             factory,
             policy_backend,
@@ -653,6 +649,6 @@ class TestConcurrentBranches:
                     config, factory, backend, mode=mode, k=4
                 )
             assert concurrent == sequential
-            assert [c.trajectory.to_jsonl() for c in concurrent.candidates] == [
-                c.trajectory.to_jsonl() for c in sequential.candidates
+            assert [c.to_jsonl() for c in concurrent.candidates] == [
+                c.to_jsonl() for c in sequential.candidates
             ]

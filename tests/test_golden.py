@@ -60,6 +60,6 @@ def test_run_bytes(golden_sandbox, mode):
         payloads.append(
             report.greedy.to_jsonl()
             + json.dumps(report.outcome.result.to_dict(), sort_keys=True)
-            + "".join(c.trajectory.to_jsonl() for c in report.candidates)
+            + "".join(c.to_jsonl() for c in report.candidates)
         )
     assert _sha256("\n".join(payloads)) == RUN_SHA256[mode]

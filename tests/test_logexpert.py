@@ -15,7 +15,6 @@ from cloudrca.logexpert import (
     DEFAULT_MAX_PROMPT_LEN,
     DEFAULT_TAU,
     DEFAULT_WINDOW,
-    ChunkAssignment,
     NO_EVIDENCE_SENTINEL,
     RetrievalStore,
     SimilarityGraph,
@@ -456,34 +455,34 @@ class TestLouvain:
         edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                  (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0),
                  (2, 3, 0.01)]
-        assignment = louvain(SimilarityGraph(6, edges))
-        assert assignment.labels[0] == assignment.labels[1] == assignment.labels[2]
-        assert assignment.labels[3] == assignment.labels[4] == assignment.labels[5]
-        assert assignment.labels[0] != assignment.labels[3]
+        labels = louvain(SimilarityGraph(6, edges))
+        assert labels[0] == labels[1] == labels[2]
+        assert labels[3] == labels[4] == labels[5]
+        assert labels[0] != labels[3]
 
     def test_reaches_oracle_modularity_on_small_graphs(self):
         rng = random.Random(99)
         for _ in range(30):
             graph = random_graph(rng, rng.randint(2, 8))
-            got = modularity(graph, louvain(graph).labels)
+            got = modularity(graph, louvain(graph))
             best = best_partition_oracle(graph)
             assert got == pytest.approx(best, abs=1e-9)
 
     def test_deterministic(self):
         rng = random.Random(5)
         graph = random_graph(rng, 8)
-        assert louvain(graph).labels == louvain(graph).labels
+        assert louvain(graph) == louvain(graph)
 
     def test_singleton_graph(self):
-        assert louvain(SimilarityGraph(1, [])).labels == [0]
+        assert louvain(SimilarityGraph(1, [])) == [0]
 
     def test_no_edges_all_singletons(self):
-        assert louvain(SimilarityGraph(4, [])).labels == [0, 1, 2, 3]
+        assert louvain(SimilarityGraph(4, [])) == [0, 1, 2, 3]
 
     def test_canonical_first_appearance_labels(self):
         rng = random.Random(11)
         for _ in range(10):
-            labels = louvain(random_graph(rng, 8)).labels
+            labels = louvain(random_graph(rng, 8))
             seen = []
             for lab in labels:
                 if lab not in seen:
@@ -500,19 +499,19 @@ class TestLouvainSkipsTargetsThatCannotGain:
         rng = random.Random(31)
         for n in list(range(9, 30)) + [40, 53, 64, 80]:
             graph = decayed_graph(rng, n, density)
-            assert louvain(graph).labels == dict_louvain_oracle(graph)
+            assert louvain(graph) == dict_louvain_oracle(graph)
 
     def test_tie_prone_graphs(self):
         rng = random.Random(32)
         for _ in range(60):
             graph = tie_prone_graph(rng, rng.randint(9, 30))
-            assert louvain(graph).labels == dict_louvain_oracle(graph)
+            assert louvain(graph) == dict_louvain_oracle(graph)
 
     def test_weights_scaled_by_a_million(self):
         rng = random.Random(33)
         for n in (9, 17, 33, 53, 80):
             graph = decayed_graph(rng, n, 0.5, scale=1e6)
-            assert louvain(graph).labels == dict_louvain_oracle(graph)
+            assert louvain(graph) == dict_louvain_oracle(graph)
 
     @pytest.mark.parametrize("count", [12, 50, 113, 300])
     def test_partition_of_two_template_logs(self, count):
@@ -520,8 +519,8 @@ class TestLouvainSkipsTargetsThatCannotGain:
         backend = MockBackend()
         graph = build_graph(lines, backend.embed(lines))
         labels = dict_louvain_oracle(graph)
-        assert louvain(graph).labels == labels
-        runs = logexpert._runs(remove_overlaps(ChunkAssignment(labels)).labels)
+        assert louvain(graph) == labels
+        runs = logexpert._runs(remove_overlaps(labels))
         want = ["\n".join(lines[start:end]) for _, start, end in runs]
         assert partition("\n".join(lines), backend) == want
 
@@ -533,35 +532,35 @@ class TestLouvainSkipsTargetsThatCannotGain:
 class TestRemoveOverlaps:
     def test_merge_example(self):
         # A A B A A -> merging the middle costs 1 flip
-        out = remove_overlaps(ChunkAssignment([0, 0, 1, 0, 0]))
-        assert out.labels == [0, 0, 0, 0, 0]
+        out = remove_overlaps([0, 0, 1, 0, 0])
+        assert out == [0, 0, 0, 0, 0]
 
     def test_flip_example(self):
         # A B A B -> one flip suffices
-        out = remove_overlaps(ChunkAssignment([0, 1, 0, 1]))
-        assert is_contiguous(out.labels)
-        assert flips_between([0, 1, 0, 1], out.labels) == 1
+        out = remove_overlaps([0, 1, 0, 1])
+        assert is_contiguous(out)
+        assert flips_between([0, 1, 0, 1], out) == 1
 
     def test_already_contiguous_untouched(self):
         labels = [0, 0, 1, 1, 2]
-        assert remove_overlaps(ChunkAssignment(labels)).labels == labels
+        assert remove_overlaps(labels) == labels
 
     def test_matches_bruteforce_on_short_sequences(self):
         rng = random.Random(3)
         for _ in range(300):
             n = rng.randint(1, 6)
             labels = [rng.randint(0, 2) for _ in range(n)]
-            out = remove_overlaps(ChunkAssignment(labels))
-            assert is_contiguous(out.labels)
-            assert flips_between(labels, out.labels) == min_flips_oracle(labels)
+            out = remove_overlaps(labels)
+            assert is_contiguous(out)
+            assert flips_between(labels, out) == min_flips_oracle(labels)
 
 
 @settings(max_examples=300)
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
 def test_remove_overlaps_contiguity_property(labels):
-    out = remove_overlaps(ChunkAssignment(labels))
-    assert is_contiguous(out.labels)
-    assert len(out.labels) == len(labels)
+    out = remove_overlaps(labels)
+    assert is_contiguous(out)
+    assert len(out) == len(labels)
 
 
 def test_remove_overlaps_contiguity_on_random_logs():
@@ -569,7 +568,7 @@ def test_remove_overlaps_contiguity_on_random_logs():
     for _ in range(1000):
         n = rng.randint(1, 60)
         labels = [rng.randint(0, 5) for _ in range(n)]
-        assert is_contiguous(remove_overlaps(ChunkAssignment(labels)).labels)
+        assert is_contiguous(remove_overlaps(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +595,9 @@ class TestPackIcl:
 
     def test_chunk_always_present(self):
         packed = pack_icl_prompt(self.chunk, None, MockBackend())
-        assert "=== Log chunk to analyze ===" in packed.text
-        assert packed.text.endswith("ERROR failure in module x")
-        assert "=== Example ===" not in packed.text and not packed.truncated
+        assert "=== Log chunk to analyze ===" in packed
+        assert packed.endswith("ERROR failure in module x")
+        assert "=== Example ===" not in packed
 
     def test_similar_example_packed_first(self):
         be = MockBackend()
@@ -606,9 +605,9 @@ class TestPackIcl:
         store.add("ERROR failure in module x happened", "module x crashed")
         store.add("watermark advanced normally fine", "nothing wrong")
         packed = pack_icl_prompt(self.chunk, store, be)
-        assert packed.text.count("=== Example ===") == 2
-        first = packed.text.index("module x crashed")
-        second = packed.text.index("nothing wrong")
+        assert packed.count("=== Example ===") == 2
+        first = packed.index("module x crashed")
+        second = packed.index("nothing wrong")
         assert first < second
 
     def test_budget_excludes_examples(self):
@@ -617,14 +616,13 @@ class TestPackIcl:
         store.add("x" * 4500, "y" * 4500)
         store.add("ERROR failure in module x happened", "module x crashed")
         packed = pack_icl_prompt(self.chunk, store, be)
-        assert packed.text.count("=== Example ===") == 1
-        assert "module x crashed" in packed.text and "x" * 4500 not in packed.text
-        assert len(packed.text) <= DEFAULT_MAX_PROMPT_LEN
+        assert packed.count("=== Example ===") == 1
+        assert "module x crashed" in packed and "x" * 4500 not in packed
+        assert len(packed) <= DEFAULT_MAX_PROMPT_LEN
 
-    def test_oversized_chunk_truncated_and_flagged(self):
+    def test_oversized_chunk_truncated(self):
         packed = pack_icl_prompt("z" * 20000, None, MockBackend())
-        assert packed.truncated
-        assert len(packed.text) == DEFAULT_MAX_PROMPT_LEN
+        assert len(packed) == DEFAULT_MAX_PROMPT_LEN
 
     def test_ingest_jsonl_with_deny_filter(self, tmp_path):
         path = tmp_path / "examples.jsonl"

@@ -103,6 +103,15 @@ class TestFillBaseline:
         result = AnalysisResult("a", "b", "c", "User")
         assert fill_baseline(result).to_dict() == result.to_dict()
 
+    def test_fields_are_stripped(self):
+        result = AnalysisResult(" oom\n", "raise heap ", "\tOutOfMemoryError", " user ")
+        assert fill_baseline(result).to_dict() == {
+            "root_cause": "oom",
+            "solution": "raise heap",
+            "evidence": "OutOfMemoryError",
+            "responsibility": "User",
+        }
+
 
 class TestTrajectoryStats:
     def test_pass_rate(self, five_trajectories):

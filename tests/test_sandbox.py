@@ -4,6 +4,7 @@ soundness of every tool output, and registry composition."""
 import collections
 import filecmp
 import inspect
+import json
 import os
 
 import pytest
@@ -141,6 +142,26 @@ class TestSandboxLoading:
     def test_unknown_job_rejected(self, sandbox):
         with pytest.raises(ConfigurationError):
             sandbox.job("fj00000000")
+
+    @pytest.mark.parametrize(
+        "job_id",
+        [7, None, "", ".", "..", "../victim/esc", "a/b", "/abs", "trailing/", os.sep + "x"],
+        ids=["int", "null", "empty", "dot", "dotdot", "escape", "slash", "absolute",
+             "trailing-slash", "os-sep"],
+    )
+    def test_job_id_that_is_not_one_path_component_rejected(self, tmp_path, job_id):
+        bundle = tmp_path / "bundle"
+        [good] = generate_scenarios(seed=5, count=1, out_dir=str(bundle))
+        (bundle / "index.json").write_text(json.dumps({"job_ids": [good, job_id]}))
+        with pytest.raises(ConfigurationError, match="not a single path component"):
+            Sandbox(str(bundle))
+
+    def test_job_id_listed_twice_rejected(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_ids = generate_scenarios(seed=5, count=2, out_dir=str(bundle))
+        (bundle / "index.json").write_text(json.dumps({"job_ids": [*job_ids, job_ids[0]]}))
+        with pytest.raises(ConfigurationError, match="twice"):
+            Sandbox(str(bundle))
 
     def test_code_repo_binding(self, sandbox):
         index = sandbox.repo_index

@@ -17,10 +17,9 @@ from cloudrca.tools import (
     ToolSpec,
     check_errors,
     dispatch,
-    parse_finalize,
     render_documentation,
 )
-from cloudrca.trajectory import RESULT_FIELDS, Step, ToolCall
+from cloudrca.trajectory import RESULT_FIELDS, AnalysisResult, Step, ToolCall
 
 
 def finalize_spec():
@@ -286,24 +285,26 @@ class TestCheckErrors:
 
 
 class TestParseFinalize:
+    """A finalize call's kwargs are read by ``AnalysisResult.from_dict``, the
+    one rule that normalizes a result."""
+
     def test_finalize_spec_declares_the_parsed_fields(self):
         spec = tools.finalize_spec()
         assert spec.kind == KIND_FINALIZE
         assert [p.name for p in spec.params] == list(RESULT_FIELDS)
-        call = ToolCall("finalize", {p.name: "User" for p in spec.params})
-        assert parse_finalize(call).to_dict() == {name: "User" for name in RESULT_FIELDS}
+        kwargs = {p.name: "User" for p in spec.params}
+        assert AnalysisResult.from_dict(kwargs).to_dict() == {
+            name: "User" for name in RESULT_FIELDS
+        }
 
     def test_complete_payload(self):
-        call = ToolCall(
-            "finalize",
-            {
-                "root_cause": "heap too small",
-                "solution": "raise heap",
-                "evidence": "OutOfMemoryError",
-                "responsibility": "user",
-            },
-        )
-        assert parse_finalize(call).to_dict() == {
+        kwargs = {
+            "root_cause": "heap too small",
+            "solution": "raise heap",
+            "evidence": "OutOfMemoryError",
+            "responsibility": "user",
+        }
+        assert AnalysisResult.from_dict(kwargs).to_dict() == {
             "root_cause": "heap too small",
             "solution": "raise heap",
             "evidence": "OutOfMemoryError",
@@ -311,23 +312,34 @@ class TestParseFinalize:
         }
 
     def test_platform_normalized(self):
-        parsed = parse_finalize(ToolCall("finalize", {"responsibility": "PLATFORM"}))
+        parsed = AnalysisResult.from_dict({"responsibility": "PLATFORM"})
         assert parsed.responsibility == "Platform"
         assert parsed.root_cause == "Unclear"  # other fields missing
 
     def test_missing_fields_become_unclear(self):
-        parsed = parse_finalize(ToolCall("finalize", {}))
+        parsed = AnalysisResult.from_dict({})
         assert parsed.to_dict() == {name: "Unclear" for name in RESULT_FIELDS}
 
     def test_unrecognized_responsibility_becomes_unclear(self):
-        parsed = parse_finalize(
-            ToolCall("finalize", {"responsibility": "the network team"})
-        )
+        parsed = AnalysisResult.from_dict({"responsibility": "the network team"})
         assert parsed.responsibility == "Unclear"
 
     def test_blank_strings_treated_as_missing(self):
-        parsed = parse_finalize(ToolCall("finalize", {"root_cause": "   "}))
+        parsed = AnalysisResult.from_dict({"root_cause": "   "})
         assert parsed.root_cause == "Unclear"
+
+    def test_fields_are_stripped(self):
+        parsed = AnalysisResult.from_dict(
+            {"root_cause": "  heap too small\n", "responsibility": " Platform\t"}
+        )
+        assert parsed.root_cause == "heap too small"
+        assert parsed.responsibility == "Platform"
+
+    def test_non_string_fields_become_unclear(self):
+        parsed = AnalysisResult.from_dict(
+            {"root_cause": 7, "solution": None, "evidence": ["x"], "responsibility": True}
+        )
+        assert parsed.to_dict() == {name: "Unclear" for name in RESULT_FIELDS}
 
 
 class TestSnapshotParams:
