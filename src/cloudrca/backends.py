@@ -30,6 +30,8 @@ DEFAULT_RESTART_THRESHOLD = 4096
 DEFAULT_MAX_ESCALATIONS = 2
 PENALTY_STEP = 0.5
 MAX_TOKENS = 2048
+# most inputs one embeddings request may carry (OpenAI's limit)
+MAX_EMBED_INPUTS = 2048
 MAX_ATTEMPTS = 3
 REQUEST_TIMEOUT_S = 120.0
 # without a Retry-After header, attempt n + 1 waits RETRY_WAIT_S * n seconds
@@ -46,26 +48,21 @@ HASH_EMBED_MEMO_SIZE = 1 << 15
 
 @dataclass(frozen=True)
 class GenerationParams:
-    """Decoding mode and penalties of one call; sampled mode decodes at
-    DEFAULT_SAMPLED_TEMPERATURE with nucleus DEFAULT_NUCLEUS_P."""
+    """Decoding mode and repetition penalty of one call; sampled mode decodes
+    at DEFAULT_SAMPLED_TEMPERATURE with nucleus DEFAULT_NUCLEUS_P."""
 
-    repetition_penalty: float = 0.0
-    frequency_penalty: float = 0.0
+    penalty: float = 0.0
     mode: str = "greedy"  # "greedy" or "sampled"
 
     def __post_init__(self):
-        if self.repetition_penalty < 0 or self.frequency_penalty < 0:
-            raise ValueError("penalties must be non-negative")
+        if self.penalty < 0:
+            raise ValueError("penalty must be non-negative")
         if self.mode not in ("greedy", "sampled"):
             raise ValueError(f"unknown mode: {self.mode!r}")
 
     def escalated(self) -> "GenerationParams":
-        """Same params with both penalties raised by one step."""
-        return replace(
-            self,
-            repetition_penalty=self.repetition_penalty + PENALTY_STEP,
-            frequency_penalty=self.frequency_penalty + PENALTY_STEP,
-        )
+        """Same params with the penalty raised by one step."""
+        return replace(self, penalty=self.penalty + PENALTY_STEP)
 
 
 # Deterministic decoding: the controller's default, and every expert, repair
@@ -133,7 +130,7 @@ def _hash_gram(seed: int, key: int) -> tuple[int, float]:
     gram = chr(key >> 2 * _CHAR_BITS) + chr(key >> _CHAR_BITS & _CHAR_MASK)
     if key & _CHAR_MASK != _NO_CHAR:
         gram += chr(key & _CHAR_MASK)
-    digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8", "surrogatepass")).digest()
     idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
     return idx, 1.0 if digest[4] & 1 else -1.0
 
@@ -246,9 +243,6 @@ class MockBackend:
         self.calls: list[RecordedCall] = []
         self._lock = threading.Lock()
 
-    def clone(self) -> "MockBackend":
-        return MockBackend(self.script)
-
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:
         exchange.validate()
         with self._lock:
@@ -357,16 +351,16 @@ class HttpBackend:
             "model": self.model,
             "messages": messages,
             "max_tokens": MAX_TOKENS,
-            "frequency_penalty": params.frequency_penalty,
+            "frequency_penalty": params.penalty,
         }
         if params.mode == "greedy":
             payload["temperature"] = 0.0
         else:
             payload["temperature"] = DEFAULT_SAMPLED_TEMPERATURE
             payload["top_p"] = DEFAULT_NUCLEUS_P
-        if params.repetition_penalty > 0:
+        if params.penalty > 0:
             # vLLM-style extension; harmless for servers that ignore it.
-            payload["repetition_penalty"] = params.repetition_penalty
+            payload["repetition_penalty"] = params.penalty
         data = self._post("/chat/completions", payload)
         try:
             content = data["choices"][0]["message"]["content"]
@@ -380,21 +374,25 @@ class HttpBackend:
         return content
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """The server's vectors for ``texts``; raises ProtocolError unless it
-        sends one list of finite numbers per input index, all of one length."""
+        """The server's vectors for ``texts``, requested MAX_EMBED_INPUTS
+        texts at a time; raises ProtocolError unless each response sends one
+        list of finite numbers per input index, all of one length."""
         if not texts:
             raise ValueError("embed() requires a non-empty list")
-        data = self._post("/embeddings", {"model": self.model, "input": list(texts)})
-        try:
-            items = sorted(data["data"], key=lambda d: d["index"])
-            rows = [item["embedding"] for item in items]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed embeddings response: {exc}")
-        indices = [item["index"] for item in items]
-        # exact ints: [False, True] and [0.0, 1.0] both equal [0, 1]
-        expected = list(range(len(texts)))
-        if indices != expected or any(type(i) is not int for i in indices):
-            raise ProtocolError("embeddings do not match the inputs one to one")
+        rows = []
+        for top in range(0, len(texts), MAX_EMBED_INPUTS):
+            batch = list(texts[top : top + MAX_EMBED_INPUTS])
+            data = self._post("/embeddings", {"model": self.model, "input": batch})
+            try:
+                items = sorted(data["data"], key=lambda d: d["index"])
+                rows += [item["embedding"] for item in items]
+            except (KeyError, TypeError) as exc:
+                raise ProtocolError(f"malformed embeddings response: {exc}")
+            indices = [item["index"] for item in items]
+            # exact ints: [False, True] and [0.0, 1.0] both equal [0, 1]
+            expected = list(range(len(batch)))
+            if indices != expected or any(type(i) is not int for i in indices):
+                raise ProtocolError("embeddings do not match the inputs one to one")
         for row in rows:
             # exact types: numpy would also convert "1.5", True and None
             if not isinstance(row, list) or any(
@@ -417,7 +415,6 @@ class HttpBackend:
 class AdaptiveGeneration:
     text: str
     attempts: int
-    over_threshold: bool
 
 
 def ask(backend: Backend, system: str, user: str) -> str:
@@ -431,20 +428,21 @@ def generate_adaptive(
     exchange: ChatExchange,
     params: GenerationParams,
 ) -> AdaptiveGeneration:
-    """Generate, restarting with +0.5 repetition/frequency penalty whenever the
-    output exceeds DEFAULT_RESTART_THRESHOLD tokens (a looping-pattern
+    """Generate, restarting with the penalty raised by PENALTY_STEP whenever
+    the output exceeds DEFAULT_RESTART_THRESHOLD tokens (a looping-pattern
     heuristic).
 
     Makes at most 1 + DEFAULT_MAX_ESCALATIONS backend calls; if repetition
-    persists the last attempt is returned with over_threshold set.
+    persists the last attempt is returned.
     """
     current = params
     attempts = 0
     while True:
         text = backend.complete(exchange, current)
         attempts += 1
-        if approx_token_count(text) <= DEFAULT_RESTART_THRESHOLD:
-            return AdaptiveGeneration(text, attempts, False)
-        if attempts > DEFAULT_MAX_ESCALATIONS:
-            return AdaptiveGeneration(text, attempts, True)
+        if (
+            approx_token_count(text) <= DEFAULT_RESTART_THRESHOLD
+            or attempts > DEFAULT_MAX_ESCALATIONS
+        ):
+            return AdaptiveGeneration(text, attempts)
         current = current.escalated()

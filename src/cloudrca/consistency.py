@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ BackendFactory = Callable[[int], Backend]
 @dataclass
 class AggregationOutcome:
     result: AnalysisResult
-    field_choices: dict = field(default_factory=dict)
 
 
 def vote_with_embedding(field_texts: list[str], backend: Backend) -> int:
@@ -121,13 +120,10 @@ def aggregate(
     if not candidates:
         raise ValueError("no candidates to aggregate")
     merged = {}
-    field_choices: dict[str, int] = {}
     for name in TEXT_FIELDS:
         texts = [c.result.field_text(name) for c in candidates]
         if method == METHOD_EMBEDDING_VOTE:
-            idx = vote_with_embedding(texts, backend)
-            field_choices[name] = idx
-            merged[name] = texts[idx]
+            merged[name] = texts[vote_with_embedding(texts, backend)]
         elif method == METHOD_LLM_AGGREGATE:
             merged[name] = aggregate_with_llm(texts, backend)
         else:
@@ -135,7 +131,7 @@ def aggregate(
     merged["responsibility"] = _majority_responsibility(
         [c.result.responsibility for c in candidates]
     )
-    return AggregationOutcome(AnalysisResult.from_dict(merged), field_choices)
+    return AggregationOutcome(AnalysisResult.from_dict(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -275,34 +271,17 @@ def run_with_consistency(
         result = greedy.result if greedy.result else AnalysisResult()
         candidates = [greedy] if greedy.passed else []
         return ConsistencyReport(AggregationOutcome(result), candidates, greedy)
-    if mode == "sc":
-        candidates = sc_stepwise(
-            config,
-            registry_factory,
-            backend,
-            k,
-            store=store,
-            greedy=greedy,
-            branch_backend_factory=branch_backend_factory,
-        )
-    elif mode == "tsc":
-        candidates = tsc(
-            config,
-            registry_factory,
-            backend,
-            k,
-            store=store,
-            greedy=greedy,
-            branch_backend_factory=branch_backend_factory,
+    if mode == "sample-full":
+        candidates = _run_branches(
+            config, registry_factory, backend, k, branch_backend_factory,
+            max_steps=config.max_steps,
         )
     else:
-        candidates = _run_branches(
-            config,
-            registry_factory,
-            backend,
-            k,
-            branch_backend_factory,
-            max_steps=config.max_steps,
+        # looked up at call time, so a rebinding of either name takes effect
+        sample = tsc if mode == "tsc" else sc_stepwise
+        candidates = sample(
+            config, registry_factory, backend, k, store=store, greedy=greedy,
+            branch_backend_factory=branch_backend_factory,
         )
     if not candidates:
         # all samples rejected: fall back to the (passing) greedy result

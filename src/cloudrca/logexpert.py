@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -522,34 +522,16 @@ def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backen
 # Chunk analysis, hallucination filter, summary
 
 
-@dataclass
-class ChunkAnalysis:
-    interpretations: list[str] = field(default_factory=list)
-    evidences: list[str] = field(default_factory=list)
-    warning: str = ""
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(zip(self.interpretations, self.evidences))
-
-
-def analyze_chunk(backend: Backend, prompt: str) -> ChunkAnalysis:
-    raw = ask(backend, prompts.LOG_CHUNK_SYSTEM, prompt)
-    outcome = json_regen(backend, raw)
-    if not outcome.ok:
-        return ChunkAnalysis(warning="unparsable analysis response")
+def analyze_chunk(backend: Backend, prompt: str) -> list[tuple[str, str]]:
+    """The (interpretation, evidence) pairs of the model's chunk analysis,
+    each item as a string; the longer array is cut to the shorter one, and a
+    reply that does not parse or lacks either array gives no pair."""
+    outcome = json_regen(backend, ask(backend, prompts.LOG_CHUNK_SYSTEM, prompt))
     interpretations = outcome.value.get("interpretations")
     evidences = outcome.value.get("evidences")
     if not isinstance(interpretations, list) or not isinstance(evidences, list):
-        return ChunkAnalysis(warning="analysis response missing arrays")
-    interpretations = [str(x) for x in interpretations]
-    evidences = [str(x) for x in evidences]
-    warning = ""
-    if len(interpretations) != len(evidences):
-        warning = "unequal interpretation/evidence counts; truncated to pairs"
-        shorter = min(len(interpretations), len(evidences))
-        interpretations = interpretations[:shorter]
-        evidences = evidences[:shorter]
-    return ChunkAnalysis(interpretations, evidences, warning)
+        return []
+    return [(str(r), str(e)) for r, e in zip(interpretations, evidences)]
 
 
 def evidence_accepted(evidence: str, chunk_text: str) -> bool:
@@ -561,13 +543,8 @@ def evidence_accepted(evidence: str, chunk_text: str) -> bool:
     return levenshtein(evidence, chunk_text) < len(chunk_text) - 0.9 * len(evidence)
 
 
-def filter_evidence(analysis: ChunkAnalysis, chunk: str) -> ChunkAnalysis:
-    kept_r, kept_e = [], []
-    for interpretation, evidence in analysis.pairs():
-        if evidence_accepted(evidence, chunk):
-            kept_r.append(interpretation)
-            kept_e.append(evidence)
-    return ChunkAnalysis(kept_r, kept_e, analysis.warning)
+def filter_evidence(pairs: list[tuple[str, str]], chunk: str) -> list[tuple[str, str]]:
+    return [(r, e) for r, e in pairs if evidence_accepted(e, chunk)]
 
 
 def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str, str]:
@@ -597,9 +574,8 @@ def run_log_expert(
     summarize.  Returns the observation text for the controller."""
     kept: list[tuple[str, str]] = []
     for chunk in partition(log_text, backend):
-        analysis = analyze_chunk(backend, pack_icl_prompt(chunk, store, backend))
-        analysis = filter_evidence(analysis, chunk)
-        kept.extend(analysis.pairs())
+        pairs = analyze_chunk(backend, pack_icl_prompt(chunk, store, backend))
+        kept.extend(filter_evidence(pairs, chunk))
     interpretation, evidence = summarize(backend, kept)
     if evidence:
         return f"Interpretation: {interpretation}\nEvidence: {evidence}"

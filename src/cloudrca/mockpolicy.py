@@ -35,7 +35,7 @@ _USER_MARKERS = ("OutOfMemory", "NullPointer", "heap", "user code")
 
 
 def _stable_pct(key: str) -> int:
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
+    digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).digest()
     return int.from_bytes(digest[:4], "big") % 100
 
 

@@ -30,10 +30,11 @@ def looks_like_key(value: str) -> bool:
 class SnapshotStore:
     """Key-value store for full observations, scoped to one trajectory run.
 
-    Keys are the CRC-32 of the content's UTF-8 bytes rendered as a zero-padded
-    decimal string; collisions between distinct contents are resolved by
-    linear probing on the key value.  A branch store (self-consistency
-    branches) reads through to its parent and writes locally.
+    Keys are the CRC-32 of the content's UTF-8 bytes (a lone surrogate passes
+    as its three bytes) rendered as a zero-padded decimal string; collisions
+    between distinct contents are resolved by linear probing on the key
+    value.  A branch store (self-consistency branches) reads through to its
+    parent and writes locally.
     """
 
     def __init__(self, parent: Optional["SnapshotStore"] = None):
@@ -52,7 +53,7 @@ class SnapshotStore:
     def put(self, full_text: str) -> str:
         if not full_text:
             raise ValueError("cannot store an empty observation")
-        value = zlib.crc32(full_text.encode("utf-8"))
+        value = zlib.crc32(full_text.encode("utf-8", "surrogatepass"))
         while True:
             key = f"{value:0{KEY_WIDTH}d}"
             existing = self._lookup(key)

@@ -341,12 +341,6 @@ def test_criterion_10_adaptive_penalty():
     outcome = generate_adaptive(backend, exchange, params)
     assert outcome.text == "short reply"
     assert outcome.attempts == 2
-    assert not outcome.over_threshold
     assert len(backend.calls) == 2
     first, second = (call.params for call in backend.calls)
-    assert second.repetition_penalty == pytest.approx(
-        first.repetition_penalty + 0.5, abs=1e-12
-    )
-    assert second.frequency_penalty == pytest.approx(
-        first.frequency_penalty + 0.5, abs=1e-12
-    )
+    assert second.penalty == pytest.approx(first.penalty + 0.5, abs=1e-12)

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name must resolve, and so
-must every lookup name the benchmark's tracer binds; and no module keeps an
-import it never uses."""
+must every lookup name the benchmark's tracer binds; no module keeps an
+import it never uses, and no module encodes text so that a lone surrogate
+raises."""
 
 import ast
 import pathlib
@@ -51,3 +52,31 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _strict_encodes(path):
+    """Line of each ``.encode(...)`` call that names a codec but not the
+    "surrogatepass" error handler.  A call with no arguments is exempt: the
+    package makes it only on ASCII-only JSON."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "encode"
+            and (node.args or node.keywords)
+        ):
+            continue
+        values = node.args + [keyword.value for keyword in node.keywords]
+        if not any(isinstance(v, ast.Constant) and v.value == "surrogatepass" for v in values):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_codec_encode_passes_lone_surrogates():
+    # json.loads turns "\ud800" in a log line or a model reply into a lone
+    # surrogate, which a strict encode rejects with UnicodeEncodeError
+    package = pathlib.Path(cloudrca.__file__).parent
+    strict = {path.name: _strict_encodes(path) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in strict.items() if lines} == {}

@@ -39,12 +39,11 @@ class TestGenerationParams:
         assert p.mode == "greedy"
 
     def test_escalated_adds_half_to_both_penalties(self):
-        p = GenerationParams(repetition_penalty=1.0, frequency_penalty=0.0)
+        p = GenerationParams(penalty=1.0)
         q = p.escalated()
-        assert q.repetition_penalty == pytest.approx(1.5)
-        assert q.frequency_penalty == pytest.approx(0.5)
+        assert q.penalty == pytest.approx(1.5)
         # original untouched (frozen)
-        assert p.repetition_penalty == pytest.approx(1.0)
+        assert p.penalty == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,9 +155,11 @@ class TestHashEmbed:
         hash_embed(self.TEXTS, 3)
         assert digests == []
 
-    def test_lone_surrogate_is_an_encode_error(self):
-        with pytest.raises(UnicodeEncodeError):
-            hash_embed(["a\ud800b"])
+    def test_lone_surrogate_gives_a_unit_row(self):
+        # json.loads turns "\ud800" in a log line into a lone surrogate
+        [row] = hash_embed(["a\ud800b"])
+        assert row.shape == (backends_module.HASH_EMBED_DIM,)
+        assert np.linalg.norm(row) == pytest.approx(1.0)
 
     def test_concurrent_calls_share_the_memo_safely(self, monkeypatch):
         monkeypatch.setattr(backends_module, "_memo", {})
@@ -235,7 +236,7 @@ class TestMockBackend:
     def test_clone_restarts_script(self):
         be = MockBackend(["one", "two"])
         be.complete(exchange(), GenerationParams())
-        other = be.clone()
+        other = MockBackend(be.script)
         assert other.complete(exchange(), GenerationParams()) == "one"
 
     def test_embeddings_deterministic_and_unit_norm(self):
@@ -291,24 +292,21 @@ class TestGenerateAdaptive:
         assert isinstance(out, AdaptiveGeneration)
         assert out.text == "short"
         assert out.attempts == 1
-        assert not out.over_threshold
 
     def test_restart_escalates_penalties_once(self):
         long_text = "x" * (4097 * 4)
         be = MockBackend([long_text, "recovered"])
-        base = GenerationParams(repetition_penalty=1.0, frequency_penalty=0.0)
+        base = GenerationParams(penalty=1.0)
         out = generate_adaptive(be, exchange(), base)
         assert out.text == "recovered"
         assert out.attempts == 2
-        assert be.calls[-1].params.repetition_penalty == pytest.approx(1.5)
-        assert be.calls[-1].params.frequency_penalty == pytest.approx(0.5)
+        assert be.calls[-1].params.penalty == pytest.approx(1.5)
 
     def test_escalation_capped(self):
         long_text = "x" * (4097 * 4)
         be = MockBackend([long_text] * 5)
         out = generate_adaptive(be, exchange(), GenerationParams())
         assert out.attempts == 3  # 1 + DEFAULT_MAX_ESCALATIONS
-        assert out.over_threshold
         assert len(be.calls) == 3
 
 
@@ -403,6 +401,45 @@ class TestHttpBackend:
         vectors = be.embed(["a", "b"])
         assert len(vectors) == 2
         assert tuple(vectors[0]) == (1.0, 0.0)
+
+
+class _NumberingStub(_Stub):
+    """Embeds each input "... <n>" as the row [n, len(input)]."""
+
+    requests: list = []
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        texts = json.loads(self.rfile.read(length))["input"]
+        type(self).requests.append(len(texts))
+        rows = [[float(t.rsplit(" ", 1)[1]), float(len(t))] for t in texts]
+        # listed in reverse index order, as a server may send them
+        data = [{"index": i, "embedding": row} for i, row in enumerate(rows)][::-1]
+        body = json.dumps({"data": data}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def test_embed_posts_at_most_max_embed_inputs_per_request(monkeypatch):
+    server = http.server.HTTPServer(("127.0.0.1", 0), _NumberingStub)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        be = HttpBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        texts = [f"log line {i}" for i in range(5000)]
+        sliced = be.embed(texts)
+        assert _NumberingStub.requests == [2048, 2048, 904]
+        monkeypatch.setattr(backends_module, "MAX_EMBED_INPUTS", len(texts))
+        whole = be.embed(texts)
+        assert _NumberingStub.requests[3:] == [5000]
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert np.array_equal(sliced, whole)
+    assert sliced[:, 0].tolist() == list(range(5000))
 
 
 class _FakeResponse:

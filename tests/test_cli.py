@@ -92,6 +92,25 @@ class TestDiagnose:
         assert manifest["result"]["responsibility"] in ("User", "Platform")
         assert (out / job_id / "trajectory.jsonl").exists()
 
+    def test_lone_surrogate_in_a_log_line(self, runner, tmp_path):
+        # json.loads turns "\ud800" in a log line into a lone surrogate, which
+        # reaches the snapshot key and the log expert's embedding
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=4242, count=1, out_dir=str(bundle))
+        path = bundle / job_id / "logs.runtime.jsonl"
+        lines = path.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["text"] += "\ud800"
+        path.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["diagnose", job_id, "--scenarios", str(bundle), "--out-dir", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert f"{job_id}: passed=True" in result.output
+        trailer = (out / job_id / "trajectory.jsonl").read_text().splitlines()[-1]
+        assert json.loads(trailer)["passed"] is True
+
     def test_unknown_job_exits_nonzero(self, runner, scenario_dir, tmp_path):
         result = runner.invoke(
             main,

@@ -146,14 +146,12 @@ class TestAggregate:
         assert outcome.result.solution == "raise memory"
         assert outcome.result.evidence == "ev-a"
         assert outcome.result.responsibility == "User"
-        assert set(outcome.field_choices) == {"root_cause", "solution", "evidence"}
 
     def test_llm_aggregate(self, policy_backend):
         # the policy's merge sub-policy echoes candidate 1
         outcome = aggregate(self._candidates(), METHOD_LLM_AGGREGATE, policy_backend)
         assert outcome.result.root_cause == "oom"
         assert outcome.result.responsibility == "User"
-        assert outcome.field_choices == {}
 
     def test_unknown_method(self, policy_backend):
         with pytest.raises(ValueError):
@@ -328,13 +326,13 @@ class TestScStepwise:
 
 def test_branches_decode_sampled_with_the_config_penalties(sandbox):
     config = make_config(
-        sandbox.job_ids[0], params=GenerationParams(repetition_penalty=0.5)
+        sandbox.job_ids[0], params=GenerationParams(penalty=0.5)
     )
     factory = _registry_factory(sandbox)
     greedy_calls, branch_calls = [], []
     greedy, store = run_greedy(config, factory, RecordingBackend(0, greedy_calls))
     assert greedy_calls and {p.mode for p in greedy_calls} == {"greedy"}
-    sampled = GenerationParams(repetition_penalty=0.5, mode="sampled")
+    sampled = GenerationParams(penalty=0.5, mode="sampled")
 
     def detouring(_: int):
         return RecordingBackend(1, branch_calls)

@@ -18,6 +18,7 @@ from cloudrca.logexpert import (
     NO_EVIDENCE_SENTINEL,
     RetrievalStore,
     SimilarityGraph,
+    analyze_chunk,
     build_graph,
     evidence_accepted,
     filter_evidence,
@@ -30,7 +31,6 @@ from cloudrca.logexpert import (
     split_log,
     summarize,
 )
-from cloudrca.logexpert import ChunkAnalysis
 from cloudrca.textdist import levenshtein
 
 from test_backends import embeddings_backend
@@ -679,13 +679,48 @@ class TestEvidenceFilter:
 
     def test_filter_drops_pairs(self):
         chunk = "ERROR a happened\nINFO b"
-        analysis = ChunkAnalysis(
-            interpretations=["real", "hallucinated"],
-            evidences=["ERROR a happened", "completely unrelated fabricated text"],
+        pairs = [
+            ("real", "ERROR a happened"),
+            ("hallucinated", "completely unrelated fabricated text"),
+        ]
+        kept = filter_evidence(pairs, chunk)
+        assert kept == [("real", "ERROR a happened")]
+
+
+class TestAnalyzeChunk:
+    def test_unequal_arrays_are_cut_to_the_shorter(self):
+        reply = json.dumps(
+            {"interpretations": ["a", "b", "c"], "evidences": ["ERROR x", "WARN y"]}
         )
-        kept = filter_evidence(analysis, chunk)
-        assert kept.interpretations == ["real"]
-        assert kept.evidences == ["ERROR a happened"]
+        assert analyze_chunk(MockBackend([reply]), "chunk") == [
+            ("a", "ERROR x"),
+            ("b", "WARN y"),
+        ]
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            "no json here",
+            '{"interpretations": ["a"]}',
+            '{"evidences": ["ERROR x"]}',
+            '{"interpretations": "a", "evidences": ["ERROR x"]}',
+        ],
+        ids=["unparsable", "no-evidences", "no-interpretations", "not-an-array"],
+    )
+    def test_reply_without_both_arrays_gives_no_pair(self, reply):
+        # an unparsable reply also spends every regeneration round trip
+        backend = MockBackend([reply] + ["still no json"] * 6)
+        assert analyze_chunk(backend, "chunk") == []
+
+    def test_items_come_back_as_strings(self):
+        reply = json.dumps(
+            {"interpretations": [1, None, {"k": 2}], "evidences": [2.5, True, ["e"]]}
+        )
+        assert analyze_chunk(MockBackend([reply]), "chunk") == [
+            ("1", "2.5"),
+            ("None", "True"),
+            ("{'k': 2}", "['e']"),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +54,14 @@ class TestKeyDerivation:
         for text in ["hello", "line one\nline two", "日本語テキスト"]:
             key = store.put(text)
             assert key == f"{crc32_oracle(text):0{KEY_WIDTH}d}"
+
+    def test_lone_surrogate_is_stored(self):
+        # json.loads turns "\ud800" in a log line into a lone surrogate
+        text = "ERROR lost heartbeat\ud800"
+        store = SnapshotStore()
+        key = store.put(text)
+        assert store.get(key) == text
+        assert key == f"{zlib.crc32(text.encode('utf-8', 'surrogatepass')):0{KEY_WIDTH}d}"
 
     def test_key_is_ten_decimal_digits(self):
         store = SnapshotStore()
