@@ -324,66 +324,35 @@ def _min_flip_contiguous(labels: list[int]) -> list[int]:
     """Exact minimum-flip relabelling such that every label forms one
     contiguous interval.
 
-    An optimal solution always has its boundaries on original run
-    boundaries, so the dynamic program walks runs, not lines.  State is
-    (set of labels whose interval has closed, current label); among
-    minimum-flip solutions the lexicographically smallest label sequence in
-    order of first appearance wins, which merges a split label into its
-    earlier occurrence.  Exponential in the label alphabet: callers gate it
-    to short inputs.
+    An optimal solution has its boundaries on run boundaries, so a memoized
+    search walks runs, not lines: ``best(i, used, cur)`` is the least
+    (flips, label sequence) for runs ``i..``, given the labels already used
+    and the label of the run before.  Among minimum-flip solutions the
+    lexicographically smallest label sequence in order of first appearance
+    wins, which merges a split label into its earlier occurrence.
+    Exponential in the label alphabet: callers gate it to short inputs.
     """
-    order: list[int] = []
-    for lab in labels:
-        if lab not in order:
-            order.append(lab)
-    index = {lab: i for i, lab in enumerate(order)}
-    m = len(order)
-    runs = _runs(labels)
+    order = list(dict.fromkeys(labels))
+    runs = [(order.index(lab), end - start) for lab, start, end in _runs(labels)]
 
-    # state -> (cost, label-sequence tiebreak key, parent state, chosen label)
-    states: dict[tuple[int, int], tuple[int, tuple, Optional[tuple], int]] = {}
-    lab0, start0, end0 = runs[0]
-    for nxt in range(m):
-        cost = 0 if nxt == index[lab0] else end0 - start0
-        states[(1 << nxt, nxt)] = (cost, (nxt,), None, nxt)
-    trail = [states]
-    for lab, start, end in runs[1:]:
-        length = end - start
-        original = index[lab]
-        nxt_states: dict[tuple[int, int], tuple[int, tuple, tuple, int]] = {}
-        for (mask, cur), (cost, key, _, _) in states.items():
-            for nxt in range(m):
-                if nxt == cur:
-                    state = (mask, cur)
-                elif mask & (1 << nxt):
-                    continue  # that label's interval already closed
-                else:
-                    state = (mask | (1 << nxt), nxt)
-                entry = (
-                    cost + (0 if nxt == original else length),
-                    key + (nxt,),
-                    (mask, cur),
-                    nxt,
-                )
-                existing = nxt_states.get(state)
-                if existing is None or entry[:2] < existing[:2]:
-                    nxt_states[state] = entry
-        states = nxt_states
-        trail.append(states)
+    @functools.cache
+    def best(i: int, used: int, cur: int) -> tuple[int, tuple[int, ...]]:
+        if i == len(runs):
+            return 0, ()
+        original, length = runs[i]
+        found = None
+        for nxt in range(len(order)):
+            if nxt != cur and used >> nxt & 1:
+                continue  # that label's interval already closed
+            flips, rest = best(i + 1, used | 1 << nxt, nxt)
+            option = (flips + (0 if nxt == original else length), (nxt,) + rest)
+            if found is None or option < found:
+                found = option
+        return found
 
-    final_state = min(states, key=lambda s: states[s][:2])
-    chosen: list[int] = []
-    state: Optional[tuple[int, int]] = final_state
-    for layer in reversed(trail):
-        _, _, parent, lab = layer[state]
-        chosen.append(lab)
-        state = parent
-    chosen.reverse()
-
-    out: list[int] = []
-    for (_, start, end), lab in zip(runs, chosen):
-        out.extend([order[lab]] * (end - start))
-    return out
+    _, chosen = best(0, 0, -1)
+    best.cache_clear()  # the closure is a reference cycle: free the memo now
+    return [order[lab] for (_, length), lab in zip(runs, chosen) for _ in range(length)]
 
 
 def _greedy_contiguous(labels: list[int]) -> list[int]:

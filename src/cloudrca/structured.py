@@ -55,11 +55,24 @@ def sanitize_prompt(text: str) -> str:
 
 # A JSON string literal (RFC 8259 section 7): an unescaped ``"`` closes it
 # and ``\`` escapes the next character.  An open literal runs to the end of
-# the text, a lone ``\`` at the very end included.  Both scanners below read
-# string literals through this one pattern.
+# the text, a lone ``\`` at the very end included.  ``fix_escapes`` reads
+# literals through this pattern; ``balanced_spans`` follows the same rule.
 _STRING = r'"(?:[^"\\]+|\\.)*(?:"|\\?\Z)'
 
-_SPAN_TOKENS = re.compile(_STRING + r"|[{}]", re.S)
+# A literal holding no quote, backslash or brace, or one such character.
+_SPAN_TOKENS = re.compile(r'"[^"\\{}]*"|[{}"\\]')
+
+
+def _merge(base: list[list[int]], other: list[list[int]]) -> list[list[int]]:
+    """Two stacks of start groups joined level by level from the top."""
+    if len(base) < len(other):
+        base, other = other, base
+    for level in range(1, len(other) + 1):
+        # the larger group takes the smaller: a start is copied O(log n) times
+        small, large = sorted((base[-level], other[-level]), key=len)
+        large += small
+        base[-level] = large
+    return base
 
 
 def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
@@ -68,20 +81,37 @@ def balanced_spans(text: str) -> Iterator[tuple[int, str]]:
 
     Braces inside string literals are ignored; backslash escapes inside
     strings are honoured.
+
+    One pass reads every scan at once.  At any character a scan is outside
+    a literal or inside one, and two scans in the same state read the rest
+    alike, so the scans travel in two lanes.  Each lane is a stack of
+    groups of starts that one ``}`` closes together; the inside lane
+    ignores braces.  An unescaped ``"`` swaps the lanes.  A quote that the
+    inside lane reads as escaped keeps that lane in and opens a literal for
+    the outside lane, which then merges into it.
     """
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        for match in _SPAN_TOKENS.finditer(text, start):
-            ch = text[match.start()]
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield start, text[start : match.end()]
-                    break
-        start = text.find("{", start + 1)
+    outside: list[list[int]] = []
+    inside: list[list[int]] = []
+    ends: list[tuple[int, int]] = []
+    escaped = -1  # the position the inside lane reads as escaped
+    for match in _SPAN_TOKENS.finditer(text):
+        pos, token = match.start(), match[0]
+        if token == "{":
+            outside.append([pos])
+        elif token == "}":
+            if outside:
+                ends.extend((start, pos + 1) for start in outside.pop())
+        elif pos == escaped:
+            if token != "\\":  # an escaped quote, perhaps opening a literal
+                inside, outside = _merge(outside, inside), []
+                if len(token) > 1:
+                    inside, outside = outside, inside
+        elif token == "\\":
+            escaped = pos + 1
+        elif len(token) == 1:
+            inside, outside = outside, inside
+    for start, end in sorted(ends):
+        yield start, text[start:end]
 
 
 def extract_json(text: str) -> Optional[str]:

@@ -105,6 +105,60 @@ def min_flips_oracle(labels: list[int]) -> int:
     return best
 
 
+def forward_dp_oracle(labels: list[int]) -> list[int]:
+    """Reference exact repair: a forward dynamic program over runs whose
+    state is (labels used, current label), keeping per state the least
+    (flips, label-index sequence) and backtracking through parent
+    pointers."""
+    order = list(dict.fromkeys(labels))
+    index = {lab: i for i, lab in enumerate(order)}
+    m = len(order)
+    runs = logexpert._runs(labels)
+
+    # state -> (cost, label-sequence tiebreak key, parent state, chosen label)
+    states = {}
+    lab0, start0, end0 = runs[0]
+    for nxt in range(m):
+        cost = 0 if nxt == index[lab0] else end0 - start0
+        states[(1 << nxt, nxt)] = (cost, (nxt,), None, nxt)
+    trail = [states]
+    for lab, start, end in runs[1:]:
+        length = end - start
+        original = index[lab]
+        nxt_states = {}
+        for (mask, cur), (cost, key, _, _) in states.items():
+            for nxt in range(m):
+                if nxt == cur:
+                    state = (mask, cur)
+                elif mask & (1 << nxt):
+                    continue  # that label's interval already closed
+                else:
+                    state = (mask | (1 << nxt), nxt)
+                entry = (
+                    cost + (0 if nxt == original else length),
+                    key + (nxt,),
+                    (mask, cur),
+                    nxt,
+                )
+                existing = nxt_states.get(state)
+                if existing is None or entry[:2] < existing[:2]:
+                    nxt_states[state] = entry
+        states = nxt_states
+        trail.append(states)
+
+    state = min(states, key=lambda s: states[s][:2])
+    chosen = []
+    for layer in reversed(trail):
+        _, _, state, lab = layer[state]
+        chosen.append(lab)
+    chosen.reverse()
+
+    out = []
+    for (_, start, end), lab in zip(runs, chosen):
+        out.extend([order[lab]] * (end - start))
+    return out
+
+
 def is_contiguous(labels) -> bool:
     seen_closed = set()
     prev = None
@@ -553,6 +607,27 @@ class TestRemoveOverlaps:
             out = remove_overlaps(labels)
             assert is_contiguous(out)
             assert flips_between(labels, out) == min_flips_oracle(labels)
+
+    def test_equals_the_forward_dp_oracle(self):
+        def random_runs(rng, runs, alphabet):
+            labels = []
+            for _ in range(runs):
+                labels += [rng.randrange(alphabet)] * rng.randint(1, 4)
+            return labels
+
+        rng = random.Random(27)
+        cases = [random_runs(rng, rng.randint(1, 16), rng.randint(1, 6))
+                 for _ in range(400)]
+        # equal-length alternating runs: many minimum-flip labellings tie
+        cases += [[0, 1] * 8, [0, 0, 1, 1] * 4, [0, 1, 2] * 5, [1, 0, 2, 0] * 4,
+                  [2, 1, 0] * 5 + [2], [0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0]]
+        cases += [random_runs(rng, 12, alphabet) for alphabet in (8, 9, 10)]
+        cases += [list(range(alphabet)) + [0, 1] for alphabet in (8, 9)]
+        for labels in cases:
+            runs = logexpert._runs(labels)
+            assert len(runs) <= logexpert._EXACT_RUN_LIMIT
+            assert len(set(labels)) <= logexpert._EXACT_ALPHABET_LIMIT
+            assert remove_overlaps(labels) == forward_dp_oracle(labels), labels
 
 
 @settings(max_examples=300)

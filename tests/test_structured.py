@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudrca import structured
 from cloudrca.backends import MockBackend
 from cloudrca.structured import (
     STAGE_DIRECT,
@@ -136,6 +137,66 @@ class TestBalancedSpans:
     def test_explicit_cases(self, text, spans):
         assert list(balanced_spans(text)) == spans
         assert char_by_char_spans(text) == spans
+
+
+class TestOnePassSpans:
+    @settings(max_examples=500)
+    @given(st.text(alphabet=REPLY_ALPHABET + '"""{}\\', max_size=60))
+    def test_quote_and_brace_heavy_replies_match_the_char_by_char_scanner(self, text):
+        assert list(balanced_spans(text)) == char_by_char_spans(text)
+
+    @pytest.mark.parametrize(
+        "text, spans",
+        [
+            # the escaped quote opens a literal for the scan at 2 and keeps
+            # the scan at 0 in its literal; one } then closes both
+            ('{"{\\""}', [(0, '{"{\\""}'), (2, '{\\""}')]),
+            ('{{"{\\""}}', [(0, '{{"{\\""}}'), (1, '{"{\\""}'), (3, '{\\""}')]),
+            ('{"x{\\"{}"}', [(0, '{"x{\\"{}"}'), (3, '{\\"{}"}'), (6, "{}")]),
+            # the escaped quote opens a literal token: merge, then swap
+            ('{"{\\"a"}"}', [(0, '{"{\\"a"}'), (2, '{\\"a"}')]),
+        ],
+        ids=[
+            "merge-closes-two",
+            "merge-under-an-outer-brace",
+            "merge-then-braces",
+            "merge-opens-a-literal",
+        ],
+    )
+    def test_lanes_merge_on_an_escaped_quote(self, text, spans):
+        assert list(balanced_spans(text)) == spans
+        assert char_by_char_spans(text) == spans
+
+
+class CountingPattern:
+    """Stands in for a compiled pattern and fails as soon as ``finditer``
+    has yielded more than ``limit`` matches in all."""
+
+    def __init__(self, pattern, limit):
+        self.pattern, self.limit, self.visits = pattern, limit, 0
+
+    def finditer(self, *args):
+        for match in self.pattern.finditer(*args):
+            self.visits += 1
+            assert self.visits <= self.limit, "a token was visited twice"
+            yield match
+
+
+@pytest.mark.parametrize(
+    "text, spans",
+    [
+        ("{" * 16384, []),
+        ("{" * 8192 + "}" * 8192, [(i, 16384 - 2 * i) for i in range(8192)]),
+        ('{"a":' * 3000 + "1" + "}" * 3000, [(5 * i, 18001 - 6 * i) for i in range(3000)]),
+    ],
+    ids=["unclosed", "nested", "nested-keys"],
+)
+def test_span_scan_visits_each_token_once(monkeypatch, text, spans):
+    tokens = len(structured._SPAN_TOKENS.findall(text))
+    monkeypatch.setattr(
+        structured, "_SPAN_TOKENS", CountingPattern(structured._SPAN_TOKENS, tokens)
+    )
+    assert [(start, len(span)) for start, span in balanced_spans(text)] == spans
 
 
 def char_by_char_fix_escapes(text):
