@@ -13,9 +13,11 @@ import hashlib
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from datetime import timezone
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -44,6 +46,16 @@ HASH_EMBED_MODEL = "mock-hash"
 # a uint8 bucket and a float64 sign: under 600 kB when full); one pass of a
 # benchmark workload meets under 6k of them
 HASH_EMBED_MEMO_SIZE = 1 << 15
+# most model calls a job keeps in flight at once: the k branches of a sampled
+# mode, or the independent calls overlapped() runs
+MAX_IN_FLIGHT = 10
+
+# Whether the latest completion made in this context spent longer waiting
+# than computing (its wall time minus this thread's CPU time, against that
+# CPU time).  run_with_consistency resets it at the start of each job.
+LAST_COMPLETION_WAITED: ContextVar[bool] = ContextVar(
+    "LAST_COMPLETION_WAITED", default=False
+)
 
 
 @dataclass(frozen=True)
@@ -287,6 +299,11 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     return min(wait, MAX_RETRY_AFTER_S)
 
 
+class TruncatedReply(str):
+    """A completion the server cut at MAX_TOKENS (``finish_reason`` "length");
+    every caller but generate_adaptive reads it as the plain text."""
+
+
 class HttpBackend:
     """Client for OpenAI-compatible chat-completions and embeddings APIs."""
 
@@ -363,7 +380,8 @@ class HttpBackend:
             payload["repetition_penalty"] = params.penalty
         data = self._post("/chat/completions", payload)
         try:
-            content = data["choices"][0]["message"]["content"]
+            choice = data["choices"][0]
+            content = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed chat completion response: {exc}")
         # servers send null content for refusals and tool calls
@@ -371,6 +389,8 @@ class HttpBackend:
             raise ProtocolError(
                 f"chat completion content is {type(content).__name__}, not a string"
             )
+        if choice.get("finish_reason") == "length":
+            return TruncatedReply(content)
         return content
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
@@ -417,10 +437,22 @@ class AdaptiveGeneration:
     attempts: int
 
 
+def _complete(
+    backend: Backend, exchange: ChatExchange, params: GenerationParams
+) -> str:
+    """``backend.complete``, noting in LAST_COMPLETION_WAITED whether the
+    call waited longer than it computed."""
+    wall, cpu = time.perf_counter(), time.thread_time()
+    text = backend.complete(exchange, params)
+    cpu = time.thread_time() - cpu
+    LAST_COMPLETION_WAITED.set(time.perf_counter() - wall - cpu > cpu)
+    return text
+
+
 def ask(backend: Backend, system: str, user: str) -> str:
     """One greedy single-turn call: how every expert, repair and merge call
     reaches the model."""
-    return backend.complete(ChatExchange(system, [("user", user)]), GREEDY_PARAMS)
+    return _complete(backend, ChatExchange(system, [("user", user)]), GREEDY_PARAMS)
 
 
 def generate_adaptive(
@@ -429,8 +461,9 @@ def generate_adaptive(
     params: GenerationParams,
 ) -> AdaptiveGeneration:
     """Generate, restarting with the penalty raised by PENALTY_STEP whenever
-    the output exceeds DEFAULT_RESTART_THRESHOLD tokens (a looping-pattern
-    heuristic).
+    the reply looks like a looping pattern: the server cut it at MAX_TOKENS
+    (a TruncatedReply), or it exceeds DEFAULT_RESTART_THRESHOLD tokens, the
+    rule for backends that report no finish reason.
 
     Makes at most 1 + DEFAULT_MAX_ESCALATIONS backend calls; if repetition
     persists the last attempt is returned.
@@ -438,11 +471,29 @@ def generate_adaptive(
     current = params
     attempts = 0
     while True:
-        text = backend.complete(exchange, current)
+        text = _complete(backend, exchange, current)
         attempts += 1
-        if (
-            approx_token_count(text) <= DEFAULT_RESTART_THRESHOLD
-            or attempts > DEFAULT_MAX_ESCALATIONS
-        ):
+        looping = (
+            isinstance(text, TruncatedReply)
+            or approx_token_count(text) > DEFAULT_RESTART_THRESHOLD
+        )
+        if not looping or attempts > DEFAULT_MAX_ESCALATIONS:
             return AdaptiveGeneration(text, attempts)
         current = current.escalated()
+
+
+def overlapped(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, for calls that read none of each
+    other's replies.
+
+    Once the latest completion in the caller's context waited on the model
+    longer than it computed, the calls run concurrently, at most
+    MAX_IN_FLIGHT at a time, in a pool that ends with this call; a backend
+    they share must then accept concurrent calls.  Results keep input order,
+    and a failure raises the exception of the first failing item in that
+    order once every call has ended.  A CPU-bound backend gains nothing from
+    threads, so its calls run one after another."""
+    if len(items) < 2 or not LAST_COMPLETION_WAITED.get():
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(len(items), MAX_IN_FLIGHT)) as pool:
+        return list(pool.map(fn, items))

@@ -22,7 +22,13 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import Backend, ask
+from .backends import (
+    LAST_COMPLETION_WAITED,
+    MAX_IN_FLIGHT,
+    Backend,
+    ask,
+    overlapped,
+)
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
@@ -115,19 +121,23 @@ def _majority_responsibility(values: list[str]) -> str:
 def aggregate(
     candidates: list[Trajectory], method: str, backend: Backend
 ) -> AggregationOutcome:
-    """Per-field aggregation: each text field is voted or merged on its own;
-    responsibility is a categorical majority with ties going to Unclear."""
+    """Per-field aggregation: each text field is voted or merged on its own,
+    through ``overlapped``; responsibility is a categorical majority with
+    ties going to Unclear."""
     if not candidates:
         raise ValueError("no candidates to aggregate")
-    merged = {}
-    for name in TEXT_FIELDS:
-        texts = [c.result.field_text(name) for c in candidates]
-        if method == METHOD_EMBEDDING_VOTE:
-            merged[name] = texts[vote_with_embedding(texts, backend)]
-        elif method == METHOD_LLM_AGGREGATE:
-            merged[name] = aggregate_with_llm(texts, backend)
-        else:
-            raise ValueError(f"unknown aggregation method: {method!r}")
+    if method == METHOD_EMBEDDING_VOTE:
+        def pick(texts: list[str]) -> str:
+            return texts[vote_with_embedding(texts, backend)]
+    elif method == METHOD_LLM_AGGREGATE:
+        def pick(texts: list[str]) -> str:
+            return aggregate_with_llm(texts, backend)
+    else:
+        raise ValueError(f"unknown aggregation method: {method!r}")
+    fields = [
+        [c.result.field_text(name) for c in candidates] for name in TEXT_FIELDS
+    ]
+    merged = dict(zip(TEXT_FIELDS, overlapped(pick, fields)))
     merged["responsibility"] = _majority_responsibility(
         [c.result.responsibility for c in candidates]
     )
@@ -164,9 +174,9 @@ def _run_branches(
     starts from a copy of its steps before finalization.  A branch that
     fails or never finalizes within ``max_steps`` yields no candidate.
 
-    Branches run concurrently, at most ``DEFAULT_K`` at a time, so a backend
-    shared by the branches must accept concurrent calls.  Their inputs are
-    built here in index order and candidates keep that order."""
+    Branches run concurrently, at most ``MAX_IN_FLIGHT`` at a time, so a
+    backend shared by the branches must accept concurrent calls.  Their
+    inputs are built here in index order and candidates keep that order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if greedy is not None:
@@ -196,7 +206,7 @@ def _run_branches(
                 initial=initial,
             )
         )
-    with ThreadPoolExecutor(max_workers=min(k, DEFAULT_K)) as pool:
+    with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT)) as pool:
         trajectories = list(pool.map(lambda branch: branch(), branches))
     return [t for t in trajectories if t.passed]
 
@@ -266,6 +276,7 @@ def run_with_consistency(
         raise ValueError(f"unknown consistency mode: {mode!r}")
     if aggregation not in (METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE):
         raise ValueError(f"unknown aggregation method: {aggregation!r}")
+    LAST_COMPLETION_WAITED.set(False)
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()

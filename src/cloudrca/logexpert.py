@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .backends import Backend, ask, cosine
+from .backends import Backend, ask, cosine, overlapped
 from .structured import json_regen
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -540,11 +540,16 @@ def run_log_expert(
     backend: Backend, log_text: str, store: Optional[RetrievalStore] = None
 ) -> str:
     """Full pipeline for one log: partition, per-chunk analyze + filter,
-    summarize.  Returns the observation text for the controller."""
-    kept: list[tuple[str, str]] = []
-    for chunk in partition(log_text, backend):
+    summarize.  Returns the observation text for the controller.  The chunk
+    analyses are independent, so they go through ``overlapped``; the kept
+    pairs stay in chunk order."""
+
+    def analyze(chunk: str) -> list[tuple[str, str]]:
         pairs = analyze_chunk(backend, pack_icl_prompt(chunk, store, backend))
-        kept.extend(filter_evidence(pairs, chunk))
+        return filter_evidence(pairs, chunk)
+
+    chunks = partition(log_text, backend)
+    kept = [pair for pairs in overlapped(analyze, chunks) for pair in pairs]
     interpretation, evidence = summarize(backend, kept)
     if evidence:
         return f"Interpretation: {interpretation}\nEvidence: {evidence}"

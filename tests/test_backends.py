@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,15 +16,20 @@ from hypothesis import strategies as st
 
 from cloudrca import backends as backends_module
 from cloudrca.backends import (
+    LAST_COMPLETION_WAITED,
+    MAX_IN_FLIGHT,
     AdaptiveGeneration,
     ChatExchange,
     GenerationParams,
     HttpBackend,
     MockBackend,
+    TruncatedReply,
     approx_token_count,
+    ask,
     cosine,
     generate_adaptive,
     hash_embed,
+    overlapped,
 )
 from cloudrca.errors import ConfigurationError, ProtocolError, TransportError
 from cloudrca.mockpolicy import PolicyBackend
@@ -310,6 +316,52 @@ class TestGenerateAdaptive:
         assert len(be.calls) == 3
 
 
+class TestOverlapped:
+    def test_runs_in_order_on_the_calling_thread_until_a_completion_waits(self):
+        seen = []
+
+        def call(i):
+            seen.append((i, threading.get_ident()))
+            return -i
+
+        assert overlapped(call, [1, 2]) == [-1, -2]
+        assert seen == [(1, threading.get_ident()), (2, threading.get_ident())]
+
+    def test_the_latest_completion_decides_whether_calls_overlap(self):
+        class Waiting(MockBackend):
+            def complete(self, exchange, params):
+                time.sleep(0.01)
+                return super().complete(exchange, params)
+
+        ask(Waiting(["slow"]), "sys", "user")
+        assert LAST_COMPLETION_WAITED.get() is True
+        generate_adaptive(MockBackend(["fast"]), exchange(), GenerationParams())
+        assert LAST_COMPLETION_WAITED.get() is False
+
+    def test_overlapped_calls_keep_input_order_under_the_cap(self):
+        LAST_COMPLETION_WAITED.set(True)
+        in_flight, peak = [0], [0]
+        lock = threading.Lock()
+        # the first three calls return only once all three are in flight
+        barrier = threading.Barrier(3, timeout=10)
+
+        def call(i):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            if i < 3:
+                barrier.wait()
+            time.sleep(0.001 * (25 - i))
+            with lock:
+                in_flight[0] -= 1
+            return i
+
+        before = threading.active_count()
+        assert overlapped(call, list(range(25))) == list(range(25))
+        assert 3 <= peak[0] <= MAX_IN_FLIGHT
+        assert threading.active_count() == before
+
+
 # ---------------------------------------------------------------------------
 # HTTP backend against a local stub server
 
@@ -317,6 +369,8 @@ class TestGenerateAdaptive:
 class _Stub(http.server.BaseHTTPRequestHandler):
     fail_next = 0
     requests: list = []
+    # finish reasons of the next chat replies, one per reply
+    finish_reasons: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -328,7 +382,10 @@ class _Stub(http.server.BaseHTTPRequestHandler):
             self.end_headers()
             return
         if self.path.endswith("/chat/completions"):
-            body = {"choices": [{"message": {"content": "stub reply"}}]}
+            choice = {"message": {"content": "stub reply"}}
+            if type(self).finish_reasons:
+                choice["finish_reason"] = type(self).finish_reasons.pop(0)
+            body = {"choices": [choice]}
         else:
             body = {
                 "data": [
@@ -395,6 +452,26 @@ class TestHttpBackend:
             be.complete(exchange(), GenerationParams())
         _Stub.fail_next = 0
         assert err.value.attempts == backends_module.MAX_ATTEMPTS
+
+    def test_replies_cut_at_max_tokens_escalate_the_penalty(
+        self, stub_server, monkeypatch
+    ):
+        monkeypatch.setattr(_Stub, "finish_reasons", ["length"] * 3)
+        be = HttpBackend(stub_server, "test-model")
+        _Stub.requests.clear()
+        out = generate_adaptive(be, exchange(), GenerationParams())
+        assert isinstance(out.text, TruncatedReply) and out.text == "stub reply"
+        assert out.attempts == 3
+        penalties = [payload["frequency_penalty"] for _, payload in _Stub.requests]
+        assert penalties == [0.0, 0.5, 1.0]
+
+    def test_a_finished_reply_is_one_request(self, stub_server, monkeypatch):
+        monkeypatch.setattr(_Stub, "finish_reasons", ["stop"])
+        be = HttpBackend(stub_server, "test-model")
+        _Stub.requests.clear()
+        out = generate_adaptive(be, exchange(), GenerationParams())
+        assert type(out.text) is str and out.attempts == 1
+        assert len(_Stub.requests) == 1
 
     def test_embed(self, stub_server):
         be = HttpBackend(stub_server, "test-model")

@@ -10,12 +10,21 @@ import copy
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from cloudrca import MockBackend, PolicyBackend, consistency
-from cloudrca.backends import GenerationParams, HttpBackend
+from cloudrca import (
+    MockBackend,
+    PolicyBackend,
+    Sandbox,
+    backends,
+    consistency,
+    generate_scenarios,
+    prompts,
+)
+from cloudrca.backends import LAST_COMPLETION_WAITED, GenerationParams, HttpBackend
 from cloudrca.agent import run_trajectory
 from cloudrca.consistency import (
     DEFAULT_K,
@@ -33,7 +42,7 @@ from cloudrca.consistency import (
 from cloudrca.errors import ConfigurationError, TransportError
 from cloudrca.trajectory import AnalysisResult, Trajectory
 
-from conftest import make_config
+from conftest import SlowBackend, make_config
 from test_backends import _FakeResponse, _FakeSession
 
 
@@ -492,29 +501,6 @@ class TestNonStringContent:
 # Concurrent branches
 
 
-class SlowBackend(PolicyBackend):
-    """Policy backend that sleeps ``delay`` seconds per completion and keeps
-    the peak number of completions in flight."""
-
-    def __init__(self, delay: float):
-        super().__init__()
-        self.delay = delay
-        self.in_flight = 0
-        self.peak = 0
-        self._lock = threading.Lock()
-
-    def complete(self, exchange, params):
-        with self._lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        try:
-            time.sleep(self.delay)
-            return super().complete(exchange, params)
-        finally:
-            with self._lock:
-                self.in_flight -= 1
-
-
 def _sequential_branches(
     config,
     registry_factory,
@@ -560,7 +546,7 @@ class TestConcurrentBranches:
         candidates = tsc(config, factory, slow, k=10, store=store, greedy=greedy)
         elapsed = time.perf_counter() - start
         assert len(candidates) == 10
-        assert slow.peak >= 2
+        assert slow.peaks["complete"] >= 2
         # one after another, ten branches would wait at least 10 * delay
         assert elapsed < 5 * delay
 
@@ -650,3 +636,117 @@ class TestConcurrentBranches:
             assert [c.to_jsonl() for c in concurrent.candidates] == [
                 c.to_jsonl() for c in sequential.candidates
             ]
+
+
+# ---------------------------------------------------------------------------
+# Independent calls of one job overlap once the model makes the job wait
+
+
+class BusyBackend(PolicyBackend):
+    """Policy backend that computes for about 20 ms of this thread's CPU time
+    per completion, as a model run in-process does."""
+
+    def complete(self, exchange, params):
+        end = time.thread_time() + 0.02
+        while time.thread_time() < end:
+            pass
+        return super().complete(exchange, params)
+
+
+def _job_bytes(report) -> tuple:
+    return (
+        report.greedy.to_jsonl(),
+        json.dumps(report.outcome.result.to_dict(), sort_keys=True),
+        [c.to_jsonl() for c in report.candidates],
+    )
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_job(sandbox):
+    """A job of the sandbox bundle whose log expert analyzes several chunks."""
+    for job_id in sandbox.job_ids:
+        counted = SlowBackend(0.0)
+        run_with_consistency(make_config(job_id), _registry_factory(sandbox), counted)
+        if counted.calls[prompts.LOG_CHUNK_SYSTEM] >= 2:
+            return job_id
+    raise AssertionError("no job of the bundle has two log chunks")
+
+
+@pytest.fixture(scope="module")
+def acceptance_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("acceptance") / "bundle"
+    generate_scenarios(seed=4242, count=50, out_dir=str(out))
+    return Sandbox(str(out))
+
+
+class TestOverlappedCalls:
+    def test_chunk_analyses_overlap_with_the_same_bytes(
+        self, sandbox, multi_chunk_job
+    ):
+        config = make_config(multi_chunk_job)
+        factory = _registry_factory(sandbox)
+        slow = SlowBackend(0.02, malformed_pct=10)
+        overlapped = run_with_consistency(config, factory, slow)
+        plain = run_with_consistency(config, factory, PolicyBackend(malformed_pct=10))
+        assert slow.peaks[prompts.LOG_CHUNK_SYSTEM] >= 2
+        assert _job_bytes(overlapped) == _job_bytes(plain)
+
+    @pytest.mark.parametrize("method", [METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE])
+    def test_field_picks_equal_the_sequential_picks(self, method):
+        results = [
+            AnalysisResult(f"cause {i % 3}", f"fix {i % 2}", f"ev {i % 4}", "User")
+            for i in range(7)
+        ]
+        candidates = [Trajectory(result=r) for r in results]
+        slow = SlowBackend(0.02)
+        sequential = aggregate(candidates, method, slow)
+        assert max(slow.peaks.values()) == 1
+        LAST_COMPLETION_WAITED.set(True)
+        overlapped = aggregate(candidates, method, slow)
+        kind = "embed" if method == METHOD_EMBEDDING_VOTE else prompts.MERGE_SYSTEM
+        assert slow.peaks[kind] >= 2
+        assert overlapped == sequential
+
+    def test_a_computing_backend_never_opens_a_pool(
+        self, sandbox, multi_chunk_job, monkeypatch
+    ):
+        pools = []
+
+        def counted_pool(**kwargs):
+            pools.append(kwargs)
+            return ThreadPoolExecutor(**kwargs)
+
+        monkeypatch.setattr(backends, "ThreadPoolExecutor", counted_pool)
+        report = run_with_consistency(
+            make_config(multi_chunk_job), _registry_factory(sandbox), BusyBackend()
+        )
+        assert report.greedy.passed
+        assert pools == []
+        assert LAST_COMPLETION_WAITED.get() is False
+
+    def test_acceptance_counts_hold_when_calls_overlap(self, acceptance_bundle):
+        """The 50-job acceptance bundle in tsc, with every call 2 ms late,
+        makes the totals perfbench pins for it and writes the bytes of a run
+        without latency."""
+        sandbox = acceptance_bundle
+        factory = _registry_factory(sandbox)
+        slow = SlowBackend(0.002, malformed_pct=10)
+        for job_id in sandbox.job_ids:
+            config = make_config(job_id, max_steps=15, json_regen_enabled=True)
+            late = run_with_consistency(config, factory, slow, mode="tsc", k=10)
+            plain = run_with_consistency(
+                config, factory, PolicyBackend(malformed_pct=10), mode="tsc", k=10
+            )
+            assert _job_bytes(late) == _job_bytes(plain)
+        assert slow.peaks[prompts.LOG_CHUNK_SYSTEM] >= 2
+        assert slow.peaks["embed"] >= 2
+        totals = {
+            key: slow.calls[key]
+            for key in ("complete", "prompt_chars", "embed", "embed_texts")
+        }
+        assert totals == {
+            "complete": 817,
+            "prompt_chars": 3152336,
+            "embed": 200,
+            "embed_texts": 1915,
+        }

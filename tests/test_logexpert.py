@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import logexpert
-from cloudrca.backends import MockBackend, cosine, hash_embed
-from cloudrca.errors import ProtocolError
+from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, cosine, hash_embed
+from cloudrca.errors import ProtocolError, TransportError
 from cloudrca.logexpert import (
     DEFAULT_MAX_PROMPT_LEN,
     DEFAULT_TAU,
@@ -859,3 +861,27 @@ class TestRunLogExpert:
 
         out = run_log_expert(Hallucinating(), log)
         assert NO_EVIDENCE_SENTINEL in out
+
+    @pytest.mark.parametrize("waited", [False, True])
+    def test_the_first_failing_chunk_in_order_surfaces(self, monkeypatch, waited):
+        """Chunk 1 fails after chunk 2 has failed; its error is the one
+        raised, with the chunk analyses overlapped or not, and no worker
+        thread is left running."""
+        chunks = ["INFO chunk zero", "WARN chunk one", "ERROR chunk two"]
+        monkeypatch.setattr(logexpert, "partition", lambda log, backend: chunks)
+
+        class FailingChunks(MockBackend):
+            def complete(self, exchange, params):
+                user = exchange.messages[0][1]
+                if user.endswith(chunks[1]):
+                    time.sleep(0.05)
+                    raise TransportError("chunk one failed")
+                if user.endswith(chunks[2]):
+                    raise TransportError("chunk two failed")
+                return json.dumps({"interpretations": ["x"], "evidences": [chunks[0]]})
+
+        LAST_COMPLETION_WAITED.set(waited)
+        before = threading.active_count()
+        with pytest.raises(TransportError, match="chunk one failed"):
+            run_log_expert(FailingChunks(), "unused")
+        assert threading.active_count() == before
