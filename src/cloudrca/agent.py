@@ -17,13 +17,7 @@ from .backends import (
 )
 from .errors import CloudRcaError
 from .snapshots import SnapshotStore
-from .structured import (
-    balanced_spans,
-    fix_escapes,
-    json_regen,
-    sanitize_prompt,
-    try_parse,
-)
+from .structured import json_regen, sanitize_prompt
 from .tools import (
     KIND_FINALIZE,
     ToolRegistry,
@@ -75,33 +69,17 @@ def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange
     return ChatExchange(system_prompt=system, messages=[("user", user)])
 
 
-def _action_start(text: str) -> int:
-    """Index of the first balanced span that parses, as it is or else after
-    escape fixing, to an object with a string ``function`` key; otherwise the
-    first brace, or -1 when there is none.  Braces in the thought are skipped."""
-    for start, span in balanced_spans(text):
-        if _is_action(try_parse(span)) or _is_action(try_parse(fix_escapes(span))):
-            return start
-    return text.find("{")
-
-
-def _is_action(value: Optional[dict]) -> bool:
-    return value is not None and isinstance(value.get("function"), str)
-
-
-def _split_thought(text: str) -> tuple[str, Optional[str]]:
-    """Thought is everything before the action JSON."""
-    brace = _action_start(text)
-    if brace == -1:
-        return text.strip(), None
-    thought = text[:brace]
+def _split_thought(text: str, start: int) -> str:
+    """Thought is everything before the action JSON at ``start`` (-1: none)."""
+    if start == -1:
+        return text.strip()
     # drop a trailing "Function:" label left over from the block layout
-    thought = thought.rstrip()
+    thought = text[:start].rstrip()
     if thought.lower().endswith("function:"):
         thought = thought[: -len("function:")].rstrip()
     if thought.lower().startswith("thought:"):
         thought = thought[len("thought:") :].strip()
-    return thought.strip(), text[brace:]
+    return thought.strip()
 
 
 def run_step(
@@ -115,20 +93,13 @@ def run_step(
     fills trajectory.result when the step finalizes."""
     exchange = assemble_prompt(config, trajectory)
     generation = generate_adaptive(backend, exchange, config.params)
-    thought, action_text = _split_thought(generation.text)
-    function = None
-    if action_text is not None:
-        outcome = json_regen(backend, action_text, enabled=config.json_regen_enabled)
-        function = outcome.value.get("function") if outcome.ok else None
-
+    text = generation.text
+    outcome = json_regen(backend, text, config.json_regen_enabled, key="function")
+    thought = _split_thought(text, outcome.start)
+    function = outcome.value.get("function")
     if not isinstance(function, str):
-        step = Step(
-            thought=thought,
-            action=None,
-            observation=prompts.INVALID_ACTION_OBSERVATION,
-            error_flag=True,
-            invalid_flag=True,
-        )
+        observation = prompts.INVALID_ACTION_OBSERVATION
+        step = Step(thought, None, observation, error_flag=True, invalid_flag=True)
     else:
         kwargs = outcome.value.get("kwargs")
         call = ToolCall(function, kwargs if isinstance(kwargs, dict) else {})
@@ -141,13 +112,7 @@ def run_step(
             step = Step(thought, call, "Finalized.")
         else:
             result = dispatch(registry, call, store)
-            step = Step(
-                thought=thought,
-                action=call,
-                observation=result.observation,
-                error_flag=result.error,
-                invalid_flag=result.invalid,
-            )
+            step = Step(thought, call, result.observation, result.error, result.invalid)
     trajectory.steps.append(step)
     return step
 

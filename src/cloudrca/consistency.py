@@ -271,11 +271,14 @@ def run_with_consistency(
     """End-to-end orchestration: greedy run, optional sampling, per-field
     aggregation.  ``sample-full`` runs full sampled trajectories from step 1
     and exists only as an evaluation baseline.  An unknown ``mode`` or
-    ``aggregation`` raises ValueError before any model call."""
+    ``aggregation``, or a sampled mode with ``k`` below 1, raises ValueError
+    before any model call."""
     if mode not in MODES:
         raise ValueError(f"unknown consistency mode: {mode!r}")
     if aggregation not in (METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE):
         raise ValueError(f"unknown aggregation method: {aggregation!r}")
+    if mode != "greedy" and k < 1:
+        raise ValueError("k must be >= 1")
     LAST_COMPLETION_WAITED.set(False)
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:

@@ -42,6 +42,9 @@ class RepairOutcome:
     value: Any
     attempts: int
     stage: str
+    # where the text read begins: with a key, the span holding it or else
+    # the first brace (-1: none); without a key, 0
+    start: int
 
     @property
     def ok(self) -> bool:
@@ -172,25 +175,48 @@ def json_regen(
     backend: Optional[Backend],
     raw_output: str,
     enabled: bool = True,
+    key: Optional[str] = None,
 ) -> RepairOutcome:
     """Extract a structured object from model output, repairing as needed;
     regeneration makes at most DEFAULT_RETRY_LIMIT round trips.
 
     With ``enabled`` false the local-fix and regeneration stages are skipped
     entirely (strict bracket-match + parse only); this is the ablation switch.
+
+    With a ``key`` (a plain word) the object is the first balanced span
+    whose parse, as it is or else escape-fixed, has a string under ``key``.
+    Neither parse can find ``key`` in a span holding no ``key``, backslash
+    or carriage return, so such a span is skipped unparsed.  When no span
+    qualifies, the stages below run on the text from the first brace.
     """
+    start = 0
+    if key is not None:
+        for start, span in balanced_spans(raw_output):
+            if key in span or "\\" in span or "\r" in span:
+                value = try_parse(span)
+                if isinstance((value or {}).get(key), str):
+                    return RepairOutcome(value, 0, STAGE_DIRECT, start)
+                value = try_parse(fix_escapes(span))
+                if isinstance((value or {}).get(key), str):
+                    stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
+                    return RepairOutcome(value if enabled else {}, 0, stage, start)
+        start = raw_output.find("{")
+        if start == -1:
+            return RepairOutcome({}, 0, STAGE_FAILED, start)
+        raw_output = raw_output[start:]
+
     direct = try_parse(extract_json(raw_output))
     if direct is not None:
-        return RepairOutcome(direct, 0, STAGE_DIRECT)
+        return RepairOutcome(direct, 0, STAGE_DIRECT, start)
     if not enabled:
-        return RepairOutcome({}, 0, STAGE_FAILED)
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
 
     fixed = try_parse(extract_json(fix_escapes(raw_output)))
     if fixed is not None:
-        return RepairOutcome(fixed, 0, STAGE_ESCAPE_FIXED)
+        return RepairOutcome(fixed, 0, STAGE_ESCAPE_FIXED, start)
 
     if backend is None:
-        return RepairOutcome({}, 0, STAGE_FAILED)
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
 
     current = raw_output
     for attempts in range(1, DEFAULT_RETRY_LIMIT + 1):
@@ -201,5 +227,5 @@ def json_regen(
             current = ask(backend, prompts.REGEN_SYSTEM, f"{instruction}\n\n{current}")
         value = try_parse(extract_json(fix_escapes(current)))
         if value is not None:
-            return RepairOutcome(value, attempts, STAGE_REGENERATED)
-    return RepairOutcome({}, DEFAULT_RETRY_LIMIT, STAGE_FAILED)
+            return RepairOutcome(value, attempts, STAGE_REGENERATED, start)
+    return RepairOutcome({}, DEFAULT_RETRY_LIMIT, STAGE_FAILED, start)

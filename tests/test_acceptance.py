@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from cloudrca import MockBackend, PolicyBackend, Sandbox, generate_scenarios
-from cloudrca.agent import AgentConfig, run_trajectory
+from cloudrca.agent import run_trajectory
 from cloudrca.backends import GenerationParams, generate_adaptive, ChatExchange
 from cloudrca.cli import main
 from cloudrca.consistency import (
@@ -28,7 +28,6 @@ from cloudrca.consistency import (
     tsc,
 )
 from cloudrca.logexpert import (
-    SimilarityGraph,
     evidence_accepted,
     louvain,
     remove_overlaps,

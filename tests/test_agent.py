@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from cloudrca import agent as agent_module
+from cloudrca import structured
 from cloudrca.agent import (
     AgentConfig,
     assemble_prompt,
@@ -214,13 +214,13 @@ class TestRunStep:
     @pytest.mark.parametrize("corrupt", [False, True], ids=["well-formed", "corrupted"])
     def test_escape_fixing_only_where_a_span_fails_as_is(self, monkeypatch, corrupt):
         calls = []
-        original = agent_module.fix_escapes
+        original = structured.fix_escapes
 
         def counting(text):
             calls.append(text)
             return original(text)
 
-        monkeypatch.setattr(agent_module, "fix_escapes", counting)
+        monkeypatch.setattr(structured, "fix_escapes", counting)
         config, registry = make_config()
         if corrupt:
             action = '{"function": "fetch", "kwargs": {"job_id": "j1",},}'
@@ -229,8 +229,23 @@ class TestRunStep:
         backend = MockBackend([f"I suspect {{heap}} pressure.\nFunction: {action}"])
         step = run_step(config, Trajectory(), backend, registry, SnapshotStore())
         assert step.action.function == "fetch"
-        # "{heap}" fails as is; a well-formed action is never escape-fixed
-        assert calls == ["{heap}"] + ([action] if corrupt else [])
+        # "{heap}" cannot hold the key and is skipped; a well-formed action
+        # is never escape-fixed
+        assert calls == ([action] if corrupt else [])
+
+    def test_action_read_by_its_fixed_parse_is_a_valid_step(self):
+        # as it is, the span is one string under "a"; fixed, it is the action
+        action = (
+            '{"a": "\u201c, \u201cfunction\u201d: \u201cfetch\u201d, '
+            '\u201ckwargs\u201d: {\u201cjob_id\u201d: \u201cj1\u201d}, \u201cb\u201d: \u201d"}'
+        )
+        config, registry = make_config()
+        backend = MockBackend([f"I need the logs.\nFunction: {action}"])
+        step = run_step(config, Trajectory(), backend, registry, SnapshotStore())
+        assert step.thought == "I need the logs."
+        assert step.action == ToolCall("fetch", {"job_id": "j1"})
+        assert not step.invalid_flag and not step.error_flag
+        assert len(backend.calls) == 1
 
     def test_too_deep_action_is_an_invalid_step(self):
         config, registry = make_config()

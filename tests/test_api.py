@@ -1,7 +1,7 @@
 """The package's public surface: every exported name must resolve, and so
-must every lookup name the benchmark's tracer binds; no module keeps an
-import it never uses, and no module encodes text so that a lone surrogate
-raises."""
+must every lookup name the benchmark's tracer binds; no module of the
+package or of the tests keeps an import it never uses, and no module
+encodes text so that a lone surrogate raises."""
 
 import ast
 import pathlib
@@ -46,10 +46,11 @@ def _unused_imports(path):
 
 def test_no_module_imports_a_name_it_never_uses():
     package = pathlib.Path(cloudrca.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     unused = {
-        path.name: _unused_imports(path)
-        for path in sorted(package.glob("*.py"))
-        if path.name != "__init__.py"
+        f"{path.parent.name}/{path.name}": _unused_imports(path)
+        for path in sorted(paths + list(tests.glob("*.py")))
     }
     assert {name: found for name, found in unused.items() if found} == {}
 

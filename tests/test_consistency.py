@@ -621,6 +621,17 @@ class TestConcurrentBranches:
             )
 
     @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
+    def test_no_branches_fails_before_any_model_call(self, sandbox, mode):
+        # the greedy run of this backend would fail on its first call
+        backend = MockBackend([])
+        config = make_config(sandbox.job_ids[0])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            run_with_consistency(
+                config, _registry_factory(sandbox), backend, mode=mode, k=0
+            )
+        assert backend.calls == []
+
+    @pytest.mark.parametrize("mode", ["sc", "tsc", "sample-full"])
     def test_report_equals_sequential_run(self, sandbox, monkeypatch, mode):
         backend = PolicyBackend(malformed_pct=30)
         factory = _registry_factory(sandbox)

@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import structured
+from cloudrca.agent import _split_thought
 from cloudrca.backends import MockBackend
 from cloudrca.structured import (
     STAGE_DIRECT,
@@ -360,6 +362,147 @@ class TestJsonRegen:
         assert try_parse(deep) is None
         out = json_regen(None, deep)
         assert not out.ok and out.stage == STAGE_FAILED
+
+
+def two_read_oracle(text, enabled, backend=None):
+    """The controller's read before ``json_regen`` took a key: the first
+    balanced span whose parse, as it is or else escape-fixed, has a string
+    ``function`` marks the action (else the first brace does), and
+    ``json_regen`` then reads the text from there again by its own stages.
+    A reply with no brace was never read; it counts as a failed read here.
+
+    Returns ``(thought, stage, value, disagree)``.  The reads disagree where
+    the first accepts a span by its fixed parse while its as-is parse is an
+    object without the key: the second read returns that object."""
+
+    def is_action(value):
+        return value is not None and isinstance(value.get("function"), str)
+
+    start, disagree = text.find("{"), False
+    for span_start, span in balanced_spans(text):
+        as_is = try_parse(span)
+        if is_action(as_is) or is_action(try_parse(fix_escapes(span))):
+            start, disagree = span_start, as_is is not None and not is_action(as_is)
+            break
+    if start == -1:
+        return text.strip(), STAGE_FAILED, {}, False
+    outcome = json_regen(backend, text[start:], enabled)
+    return _split_thought(text, start), outcome.stage, outcome.value, disagree
+
+
+def keyed_read(text, enabled, backend=None):
+    outcome = json_regen(backend, text, enabled, key="function")
+    return _split_thought(text, outcome.start), outcome.stage, outcome.value
+
+
+# Reply pieces heavy in what either read acts on: braces, quotes, smart
+# quotes, backslashes, carriage returns, \u escapes and the key itself
+ACTION_PIECES = list(REPLY_ALPHABET) + [
+    "function",
+    '"function"',
+    "\u201cfunction\u201d",
+    "\\u0066unction",
+    '"f"',
+    "\u201cf\u201d",
+    ": ",
+    '{"function": "f"}',
+    '{"function": "f",}',
+    '{\u201cfunction\u201d: "f"}',
+    '{"function": "f\\x"}',
+    '{"\\u0066unction": "f"}',
+    '{"func\rtion": "f"}',
+    '{"function": "f\n"}',
+    '{"a": "\u201c, \u201cfunction\u201d: \u201cf\u201d, \u201cb\u201d: \u201d"}',
+    '\\"',
+    ",}",
+    "Function: ",
+    "Thought: ",
+]
+
+
+class TestOneRead:
+    def test_the_fixed_parse_wins_where_the_two_reads_disagree(self):
+        text = '{"a": "\u201c, \u201cfunction\u201d: \u201cf\u201d, \u201cb\u201d: \u201d"}'
+        assert two_read_oracle(text, True) == ("", STAGE_DIRECT, {"a": text[7:-2]}, True)
+        outcome = json_regen(None, text, key="function")
+        assert outcome.stage == STAGE_ESCAPE_FIXED and outcome.start == 0
+        assert outcome.value == {"a": "", "function": "f", "b": ""}
+        outcome = json_regen(None, text, enabled=False, key="function")
+        assert outcome.stage == STAGE_FAILED and outcome.start == 0
+
+    @pytest.mark.parametrize(
+        "text, stage",
+        [
+            ('{"\\u0066unction": "f"}', STAGE_DIRECT),
+            ('{"func\rtion": "f"}', STAGE_ESCAPE_FIXED),
+        ],
+        ids=["unicode-escape", "carriage-return"],
+    )
+    def test_a_span_without_the_key_as_written_is_still_read(self, text, stage):
+        outcome = json_regen(None, f"{{x}} {text}", key="function")
+        assert (outcome.stage, outcome.value, outcome.start) == (stage, {"function": "f"}, 4)
+
+    @settings(max_examples=1000)
+    @given(
+        st.lists(st.sampled_from(ACTION_PIECES), max_size=24).map("".join),
+        st.booleans(),
+    )
+    def test_equals_the_two_read_oracle(self, text, enabled):
+        thought, stage, value, disagree = two_read_oracle(text, enabled)
+        got = keyed_read(text, enabled)
+        if disagree and enabled:
+            assert got[:2] == (thought, STAGE_ESCAPE_FIXED)
+            assert isinstance(got[2]["function"], str)
+        elif disagree:
+            assert got == (thought, STAGE_FAILED, {})
+        else:
+            assert got == (thought, stage, value)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bundled_corpus_reads_as_the_two_reads(self, enabled):
+        data = (
+            importlib.resources.files("cloudrca") / "data" / "repair_corpus.jsonl"
+        ).read_text(encoding="utf-8")
+        for line in filter(str.strip, data.splitlines()):
+            raw = json.loads(line)["raw"]
+            for text in (raw, f"Thought: {{x}} then {raw}"):
+                assert keyed_read(text, enabled) == two_read_oracle(text, enabled)[:3]
+
+    def test_regeneration_sends_the_text_from_the_first_brace(self):
+        text = 'Thought: {x} and more.\nFunction: {"function": fetch}'
+        script = ["junk", '{"function": "fetch"}']
+        oracle_backend, backend = MockBackend(script), MockBackend(script)
+        expected = two_read_oracle(text, True, oracle_backend)[:3]
+        assert keyed_read(text, True, backend) == expected
+        assert expected[1] == STAGE_REGENERATED
+        sent = [call.exchange.messages for call in backend.calls]
+        assert sent == [call.exchange.messages for call in oracle_backend.calls]
+        assert sent[0][0][1].endswith("\n\n" + text[text.index("{"):])
+
+    def test_a_reply_without_a_brace_is_a_failed_read(self):
+        outcome = json_regen(MockBackend(), "no action here", key="function")
+        assert outcome.stage == STAGE_FAILED and outcome.start == -1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{" * 8192 + "}" * 8192, '{"a":' * 3000 + "1" + "}" * 3000],
+        ids=["nested", "nested-keys"],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_spans_without_the_key_are_not_parsed(self, monkeypatch, text, enabled):
+        parsed = []
+        original = structured.try_parse
+
+        def counting(candidate):
+            parsed.append(candidate)
+            return original(candidate)
+
+        monkeypatch.setattr(structured, "try_parse", counting)
+        outcome = json_regen(None, text, enabled, key="function")
+        assert outcome.stage == STAGE_FAILED and outcome.start == 0
+        # no span is parsed on the way; only the unchanged stages read the
+        # first span, as it is and then escape-fixed
+        assert len(parsed) == (2 if enabled else 1)
 
 
 class TestCorpusRegression:
