@@ -46,13 +46,13 @@ HASH_EMBED_MODEL = "mock-hash"
 # a uint8 bucket and a float64 sign: under 600 kB when full); one pass of a
 # benchmark workload meets under 6k of them
 HASH_EMBED_MEMO_SIZE = 1 << 15
-# most model calls a job keeps in flight at once: the k branches of a sampled
-# mode, or the independent calls overlapped() runs
+# most calls one overlapped() keeps in flight at once; it runs the k branches
+# of a sampled mode and every other set of a job's independent model calls
 MAX_IN_FLIGHT = 10
 
-# Whether the latest completion made in this context spent longer waiting
-# than computing (its wall time minus this thread's CPU time, against that
-# CPU time).  run_with_consistency resets it at the start of each job.
+# Whether the latest completion in this context spent longer idle (its wall
+# time less the whole process's CPU time meanwhile) than this thread computed;
+# run_with_consistency resets it at the start of each job.
 LAST_COMPLETION_WAITED: ContextVar[bool] = ContextVar(
     "LAST_COMPLETION_WAITED", default=False
 )
@@ -441,11 +441,12 @@ def _complete(
     backend: Backend, exchange: ChatExchange, params: GenerationParams
 ) -> str:
     """``backend.complete``, noting in LAST_COMPLETION_WAITED whether the
-    call waited longer than it computed."""
-    wall, cpu = time.perf_counter(), time.thread_time()
+    call spent longer idle than this thread computed."""
+    wall, process, cpu = time.perf_counter(), time.process_time(), time.thread_time()
     text = backend.complete(exchange, params)
     cpu = time.thread_time() - cpu
-    LAST_COMPLETION_WAITED.set(time.perf_counter() - wall - cpu > cpu)
+    idle = time.perf_counter() - wall - (time.process_time() - process)
+    LAST_COMPLETION_WAITED.set(idle > cpu)
     return text
 
 
@@ -486,13 +487,13 @@ def overlapped(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, for calls that read none of each
     other's replies.
 
-    Once the latest completion in the caller's context waited on the model
-    longer than it computed, the calls run concurrently, at most
-    MAX_IN_FLIGHT at a time, in a pool that ends with this call; a backend
-    they share must then accept concurrent calls.  Results keep input order,
-    and a failure raises the exception of the first failing item in that
-    order once every call has ended.  A CPU-bound backend gains nothing from
-    threads, so its calls run one after another."""
+    Once the latest completion in the caller's context spent longer idle
+    than it computed (LAST_COMPLETION_WAITED), the calls run concurrently,
+    at most MAX_IN_FLIGHT at a time, in a pool that ends with this call; a
+    backend they share must then accept concurrent calls.  Results keep
+    input order, and a failure raises the exception of the first failing
+    item in that order once every call has ended.  A CPU-bound backend
+    gains nothing from threads, so its calls run one after another."""
     if len(items) < 2 or not LAST_COMPLETION_WAITED.get():
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(len(items), MAX_IN_FLIGHT)) as pool:

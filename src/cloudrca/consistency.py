@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -22,13 +21,7 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import (
-    LAST_COMPLETION_WAITED,
-    MAX_IN_FLIGHT,
-    Backend,
-    ask,
-    overlapped,
-)
+from .backends import LAST_COMPLETION_WAITED, Backend, ask, overlapped
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
@@ -174,9 +167,9 @@ def _run_branches(
     starts from a copy of its steps before finalization.  A branch that
     fails or never finalizes within ``max_steps`` yields no candidate.
 
-    Branches run concurrently, at most ``MAX_IN_FLIGHT`` at a time, so a
-    backend shared by the branches must accept concurrent calls.  Their
-    inputs are built here in index order and candidates keep that order."""
+    The branches' inputs are built here in index order; the branches then
+    run through ``overlapped``, so a backend they share must accept
+    concurrent calls, and candidates keep index order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if greedy is not None:
@@ -206,9 +199,7 @@ def _run_branches(
                 initial=initial,
             )
         )
-    with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT)) as pool:
-        trajectories = list(pool.map(lambda branch: branch(), branches))
-    return [t for t in trajectories if t.passed]
+    return [t for t in overlapped(lambda branch: branch(), branches) if t.passed]
 
 
 def sc_stepwise(

@@ -6,6 +6,7 @@ rather than an exception.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from . import prompts
 from .backends import Backend, ask
 
 DEFAULT_RETRY_LIMIT = 3
+# json_regen parses at most this many key-holding spans of one reply
+MAX_KEY_SPANS = 16
 
 # Sensitive control characters and their safe substitutes.  Double quotes
 # become single quotes; bracket openers become C-digraph-style pairs, and the
@@ -184,22 +187,25 @@ def json_regen(
     entirely (strict bracket-match + parse only); this is the ablation switch.
 
     With a ``key`` (a plain word) the object is the first balanced span
-    whose parse, as it is or else escape-fixed, has a string under ``key``.
-    Neither parse can find ``key`` in a span holding no ``key``, backslash
-    or carriage return, so such a span is skipped unparsed.  When no span
-    qualifies, the stages below run on the text from the first brace.
+    whose parse, as it is or else escape-fixed, has a string under ``key``,
+    among the first MAX_KEY_SPANS spans holding ``key``, a backslash or a
+    carriage return (no parse can find ``key`` in any other span).  When
+    none qualifies, the stages below run on the text from the first brace.
     """
     start = 0
     if key is not None:
-        for start, span in balanced_spans(raw_output):
-            if key in span or "\\" in span or "\r" in span:
-                value = try_parse(span)
-                if isinstance((value or {}).get(key), str):
-                    return RepairOutcome(value, 0, STAGE_DIRECT, start)
-                value = try_parse(fix_escapes(span))
-                if isinstance((value or {}).get(key), str):
-                    stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
-                    return RepairOutcome(value if enabled else {}, 0, stage, start)
+        holding = (
+            (start, span) for start, span in balanced_spans(raw_output)
+            if key in span or "\\" in span or "\r" in span
+        )
+        for start, span in itertools.islice(holding, MAX_KEY_SPANS):
+            value = try_parse(span)
+            if isinstance((value or {}).get(key), str):
+                return RepairOutcome(value, 0, STAGE_DIRECT, start)
+            value = try_parse(fix_escapes(span))
+            if isinstance((value or {}).get(key), str):
+                stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
+                return RepairOutcome(value if enabled else {}, 0, stage, start)
         start = raw_output.find("{")
         if start == -1:
             return RepairOutcome({}, 0, STAGE_FAILED, start)

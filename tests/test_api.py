@@ -1,7 +1,8 @@
 """The package's public surface: every exported name must resolve, and so
 must every lookup name the benchmark's tracer binds; no module of the
-package or of the tests keeps an import it never uses, and no module
-encodes text so that a lone surrogate raises."""
+package or of the tests keeps an import it never uses, no module
+encodes text so that a lone surrogate raises, and only two functions of the
+package open a thread pool."""
 
 import ast
 import pathlib
@@ -81,3 +82,32 @@ def test_every_codec_encode_passes_lone_surrogates():
     package = pathlib.Path(cloudrca.__file__).parent
     strict = {path.name: _strict_encodes(path) for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in strict.items() if lines} == {}
+
+
+def _pool_openers(path):
+    """Qualified name of the function around each ``ThreadPoolExecutor``
+    call in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "ThreadPoolExecutor":
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_overlapped_and_batch_open_thread_pools():
+    # overlapped() runs every set of a job's concurrent model calls, under
+    # one cap and one gate; batch --jobs is the user's own setting
+    package = pathlib.Path(cloudrca.__file__).parent
+    openers = [name for path in sorted(package.glob("*.py")) for name in _pool_openers(path)]
+    assert openers == ["backends.overlapped", "cli.cmd_batch"]

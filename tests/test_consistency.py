@@ -540,6 +540,8 @@ class TestConcurrentBranches:
         config = make_config(sandbox.job_ids[0])
         factory = _registry_factory(sandbox)
         greedy, store = run_greedy(config, factory, policy_backend)
+        # as after a greedy run whose final call waited on the model
+        LAST_COMPLETION_WAITED.set(True)
         delay = 0.1
         slow = SlowBackend(delay)
         start = time.perf_counter()
@@ -554,6 +556,8 @@ class TestConcurrentBranches:
         config = make_config(sandbox.job_ids[0])
         factory = _registry_factory(sandbox)
         greedy, store = run_greedy(config, factory, policy_backend)
+        # as after a greedy run whose final call waited on the model
+        LAST_COMPLETION_WAITED.set(True)
         k = 5
         finished = []
 
@@ -655,9 +659,15 @@ class TestConcurrentBranches:
 
 class BusyBackend(PolicyBackend):
     """Policy backend that computes for about 20 ms of this thread's CPU time
-    per completion, as a model run in-process does."""
+    per completion, as a model run in-process does; ``threads`` holds the
+    number of live threads at each completion."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
 
     def complete(self, exchange, params):
+        self.threads.append(threading.active_count())
         end = time.thread_time() + 0.02
         while time.thread_time() < end:
             pass
@@ -681,6 +691,28 @@ def multi_chunk_job(sandbox):
         if counted.calls[prompts.LOG_CHUNK_SYSTEM] >= 2:
             return job_id
     raise AssertionError("no job of the bundle has two log chunks")
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The keyword arguments of each pool ``overlapped`` opens."""
+    opened = []
+
+    def counted_pool(**kwargs):
+        opened.append(kwargs)
+        return ThreadPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(backends, "ThreadPoolExecutor", counted_pool)
+    return opened
+
+
+def _four_jobs_at_once(sandbox, job_id, backend):
+    """Four runs of one job on four threads sharing ``backend``, as
+    ``cloudrca batch --jobs 4`` runs a bundle."""
+    config, factory = make_config(job_id), _registry_factory(sandbox)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = [pool.submit(run_with_consistency, config, factory, backend) for _ in range(4)]
+        return [run.result() for run in runs]
 
 
 @pytest.fixture(scope="module")
@@ -718,22 +750,35 @@ class TestOverlappedCalls:
         assert slow.peaks[kind] >= 2
         assert overlapped == sequential
 
+    @pytest.mark.parametrize("mode", ["greedy", "sc", "tsc", "sample-full"])
     def test_a_computing_backend_never_opens_a_pool(
-        self, sandbox, multi_chunk_job, monkeypatch
+        self, sandbox, multi_chunk_job, pools, mode
     ):
-        pools = []
-
-        def counted_pool(**kwargs):
-            pools.append(kwargs)
-            return ThreadPoolExecutor(**kwargs)
-
-        monkeypatch.setattr(backends, "ThreadPoolExecutor", counted_pool)
+        busy = BusyBackend()
+        before = threading.active_count()
         report = run_with_consistency(
-            make_config(multi_chunk_job), _registry_factory(sandbox), BusyBackend()
+            make_config(multi_chunk_job), _registry_factory(sandbox), busy, mode=mode, k=3
         )
         assert report.greedy.passed
         assert pools == []
+        assert busy.threads and set(busy.threads) == {before}
         assert LAST_COMPLETION_WAITED.get() is False
+
+    def test_computing_jobs_that_share_the_interpreter_open_no_pool(
+        self, sandbox, multi_chunk_job, pools
+    ):
+        # a job queued for the interpreter lock behind the others is not
+        # waiting on the model
+        reports = _four_jobs_at_once(sandbox, multi_chunk_job, BusyBackend())
+        assert all(report.greedy.passed for report in reports)
+        assert pools == []
+
+    def test_waiting_jobs_that_share_the_interpreter_still_open_pools(
+        self, sandbox, multi_chunk_job, pools
+    ):
+        reports = _four_jobs_at_once(sandbox, multi_chunk_job, SlowBackend(0.02))
+        assert all(report.greedy.passed for report in reports)
+        assert pools != []
 
     def test_acceptance_counts_hold_when_calls_overlap(self, acceptance_bundle):
         """The 50-job acceptance bundle in tsc, with every call 2 ms late,

@@ -504,6 +504,24 @@ class TestOneRead:
         # first span, as it is and then escape-fixed
         assert len(parsed) == (2 if enabled else 1)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_key_in_every_nested_span_bounds_the_parses(self, monkeypatch, enabled):
+        # every span holds the key, and none has a string under it
+        text = '{"function":' * 2000 + "1" + "}" * 2000
+        parsed = []
+        original = structured.try_parse
+
+        def counting(candidate):
+            parsed.append(candidate)
+            return original(candidate)
+
+        monkeypatch.setattr(structured, "try_parse", counting)
+        outcome = json_regen(None, text, enabled, key="function")
+        assert outcome.stage == STAGE_FAILED and outcome.start == 0
+        # both parses of the first MAX_KEY_SPANS spans, then the unchanged
+        # stages on the text from the first brace
+        assert len(parsed) == 2 * structured.MAX_KEY_SPANS + (2 if enabled else 1)
+
 
 class TestCorpusRegression:
     def test_bundled_corpus_rates(self):
