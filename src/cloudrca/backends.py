@@ -50,9 +50,11 @@ HASH_EMBED_MEMO_SIZE = 1 << 15
 # of a sampled mode and every other set of a job's independent model calls
 MAX_IN_FLIGHT = 10
 
-# Whether the latest completion in this context spent longer idle (its wall
-# time less the whole process's CPU time meanwhile) than this thread computed;
-# run_with_consistency resets it at the start of each job.
+# Whether the latest completion in this context idled (its wall time less the
+# whole process's CPU time meanwhile) more than WAIT_RATIO times as long as
+# this thread computed, since a process the OS does not run also reads as
+# idle; run_with_consistency resets it at the start of each job.
+WAIT_RATIO = 8
 LAST_COMPLETION_WAITED: ContextVar[bool] = ContextVar(
     "LAST_COMPLETION_WAITED", default=False
 )
@@ -441,12 +443,12 @@ def _complete(
     backend: Backend, exchange: ChatExchange, params: GenerationParams
 ) -> str:
     """``backend.complete``, noting in LAST_COMPLETION_WAITED whether the
-    call spent longer idle than this thread computed."""
+    call idled more than WAIT_RATIO times as long as this thread computed."""
     wall, process, cpu = time.perf_counter(), time.process_time(), time.thread_time()
     text = backend.complete(exchange, params)
     cpu = time.thread_time() - cpu
     idle = time.perf_counter() - wall - (time.process_time() - process)
-    LAST_COMPLETION_WAITED.set(idle > cpu)
+    LAST_COMPLETION_WAITED.set(idle > WAIT_RATIO * cpu)
     return text
 
 
@@ -487,10 +489,10 @@ def overlapped(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, for calls that read none of each
     other's replies.
 
-    Once the latest completion in the caller's context spent longer idle
-    than it computed (LAST_COMPLETION_WAITED), the calls run concurrently,
-    at most MAX_IN_FLIGHT at a time, in a pool that ends with this call; a
-    backend they share must then accept concurrent calls.  Results keep
+    Once the latest completion in the caller's context waited
+    (LAST_COMPLETION_WAITED), the calls run concurrently, at most
+    MAX_IN_FLIGHT at a time, in a pool that ends with this call; a backend
+    they share must then accept concurrent calls.  Results keep
     input order, and a failure raises the exception of the first failing
     item in that order once every call has ended.  A CPU-bound backend
     gains nothing from threads, so its calls run one after another."""

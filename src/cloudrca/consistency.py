@@ -10,7 +10,6 @@ baseline of full sampled trajectories from step 1.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -164,7 +163,7 @@ def _run_branches(
     snapshot-store branch, under ``config`` with sampled decoding and a
     budget of ``max_steps``.  With ``greedy``, which must have passed within
     ``max_steps`` steps and whose snapshot state is ``store``, every branch
-    starts from a copy of its steps before finalization.  A branch that
+    starts from its steps before finalization, shared with it.  A branch that
     fails or never finalizes within ``max_steps`` yields no candidate.
 
     The branches' inputs are built here in index order; the branches then
@@ -187,7 +186,7 @@ def _run_branches(
         branch_backend = backend_factory(i) if backend_factory else backend
         initial = None
         if greedy is not None:
-            steps = copy.deepcopy(greedy.steps[:-1])
+            steps = greedy.steps[:-1]
             initial = Trajectory(steps=steps, seed_prefix_len=len(steps))
         branches.append(
             functools.partial(

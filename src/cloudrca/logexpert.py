@@ -136,60 +136,52 @@ def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
 def _louvain_level(
     n: int, adj: list[dict[int, float]]
 ) -> tuple[list[int], bool]:
-    """One level of local moving.  Nodes are visited in natural order; ties in
-    modularity gain resolve to the lowest community id.
-
-    Only targets that can gain are evaluated.  With cd the community
-    degrees, target t gains links[t] - links[current] - degree[v] *
-    (cd[t] - cd[current]) / two_m, and cd[t] >= 0, so a target with links[t]
-    <= floor = links[current] - degree[v] * cd[current] / two_m - margin
-    gains at most -margin in exact arithmetic.  No term exceeds two_m, so
-    each float operation errs by at most 2**-53 * two_m, as does each
-    update of cd: margin = 1e-9 * max(1, two_m) covers the rounding of the
-    gain and of the floor, and the drift of cd over millions of updates, at
-    any scale of weights.  A skipped target's float gain is then negative
-    and could not pass gain > best_gain + 1e-12 (best_gain >= 0).  The
-    survivors are evaluated in the same sorted order with the same
-    arithmetic, so the labels are those of evaluating every target."""
+    """One level of local moving.  Nodes are visited in natural order, and
+    every neighbouring community is evaluated in ascending id, so ties in
+    modularity gain resolve to the lowest id.  A node's link weight to each
+    community is summed from 0.0 in adjacency order into one list indexed by
+    community, which is cleared again after the node."""
     degree = [_left_sum(nb.values()) for nb in adj]
     two_m = _left_sum(degree)
     if two_m == 0:
         return list(range(n)), False
-    margin = 1e-9 * max(1.0, two_m)
+    # each node's neighbours without a self-loop, in adjacency order
+    neighbours = [
+        {u: w for u, w in nb.items() if u != v} if v in nb else nb
+        for v, nb in enumerate(adj)
+    ]
     community = list(range(n))
     community_degree = degree[:]
+    links = [0.0] * n
     moved_any = False
     improved = True
     while improved:
         improved = False
         for v in range(n):
             current = community[v]
-            # weights from v to each neighboring community
-            links: dict[int, float] = {}
-            for u, w in adj[v].items():
-                if u != v:
-                    links[community[u]] = links.get(community[u], 0.0) + w
-            community_degree[current] -= degree[v]
-            best, best_gain = current, 0.0
-            floor = (
-                links.get(current, 0.0)
-                - degree[v] * community_degree[current] / two_m
-                - margin
-            )
-            for target in sorted(links):
-                if target == current or links[target] <= floor:
-                    continue
-                gain = links[target] - links.get(current, 0.0)
-                gain -= (
-                    degree[v]
-                    * (community_degree[target] - community_degree[current])
-                    / two_m
-                )
-                # strict improvement required; sorted order makes ties
-                # resolve to the lowest community id
-                if gain > best_gain + 1e-12:
-                    best, best_gain = target, gain
-            community_degree[best] += degree[v]
+            # a community whose sum still reads 0.0 is listed again; a
+            # repeat evaluates to the same gain and cannot win twice
+            touched = []
+            for u, w in neighbours[v].items():
+                target = community[u]
+                if not links[target]:
+                    touched.append(target)
+                links[target] += w
+            dv = degree[v]
+            community_degree[current] -= dv
+            own, base = links[current], community_degree[current]
+            # strict improvement over the best gain so far by more than
+            # 1e-12; ascending order makes ties resolve to the lowest id
+            best, bar = current, 1e-12
+            touched.sort()
+            for target in touched:
+                if target != current:
+                    gain = links[target] - own - dv * (community_degree[target] - base) / two_m
+                    if gain > bar:
+                        best, bar = target, gain + 1e-12
+            for target in touched:
+                links[target] = 0.0
+            community_degree[best] += dv
             if best != current:
                 community[v] = best
                 improved = True

@@ -15,6 +15,8 @@ from .errors import SnapshotKeyError
 
 KEY_WIDTH = 10
 DEFAULT_HEAD_LINES = 7
+# most chars of one line the head shows; a longer line is cut
+HEAD_LINE_CHARS = 512
 EMPTY_OBSERVATION = "(empty observation)"
 # the one tool parameter that takes a snapshot key, the name the usage rules
 # tell the controller to pass keys under
@@ -85,15 +87,21 @@ class SnapshotStore:
 def render_head(full_text: str, key: str) -> str:
     """Render the truncated view shown to the controller agent.
 
-    Format is bit-exact: the first DEFAULT_HEAD_LINES lines, then
-    `...N lines omitted.` when lines were dropped, then `[ snapshot: KEY ]`.
+    Format is bit-exact: the first DEFAULT_HEAD_LINES lines, each longer
+    than HEAD_LINE_CHARS cut there and ended with `...N chars omitted.`,
+    then `...N lines omitted.` when lines were dropped, then
+    `[ snapshot: KEY ]`.
     """
     lines = full_text.splitlines()
     if not lines:
         lines = [EMPTY_OBSERVATION]
-    shown = lines[:DEFAULT_HEAD_LINES]
+    parts = [
+        line
+        if len(line) <= HEAD_LINE_CHARS
+        else f"{line[:HEAD_LINE_CHARS]}...{len(line) - HEAD_LINE_CHARS} chars omitted."
+        for line in lines[:DEFAULT_HEAD_LINES]
+    ]
     omitted = len(lines) - DEFAULT_HEAD_LINES
-    parts = list(shown)
     if omitted > 0:
         parts.append(f"...{omitted} lines omitted.")
     parts.append(f"[ snapshot: {key} ]")

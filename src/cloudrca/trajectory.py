@@ -59,7 +59,7 @@ class AnalysisResult:
         return getattr(self, name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
     thought: str
     action: Optional[ToolCall]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,6 +338,34 @@ class TestOverlapped:
         assert LAST_COMPLETION_WAITED.get() is True
         generate_adaptive(MockBackend(["fast"]), exchange(), GenerationParams())
         assert LAST_COMPLETION_WAITED.get() is False
+
+    @pytest.mark.parametrize(
+        "wall, cpu, pooled",
+        [
+            # 40 ms off the CPU around 20 ms of computing, as when another
+            # process holds the CPU: the call computed, it did not wait
+            (0.060, 0.020, False),
+            # 20 ms of waiting around 0.2 ms of computing
+            (0.0202, 0.0002, True),
+        ],
+    )
+    def test_a_completion_waits_only_when_idle_far_exceeds_its_cpu_time(
+        self, monkeypatch, wall, cpu, pooled
+    ):
+        clocks = {
+            "perf_counter": [0.0, wall],
+            "process_time": [0.0, cpu],
+            "thread_time": [0.0, cpu],
+        }
+        monkeypatch.setattr(
+            backends_module,
+            "time",
+            SimpleNamespace(**{name: iter(ticks).__next__ for name, ticks in clocks.items()}),
+        )
+        ask(MockBackend(["reply"]), "sys", "user")
+        monkeypatch.undo()
+        threads = overlapped(lambda _: threading.get_ident(), [1, 2, 3])
+        assert (threading.get_ident() not in threads) is pooled
 
     def test_overlapped_calls_keep_input_order_under_the_cap(self):
         LAST_COMPLETION_WAITED.set(True)

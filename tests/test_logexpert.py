@@ -547,8 +547,8 @@ class TestLouvain:
 
 
 class TestLouvainSkipsTargetsThatCannotGain:
-    # louvain evaluates only the targets that can gain; each labelling must
-    # equal the loop that evaluates every target
+    # louvain sums each node's links in one list accumulator; each labelling
+    # must equal the dict loop that evaluates every neighbouring community
 
     @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
     def test_decayed_graphs(self, density):
@@ -563,10 +563,11 @@ class TestLouvainSkipsTargetsThatCannotGain:
             graph = tie_prone_graph(rng, rng.randint(9, 30))
             assert louvain(graph) == dict_louvain_oracle(graph)
 
-    def test_weights_scaled_by_a_million(self):
+    @pytest.mark.parametrize("scale", [1e-9, 1e6, 1e12])
+    def test_weights_scaled_by_a_million(self, scale):
         rng = random.Random(33)
         for n in (9, 17, 33, 53, 80):
-            graph = decayed_graph(rng, n, 0.5, scale=1e6)
+            graph = decayed_graph(rng, n, 0.5, scale=scale)
             assert louvain(graph) == dict_louvain_oracle(graph)
 
     @pytest.mark.parametrize("count", [12, 50, 113, 300])

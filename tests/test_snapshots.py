@@ -1,19 +1,28 @@
+import json
+import os
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cloudrca.consistency import run_with_consistency
 from cloudrca.errors import SnapshotKeyError
+from cloudrca.sandbox import Sandbox, generate_scenarios
 from cloudrca.snapshots import (
     DEFAULT_HEAD_LINES,
     EMPTY_OBSERVATION,
+    HEAD_LINE_CHARS,
     KEY_WIDTH,
     SnapshotStore,
     looks_like_key,
     render_head,
     snapshot_keys,
 )
+from cloudrca.tools import KIND_INFO, ToolRegistry, ToolSpec, dispatch
+from cloudrca.trajectory import ToolCall
+
+from conftest import SlowBackend, make_config
 
 
 def _crc32_table() -> list[int]:
@@ -147,6 +156,62 @@ class TestRenderHead:
         text = "\n".join(str(i) for i in range(DEFAULT_HEAD_LINES))
         rendered = render_head(text, "0000000001")
         assert "omitted" not in rendered
+
+    def test_a_line_past_the_budget_is_cut_with_a_count(self):
+        whole = "a" * HEAD_LINE_CHARS
+        rendered = render_head(f"{whole}\n{whole}b", "0000000001")
+        assert rendered.split("\n") == [
+            whole,
+            f"{whole}...1 chars omitted.",
+            "[ snapshot: 0000000001 ]",
+        ]
+
+
+def _write_long_runtime_line(bundle: str, chars: int):
+    """Put one line of ``chars`` chars second in each job's runtime log."""
+    for job_id in os.listdir(bundle):
+        path = os.path.join(bundle, job_id, "logs.runtime.jsonl")
+        if not os.path.isfile(path):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        text = "INFO  payload "
+        records.insert(
+            1, {"text": text + "x" * (chars - len(text)), "timestamp": records[0]["timestamp"]}
+        )
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
+class TestHeadBudget:
+    def test_a_one_megabyte_line_is_cut_and_stored_whole(self):
+        text = "x" * 1_000_000
+        registry = ToolRegistry()
+        registry.register(ToolSpec("dump", "Dump.", [], KIND_INFO), lambda kwargs: text)
+        store = SnapshotStore()
+        result = dispatch(registry, ToolCall("dump", {}), store)
+        assert len(result.observation) <= 4096
+        assert store.get(snapshot_keys(result.observation)[-1]) == text
+
+    def test_a_long_log_line_leaves_prompts_near_the_plain_bundle(self, tmp_path):
+        prompt_chars = []
+        for chars in (None, 200_000):
+            bundle = str(tmp_path / f"bundle-{chars}")
+            generate_scenarios(seed=4242, count=2, out_dir=bundle)
+            if chars:
+                _write_long_runtime_line(bundle, chars)
+            sandbox = Sandbox(bundle)
+            per_job = []
+            for job_id in sandbox.job_ids:
+                backend = SlowBackend(0.0, malformed_pct=10)
+                report = run_with_consistency(
+                    make_config(job_id), sandbox.build_registry, backend
+                )
+                assert report.greedy.passed
+                per_job.append(backend.calls["prompt_chars"])
+            prompt_chars.append(per_job)
+        plain, long_line = prompt_chars
+        assert all(late <= 2 * base for base, late in zip(plain, long_line))
 
 
 class TestParse:
