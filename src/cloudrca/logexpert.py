@@ -27,6 +27,13 @@ DEFAULT_WINDOW = 200
 DEFAULT_TAU = 1.0
 DEFAULT_MAX_PROMPT_LEN = 8000
 
+_CHUNK_HEADER = "\n\n" + prompts.LOG_CHUNK_DELIMITER
+# the characters of log text one chunk prompt holds: the prompt budget less
+# the instruction and the chunk's delimiter
+CHUNK_BUDGET = (
+    DEFAULT_MAX_PROMPT_LEN - len(prompts.LOG_ANALYSIS_INSTRUCTION) - len(_CHUNK_HEADER)
+)
+
 NO_EVIDENCE_SENTINEL = "No analyzable evidence found."
 
 
@@ -55,24 +62,45 @@ def split_log(log: str) -> list[str]:
 _PAIR_BLOCK = 8192
 
 
+def _successors(x: np.ndarray, top: int, bottom: int, reach: int) -> np.ndarray:
+    """The reach successors of rows top ... bottom - 1 of a C-ordered (n, d)
+    array, as a (bottom - top, reach, d) strided view whose [k, m] is row
+    top + k + 1 + m.  When the window runs past the last row, the view reads
+    a zero-padded copy of the block's own rows instead, never of all n."""
+    n, width = x.shape
+    col = x.itemsize
+    row = col * width
+    if bottom + reach <= n:
+        source, offset = x, (top + 1) * row
+    else:
+        source, offset = np.zeros((bottom - top + reach, width), x.dtype), 0
+        source[: n - top - 1] = x[top + 1 :]
+    return np.ndarray(
+        (bottom - top, reach, width), x.dtype, source, offset, (row, row, col)
+    )
+
+
 def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph:
     """Edges between line pairs within DEFAULT_WINDOW lines; weight is cosine
     similarity decayed by exp(-distance / DEFAULT_TAU).  Non-positive weights
     are dropped.
 
-    Pairs are scored in i-major blocks, each with one batched product, which
-    gives np.dot's bits for every pair; a row's norm is the square root of its
-    own product, as np.linalg.norm computes it, and a pair with a zero row has
-    similarity 0.  Division, the decay (math.exp, once per distance) and the
-    tests are the same IEEE operations the per-pair cosine makes, so the edges
-    come out in the same order with the same weights."""
+    Pairs are scored in i-major blocks: np.vecdot takes each row against a
+    strided view of its reach successors, which gives np.dot's bits for every
+    pair and copies no row per pair; a block whose window runs past the last
+    line reads a zero-padded copy of its own rows.  A row's norm is the
+    square root of its own product, as np.linalg.norm computes it, and a pair
+    with a zero row has similarity 0.  Division, the decay (math.exp, once per
+    distance) and the tests are the same IEEE operations the per-pair cosine
+    makes, so the edges come out in the same order with the same weights."""
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
     reach = min(DEFAULT_WINDOW, n - 1)
     if reach < 1:
         return SimilarityGraph(n, [])
-    x = np.asarray(embeddings)
+    # the window views index the buffer of a C-ordered array
+    x = np.ascontiguousarray(embeddings)
     norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
     decay = np.array([0.0] + [math.exp(-d / DEFAULT_TAU) for d in range(1, reach + 1)])
     # every tuple holds the one int object of each of its vertices
@@ -81,12 +109,17 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
     rows_per_block = max(1, _PAIR_BLOCK // reach)
     for top in range(0, n - 1, rows_per_block):
         # pairs (i, i + 1) ... (i, i + reach) of each row i, cut at the end
-        rows = np.arange(top, min(top + rows_per_block, n - 1))
+        bottom = min(top + rows_per_block, n - 1)
+        rows = np.arange(top, bottom)
         first = np.repeat(rows, reach)
         second = (rows[:, None] + np.arange(1, reach + 1)).ravel()
         inside = second < n
         first, second = first[inside], second[inside]
-        dots = np.matmul(x[first][:, None, :], x[second][:, :, None])[:, 0, 0]
+        # the view is a temporary: a tail block's padded copy is freed before
+        # the next block makes its own
+        dots = np.vecdot(
+            x[top:bottom, None, :], _successors(x, top, bottom, reach)
+        ).ravel()[inside]
         lo, hi = norms[first], norms[second]
         sim = np.divide(
             dots, lo * hi, out=np.zeros_like(dots), where=(lo != 0) & (hi != 0)
@@ -394,15 +427,34 @@ def remove_overlaps(labels: Sequence[int]) -> list[int]:
     return _greedy_contiguous(labels)
 
 
+def _pieces(lines: Sequence[str], start: int, end: int) -> Iterable[tuple[int, int]]:
+    """lines[start:end] as consecutive (start, end) pieces, each filled line
+    by line while its joined text fits CHUNK_BUDGET; a line longer than the
+    budget is a piece of its own."""
+    size = -1
+    for i in range(start, end):
+        size += 1 + len(lines[i])
+        if size > CHUNK_BUDGET and i > start:
+            yield start, i
+            start, size = i, len(lines[i])
+    yield start, end
+
+
 def partition(log: str, backend: Backend) -> list[str]:
     """The log's lines cut into contiguous chunks; each chunk is returned as
-    its lines joined by newlines, in log order."""
+    its lines joined by newlines, in log order.  A cluster whose text would
+    not fit one chunk prompt is split into pieces that do, so every line
+    reaches the model whole unless the line alone is over the budget."""
     lines = split_log(log)
     if not lines:
         return []
     graph = build_graph(lines, backend.embed(lines))
     labels = remove_overlaps(louvain(graph))
-    return ["\n".join(lines[start:end]) for _, start, end in _runs(labels)]
+    return [
+        "\n".join(lines[start:end])
+        for _, first, last in _runs(labels)
+        for start, end in _pieces(lines, first, last)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +510,10 @@ class RetrievalStore:
 def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backend) -> str:
     """Greedy similarity-ordered example packing under a budget of
     DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
-    explicit delimiter, cut to fit the budget when it is too long."""
-    chunk_header = "\n\n" + prompts.LOG_CHUNK_DELIMITER
-    instruction = prompts.LOG_ANALYSIS_INSTRUCTION
-    base_len = len(instruction) + len(chunk_header)
-    chunk_text = chunk[: DEFAULT_MAX_PROMPT_LEN - base_len]
+    explicit delimiter, cut to CHUNK_BUDGET characters when it is longer."""
+    chunk_text = chunk[:CHUNK_BUDGET]
     body = []
-    used = base_len + len(chunk_text)
+    used = DEFAULT_MAX_PROMPT_LEN - CHUNK_BUDGET + len(chunk_text)
     if store is not None and store.examples:
         query = backend.embed([chunk])[0]
         for example in store.ranked(query):
@@ -476,7 +525,7 @@ def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backen
                 continue
             body.append(block)
             used += len(block)
-    return instruction + "".join(body) + chunk_header + chunk_text
+    return prompts.LOG_ANALYSIS_INSTRUCTION + "".join(body) + _CHUNK_HEADER + chunk_text
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import random
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cloudrca import logexpert
 from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, cosine, hash_embed
 from cloudrca.errors import ProtocolError, TransportError
 from cloudrca.logexpert import (
+    CHUNK_BUDGET,
     DEFAULT_MAX_PROMPT_LEN,
     DEFAULT_TAU,
     DEFAULT_WINDOW,
@@ -33,6 +35,7 @@ from cloudrca.logexpert import (
     split_log,
     summarize,
 )
+from cloudrca.mockpolicy import PolicyBackend
 from cloudrca.textdist import levenshtein
 
 from test_backends import embeddings_backend
@@ -362,19 +365,36 @@ class TestBuildGraph:
         assert got.edges == expected.edges
 
     def test_batched_product_is_dot_and_its_root_is_norm_bit_for_bit(self):
-        # build_graph rests on this: NumPy's stacked vector product runs the
-        # inner loop np.dot runs, which no documentation promises
+        # build_graph rests on this: np.vecdot of a row against a strided view
+        # of its successors runs the inner loop np.dot runs, and the stacked
+        # product of a row with itself gives the bits of np.linalg.norm once
+        # rooted; no documentation promises either
         lines = _two_template_lines(random.Random(12), 150) + [
             "ERROR executor 7 lost heartbeat", "INFO task 3 checkpoint ok", "😀 x"
         ]
-        x = hash_embed(lines)
-        first, second = np.triu_indices(len(lines), k=1)
-        batched = np.matmul(x[first][:, None, :], x[second][:, :, None])[:, 0, 0]
-        looped = np.array([np.dot(x[i], x[j]) for i, j in zip(first, second)])
-        assert np.array_equal(batched.view(np.int64), looped.view(np.int64))
-        roots = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
-        norms = np.array([np.linalg.norm(row) for row in x])
-        assert np.array_equal(roots.view(np.int64), norms.view(np.int64))
+        hashed = hash_embed(lines)
+        for k in (0, 75, 152):
+            hashed[k] = 0.0
+        signed = np.random.default_rng(12).uniform(-1, 1, (DEFAULT_WINDOW + 30, 1536))
+        for x in (hashed, signed):
+            n = len(x)
+            reach = min(DEFAULT_WINDOW, n - 1)
+            padded = np.concatenate([x, np.zeros((reach, x.shape[1]))])
+            # windows[i, m] is row i + 1 + m, a view with strides (row, row, col)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                padded[1:], reach, axis=0
+            ).transpose(0, 2, 1)[: n - 1]
+            assert windows.strides == (padded.strides[0],) * 2 + (padded.strides[1],)
+            dots = np.vecdot(x[: n - 1, None, :], windows)
+            first, second = np.triu_indices(n, k=1)
+            near = second - first <= reach
+            first, second = first[near], second[near]
+            vectored = dots[first, second - first - 1]
+            looped = np.array([np.dot(x[i], x[j]) for i, j in zip(first, second)])
+            assert np.array_equal(vectored.view(np.int64), looped.view(np.int64))
+            roots = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+            norms = np.array([np.linalg.norm(row) for row in x])
+            assert np.array_equal(roots.view(np.int64), norms.view(np.int64))
 
     def test_edges_equal_the_per_edge_loop_across_pair_blocks(self, monkeypatch):
         lines = _two_template_lines(random.Random(31), 300)
@@ -389,6 +409,44 @@ class TestBuildGraph:
         for block in (logexpert._PAIR_BLOCK, 7, 2 * DEFAULT_WINDOW + 5):
             monkeypatch.setattr(logexpert, "_PAIR_BLOCK", block)
             assert build_graph(lines, embeddings).edges == expected.edges
+
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_edges_equal_the_per_edge_loop_at_the_window_end(self, extra):
+        # n = DEFAULT_WINDOW leaves the reach one short of the window; at
+        # DEFAULT_WINDOW + 1 the first row's window ends on the last line, and
+        # at DEFAULT_WINDOW + 2 it ends one line before it
+        lines = _two_template_lines(random.Random(extra), DEFAULT_WINDOW + extra)
+        embeddings = hash_embed(lines)
+        embeddings[-1] = 0.0
+        expected = per_edge_build_graph(lines, embeddings, DEFAULT_WINDOW, DEFAULT_TAU)
+        assert build_graph(lines, embeddings).edges == expected.edges
+
+    def test_edges_do_not_depend_on_the_memory_layout(self):
+        lines = _two_template_lines(random.Random(17), 260)
+        embeddings = hash_embed(lines)
+        expected = build_graph(lines, embeddings).edges
+        assert expected
+        interleaved = np.zeros((len(lines), 2 * embeddings.shape[1]))
+        interleaved[:, ::2] = embeddings
+        for layout in (np.asfortranarray(embeddings), interleaved[:, ::2]):
+            assert not layout.flags.c_contiguous
+            assert build_graph(lines, layout).edges == expected
+
+    def test_transient_memory_does_not_grow_with_the_embedding_width(self):
+        # the window views copy no row per pair: only a tail block's padded
+        # rows, at most one block's worth, scale with the width
+        lines = ["line"] * 1000
+        rows = np.random.default_rng(4).uniform(-1, 1, (len(lines), 64))
+        peaks = {}
+        for width in (64, 512):
+            embeddings = np.tile(rows, width // 64)
+            tracemalloc.start()
+            try:
+                build_graph(lines, embeddings)
+                peaks[width] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] - peaks[64] < 2 * 2**20, peaks
 
     def test_edges_share_one_int_per_vertex(self):
         # a million edges on a 10,000-line log hold two ints each; sharing
@@ -666,6 +724,50 @@ class TestPartition:
         assert all(chunks)
         covered = [line for chunk in chunks for line in chunk.split("\n")]
         assert covered == split_log(log)
+
+
+def _long_line_log() -> list[str]:
+    """40 lines of 300 characters, whose only anomaly marker is one ERROR
+    line at index 35."""
+    lines = [f"INFO step {i:02d} ".ljust(300, "x") for i in range(40)]
+    lines[35] = "ERROR step 35 disk quota exceeded on node n7 ".ljust(300, "x")
+    return lines
+
+
+class TestChunkBudget:
+    def test_the_budget_is_the_prompt_less_its_fixed_text(self):
+        assert CHUNK_BUDGET == 7676
+        chunk = "y" * CHUNK_BUDGET
+        packed = pack_icl_prompt(chunk, None, MockBackend())
+        assert packed.endswith(chunk)
+        assert len(packed) == DEFAULT_MAX_PROMPT_LEN
+
+    def test_one_cluster_is_split_into_pieces_that_fit(self, monkeypatch):
+        monkeypatch.setattr(logexpert, "louvain", lambda graph: [0] * graph.n)
+        lines = _long_line_log()
+        chunks = partition("\n".join(lines), MockBackend())
+        assert len(chunks) > 1
+        assert all(len(chunk) <= CHUNK_BUDGET for chunk in chunks)
+        # every line exactly once, whole and in order
+        assert [line for chunk in chunks for line in chunk.split("\n")] == lines
+
+    def test_a_line_over_the_budget_is_a_piece_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(logexpert, "louvain", lambda graph: [0] * graph.n)
+        giant = "WARN " + "z" * 9000
+        lines = ["INFO a", "INFO b", giant, "INFO c"]
+        chunks = partition("\n".join(lines), MockBackend())
+        assert chunks == ["INFO a\nINFO b", giant, "INFO c"]
+        packed = pack_icl_prompt(giant, None, MockBackend())
+        assert packed.endswith(giant[: CHUNK_BUDGET])
+        assert len(packed) == DEFAULT_MAX_PROMPT_LEN
+
+    def test_an_error_line_past_the_old_cut_is_quoted(self, monkeypatch):
+        # one 12,039-character chunk used to be cut after 7,676 characters,
+        # about line 25, and the ERROR line at 35 never reached the model
+        monkeypatch.setattr(logexpert, "louvain", lambda graph: [0] * graph.n)
+        lines = _long_line_log()
+        out = run_log_expert(PolicyBackend(), "\n".join(lines))
+        assert f"Evidence: {lines[35]}" in out
 
 
 class TestPackIcl:
