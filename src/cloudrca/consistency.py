@@ -126,9 +126,7 @@ def aggregate(
             return aggregate_with_llm(texts, backend)
     else:
         raise ValueError(f"unknown aggregation method: {method!r}")
-    fields = [
-        [c.result.field_text(name) for c in candidates] for name in TEXT_FIELDS
-    ]
+    fields = [[getattr(c.result, name) for c in candidates] for name in TEXT_FIELDS]
     merged = dict(zip(TEXT_FIELDS, overlapped(pick, fields)))
     merged["responsibility"] = _majority_responsibility(
         [c.result.responsibility for c in candidates]

@@ -251,10 +251,11 @@ _EXACT_VERTEX_LIMIT = 8
 
 
 @functools.lru_cache(maxsize=_EXACT_VERTEX_LIMIT + 1)
-def _labellings(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _labellings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every labelling of n vertices in restricted-growth order, as a
-    (Bell(n), n) int8 array, and its same-community matrix: 1.0 where a
-    labelling puts vertex pair i < j (``np.triu_indices`` order) together."""
+    (Bell(n), n) int8 array; its same-community matrix, 1.0 where a
+    labelling puts vertex pair i < j together; and the pairs' first and
+    second vertices, in ``np.triu_indices`` order."""
     rows = [[0]] if n else [[]]
     for _ in range(1, n):
         rows = [row + [lab] for row in rows for lab in range(max(row) + 2)]
@@ -262,9 +263,9 @@ def _labellings(n: int) -> tuple[np.ndarray, np.ndarray]:
     first, second = np.triu_indices(n, k=1)
     same = (labels[:, first] == labels[:, second]).astype(np.float64)
     # every caller shares the cached arrays
-    labels.setflags(write=False)
-    same.setflags(write=False)
-    return labels, same
+    for array in (labels, same, first, second):
+        array.setflags(write=False)
+    return labels, same, first, second
 
 
 def _exact_partition(graph: SimilarityGraph) -> list[int]:
@@ -286,8 +287,7 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
         weight[i, j] += w
     pair = weight + weight.T
     d = pair.sum(axis=1)
-    first, second = np.triu_indices(n, k=1)
-    labels, same = _labellings(n)
+    labels, same, first, second = _labellings(n)
     internal, cross = (
         same @ np.column_stack((pair[first, second], d[first] * d[second]))
     ).T

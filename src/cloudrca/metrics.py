@@ -73,7 +73,7 @@ def mean_trajectory_length(trajectories: Sequence[Trajectory]) -> float:
     return sum(len(t.steps) for t in trajectories) / len(trajectories)
 
 
-@dataclass
+@dataclass(slots=True)
 class JobOutcome:
     job_id: str
     trajectory: Trajectory
@@ -100,7 +100,7 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
     ]
     if scored:
         pairs = {
-            name: [(p.field_text(name), r.field_text(name)) for p, r in scored]
+            name: [(getattr(p, name), getattr(r, name)) for p, r in scored]
             for name in TEXT_FIELDS
         }
         texts = [text for field in pairs.values() for pair in field for text in pair]
@@ -150,8 +150,8 @@ def export_predictions(outcomes: Sequence[JobOutcome], path: str):
                         {
                             "job_id": o.job_id,
                             "field": name,
-                            "prediction": prediction.field_text(name),
-                            "reference": o.reference.field_text(name),
+                            "prediction": getattr(prediction, name),
+                            "reference": getattr(o.reference, name),
                         },
                         sort_keys=True,
                     )

@@ -95,6 +95,7 @@ _SINGLE_TURN = {
 }
 
 
+# not slotted: the benchmark tracer rebinds complete/embed on instances
 @dataclass
 class PolicyBackend:
     """Deterministic diagnosis policy over the sandbox toolset."""

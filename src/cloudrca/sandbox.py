@@ -30,13 +30,13 @@ def _ts(offset: int) -> str:
     return f"T{_BASE_TS + offset:012d}"
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
     timestamp: str
     text: str
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     job_id: str
     detection_time: str

@@ -17,7 +17,7 @@ TEXT_FIELDS = RESULT_FIELDS[:-1]
 RESPONSIBILITIES = {"user": "User", "platform": "Platform"}  # by lower-cased text
 
 
-@dataclass
+@dataclass(slots=True)
 class ToolCall:
     function: str
     kwargs: dict = field(default_factory=dict)
@@ -32,7 +32,7 @@ class ToolCall:
         return json.dumps(self.kwargs, sort_keys=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class AnalysisResult:
     root_cause: str = UNCLEAR
     solution: str = UNCLEAR
@@ -55,11 +55,8 @@ class AnalysisResult:
         values["responsibility"] = RESPONSIBILITIES.get(responsibility, UNCLEAR)
         return cls(**values)
 
-    def field_text(self, name: str) -> str:
-        return getattr(self, name)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     thought: str
     action: Optional[ToolCall]
@@ -81,7 +78,7 @@ class Step:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     steps: list[Step] = field(default_factory=list)
     result: Optional[AnalysisResult] = None

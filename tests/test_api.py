@@ -1,13 +1,19 @@
 """The package's public surface: every exported name must resolve, and so
 must every lookup name the benchmark's tracer binds; no module of the
 package or of the tests keeps an import it never uses, no module
-encodes text so that a lone surrogate raises, and only two functions of the
-package open a thread pool."""
+encodes text so that a lone surrogate raises, only two functions of the
+package open a thread pool, and the records a batch keeps per job are
+slotted."""
 
 import ast
 import pathlib
 
+import pytest
+
 import cloudrca
+from cloudrca.metrics import JobOutcome
+from cloudrca.sandbox import JobRecord, LogEntry
+from cloudrca.trajectory import AnalysisResult, Step, ToolCall, Trajectory
 from perfbench.tracer import Tracer
 
 
@@ -111,3 +117,30 @@ def test_only_overlapped_and_batch_open_thread_pools():
     package = pathlib.Path(cloudrca.__file__).parent
     openers = [name for path in sorted(package.glob("*.py")) for name in _pool_openers(path)]
     assert openers == ["backends.overlapped", "cli.cmd_batch"]
+
+
+# one instance of each record type a run or a batch keeps per job
+_RECORDS = [
+    LogEntry("2024-01-01 00:00:00", "line"),
+    JobRecord("job", "2024-01-01 00:00:00", "scenario", AnalysisResult()),
+    ToolCall("read_log", {"source": "runtime"}),
+    Step("thought", ToolCall("read_log"), "observation"),
+    AnalysisResult(),
+    Trajectory(),
+    JobOutcome("job", Trajectory(), AnalysisResult()),
+]
+
+
+@pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+def test_per_job_records_are_slotted(record):
+    # an instance __dict__ costs every kept record; a new attribute must be
+    # declared as a field
+    assert "__slots__" in type(record).__dict__
+    assert not hasattr(record, "__dict__")
+
+
+def test_policy_backend_accepts_rebound_model_calls():
+    # the benchmark tracer wraps complete and embed on each policy instance
+    policy = cloudrca.PolicyBackend()
+    policy.complete = policy.complete
+    assert "complete" in vars(policy)

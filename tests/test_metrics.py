@@ -204,7 +204,7 @@ class TestBuildReport:
         scored = [o for o in outcomes if o.reference is not None]
         for name in ("root_cause", "solution", "evidence"):
             pairs = [
-                (fill_baseline(o.prediction).field_text(name), o.reference.field_text(name))
+                (getattr(fill_baseline(o.prediction), name), getattr(o.reference, name))
                 for o in scored
             ]
             emb = [emb_score(p, r, scorer) for p, r in pairs]

@@ -64,7 +64,7 @@ class TestGenerator:
             gt = record.ground_truth
             assert gt.responsibility in ("User", "Platform")
             for name in ("root_cause", "solution", "evidence"):
-                assert gt.field_text(name).strip()
+                assert getattr(gt, name).strip()
 
     def test_hidden_entries_exist_on_disk(self, sandbox):
         # each level carries two post-detection entries in the raw files
