@@ -558,11 +558,20 @@ def filter_evidence(pairs: list[tuple[str, str]], chunk: str) -> list[tuple[str,
 
 
 def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str, str]:
+    """One summary of the kept pairs.  Its user prompt holds at most
+    DEFAULT_MAX_PROMPT_LEN characters: the pairs go in chunk order, a pair
+    that would overrun the budget is left out, and when none fits the first
+    one goes alone, cut to the budget."""
     if not kept_pairs:
         return NO_EVIDENCE_SENTINEL, ""
-    listing = "\n\n".join(
-        f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs
-    )
+    budget = DEFAULT_MAX_PROMPT_LEN - len(prompts.LOG_SUMMARY_INSTRUCTION) - 2
+    blocks = [f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs]
+    listed, used = [], -2  # the first block takes no separator
+    for block in blocks:
+        if used + 2 + len(block) <= budget:
+            listed.append(block)
+            used += 2 + len(block)
+    listing = "\n\n".join(listed) or blocks[0][:budget]
     raw = ask(
         backend,
         prompts.LOG_SUMMARY_SYSTEM,

@@ -3,7 +3,7 @@ records, three-level logs, advisor history, a toy code repo, ground truth)
 and the information-gathering tools bound to them.
 
 Tools only ever return entries timestamped strictly before the anomaly's
-detection time.
+detection time: the loader keeps no other entry.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
@@ -31,19 +31,15 @@ def _ts(offset: int) -> str:
 
 
 @dataclass(slots=True)
-class LogEntry:
-    timestamp: str
-    text: str
-
-
-@dataclass(slots=True)
 class JobRecord:
     job_id: str
     detection_time: str
     scenario_id: str
     ground_truth: AnalysisResult
-    logs: dict[str, list[LogEntry]] = field(default_factory=dict)
-    advisor: list[LogEntry] = field(default_factory=list)
+    # what the tools return: the texts of the entries timestamped strictly
+    # before detection_time, joined by newlines; later entries are not kept
+    logs: dict[str, str] = field(default_factory=dict)
+    advisor: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +289,31 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
 # Loading and tool binding
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
+def _read_jsonl(path: str) -> Iterator[tuple[str, str]]:
+    """The (timestamp, text) of each entry of a JSONL file (UTF-8, one
+    entry per "\\n"-ended line), in file order; a line that is not an object
+    with string ``timestamp`` and ``text`` raises ValueError naming
+    ``path:line``."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            if not isinstance(entry, dict):
+                raise ValueError(f"{path}:{number}: entry is not an object")
+            for key in ("timestamp", "text"):
+                if not isinstance(entry.get(key), str):
+                    raise ValueError(f"{path}:{number}: entry has no string {key!r}")
+            yield entry["timestamp"], entry["text"]
+
+
+def _text_before(path: str, detection_time: str) -> str:
+    return "\n".join(
+        text for timestamp, text in _read_jsonl(path) if timestamp < detection_time
+    )
 
 
 class Sandbox:
@@ -353,29 +367,19 @@ class Sandbox:
             scenario_id=gt["scenario_id"],
             ground_truth=AnalysisResult.from_dict(gt),
         )
+        cut = record.detection_time
         for level in LOG_LEVELS:
-            entries = _read_jsonl(os.path.join(job_dir, f"logs.{level}.jsonl"))
-            record.logs[level] = [LogEntry(e["timestamp"], e["text"]) for e in entries]
-        advisor = _read_jsonl(os.path.join(job_dir, "advisor.jsonl"))
-        record.advisor = [LogEntry(e["timestamp"], e["text"]) for e in advisor]
+            record.logs[level] = _text_before(
+                os.path.join(job_dir, f"logs.{level}.jsonl"), cut
+            )
+        record.advisor = _text_before(os.path.join(job_dir, "advisor.jsonl"), cut)
         return record
 
-    def _entries_before_detection(
-        self, record: JobRecord, entries: list[LogEntry]
-    ) -> list[str]:
-        return [
-            e.text for e in entries if e.timestamp < record.detection_time
-        ]
-
     def log_text(self, job_id: str, level: str) -> str:
-        record = self.job(job_id)
-        return "\n".join(
-            self._entries_before_detection(record, record.logs[level])
-        )
+        return self.job(job_id).logs[level]
 
     def advisor_text(self, job_id: str) -> str:
-        record = self.job(job_id)
-        return "\n".join(self._entries_before_detection(record, record.advisor))
+        return self.job(job_id).advisor
 
     def build_registry(
         self, backend: Backend, retrieval_store: Optional[RetrievalStore] = None

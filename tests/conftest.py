@@ -1,4 +1,6 @@
 import contextlib
+import json
+import os
 import threading
 import time
 from collections import Counter
@@ -19,6 +21,14 @@ def scenario_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def sandbox(scenario_dir):
     return Sandbox(scenario_dir)
+
+
+def job_entries(bundle_dir: str, job_id: str, name: str) -> list[dict]:
+    """The entries of one of a job's JSONL files (``logs.<level>`` or
+    ``advisor``), read from the bundle itself, post-detection ones included."""
+    path = os.path.join(bundle_dir, job_id, f"{name}.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ from cloudrca.snapshots import SnapshotStore, render_head
 from cloudrca.structured import STAGE_FAILED, json_regen
 from cloudrca.textdist import levenshtein
 
-from conftest import make_config
+from conftest import job_entries, make_config
 from test_consistency import DetourBackend, VariantBackend, _registry_factory
 from test_logexpert import (
     best_partition_oracle,
@@ -302,32 +302,30 @@ def test_criterion_09_temporal_soundness(tmp_path):
     generate_scenarios(seed=99, count=200, out_dir=str(out))
     sandbox = Sandbox(str(out))
     registry = sandbox.build_registry(PolicyBackend())
-    info_tools = ("runtime_log", "platform_log", "infra_log", "advisor_history")
-    level_for = {
-        "runtime_log": "runtime",
-        "platform_log": "platform",
-        "infra_log": "infrastructure",
+    source_for = {
+        "runtime_log": "logs.runtime",
+        "platform_log": "logs.platform",
+        "infra_log": "logs.infrastructure",
+        "advisor_history": "advisor",
     }
     for job_id in sandbox.job_ids:
-        record = sandbox.job(job_id)
+        detection_time = sandbox.job(job_id).detection_time
+        entries = {
+            name: job_entries(str(out), job_id, source)
+            for name, source in source_for.items()
+        }
         late = {
-            entry.text
-            for entries in list(record.logs.values()) + [record.advisor]
-            for entry in entries
-            if entry.timestamp >= record.detection_time
+            e["text"]
+            for listed in entries.values()
+            for e in listed
+            if e["timestamp"] >= detection_time
         }
         assert late  # the generator plants post-detection entries
-        for name in info_tools:
+        for name, listed in entries.items():
             observed = registry.handler(name)({"job_id": job_id})
             for line in observed.splitlines():
                 assert line not in late
-            if name in level_for:
-                source = record.logs[level_for[name]]
-            else:
-                source = record.advisor
-            expected = [
-                e.text for e in source if e.timestamp < record.detection_time
-            ]
+            expected = [e["text"] for e in listed if e["timestamp"] < detection_time]
             assert observed == "\n".join(expected)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import cloudrca
 from cloudrca.metrics import JobOutcome
-from cloudrca.sandbox import JobRecord, LogEntry
+from cloudrca.sandbox import JobRecord
 from cloudrca.trajectory import AnalysisResult, Step, ToolCall, Trajectory
 from perfbench.tracer import Tracer
 
@@ -121,7 +121,6 @@ def test_only_overlapped_and_batch_open_thread_pools():
 
 # one instance of each record type a run or a batch keeps per job
 _RECORDS = [
-    LogEntry("2024-01-01 00:00:00", "line"),
     JobRecord("job", "2024-01-01 00:00:00", "scenario", AnalysisResult()),
     ToolCall("read_log", {"source": "runtime"}),
     Step("thought", ToolCall("read_log"), "observation"),

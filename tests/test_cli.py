@@ -612,6 +612,20 @@ class TestBatchJobFailure:
         assert "JSONDecodeError" in rows[job_ids[1]]["diagnostic"]
         assert rows[job_ids[0]]["passed"] and rows[job_ids[2]]["passed"]
 
+    def test_log_entry_without_timestamp_names_its_line_in_the_failed_row(self, runner, tmp_path):
+        bundle = tmp_path / "bundle"
+        job_ids = generate_scenarios(seed=77, count=2, out_dir=str(bundle))
+        path = bundle / job_ids[1] / "logs.runtime.jsonl"
+        path.write_text('{"text": "INFO no timestamp"}\n' + path.read_text())
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["batch", "--scenarios", str(bundle), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = {row["job_id"]: row for row in json.loads((out / "report.json").read_text())["jobs"]}
+        assert rows[job_ids[1]]["diagnostic"] == (
+            f"job failed: ValueError: {path}:1: entry has no string 'timestamp'"
+        )
+        assert rows[job_ids[0]]["passed"]
+
 
 class TestReplay:
     def _diagnose(self, runner, scenario_dir, out, job_id):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import threading
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrca import logexpert
+from cloudrca import logexpert, prompts
 from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, cosine, hash_embed
 from cloudrca.errors import ProtocolError, TransportError
 from cloudrca.logexpert import (
@@ -920,6 +921,69 @@ class TestSummarize:
         interpretation, evidence = summarize(be, [("disk failed", "ERROR disk")])
         assert interpretation == "disk failed"
         assert evidence == "ERROR disk"
+
+    @staticmethod
+    def _prompt(pairs) -> str:
+        backend = MockBackend(['{"interpretation": "x"}'])
+        summarize(backend, pairs)
+        [call] = backend.calls
+        return call.exchange.messages[0][1]
+
+    def test_a_listing_that_fits_is_sent_whole(self):
+        pairs = [("disk failed", "ERROR disk"), ("net slow", "WARN net")]
+        assert self._prompt(pairs) == (
+            f"{prompts.LOG_SUMMARY_INSTRUCTION}\n\n"
+            "Interpretation: disk failed\nEvidence: ERROR disk\n\n"
+            "Interpretation: net slow\nEvidence: WARN net"
+        )
+
+    def test_the_prompt_stays_within_budget_as_pairs_grow(self):
+        pairs = [(f"finding {i}", f"ERROR line {i}") for i in range(2_000)]
+        prompt = self._prompt(pairs)
+        assert len(prompt) <= DEFAULT_MAX_PROMPT_LEN
+        listed = re.findall(r"^Interpretation: (.*)$", prompt, re.MULTILINE)
+        assert len(listed) > 100
+        assert listed == [r for r, _ in pairs[: len(listed)]]
+        assert prompt.endswith(f"Evidence: {pairs[len(listed) - 1][1]}")
+
+    def test_a_pair_over_the_budget_gives_way_to_later_ones(self):
+        line = "WARN payload " + "x" * 7_667
+        pairs = [("disk failed", "ERROR disk"), (line, line), ("net slow", "WARN net")]
+        prompt = self._prompt(pairs)
+        assert len(prompt) <= DEFAULT_MAX_PROMPT_LEN
+        assert line not in prompt
+        assert prompt.endswith(
+            "Interpretation: disk failed\nEvidence: ERROR disk\n\n"
+            "Interpretation: net slow\nEvidence: WARN net"
+        )
+
+    def test_one_pair_always_reaches_the_model_cut_to_the_budget(self):
+        line = "WARN payload " + "x" * 20_000
+        whole = f"{prompts.LOG_SUMMARY_INSTRUCTION}\n\nInterpretation: {line}\nEvidence: {line}"
+        assert self._prompt([(line, line), (line, line)]) == whole[:DEFAULT_MAX_PROMPT_LEN]
+
+    def test_a_long_log_line_leaves_the_summary_within_budget(self):
+        # the chunk analysis quotes a 200,000-char line cut to the chunk
+        # budget as interpretation and evidence; the error still leads
+        error = "ERROR org.apache.flink - SocketTimeoutException: es-node-12"
+        log = "\n".join(["INFO start", "WARN  payload " + "x" * 200_000, error])
+        backend = PolicyBackend()
+        calls = []
+        real_complete = backend.complete
+
+        def complete(exchange, params):
+            calls.append(exchange)
+            return real_complete(exchange, params)
+
+        backend.complete = complete
+        out = run_log_expert(backend, log)
+        [summary] = [
+            exchange.messages[0][1]
+            for exchange in calls
+            if exchange.system_prompt == prompts.LOG_SUMMARY_SYSTEM
+        ]
+        assert len(summary) <= DEFAULT_MAX_PROMPT_LEN
+        assert out.endswith(f"Evidence: {error}")
 
 
 class TestRunLogExpert:

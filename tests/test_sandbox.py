@@ -3,9 +3,12 @@ soundness of every tool output, and registry composition."""
 
 import collections
 import filecmp
+import gc
 import inspect
 import json
 import os
+import re
+import tracemalloc
 
 import pytest
 
@@ -15,6 +18,8 @@ from cloudrca.cli import RunSettings, _make_backend, run_job
 from cloudrca.codeexpert import find_class_file
 from cloudrca.errors import ConfigurationError
 from cloudrca.sandbox import LOG_LEVELS
+
+from conftest import job_entries
 
 HIDDEN_MARKER = "post-detection entry (must stay hidden)"
 
@@ -68,25 +73,27 @@ class TestGenerator:
 
     def test_hidden_entries_exist_on_disk(self, sandbox):
         # each level carries two post-detection entries in the raw files
-        record = sandbox.job(sandbox.job_ids[0])
+        job_id = sandbox.job_ids[0]
+        detection_time = sandbox.job(job_id).detection_time
         for level in LOG_LEVELS:
-            hidden = [e for e in record.logs[level] if HIDDEN_MARKER in e.text]
+            entries = job_entries(sandbox.root, job_id, f"logs.{level}")
+            hidden = [e for e in entries if HIDDEN_MARKER in e["text"]]
             assert len(hidden) == 2
             for entry in hidden:
-                assert entry.timestamp >= record.detection_time
+                assert entry["timestamp"] >= detection_time
 
 
 class TestTemporalSoundness:
     def test_log_text_cuts_at_detection(self, sandbox):
         for job_id in sandbox.job_ids:
-            record = sandbox.job(job_id)
+            detection_time = sandbox.job(job_id).detection_time
             for level in LOG_LEVELS:
                 text = sandbox.log_text(job_id, level)
                 assert HIDDEN_MARKER not in text
                 visible = [
-                    e.text
-                    for e in record.logs[level]
-                    if e.timestamp < record.detection_time
+                    e["text"]
+                    for e in job_entries(sandbox.root, job_id, f"logs.{level}")
+                    if e["timestamp"] < detection_time
                 ]
                 assert text == "\n".join(visible)
 
@@ -215,6 +222,57 @@ class TestSandboxLoading:
                 fresh.job(job_id)
         advisor.write_text(good)
         assert fresh.job(job_id).advisor
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"{not json", "Expecting property name"),
+            (b'{"timestamp": "T000000000001", "text": "\xff"}', "can't decode byte 0xff"),
+            (b'["T000000000001", "text"]', "entry is not an object"),
+            (b'{"text": "x"}', "entry has no string 'timestamp'"),
+            (b'{"timestamp": 17, "text": "x"}', "entry has no string 'timestamp'"),
+            (b'{"timestamp": "T000000000001"}', "entry has no string 'text'"),
+            (b'{"timestamp": "T000000000001", "text": null}', "entry has no string 'text'"),
+        ],
+        ids=["not-json", "not-utf-8", "not-object", "no-timestamp", "int-timestamp", "no-text", "null-text"],
+    )
+    def test_malformed_entry_names_its_file_and_line(self, tmp_path, line, reason):
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=5, count=1, out_dir=str(bundle))
+        path = bundle / job_id / "logs.platform.jsonl"
+        lines = path.read_bytes().splitlines()
+        # a blank line still counts in the numbering
+        lines[1:1] = [b"", line]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        fresh = Sandbox(str(bundle))
+        for _ in range(2):  # a failed load is not cached
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
+                fresh.job(job_id)
+
+
+class TestRetainedMemory:
+    def test_a_loaded_job_keeps_little_beyond_its_tool_visible_text(self, tmp_path):
+        # post-detection entries and per-entry records are never kept
+        generate_scenarios(seed=1234, count=50, out_dir=str(tmp_path / "bundle"))
+        bundle = Sandbox(str(tmp_path / "bundle"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for job_id in bundle.job_ids:
+                bundle.job(job_id)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        visible = sum(
+            len(text.encode("utf-8"))
+            for job_id in bundle.job_ids
+            for text in [
+                *(bundle.log_text(job_id, level) for level in LOG_LEVELS),
+                bundle.advisor_text(job_id),
+            ]
+        )
+        assert retained <= visible + 2048 * len(bundle.job_ids)
 
 
 class TestPolicyRouting:
