@@ -10,7 +10,6 @@ edit-distance acceptance test, and summarize the survivors.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import prompts
 from .backends import Backend, ask, cosine, overlapped
-from .structured import json_regen
+from .structured import json_regen, read_jsonl
 from .textdist import levenshtein
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
@@ -485,17 +484,15 @@ class RetrievalStore:
         deny_filter: Optional[Callable[[dict], bool]] = None,
     ) -> int:
         """Load {example, answer} records; records for which deny_filter
-        returns True are skipped (e.g. labeling rules must stay out)."""
+        returns True are skipped (e.g. labeling rules must stay out).  A
+        line that is not a UTF-8 JSON object with string ``example`` and
+        ``answer`` raises ValueError naming ``path:line``."""
         added = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if deny_filter is not None and deny_filter(record):
-                    continue
-                self.add(record["example"], record["answer"])
-                added += 1
+        for record in read_jsonl(path, ("example", "answer")):
+            if deny_filter is not None and deny_filter(record):
+                continue
+            self.add(record["example"], record["answer"])
+            added += 1
         return added
 
     def ranked(self, query: np.ndarray) -> list[RetrievalExample]:

@@ -8,20 +8,45 @@ detection time: the loader keeps no other entry.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
 from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
-from .tools import KIND_INFO, ToolParam, ToolRegistry, ToolSpec, finalize_spec
+from .structured import checked_entry, read_jsonl
+from .tools import ToolParam, ToolRegistry, ToolSpec, finalize_spec
 from .trajectory import AnalysisResult
 
 LOG_LEVELS = ("platform", "runtime", "infrastructure")
+
+# each information tool returns the pre-detection text of one bundle file
+INFO_TOOLS = {
+    "runtime_log": (
+        "logs.runtime.jsonl",
+        "Fetch the runtime-level logs of a job "
+        "(task manager and job manager output).",
+    ),
+    "platform_log": (
+        "logs.platform.jsonl",
+        "Fetch the platform-level logs of a job "
+        "(control plane and deployment events).",
+    ),
+    "infra_log": (
+        "logs.infrastructure.jsonl",
+        "Fetch the infrastructure-level logs of a job "
+        "(cluster, scheduler, and node events).",
+    ),
+    "advisor_history": (
+        "advisor.jsonl",
+        "Fetch prior advisor-service diagnosis records for a job.",
+    ),
+}
 
 _BASE_TS = 1_750_000_000  # fixed epoch origin for deterministic timestamps
 
@@ -36,10 +61,9 @@ class JobRecord:
     detection_time: str
     scenario_id: str
     ground_truth: AnalysisResult
-    # what the tools return: the texts of the entries timestamped strictly
-    # before detection_time, joined by newlines; later entries are not kept
-    logs: dict[str, str] = field(default_factory=dict)
-    advisor: str = ""
+    # what each INFO_TOOLS tool returns: its file's entry texts timestamped
+    # strictly before detection_time, joined by newlines; no later entry is kept
+    texts: dict[str, str] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +313,27 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
 # Loading and tool binding
 
 
-def _read_jsonl(path: str) -> Iterator[tuple[str, str]]:
-    """The (timestamp, text) of each entry of a JSONL file (UTF-8, one
-    entry per "\\n"-ended line), in file order; a line that is not an object
-    with string ``timestamp`` and ``text`` raises ValueError naming
-    ``path:line``."""
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # UnicodeDecodeError included
-                raise ValueError(f"{path}:{number}: {exc}") from None
-            if not isinstance(entry, dict):
-                raise ValueError(f"{path}:{number}: entry is not an object")
-            for key in ("timestamp", "text"):
-                if not isinstance(entry.get(key), str):
-                    raise ValueError(f"{path}:{number}: entry has no string {key!r}")
-            yield entry["timestamp"], entry["text"]
+# the entries of a bundle JSONL file; see structured.read_jsonl
+_read_jsonl = functools.partial(read_jsonl, keys=("timestamp", "text"))
+
+
+def _read_ground_truth(path: str) -> dict:
+    """A job's ground truth; a file that is not a UTF-8 JSON object with
+    string ``detection_time`` and ``scenario_id`` raises ValueError naming
+    ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            gt = json.load(fh)
+    except json.JSONDecodeError as exc:  # keeps its type, which a batch row shows
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return checked_entry(gt, ("detection_time", "scenario_id"), path)
 
 
 def _text_before(path: str, detection_time: str) -> str:
     return "\n".join(
-        text for timestamp, text in _read_jsonl(path) if timestamp < detection_time
+        entry["text"] for entry in _read_jsonl(path) if entry["timestamp"] < detection_time
     )
 
 
@@ -359,76 +380,33 @@ class Sandbox:
         gt_path = os.path.join(job_dir, "ground_truth.json")
         if not os.path.exists(gt_path):
             raise ConfigurationError(f"unknown job id: {job_id}")
-        with open(gt_path, "r", encoding="utf-8") as fh:
-            gt = json.load(fh)
-        record = JobRecord(
+        gt = _read_ground_truth(gt_path)
+        cut = gt["detection_time"]
+        return JobRecord(
             job_id=job_id,
-            detection_time=gt["detection_time"],
+            detection_time=cut,
             scenario_id=gt["scenario_id"],
             ground_truth=AnalysisResult.from_dict(gt),
+            texts={
+                name: _text_before(os.path.join(job_dir, filename), cut)
+                for name, (filename, _) in INFO_TOOLS.items()
+            },
         )
-        cut = record.detection_time
-        for level in LOG_LEVELS:
-            record.logs[level] = _text_before(
-                os.path.join(job_dir, f"logs.{level}.jsonl"), cut
-            )
-        record.advisor = _text_before(os.path.join(job_dir, "advisor.jsonl"), cut)
-        return record
 
-    def log_text(self, job_id: str, level: str) -> str:
-        return self.job(job_id).logs[level]
-
-    def advisor_text(self, job_id: str) -> str:
-        return self.job(job_id).advisor
+    def _read(self, name: str, kwargs: dict) -> str:
+        job_id = kwargs.get("job_id", "")
+        if job_id not in self.job_ids:
+            raise ValueError(f"unknown job_id {job_id!r}")
+        return self.job(job_id).texts[name]
 
     def build_registry(
         self, backend: Backend, retrieval_store: Optional[RetrievalStore] = None
     ) -> ToolRegistry:
         registry = ToolRegistry()
-
-        def job_reader(read):
-            def handler(kwargs: dict) -> str:
-                job_id = kwargs.get("job_id", "")
-                if job_id not in self.job_ids:
-                    raise ValueError(f"unknown job_id {job_id!r}")
-                return read(job_id)
-
-            return handler
-
-        info_tools = [
-            (
-                "runtime_log",
-                "Fetch the runtime-level logs of a job "
-                "(task manager and job manager output).",
-                lambda job_id: self.log_text(job_id, "runtime"),
-            ),
-            (
-                "platform_log",
-                "Fetch the platform-level logs of a job "
-                "(control plane and deployment events).",
-                lambda job_id: self.log_text(job_id, "platform"),
-            ),
-            (
-                "infra_log",
-                "Fetch the infrastructure-level logs of a job "
-                "(cluster, scheduler, and node events).",
-                lambda job_id: self.log_text(job_id, "infrastructure"),
-            ),
-            (
-                "advisor_history",
-                "Fetch prior advisor-service diagnosis records for a job.",
-                self.advisor_text,
-            ),
-        ]
-        for name, description, read in info_tools:
+        for name, (_, description) in INFO_TOOLS.items():
             registry.register(
-                ToolSpec(
-                    name=name,
-                    description=description,
-                    params=[ToolParam("job_id", "the job identifier")],
-                    kind=KIND_INFO,
-                ),
-                job_reader(read),
+                ToolSpec(name, description, [ToolParam("job_id", "the job identifier")]),
+                functools.partial(self._read, name),
             )
         registry.register(
             log_agent_toolspec(),

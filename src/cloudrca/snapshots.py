@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import zlib
-from typing import Optional
 
 from .errors import SnapshotKeyError
 
@@ -35,22 +34,17 @@ class SnapshotStore:
     Keys are the CRC-32 of the content's UTF-8 bytes (a lone surrogate passes
     as its three bytes) rendered as a zero-padded decimal string; collisions
     between distinct contents are resolved by linear probing on the key
-    value.  A branch store (self-consistency branches) reads through to its
-    parent and writes locally.
+    value.  A branch (self-consistency branches) starts as a copy of its
+    parent's records and writes locally.
     """
 
-    def __init__(self, parent: Optional["SnapshotStore"] = None):
+    def __init__(self):
         self._records: dict[str, str] = {}
-        self._parent = parent
 
     def branch(self) -> "SnapshotStore":
-        return SnapshotStore(parent=self)
-
-    def _lookup(self, key: str) -> Optional[str]:
-        text = self._records.get(key)
-        if text is None and self._parent is not None:
-            return self._parent._lookup(key)
-        return text
+        child = SnapshotStore()
+        child._records = dict(self._records)
+        return child
 
     def put(self, full_text: str) -> str:
         if not full_text:
@@ -58,7 +52,7 @@ class SnapshotStore:
         value = zlib.crc32(full_text.encode("utf-8", "surrogatepass"))
         while True:
             key = f"{value:0{KEY_WIDTH}d}"
-            existing = self._lookup(key)
+            existing = self._records.get(key)
             if existing is None:
                 self._records[key] = full_text
                 return key
@@ -67,7 +61,7 @@ class SnapshotStore:
             value = (value + 1) & 0xFFFFFFFF  # probe past a collision
 
     def get(self, key: str) -> str:
-        text = self._lookup(key)
+        text = self._records.get(key)
         if text is None:
             raise SnapshotKeyError(key)
         return text

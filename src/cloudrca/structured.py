@@ -1,7 +1,7 @@
 """Structured-output repair: sanitize prompts, extract and fix JSON from model
 output, and fall back to a YAML round trip through the model when local
-repair fails.  After all retries the result degrades to an empty object
-rather than an exception.
+repair fails (after all retries the result is an empty object, not an
+exception).  Input JSON files are read here too, checked entry by entry.
 """
 
 from __future__ import annotations
@@ -235,3 +235,33 @@ def json_regen(
         if value is not None:
             return RepairOutcome(value, attempts, STAGE_REGENERATED, start)
     return RepairOutcome({}, DEFAULT_RETRY_LIMIT, STAGE_FAILED, start)
+
+
+# ---------------------------------------------------------------------------
+# JSON input files
+
+
+def checked_entry(entry: Any, keys: tuple[str, ...], where: str) -> dict:
+    """``entry`` when it is an object with a string under each of ``keys``;
+    otherwise ValueError naming ``where``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: entry is not an object")
+    for key in keys:
+        if not isinstance(entry.get(key), str):
+            raise ValueError(f"{where}: entry has no string {key!r}")
+    return entry
+
+
+def read_jsonl(path: str, keys: tuple[str, ...]) -> Iterator[dict]:
+    """Each entry of a JSONL file (UTF-8, one entry per "\\n"-ended line,
+    blank lines skipped), in file order; a line that is not an object with
+    a string under each of ``keys`` raises ValueError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            yield checked_entry(entry, keys, f"{path}:{number}")

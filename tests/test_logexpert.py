@@ -817,6 +817,25 @@ class TestPackIcl:
         assert added == 1
         assert store.examples[0].example_text == "good one"
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"{not json", "Expecting property name"),
+            (b'{"example": "\xff", "answer": "a"}', "can't decode byte 0xff"),
+            (b'["x"]', "entry is not an object"),
+            (b'{"example": "x"}', "entry has no string 'answer'"),
+            (b'{"example": 3, "answer": "a"}', "entry has no string 'example'"),
+        ],
+        ids=["not-json", "not-utf-8", "not-object", "no-answer", "int-example"],
+    )
+    def test_ingest_jsonl_names_the_line_of_a_malformed_record(self, tmp_path, line, reason):
+        path = tmp_path / "examples.jsonl"
+        # a blank line still counts in the numbering
+        path.write_bytes(b'{"example": "good one", "answer": "a"}\n\n' + line + b"\n")
+        store = RetrievalStore(MockBackend())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
+            store.ingest_jsonl(str(path))
+
 
 # ---------------------------------------------------------------------------
 # Evidence filter

@@ -22,6 +22,8 @@ from cloudrca.sandbox import LOG_LEVELS
 from conftest import job_entries
 
 HIDDEN_MARKER = "post-detection entry (must stay hidden)"
+# the info tool that returns each log level, independent of the sandbox's table
+LOG_TOOL = {"platform": "platform_log", "runtime": "runtime_log", "infrastructure": "infra_log"}
 
 
 def _walk_files(root):
@@ -88,7 +90,7 @@ class TestTemporalSoundness:
         for job_id in sandbox.job_ids:
             detection_time = sandbox.job(job_id).detection_time
             for level in LOG_LEVELS:
-                text = sandbox.log_text(job_id, level)
+                text = sandbox.job(job_id).texts[LOG_TOOL[level]]
                 assert HIDDEN_MARKER not in text
                 visible = [
                     e["text"]
@@ -99,7 +101,7 @@ class TestTemporalSoundness:
 
     def test_advisor_text_cuts_at_detection(self, sandbox):
         for job_id in sandbox.job_ids:
-            assert HIDDEN_MARKER not in sandbox.advisor_text(job_id)
+            assert HIDDEN_MARKER not in sandbox.job(job_id).texts["advisor_history"]
 
     def test_signal_lines_remain_visible(self, sandbox):
         # the anomaly signal predates detection, so the cutoff must keep it
@@ -110,7 +112,7 @@ class TestTemporalSoundness:
                 if record.scenario_id == "platform_eviction"
                 else "runtime"
             )
-            assert record.ground_truth.evidence in sandbox.log_text(job_id, level)
+            assert record.ground_truth.evidence in record.texts[LOG_TOOL[level]]
 
 
 class TestRegistry:
@@ -205,8 +207,8 @@ class TestSandboxLoading:
         for _ in range(3):
             fresh.job(job_id)
             for level in LOG_LEVELS:
-                fresh.log_text(job_id, level)
-            fresh.advisor_text(job_id)
+                fresh.job(job_id).texts[LOG_TOOL[level]]
+            fresh.job(job_id).texts["advisor_history"]
         assert len(reads) == len(LOG_LEVELS) + 1
         assert set(reads.values()) == {1}
 
@@ -221,7 +223,7 @@ class TestSandboxLoading:
             with pytest.raises(ValueError):
                 fresh.job(job_id)
         advisor.write_text(good)
-        assert fresh.job(job_id).advisor
+        assert fresh.job(job_id).texts["advisor_history"]
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -249,6 +251,34 @@ class TestSandboxLoading:
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
                 fresh.job(job_id)
 
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda gt: b"{not json", "Expecting property name"),
+            (lambda gt: b'{"detection_time": "\xff"}', "can't decode byte 0xff"),
+            (lambda gt: json.dumps([gt]).encode(), "entry is not an object"),
+            (lambda gt: json.dumps({k: v for k, v in gt.items() if k != "detection_time"}).encode(),
+             "entry has no string 'detection_time'"),
+            (lambda gt: json.dumps({**gt, "detection_time": 5}).encode(),
+             "entry has no string 'detection_time'"),
+            (lambda gt: json.dumps({k: v for k, v in gt.items() if k != "scenario_id"}).encode(),
+             "entry has no string 'scenario_id'"),
+        ],
+        ids=["not-json", "not-utf-8", "not-object", "no-detection-time", "int-detection-time", "no-scenario-id"],
+    )
+    def test_malformed_ground_truth_names_its_file(self, tmp_path, edit, reason):
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=5, count=1, out_dir=str(bundle))
+        path = bundle / job_id / "ground_truth.json"
+        good = path.read_text()
+        path.write_bytes(edit(json.loads(good)))
+        fresh = Sandbox(str(bundle))
+        for _ in range(2):  # a failed load is not cached
+            with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(reason)):
+                fresh.job(job_id)
+        path.write_text(good)
+        assert fresh.job(job_id).detection_time
+
 
 class TestRetainedMemory:
     def test_a_loaded_job_keeps_little_beyond_its_tool_visible_text(self, tmp_path):
@@ -268,8 +298,8 @@ class TestRetainedMemory:
             len(text.encode("utf-8"))
             for job_id in bundle.job_ids
             for text in [
-                *(bundle.log_text(job_id, level) for level in LOG_LEVELS),
-                bundle.advisor_text(job_id),
+                *(bundle.job(job_id).texts[LOG_TOOL[level]] for level in LOG_LEVELS),
+                bundle.job(job_id).texts["advisor_history"],
             ]
         )
         assert retained <= visible + 2048 * len(bundle.job_ids)
