@@ -252,19 +252,29 @@ _EXACT_VERTEX_LIMIT = 8
 @functools.lru_cache(maxsize=_EXACT_VERTEX_LIMIT + 1)
 def _labellings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every labelling of n vertices in restricted-growth order, as a
-    (Bell(n), n) int8 array; its same-community matrix, 1.0 where a
-    labelling puts vertex pair i < j together; and the pairs' first and
-    second vertices, in ``np.triu_indices`` order."""
-    rows = [[0]] if n else [[]]
+    (Bell(n), n) int8 array; the pairs' first and second vertices, in
+    ``np.triu_indices`` order; and each labelling's same-community pairs as
+    a (⌈pairs/8⌉, Bell(n)) uint8 array of codes, whose bit k of row b is
+    set when the labelling puts pair 8b + k together."""
+    labels = np.zeros((1, min(n, 1)), dtype=np.int8)
+    top = np.zeros(1, dtype=np.int8)
     for _ in range(1, n):
-        rows = [row + [lab] for row in rows for lab in range(max(row) + 2)]
-    labels = np.array(rows, dtype=np.int8).reshape(len(rows), n)
+        # each labelling, in order, extended by every label from 0 to one
+        # past its largest
+        counts = top.astype(np.intp) + 2
+        parent = np.repeat(np.arange(len(labels)), counts)
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        lab = (np.arange(len(parent)) - start).astype(np.int8)
+        labels = np.column_stack((labels[parent], lab))
+        top = np.maximum(top[parent], lab)
     first, second = np.triu_indices(n, k=1)
-    same = (labels[:, first] == labels[:, second]).astype(np.float64)
+    codes = np.zeros(((len(first) + 7) // 8, len(labels)), dtype=np.uint8)
+    for k, (i, j) in enumerate(zip(first, second)):
+        codes[k // 8] |= (labels[:, i] == labels[:, j]).astype(np.uint8) << (k % 8)
     # every caller shares the cached arrays
-    for array in (labels, same, first, second):
+    for array in (labels, first, second, codes):
         array.setflags(write=False)
-    return labels, same, first, second
+    return labels, first, second, codes
 
 
 def _exact_partition(graph: SimilarityGraph) -> list[int]:
@@ -272,9 +282,11 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     viable for tiny graphs; enumeration order makes ties deterministic
     (first partition found in restricted-growth order wins).
 
-    One matrix product scores every labelling: with d the degrees, w the
-    summed weight of each vertex pair and same the same-community matrix,
-    Q = 2·(self-loops + same·w)/2m − (dᵀd + 2·same·(dᵢdⱼ))/(2m)²."""
+    With d the degrees, w the summed weight of each vertex pair and
+    s = Σ (2m·wᵢⱼ − dᵢdⱼ) over the pairs a labelling puts together,
+    Q = (2·2m·self-loops − dᵀd + 2s)/(2m)².  Every byte of codes covers
+    eight pairs: the 256 subset sums of their terms are tabulated once per
+    call, and each labelling's s gathers one table entry per byte."""
     n = graph.n
     best_labels = list(range(n))
     best_q = modularity(graph, best_labels)
@@ -286,13 +298,19 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
         weight[i, j] += w
     pair = weight + weight.T
     d = pair.sum(axis=1)
-    labels, same, first, second = _labellings(n)
-    internal, cross = (
-        same @ np.column_stack((pair[first, second], d[first] * d[second]))
-    ).T
-    q = (np.trace(weight) + internal) * 2.0 / two_m - (d @ d + 2.0 * cross) / (
-        two_m * two_m
-    )
+    labels, first, second, codes = _labellings(n)
+    # [byte, bit] holds the term of pair 8·byte + bit, zero past the last
+    terms = np.zeros(8 * len(codes))
+    terms[: len(first)] = two_m * pair[first, second] - d[first] * d[second]
+    terms = terms.reshape(len(codes), 8)
+    # [byte, code] sums the terms of the bits set in code, lowest bit first
+    tables = np.zeros((len(codes), 1))
+    for bit in range(8):
+        tables = np.concatenate((tables, tables + terms[:, bit : bit + 1]), axis=1)
+    s = np.zeros(len(labels))
+    for table, code in zip(tables, codes):
+        s += np.take(table, code)
+    q = (2.0 * two_m * np.trace(weight) - (d * d).sum() + 2.0 * s) / (two_m * two_m)
     # scan in enumeration order: each labelling that beats the best so far
     # by more than 1e-12 becomes the new best
     best, start = -1, 0
@@ -413,15 +431,14 @@ def remove_overlaps(labels: Sequence[int]) -> list[int]:
     """Force every cluster label into one contiguous interval with few line
     flips.  Short inputs are solved exactly (minimum flips); long inputs use
     a deterministic greedy repair.  Ties merge a split label into its
-    earlier occurrence."""
+    earlier occurrence.  A labelling whose every label is already one run
+    is returned as it is: it is the only answer with zero flips."""
     labels = list(labels)
-    if not labels:
-        return []
-    runs = _runs(labels)
-    if (
-        len(runs) <= _EXACT_RUN_LIMIT
-        and len(set(labels)) <= _EXACT_ALPHABET_LIMIT
-    ):
+    runs = len(_runs(labels))
+    alphabet = len(set(labels))
+    if runs == alphabet:
+        return labels
+    if runs <= _EXACT_RUN_LIMIT and alphabet <= _EXACT_ALPHABET_LIMIT:
         return _min_flip_contiguous(labels)
     return _greedy_contiguous(labels)
 

@@ -159,7 +159,8 @@ def _bounds(
     pair's AND times the word's weight, in int64, so it is exact at any
     length.  No product goes to BLAS: OpenBLAS spreads `@` over its threads
     at these sizes, and on two shared vCPUs that stalled about one product
-    in a hundred for ~15 ms.
+    in a hundred for ~15 ms.  No matrix-matrix product is left on a job's
+    path: logexpert._exact_partition gathers byte-coded pair sums.
     """
     common = np.zeros((len(rows), len(basis)), dtype=np.int64)
     for word, weight in enumerate(weights):

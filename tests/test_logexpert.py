@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrca import logexpert, prompts
+from cloudrca import Sandbox, generate_scenarios, logexpert, prompts
 from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, cosine, hash_embed
 from cloudrca.errors import ProtocolError, TransportError
 from cloudrca.logexpert import (
@@ -37,7 +37,7 @@ from cloudrca.logexpert import (
     summarize,
 )
 from cloudrca.mockpolicy import PolicyBackend
-from cloudrca.textdist import levenshtein
+from cloudrca.textdist import deduplicate_entries, levenshtein
 
 from test_backends import embeddings_backend
 from test_textdist import _two_template_lines
@@ -483,18 +483,63 @@ def test_partition_sums_run_left_to_right():
 # Exact partition against the recursive enumeration
 
 
+def acceptance_graphs(out_dir) -> list[SimilarityGraph]:
+    """The graphs of 8 or fewer lines that ``partition`` builds on the
+    acceptance bundle: each job's runtime log after ``deduplicate_entries``,
+    embedded by the policy backend."""
+    generate_scenarios(seed=4242, count=50, out_dir=str(out_dir))
+    sandbox, backend = Sandbox(str(out_dir)), PolicyBackend()
+    graphs = []
+    for job_id in sandbox.job_ids:
+        lines = deduplicate_entries(split_log(sandbox.job(job_id).texts["runtime_log"]))
+        if len(lines) <= logexpert._EXACT_VERTEX_LIMIT:
+            graphs.append(build_graph(lines, backend.embed(lines)))
+    return graphs
+
+
 class TestExactPartition:
-    def test_labels_equal_the_recursive_enumeration(self):
+    def test_labels_equal_the_recursive_enumeration(self, tmp_path):
         rng = random.Random(606)
+        graphs = []
         for trial in range(300):
             n = 1 + trial % 8
             if trial % 2:
-                graph = tie_prone_graph(rng, n)
+                graphs.append(tie_prone_graph(rng, n))
             else:
-                graph = random_graph(rng, n)
+                graphs.append(random_graph(rng, n))
+        real = acceptance_graphs(tmp_path / "bundle")
+        assert len(real) >= 20 and all(graph.edges for graph in real)
+        for graph in graphs + real:
             assert logexpert._exact_partition(graph) == recursive_exact_partition(
                 graph
             ), graph
+
+    def test_labellings_cache_small_integer_codes_only(self):
+        # Bell(8) = 4140 labellings of 28 pairs: a float same-community
+        # matrix alone would hold 927 KB
+        logexpert._labellings.cache_clear()
+        tracemalloc.start()
+        try:
+            for n in range(1, logexpert._EXACT_VERTEX_LIMIT + 1):
+                logexpert._labellings(n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, retained
+        assert peak < 512 * 1024, peak
+        for n in range(1, logexpert._EXACT_VERTEX_LIMIT + 1):
+            for array in logexpert._labellings(n):
+                assert not np.issubdtype(array.dtype, np.inexact), (n, array.dtype)
+
+    def test_labellings_follow_restricted_growth_order(self):
+        for n in range(logexpert._EXACT_VERTEX_LIMIT + 1):
+            rows = [[0]] if n else [[]]
+            for _ in range(1, n):
+                rows = [row + [lab] for row in rows for lab in range(max(row) + 2)]
+            labels, first, second, codes = logexpert._labellings(n)
+            assert labels.dtype == np.int8 and labels.tolist() == rows
+            same = np.unpackbits(codes, axis=0, count=len(first), bitorder="little")
+            assert same.T.tolist() == (labels[:, first] == labels[:, second]).tolist()
 
     def test_unit_weight_graphs_tie_like_the_enumeration(self):
         # every pair at weight 1: a clique, where many labellings tie exactly
@@ -660,6 +705,17 @@ class TestRemoveOverlaps:
     def test_already_contiguous_untouched(self):
         labels = [0, 0, 1, 1, 2]
         assert remove_overlaps(labels) == labels
+
+    def test_contiguous_input_skips_the_search(self, monkeypatch):
+        def fail(labels):
+            raise AssertionError("searched a contiguous labelling")
+
+        monkeypatch.setattr(logexpert, "_min_flip_contiguous", fail)
+        monkeypatch.setattr(logexpert, "_greedy_contiguous", fail)
+        labels = [lab for lab in (3, 0, 7, 1, 11, 2, 4, 10, 5, 9, 6, 8) for _ in range(2)]
+        out = remove_overlaps(labels)
+        assert out == labels and out is not labels
+        assert remove_overlaps([]) == []
 
     def test_matches_bruteforce_on_short_sequences(self):
         rng = random.Random(3)
