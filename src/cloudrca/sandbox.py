@@ -13,7 +13,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
@@ -67,7 +67,10 @@ class JobRecord:
 
 
 # ---------------------------------------------------------------------------
-# Scenario templates (mirroring a small responsibility taxonomy)
+# Scenario families, one row each, mirroring a small responsibility taxonomy.
+# A row holds only what differs between families: its draw takes the row's
+# parameters from the generator's random stream, and its templates are
+# formatted with them.
 
 _NOISE_TEMPLATES = [
     "INFO  checkpoint {n} completed in {ms} ms",
@@ -78,124 +81,97 @@ _NOISE_TEMPLATES = [
 ]
 
 
-def _scenario_timeout(rng: random.Random) -> dict:
-    host = f"es-node-{rng.randrange(10, 99)}"
-    signal = (
-        f"ERROR org.apache.flink.elasticsearch - SocketTimeoutException: "
-        f"connect to {host} timed out after {rng.choice([30, 60, 180])}s"
-    )
-    return {
-        "scenario_id": "timeout",
-        "signal_lines": [
-            signal,
-            "WARN  elasticsearch client retrying bulk request after timeout",
-        ],
-        "ground_truth": {
-            "root_cause": (
-                f"High pressure on the Elasticsearch client caused connection "
-                f"timeouts against {host}"
-            ),
-            "solution": (
-                "Escalate to the Elasticsearch service team; repeated timeouts "
-                "indicate server-side pressure rather than a job defect"
-            ),
-            "evidence": signal,
-            "responsibility": "Platform",
+@dataclass(frozen=True, slots=True)
+class _Family:
+    scenario_id: str
+    signal_level: str  # the log level that gets the signal lines
+    responsibility: str
+    draw: Callable[[random.Random], dict]
+    signal: str
+    follow_up: str
+    root_cause: str
+    solution: str
+
+
+_FAMILIES = (
+    _Family(
+        "timeout",
+        "runtime",
+        "Platform",
+        lambda rng: {
+            "host": f"es-node-{rng.randrange(10, 99)}",
+            "secs": rng.choice([30, 60, 180]),
         },
-        "signal_level": "runtime",
+        "ERROR org.apache.flink.elasticsearch - SocketTimeoutException: "
+        "connect to {host} timed out after {secs}s",
+        "WARN  elasticsearch client retrying bulk request after timeout",
+        "High pressure on the Elasticsearch client caused connection timeouts "
+        "against {host}",
+        "Escalate to the Elasticsearch service team; repeated timeouts "
+        "indicate server-side pressure rather than a job defect",
+    ),
+    _Family(
+        "oom_config",
+        "runtime",
+        "User",
+        lambda rng: {"mb": rng.choice([512, 1024, 2048])},
+        "ERROR taskmanager - java.lang.OutOfMemoryError: Java heap space "
+        "(configured heap {mb}m exhausted)",
+        "WARN  memory usage above 95% of {mb}m for 120s",
+        "Task manager heap of {mb}m is insufficient for the job's state size, "
+        "exhausting memory",
+        "Raise the task manager heap beyond {mb}m or reduce state retention "
+        "in the job configuration",
+    ),
+    _Family(
+        "code_exception",
+        "runtime",
+        "User",
+        lambda rng: {
+            "op": f"MapOperator-{rng.randrange(1, 9)}",
+            "line": rng.randrange(20, 200),
+        },
+        "ERROR {op} - java.lang.NullPointerException at "
+        "com.user.job.RecordMapper.map(RecordMapper.java:{line})",
+        "INFO  {op} restarting from last checkpoint after failure",
+        "A NullPointerException thrown by user code in RecordMapper crashes "
+        "{op} on malformed input records",
+        "Add a null guard in RecordMapper.map and redeploy the job after "
+        "validating input records",
+    ),
+    _Family(
+        "platform_eviction",
+        "infrastructure",
+        "Platform",
+        lambda rng: {"pod": f"tm-pod-{rng.randrange(100, 999)}"},
+        "WARN  scheduler - pod {pod} evicted to free resources for a higher "
+        "priority job",
+        "INFO  {pod} deleted by cluster autoscaler",
+        "The platform scheduler evicted {pod} in favor of a higher priority "
+        "job, killing the task manager",
+        "Platform side: rebalance cluster capacity or raise the job's "
+        "scheduling priority class",
+    ),
+)
+
+
+def _scenario(family: _Family, rng: random.Random) -> dict:
+    """A family's signal lines and its ground truth short of the job id and
+    detection time; the signal line is the evidence."""
+    params = family.draw(rng)
+    signal = family.signal.format(**params)
+    return {
+        "signal_level": family.signal_level,
+        "signal_lines": [signal, family.follow_up.format(**params)],
+        "ground_truth": {
+            "scenario_id": family.scenario_id,
+            "root_cause": family.root_cause.format(**params),
+            "solution": family.solution.format(**params),
+            "evidence": signal,
+            "responsibility": family.responsibility,
+        },
     }
 
-
-def _scenario_oom(rng: random.Random) -> dict:
-    mb = rng.choice([512, 1024, 2048])
-    signal = (
-        f"ERROR taskmanager - java.lang.OutOfMemoryError: Java heap space "
-        f"(configured heap {mb}m exhausted)"
-    )
-    return {
-        "scenario_id": "oom_config",
-        "signal_lines": [
-            signal,
-            f"WARN  memory usage above 95% of {mb}m for 120s",
-        ],
-        "ground_truth": {
-            "root_cause": (
-                f"Task manager heap of {mb}m is insufficient for the job's "
-                f"state size, exhausting memory"
-            ),
-            "solution": (
-                f"Raise the task manager heap beyond {mb}m or reduce state "
-                "retention in the job configuration"
-            ),
-            "evidence": signal,
-            "responsibility": "User",
-        },
-        "signal_level": "runtime",
-    }
-
-
-def _scenario_code_exception(rng: random.Random) -> dict:
-    op = f"MapOperator-{rng.randrange(1, 9)}"
-    signal = (
-        f"ERROR {op} - java.lang.NullPointerException at "
-        f"com.user.job.RecordMapper.map(RecordMapper.java:{rng.randrange(20, 200)})"
-    )
-    return {
-        "scenario_id": "code_exception",
-        "signal_lines": [
-            signal,
-            f"INFO  {op} restarting from last checkpoint after failure",
-        ],
-        "ground_truth": {
-            "root_cause": (
-                f"A NullPointerException thrown by user code in RecordMapper "
-                f"crashes {op} on malformed input records"
-            ),
-            "solution": (
-                "Add a null guard in RecordMapper.map and redeploy the job "
-                "after validating input records"
-            ),
-            "evidence": signal,
-            "responsibility": "User",
-        },
-        "signal_level": "runtime",
-    }
-
-
-def _scenario_eviction(rng: random.Random) -> dict:
-    pod = f"tm-pod-{rng.randrange(100, 999)}"
-    signal = (
-        f"WARN  scheduler - pod {pod} evicted to free resources for a "
-        f"higher priority job"
-    )
-    return {
-        "scenario_id": "platform_eviction",
-        "signal_lines": [
-            signal,
-            f"INFO  {pod} deleted by cluster autoscaler",
-        ],
-        "ground_truth": {
-            "root_cause": (
-                f"The platform scheduler evicted {pod} in favor of a higher "
-                f"priority job, killing the task manager"
-            ),
-            "solution": (
-                "Platform side: rebalance cluster capacity or raise the job's "
-                "scheduling priority class"
-            ),
-            "evidence": signal,
-            "responsibility": "Platform",
-        },
-        "signal_level": "infrastructure",
-    }
-
-
-_TEMPLATES = [
-    _scenario_timeout,
-    _scenario_oom,
-    _scenario_code_exception,
-    _scenario_eviction,
-]
 
 _TOY_SOURCES = {
     "AdvisorService.java": (
@@ -228,7 +204,7 @@ _TOY_SOURCES = {
 def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
     """Write ``count`` deterministic scenario bundles under ``out_dir``.
 
-    Templates rotate so responsibilities stay balanced; the same seed always
+    Families rotate so responsibilities stay balanced; the same seed always
     produces byte-identical bundles.  Returns the job ids in order.
     """
     rng = random.Random(seed)
@@ -241,8 +217,7 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
 
     job_ids = []
     for i in range(count):
-        template = _TEMPLATES[i % len(_TEMPLATES)]
-        scenario = template(rng)
+        scenario = _scenario(_FAMILIES[i % len(_FAMILIES)], rng)
         job_id = f"fj{rng.randrange(16**8):08x}"
         job_ids.append(job_id)
         detection_offset = rng.randrange(600, 1200)
@@ -289,13 +264,8 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
             for entry in advisor:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-        ground_truth = dict(scenario["ground_truth"])
-        ground_truth.update(
-            {
-                "job_id": job_id,
-                "scenario_id": scenario["scenario_id"],
-                "detection_time": _ts(detection_offset),
-            }
+        ground_truth = dict(
+            scenario["ground_truth"], job_id=job_id, detection_time=_ts(detection_offset)
         )
         with open(
             os.path.join(job_dir, "ground_truth.json"), "w", encoding="utf-8"

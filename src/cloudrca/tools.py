@@ -67,33 +67,30 @@ Handler = Callable[[dict], str]
 
 class ToolRegistry:
     def __init__(self):
-        self._specs: dict[str, ToolSpec] = {}
-        self._handlers: dict[str, Handler] = {}
+        self._tools: dict[str, tuple[ToolSpec, Handler]] = {}
 
     def register(self, spec: ToolSpec, handler: Handler):
-        if spec.name in self._specs:
+        if spec.name in self._tools:
             raise ConfigurationError(f"tool {spec.name!r} already registered")
-        if spec.kind == KIND_FINALIZE and any(
-            s.kind == KIND_FINALIZE for s in self._specs.values()
-        ):
+        if spec.kind == KIND_FINALIZE and self.has_finalize():
             raise ConfigurationError("a finalize tool is already registered")
-        self._specs[spec.name] = spec
-        self._handlers[spec.name] = handler
+        self._tools[spec.name] = (spec, handler)
 
     def spec(self, name: str) -> Optional[ToolSpec]:
-        return self._specs.get(name)
+        tool = self._tools.get(name)
+        return tool[0] if tool else None
 
     def handler(self, name: str) -> Handler:
-        return self._handlers[name]
+        return self._tools[name][1]
 
     def names(self) -> list[str]:
-        return list(self._specs)
+        return list(self._tools)
 
     def specs(self) -> list[ToolSpec]:
-        return list(self._specs.values())
+        return [spec for spec, _ in self._tools.values()]
 
     def has_finalize(self) -> bool:
-        return any(s.kind == KIND_FINALIZE for s in self._specs.values())
+        return any(spec.kind == KIND_FINALIZE for spec, _ in self._tools.values())
 
 
 def render_documentation(registry: ToolRegistry) -> str:

@@ -22,11 +22,12 @@ class ToolCall:
     function: str
     kwargs: dict = field(default_factory=dict)
 
+    def to_dict(self) -> dict:
+        return {"function": self.function, "kwargs": self.kwargs}
+
     def wire(self) -> str:
         """Canonical wire form: {"function": ..., "kwargs": {...}}."""
-        return json.dumps(
-            {"function": self.function, "kwargs": self.kwargs}, sort_keys=True
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def kwargs_signature(self) -> str:
         return json.dumps(self.kwargs, sort_keys=True)
@@ -67,11 +68,7 @@ class Step:
     def to_dict(self) -> dict:
         return {
             "thought": self.thought,
-            "action": (
-                {"function": self.action.function, "kwargs": self.action.kwargs}
-                if self.action
-                else None
-            ),
+            "action": self.action.to_dict() if self.action else None,
             "observation": self.observation,
             "error_flag": self.error_flag,
             "invalid_flag": self.invalid_flag,

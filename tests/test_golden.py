@@ -1,14 +1,15 @@
 """Golden output bytes.
 
-The rendered tool documentation and the trajectories and results of a
-fixed 8-job bundle are hashed and compared with literals, so a change to
-any prompt or trajectory byte fails here and not only in the benchmark
-digests.  A deliberate output change updates the literals in the same
-commit and says why.
+The files of a fixed 8-job bundle, the rendered tool documentation and
+the trajectories and results of that bundle are hashed and compared with
+literals, so a change to any bundle, prompt or trajectory byte fails here
+and not only in the benchmark digests.  A deliberate output change updates
+the literals in the same commit and says why.
 """
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -17,6 +18,8 @@ from cloudrca.consistency import run_with_consistency
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
+
+BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
 
 DOCUMENTATION_SHA256 = "3e115414df67131d5e810d0e2b4c14120408c7ee0716392a2cb9709807c36b08"
 
@@ -33,10 +36,28 @@ def _sha256(text: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def golden_sandbox(tmp_path_factory):
+def golden_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden") / "bundle"
     generate_scenarios(seed=4242, count=8, out_dir=str(out))
-    return Sandbox(str(out))
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def golden_sandbox(golden_bundle):
+    return Sandbox(golden_bundle)
+
+
+def test_bundle_bytes(golden_bundle):
+    """Every file the generator writes, by relative path and bytes,
+    including the platform, infrastructure and advisor files that no
+    greedy run reads."""
+    root = pathlib.Path(golden_bundle)
+    digest = hashlib.sha256()
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    for rel in files:
+        data = (root / rel).read_bytes()
+        digest.update(f"{rel}\n{len(data)}\n".encode("utf-8") + data)
+    assert digest.hexdigest() == BUNDLE_SHA256
 
 
 def test_tool_documentation_bytes(golden_sandbox):
