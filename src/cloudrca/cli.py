@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
+from .structured import json_text
 from .trajectory import AnalysisResult, Trajectory
 
 # --aggregate flag -> the method name result.json records and replay reads back
@@ -124,7 +125,7 @@ def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -
     }
     return {
         "trajectory.jsonl": report.greedy.to_jsonl().encode(),
-        "result.json": (json.dumps(result, indent=2, sort_keys=True) + "\n").encode(),
+        "result.json": json_text(result).encode(),
     }
 
 
@@ -285,8 +286,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     report = build_report(outcomes, MockBackend())
     report["scorer"] = HASH_EMBED_MODEL
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(report))
     export_predictions(outcomes, os.path.join(out_dir, "predictions.jsonl"))
     click.echo(
         f"pass_rate={report['pass_rate']:.2f} invalid_rate={report['invalid_rate']:.2f}"

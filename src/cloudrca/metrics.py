@@ -3,12 +3,12 @@ baseline-normalized form, pass rate, and invalid rate."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .backends import Backend, cosine
 from .errors import CloudRcaError
+from .structured import jsonl_text
 from .trajectory import RESULT_FIELDS, TEXT_FIELDS, AnalysisResult, Trajectory, UNCLEAR
 
 BASELINE_TEXT = UNCLEAR
@@ -139,21 +139,18 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
 
 def export_predictions(outcomes: Sequence[JobOutcome], path: str):
     """Comparison-ready predictions file: one JSONL row per job and field."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for o in outcomes:
-            if o.reference is None:
-                continue
+    rows = []
+    for o in outcomes:
+        if o.reference is not None:
             prediction = fill_baseline(o.prediction)
-            for name in RESULT_FIELDS:
-                fh.write(
-                    json.dumps(
-                        {
-                            "job_id": o.job_id,
-                            "field": name,
-                            "prediction": getattr(prediction, name),
-                            "reference": getattr(o.reference, name),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            rows += [
+                {
+                    "job_id": o.job_id,
+                    "field": name,
+                    "prediction": getattr(prediction, name),
+                    "reference": getattr(o.reference, name),
+                }
+                for name in RESULT_FIELDS
+            ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(jsonl_text(rows))

@@ -19,7 +19,7 @@ from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
 from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
-from .structured import checked_entry, read_jsonl
+from .structured import checked_entry, json_text, jsonl_text, read_jsonl
 from .tools import ToolParam, ToolRegistry, ToolSpec, finalize_spec
 from .trajectory import AnalysisResult
 
@@ -201,6 +201,22 @@ _TOY_SOURCES = {
 }
 
 
+def _jsonl(draws: list[tuple[int, str]]) -> str:
+    """A bundle JSONL file of the ``(offset, text)`` entries drawn, in
+    timestamp order; entries at the same offset keep their draw order."""
+    draws.sort(key=lambda draw: draw[0])
+    return jsonl_text({"timestamp": _ts(at), "text": text} for at, text in draws)
+
+
+def _write_files(root: str, files: dict[str, str]) -> None:
+    """Write each file of a ``{relative path: text}`` table under ``root``."""
+    for rel, text in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
     """Write ``count`` deterministic scenario bundles under ``out_dir``.
 
@@ -208,74 +224,43 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
     produces byte-identical bundles.  Returns the job ids in order.
     """
     rng = random.Random(seed)
-    os.makedirs(out_dir, exist_ok=True)
-    src_dir = os.path.join(out_dir, "src")
-    os.makedirs(src_dir, exist_ok=True)
-    for name, content in _TOY_SOURCES.items():
-        with open(os.path.join(src_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(content)
-
+    _write_files(os.path.join(out_dir, "src"), _TOY_SOURCES)
     job_ids = []
     for i in range(count):
         scenario = _scenario(_FAMILIES[i % len(_FAMILIES)], rng)
         job_id = f"fj{rng.randrange(16**8):08x}"
         job_ids.append(job_id)
-        detection_offset = rng.randrange(600, 1200)
-        job_dir = os.path.join(out_dir, job_id)
-        os.makedirs(job_dir, exist_ok=True)
-
-        logs: dict[str, list[dict]] = {level: [] for level in LOG_LEVELS}
-        for level in LOG_LEVELS:
+        detection = rng.randrange(600, 1200)
+        logs: dict[str, list[tuple[int, str]]] = {level: [] for level in LOG_LEVELS}
+        for draws in logs.values():
             for _ in range(rng.randrange(8, 16)):
-                offset = rng.randrange(0, detection_offset)
-                noise = rng.choice(_NOISE_TEMPLATES).format(
-                    n=rng.randrange(1, 500), ms=rng.randrange(5, 900)
-                )
-                logs[level].append({"timestamp": _ts(offset), "text": noise})
+                offset = rng.randrange(0, detection)
+                noise = rng.choice(_NOISE_TEMPLATES)
+                n, ms = rng.randrange(1, 500), rng.randrange(5, 900)
+                draws.append((offset, noise.format(n=n, ms=ms)))
             # a few entries after detection; tools must never return these
-            for _ in range(2):
-                offset = detection_offset + rng.randrange(1, 300)
-                logs[level].append(
-                    {
-                        "timestamp": _ts(offset),
-                        "text": "INFO  post-detection entry (must stay hidden)",
-                    }
-                )
-        signal_level = scenario["signal_level"]
+            hidden = "INFO  post-detection entry (must stay hidden)"
+            draws += [(detection + rng.randrange(1, 300), hidden) for _ in range(2)]
+        signal_draws = logs[scenario["signal_level"]]
         for line in scenario["signal_lines"]:
-            offset = rng.randrange(detection_offset // 2, detection_offset)
-            logs[signal_level].append({"timestamp": _ts(offset), "text": line})
-        for level in LOG_LEVELS:
-            logs[level].sort(key=lambda e: e["timestamp"])
-            path = os.path.join(job_dir, f"logs.{level}.jsonl")
-            with open(path, "w", encoding="utf-8") as fh:
-                for entry in logs[level]:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
+            signal_draws.append((rng.randrange(detection // 2, detection), line))
         advisor = [
-            {
-                "timestamp": _ts(rng.randrange(0, detection_offset)),
-                "text": f"advisor scan {rng.randrange(1000, 9999)}: no matching rule",
-            }
+            (
+                rng.randrange(0, detection),
+                f"advisor scan {rng.randrange(1000, 9999)}: no matching rule",
+            )
             for _ in range(rng.randrange(1, 4))
         ]
-        advisor.sort(key=lambda e: e["timestamp"])
-        with open(os.path.join(job_dir, "advisor.jsonl"), "w", encoding="utf-8") as fh:
-            for entry in advisor:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
         ground_truth = dict(
-            scenario["ground_truth"], job_id=job_id, detection_time=_ts(detection_offset)
+            scenario["ground_truth"], job_id=job_id, detection_time=_ts(detection)
         )
-        with open(
-            os.path.join(job_dir, "ground_truth.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(ground_truth, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    with open(os.path.join(out_dir, "index.json"), "w", encoding="utf-8") as fh:
-        json.dump({"seed": seed, "job_ids": job_ids}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        files = {f"logs.{level}.jsonl": _jsonl(draws) for level, draws in logs.items()}
+        files["advisor.jsonl"] = _jsonl(advisor)
+        files["ground_truth.json"] = json_text(ground_truth)
+        # each job's files are written when it is drawn, so one job's text
+        # is held at a time
+        _write_files(os.path.join(out_dir, job_id), files)
+    _write_files(out_dir, {"index.json": json_text({"seed": seed, "job_ids": job_ids})})
     return job_ids
 
 

@@ -1,7 +1,8 @@
 """Structured-output repair: sanitize prompts, extract and fix JSON from model
 output, and fall back to a YAML round trip through the model when local
 repair fails (after all retries the result is an empty object, not an
-exception).  Input JSON files are read here too, checked entry by entry.
+exception).  The program's JSON files are read and rendered here too:
+input files checked entry by entry, written files in one layout.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from . import prompts
 from .backends import Backend, ask
@@ -138,19 +139,14 @@ _STRING_OR_TRAILING_COMMA = re.compile(_STRING + r"|,(?=[ \t\r\n]*[}\]])", re.S)
 
 # Inside a literal: a valid escape pair stays; any other backslash is doubled,
 # a raw newline or tab is escaped and a raw carriage return is dropped.
-# _NEEDS_FIX finds every literal that sub would change (and a few it would
-# not), so a literal it does not match is kept as it is.
 _IN_STRING_FIX = re.compile(r'\\["\\/bfnrtu]|[\\\n\t\r]')
 _IN_STRING_SUBSTITUTES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": ""}
-_NEEDS_FIX = re.compile(r'\\(?:[^"\\/bfnrtu]|\Z)|[\n\t\r]')
 
 
 def _fix_token(match: re.Match) -> str:
     token = match[0]
     if token == ",":
         return ""
-    if not _NEEDS_FIX.search(token):
-        return token
     return _IN_STRING_FIX.sub(lambda m: _IN_STRING_SUBSTITUTES.get(m[0], m[0]), token)
 
 
@@ -238,7 +234,18 @@ def json_regen(
 
 
 # ---------------------------------------------------------------------------
-# JSON input files
+# JSON files: every file the program writes is rendered by json_text or
+# jsonl_text, and every JSONL file it reads is read by read_jsonl
+
+
+def json_text(value: Any) -> str:
+    """A JSON file's text: two-space indent, sorted keys, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def jsonl_text(entries: Iterable[Any]) -> str:
+    """A JSONL file's text: one entry per line, keys sorted."""
+    return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
 
 
 def checked_entry(entry: Any, keys: tuple[str, ...], where: str) -> dict:

@@ -1,0 +1,134 @@
+"""Function-level census of what the CLI reaches end to end.
+
+The test generates a bundle, runs `cloudrca batch` in every mode and
+aggregation at 10% malformed actions, then `diagnose` and `replay`, all
+through CliRunner, and profiles every Python call.  The `src` functions
+that no run calls must equal UNCALLED, so a function that only the unit
+tests reach is a listed, visible choice: wire it in or delete it.  A name
+that joins or leaves the set fails the test with that name.
+
+Lambdas and comprehensions are not counted.  A function that runs only at
+import (such as a decorator) counts as uncalled.
+"""
+
+import inspect
+import json
+import pathlib
+import sys
+import threading
+
+import pytest
+from click.testing import CliRunner
+
+import cloudrca
+from cloudrca import backends, logexpert
+from cloudrca.cli import AGGREGATES, main
+from cloudrca.consistency import MODES
+
+SRC = pathlib.Path(cloudrca.__file__).parent
+
+# by kind: import-time only, abstract, live endpoint only, paper
+# components and public helpers no run uses, error paths, and paths for
+# inputs larger than the bundle's
+UNCALLED = {
+    "backends:Backend.complete",
+    "backends:Backend.embed",
+    "backends:GenerationParams.escalated",
+    "backends:HttpBackend.__init__",
+    "backends:HttpBackend._headers",
+    "backends:HttpBackend._post",
+    "backends:HttpBackend.complete",
+    "backends:HttpBackend.embed",
+    "backends:MockBackend.complete",
+    "backends:_retry_after_seconds",
+    "cli:_common_options",
+    "cli:_trajectory_divergence",
+    "codeexpert:RepoIndex.is_external",
+    "codeexpert:analyze_file",
+    "codeexpert:find_class_file",
+    "codeexpert:make_code_agent_handler.<locals>.handler",
+    "codeexpert:run_code_expert",
+    "errors:SnapshotKeyError.__init__",
+    "errors:TransportError.__init__",
+    "logexpert:RetrievalStore.__init__",
+    "logexpert:RetrievalStore.add",
+    "logexpert:RetrievalStore.ingest_jsonl",
+    "logexpert:RetrievalStore.ranked",
+    "logexpert:_greedy_contiguous",
+    "logexpert:_min_flip_contiguous",
+    "logexpert:_min_flip_contiguous.<locals>.best",
+    "metrics:emb_score",
+    "mockpolicy:PolicyBackend.clone",
+    "mockpolicy:_regen",
+    "structured:_merge",
+    "tools:ErrorMessage.render",
+    "tools:ToolRegistry.names",
+    "tools:_error_result",
+}
+
+
+def _functions(code, module: str):
+    """``module:qualname`` of every named function compiled under ``code``."""
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            # a class body is compiled as code too, but not as a function
+            if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                yield f"{module}:{const.co_qualname}"
+            yield from _functions(const, module)
+
+
+def _all_functions() -> dict[str, set[str]]:
+    """Each ``src`` file's path and the names of its functions."""
+    return {
+        str(path): set(_functions(compile(path.read_text(), str(path), "exec"), path.stem))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _run_cli(tmp_path: pathlib.Path):
+    runner = CliRunner()
+
+    def invoke(*args):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+
+    bundle = tmp_path / "bundle"
+    invoke("gen-scenarios", "--seed", 4242, "--count", 4, "--out-dir", bundle)
+    for mode in MODES:
+        for aggregate in AGGREGATES:
+            invoke(
+                "batch", "--scenarios", bundle, "--out-dir", tmp_path / f"{mode}-{aggregate}",
+                "--mode", mode, "--aggregate", aggregate, "--k", 3, "--jobs", 2,
+                "--malformed-pct", 10,
+            )
+    job_id = json.loads((bundle / "index.json").read_text())["job_ids"][0]
+    out = tmp_path / "diagnose"
+    invoke("diagnose", job_id, "--scenarios", bundle, "--out-dir", out, "--malformed-pct", 10)
+    invoke("replay", out / job_id / "trajectory.jsonl")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects name their qualname from 3.11")
+def test_uncalled_functions_are_listed(tmp_path, monkeypatch):
+    # the program's two memos start empty, so the functions behind them are
+    # called whatever the tests before this one computed
+    monkeypatch.setattr(backends, "_memo", {})
+    logexpert._labellings.cache_clear()
+    functions = _all_functions()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename in functions:
+                called.add(f"{pathlib.Path(code.co_filename).stem}:{code.co_qualname}")
+
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        _run_cli(tmp_path)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    uncalled = set().union(*functions.values()) - called
+    assert not uncalled - UNCALLED, f"no longer called end to end: {sorted(uncalled - UNCALLED)}"
+    assert not UNCALLED - uncalled, f"now called end to end: {sorted(UNCALLED - uncalled)}"

@@ -1,25 +1,36 @@
 """Golden output bytes.
 
-The files of a fixed 8-job bundle, the rendered tool documentation and
-the trajectories and results of that bundle are hashed and compared with
-literals, so a change to any bundle, prompt or trajectory byte fails here
-and not only in the benchmark digests.  A deliberate output change updates
-the literals in the same commit and says why.
+The files of fixed bundles, the rendered tool documentation, the
+trajectories and results of the 8-job bundle and the files the CLI writes
+for it are hashed and compared with literals, so a change to any bundle,
+prompt, trajectory or output file byte fails here and not only in the
+benchmark digests.  A deliberate output change updates the literals in the
+same commit and says why.
 """
 
 import hashlib
 import json
+import os
 import pathlib
 
 import pytest
+from click.testing import CliRunner
 
 from cloudrca import PolicyBackend, Sandbox, generate_scenarios
+from cloudrca.cli import main
 from cloudrca.consistency import run_with_consistency
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
 
 BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
+
+# (seed, count) -> digest: an odd count leaves the family rotation partial,
+# and count 0 writes only src/ and index.json
+SMALL_BUNDLE_SHA256 = {
+    (6007, 5): "e6cf85665e21f435ec8d1e99c37e3ba139c9daf57ff9781cddefd5fc4125ff1b",
+    (4242, 0): "1393a23e2dbd644d856b3fa890bf60b5f00e919c91fc8476078ab7d94cb0a03f",
+}
 
 DOCUMENTATION_SHA256 = "3e115414df67131d5e810d0e2b4c14120408c7ee0716392a2cb9709807c36b08"
 
@@ -31,8 +42,36 @@ RUN_SHA256 = {
 }
 
 
+# the files `cloudrca diagnose` and `cloudrca batch` write for the 8-job
+# bundle, at 10% malformed actions, with the bundle's path as BUNDLE_TOKEN
+CLI_ARGS = {
+    "diagnose": ["diagnose", None],
+    "batch-greedy": ["batch"],
+    "batch-tsc": ["batch", "--mode", "tsc", "--k", "3"],
+}
+CLI_SHA256 = {
+    "diagnose": "a61c415b1dec2c7d12fadc2d238c77b483e952f5589c9ad192261d8b68dcdcc4",
+    "batch-greedy": "f9718544b35565134b630bbd7e7003c8348e9b6685969106392847c4ae2ac423",
+    "batch-tsc": "7f75b63e5e9df01819de4369c2b281687089ae5d5464d65dde4857607b5ab61b",
+}
+BUNDLE_TOKEN = "<bundle>"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _tree_sha256(root: pathlib.Path, bundle_path: str = "") -> str:
+    """The digest of every file under ``root``, by relative path and bytes,
+    with each ``bundle_path`` in them read as BUNDLE_TOKEN."""
+    digest = hashlib.sha256()
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    for rel in files:
+        data = (root / rel).read_bytes()
+        if bundle_path:
+            data = data.replace(bundle_path.encode("utf-8"), BUNDLE_TOKEN.encode("utf-8"))
+        digest.update(f"{rel}\n{len(data)}\n".encode("utf-8") + data)
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +90,28 @@ def test_bundle_bytes(golden_bundle):
     """Every file the generator writes, by relative path and bytes,
     including the platform, infrastructure and advisor files that no
     greedy run reads."""
-    root = pathlib.Path(golden_bundle)
-    digest = hashlib.sha256()
-    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-    for rel in files:
-        data = (root / rel).read_bytes()
-        digest.update(f"{rel}\n{len(data)}\n".encode("utf-8") + data)
-    assert digest.hexdigest() == BUNDLE_SHA256
+    assert _tree_sha256(pathlib.Path(golden_bundle)) == BUNDLE_SHA256
+
+
+@pytest.mark.parametrize("seed, count", list(SMALL_BUNDLE_SHA256))
+def test_small_bundle_bytes(tmp_path, seed, count):
+    generate_scenarios(seed=seed, count=count, out_dir=str(tmp_path))
+    assert _tree_sha256(tmp_path) == SMALL_BUNDLE_SHA256[(seed, count)]
+
+
+@pytest.mark.parametrize("command", list(CLI_SHA256))
+def test_cli_output_bytes(golden_bundle, golden_sandbox, tmp_path, command):
+    """trajectory.jsonl and result.json of each job run, and the batch's
+    report.json and predictions.jsonl; result.json records the bundle's
+    absolute path, which the digest reads as BUNDLE_TOKEN."""
+    args = [golden_sandbox.job_ids[0] if a is None else a for a in CLI_ARGS[command]]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        [*args, "--scenarios", golden_bundle, "--out-dir", str(out), "--malformed-pct", "10"],
+    )
+    assert result.exit_code == 0, result.output
+    assert _tree_sha256(out, os.path.abspath(golden_bundle)) == CLI_SHA256[command]
 
 
 def test_tool_documentation_bytes(golden_sandbox):
