@@ -139,14 +139,19 @@ _STRING_OR_TRAILING_COMMA = re.compile(_STRING + r"|,(?=[ \t\r\n]*[}\]])", re.S)
 
 # Inside a literal: a valid escape pair stays; any other backslash is doubled,
 # a raw newline or tab is escaped and a raw carriage return is dropped.
+# _NEEDS_FIX finds every literal that sub would change (and a few it would
+# not), so a literal it does not match is kept as it is.
 _IN_STRING_FIX = re.compile(r'\\["\\/bfnrtu]|[\\\n\t\r]')
 _IN_STRING_SUBSTITUTES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": ""}
+_NEEDS_FIX = re.compile(r'\\(?:[^"\\/bfnrtu]|\Z)|[\n\t\r]')
 
 
 def _fix_token(match: re.Match) -> str:
     token = match[0]
     if token == ",":
         return ""
+    if not _NEEDS_FIX.search(token):
+        return token
     return _IN_STRING_FIX.sub(lambda m: _IN_STRING_SUBSTITUTES.get(m[0], m[0]), token)
 
 

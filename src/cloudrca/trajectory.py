@@ -1,6 +1,6 @@
 """Core record types for a diagnosis run: tool calls, steps, trajectories,
-and the finalize payload.  Kept dependency-free so both the tool layer and
-the controller can import them.
+and the finalize payload.  Imported by both the tool layer and the
+controller; from the package it takes only the JSONL renderer.
 """
 
 from __future__ import annotations
@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Optional
+
+from .structured import jsonl_text
 
 UNCLEAR = "Unclear"
 
@@ -90,16 +92,10 @@ class Trajectory:
 
     def to_jsonl(self) -> str:
         """One step object per line, then a trailing result object."""
-        lines = [json.dumps({"step": s.to_dict()}, sort_keys=True) for s in self.steps]
-        lines.append(
-            json.dumps(
-                {
-                    "result": self.result.to_dict() if self.result else None,
-                    "passed": self.passed,
-                    "seed_prefix_len": self.seed_prefix_len,
-                    "diagnostic": self.diagnostic,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
+        record = {
+            "result": self.result.to_dict() if self.result else None,
+            "passed": self.passed,
+            "seed_prefix_len": self.seed_prefix_len,
+            "diagnostic": self.diagnostic,
+        }
+        return jsonl_text([*({"step": s.to_dict()} for s in self.steps), record])
