@@ -31,10 +31,6 @@ SUBSTITUTION_TABLE: list[tuple[str, str]] = [
     ("}", "%>"),
 ]
 
-# No substitute holds a character the table replaces, so sanitizing
-# commutes with concatenation: pieces can be sanitized one at a time.
-_SANITIZE = str.maketrans(dict(SUBSTITUTION_TABLE))
-
 STAGE_DIRECT = "direct"
 STAGE_ESCAPE_FIXED = "escape_fixed"
 STAGE_REGENERATED = "regenerated"
@@ -56,8 +52,15 @@ class RepairOutcome:
 
 
 def sanitize_prompt(text: str) -> str:
-    """Apply the substitution table to every character of ``text``."""
-    return text.translate(_SANITIZE)
+    """Apply the substitution table to every character of ``text``.
+
+    No substitute holds a character the table replaces, so one
+    ``str.replace`` pass per entry maps each character once, and sanitizing
+    commutes with concatenation: pieces can be sanitized one at a time.
+    """
+    for char, substitute in SUBSTITUTION_TABLE:
+        text = text.replace(char, substitute)
+    return text
 
 
 # A JSON string literal (RFC 8259 section 7): an unescaped ``"`` closes it
@@ -165,6 +168,25 @@ def fix_escapes(text: str) -> str:
     return _STRING_OR_TRAILING_COMMA.sub(_fix_token, text)
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _object_at(text: str, brace: int) -> Optional[dict]:
+    """The JSON object that opens at ``text[brace]``, text after it
+    ignored; None when there is no brace (-1) or no object parses there.
+
+    A valid object ends at the ``}`` that balances its first brace under
+    the string-literal rule of ``balanced_spans``, so at the first brace
+    of a text it is the parse of the first balanced span.
+    """
+    if brace == -1:
+        return None
+    try:
+        return _DECODER.raw_decode(text, brace)[0]
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep
+        return None
+
+
 def try_parse(text: Optional[str]) -> Optional[Any]:
     if text is None:
         return None
@@ -192,7 +214,15 @@ def json_regen(
     among the first MAX_KEY_SPANS spans holding ``key``, a backslash or a
     carriage return (no parse can find ``key`` in any other span).  When
     none qualifies, the stages below run on the text from the first brace.
+
+    Before any span scan, the object at the first brace is decoded: when it
+    is one (with a ``key``, one holding a string under it), it is the first
+    span those stages would read, and it is returned as the direct read.
     """
+    brace = raw_output.find("{")
+    first = _object_at(raw_output, brace)
+    if first is not None and (key is None or isinstance(first.get(key), str)):
+        return RepairOutcome(first, 0, STAGE_DIRECT, 0 if key is None else brace)
     start = 0
     if key is not None:
         holding = (
@@ -207,7 +237,7 @@ def json_regen(
             if isinstance((value or {}).get(key), str):
                 stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
                 return RepairOutcome(value if enabled else {}, 0, stage, start)
-        start = raw_output.find("{")
+        start = brace
         if start == -1:
             return RepairOutcome({}, 0, STAGE_FAILED, start)
         raw_output = raw_output[start:]

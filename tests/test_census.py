@@ -29,7 +29,10 @@ SRC = pathlib.Path(cloudrca.__file__).parent
 
 # by kind: import-time only, abstract, live endpoint only, paper
 # components and public helpers no run uses, error paths, and paths for
-# inputs larger than the bundle's
+# inputs larger than the bundle's.  structured.extract_json is a public
+# helper and the fallback reader of json_regen's unkeyed direct stage and
+# its repair stages, which no bundle reply reaches: each parses at its
+# first brace or, when corrupted, in the keyed span scan.
 UNCALLED = {
     "backends:Backend.complete",
     "backends:Backend.embed",
@@ -61,6 +64,7 @@ UNCALLED = {
     "mockpolicy:PolicyBackend.clone",
     "mockpolicy:_regen",
     "structured:_merge",
+    "structured:extract_json",
     "tools:ErrorMessage.render",
     "tools:ToolRegistry.names",
     "tools:_error_result",

@@ -1,19 +1,22 @@
 import importlib.resources
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrca import structured
+from cloudrca import prompts, structured
 from cloudrca.agent import _split_thought
-from cloudrca.backends import MockBackend
+from cloudrca.backends import MockBackend, ask
+from cloudrca.mockpolicy import _corrupt
 from cloudrca.structured import (
     STAGE_DIRECT,
     STAGE_ESCAPE_FIXED,
     STAGE_FAILED,
     STAGE_REGENERATED,
     SUBSTITUTION_TABLE,
+    RepairOutcome,
     balanced_spans,
     extract_json,
     fix_escapes,
@@ -44,6 +47,24 @@ class TestSanitize:
     def test_snapshot_line_sanitized_form(self):
         out = sanitize_prompt("[ snapshot: 0123456789 ]")
         assert out == "<: snapshot: 0123456789 :>"
+
+    def test_no_substitute_holds_a_replaced_character(self):
+        # the replace passes and the piecewise history rendering rely on it
+        replaced = {char for char, _ in SUBSTITUTION_TABLE}
+        assert len(replaced) == len(SUBSTITUTION_TABLE)
+        for _, substitute in SUBSTITUTION_TABLE:
+            assert not replaced & set(substitute)
+
+    @settings(max_examples=500)
+    @given(
+        st.text(
+            st.characters(exclude_categories=())
+            | st.sampled_from([char for char, _ in SUBSTITUTION_TABLE] + ["\ud800", "\udfff"])
+        )
+    )
+    def test_equals_the_per_character_mapping(self, text):
+        table = dict(SUBSTITUTION_TABLE)
+        assert sanitize_prompt(text) == "".join(table.get(char, char) for char in text)
 
 
 class TestExtractJson:
@@ -521,6 +542,169 @@ class TestOneRead:
         # both parses of the first MAX_KEY_SPANS spans, then the unchanged
         # stages on the text from the first brace
         assert len(parsed) == 2 * structured.MAX_KEY_SPANS + (2 if enabled else 1)
+
+
+def span_scan_read(backend, raw_output, enabled=True, key=None):
+    """``json_regen`` as it read before the first-brace parse: the span scan
+    first, then the direct, escape-fixed and regenerated stages."""
+    start = 0
+    if key is not None:
+        for start, span in itertools.islice(
+            (
+                (start, span) for start, span in balanced_spans(raw_output)
+                if key in span or "\\" in span or "\r" in span
+            ),
+            structured.MAX_KEY_SPANS,
+        ):
+            value = try_parse(span)
+            if isinstance((value or {}).get(key), str):
+                return RepairOutcome(value, 0, STAGE_DIRECT, start)
+            value = try_parse(fix_escapes(span))
+            if isinstance((value or {}).get(key), str):
+                stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
+                return RepairOutcome(value if enabled else {}, 0, stage, start)
+        start = raw_output.find("{")
+        if start == -1:
+            return RepairOutcome({}, 0, STAGE_FAILED, start)
+        raw_output = raw_output[start:]
+    direct = try_parse(extract_json(raw_output))
+    if direct is not None:
+        return RepairOutcome(direct, 0, STAGE_DIRECT, start)
+    if not enabled:
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
+    fixed = try_parse(extract_json(fix_escapes(raw_output)))
+    if fixed is not None:
+        return RepairOutcome(fixed, 0, STAGE_ESCAPE_FIXED, start)
+    if backend is None:
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
+    current = raw_output
+    for attempts in range(1, structured.DEFAULT_RETRY_LIMIT + 1):
+        for instruction in (prompts.YAML_EXTRACT_INSTRUCTION, prompts.JSON_RESTORE_INSTRUCTION):
+            current = ask(backend, prompts.REGEN_SYSTEM, f"{instruction}\n\n{current}")
+        value = try_parse(extract_json(fix_escapes(current)))
+        if value is not None:
+            return RepairOutcome(value, attempts, STAGE_REGENERATED, start)
+    return RepairOutcome({}, structured.DEFAULT_RETRY_LIMIT, STAGE_FAILED, start)
+
+
+def assert_reads_as_the_span_scan(text, enabled, key, script=None):
+    backends = (None, None) if script is None else (MockBackend(script), MockBackend(script))
+    got = json_regen(backends[0], text, enabled, key)
+    assert got == span_scan_read(backends[1], text, enabled, key)
+    if script is not None:
+        sent = [call.exchange.messages for call in backends[0].calls]
+        assert sent == [call.exchange.messages for call in backends[1].calls]
+    return got
+
+
+DEEP = '{"a":' * 1000 + "1" + "}" * 1000
+
+
+class TestFirstBraceParse:
+    @settings(max_examples=1000)
+    @given(
+        st.lists(st.sampled_from(ACTION_PIECES), max_size=24).map("".join)
+        | st.text(alphabet=REPLY_ALPHABET, max_size=40),
+        st.booleans(),
+        st.sampled_from([None, "function"]),
+    )
+    def test_equals_the_span_scan_read(self, text, enabled, key):
+        assert_reads_as_the_span_scan(text, enabled, key)
+
+    @pytest.mark.parametrize("key", [None, "function"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_bundled_corpus_reads_as_the_span_scan(self, enabled, key):
+        data = (
+            importlib.resources.files("cloudrca") / "data" / "repair_corpus.jsonl"
+        ).read_text(encoding="utf-8")
+        for line in filter(str.strip, data.splitlines()):
+            raw = json.loads(line)["raw"]
+            for text in (raw, f"Thought: {{x}} then {raw}", f"Thought: ok.\nFunction: {raw}"):
+                assert_reads_as_the_span_scan(text, enabled, key)
+
+    @pytest.mark.parametrize(
+        "text, unkeyed, keyed",
+        [
+            (
+                '{ broken\n{"function": "f"}',
+                ({"function": "f"}, STAGE_DIRECT, 0),
+                ({"function": "f"}, STAGE_DIRECT, 9),
+            ),
+            (
+                '{"a": 1} {"function": "f"}',
+                ({"a": 1}, STAGE_DIRECT, 0),
+                ({"function": "f"}, STAGE_DIRECT, 9),
+            ),
+            (
+                '{"function": 1} {"function": "f"}',
+                ({"function": 1}, STAGE_DIRECT, 0),
+                ({"function": "f"}, STAGE_DIRECT, 16),
+            ),
+            (
+                'Function: {"function": "a } and \\" here"} {"b": 2}',
+                ({"function": 'a } and " here'}, STAGE_DIRECT, 0),
+                ({"function": 'a } and " here'}, STAGE_DIRECT, 10),
+            ),
+            (DEEP, ({}, STAGE_FAILED, 0), ({}, STAGE_FAILED, 0)),
+            (
+                DEEP + ' {"function": "f"}',
+                ({}, STAGE_FAILED, 0),
+                ({"function": "f"}, STAGE_DIRECT, len(DEEP) + 1),
+            ),
+            ("no action here", ({}, STAGE_FAILED, 0), ({}, STAGE_FAILED, -1)),
+        ],
+        ids=[
+            "unbalanced-first-brace",
+            "first-object-without-the-key",
+            "key-under-a-non-string",
+            "brace-and-escaped-quote-in-a-literal",
+            "nested-past-the-recursion-limit",
+            "action-after-deep-nesting",
+            "no-brace",
+        ],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_explicit_cases(self, text, unkeyed, keyed, enabled):
+        for key, expected in ((None, unkeyed), ("function", keyed)):
+            got = assert_reads_as_the_span_scan(text, enabled, key)
+            assert (got.value, got.stage, got.start) == expected
+
+    @pytest.mark.parametrize("key", [None, "function"])
+    def test_regeneration_reads_as_the_span_scan(self, key):
+        text = 'Thought: {x} and more.\nFunction: {"function": fetch}'
+        got = assert_reads_as_the_span_scan(text, True, key, ["junk", '{"function": "fetch"}'])
+        assert got.stage == STAGE_REGENERATED and got.attempts == 1
+
+
+class TestSpanScanCalls:
+    """The first-brace parse keeps valid replies off the span scan; counted
+    in calls, not timed."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        original = structured.balanced_spans
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(structured, "balanced_spans", counting)
+        return calls
+
+    ACTION = json.dumps({"function": "finalize", "kwargs": {"root_cause": "x"}}, sort_keys=True)
+
+    @pytest.mark.parametrize("key", [None, "function"])
+    def test_a_valid_reply_is_never_scanned(self, scans, key):
+        outcome = json_regen(None, f"Thought: done.\nFunction: {self.ACTION}", key=key)
+        assert outcome.stage == STAGE_DIRECT and scans == []
+
+    def test_the_mocks_trailing_comma_action_is_scanned_once(self, scans):
+        text = f"Thought: done.\nFunction: {_corrupt(self.ACTION)}"
+        assert text.count(",}") == 2
+        outcome = json_regen(None, text, key="function")
+        assert (outcome.stage, outcome.start) == (STAGE_ESCAPE_FIXED, text.index("{"))
+        assert outcome.value == json.loads(self.ACTION) and len(scans) == 1
 
 
 class TestCorpusRegression:
