@@ -352,7 +352,10 @@ class HttpBackend:
                         f"HTTP {resp.status_code}: {resp.text[:200]}", attempts=attempt
                     )
                 else:
-                    return resp.json()
+                    try:
+                        return resp.json()
+                    except RecursionError as exc:  # nested too deep: as if not JSON
+                        last_error = str(exc)
             except requests.RequestException as exc:
                 last_error = str(exc)
             if attempt < MAX_ATTEMPTS:

@@ -3,7 +3,6 @@ batch evaluation, and deterministic trajectory replay."""
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import traceback
@@ -21,7 +20,7 @@ from .errors import ConfigurationError
 from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
-from .structured import json_text
+from .structured import json_text, read_json
 from .trajectory import AnalysisResult, Trajectory
 
 # --aggregate flag -> the method name result.json records and replay reads back
@@ -53,12 +52,16 @@ class RunSettings:
 
 
 def _read_mapping(path: str) -> dict:
-    """The mapping a JSON file (by its .json suffix) or a YAML file holds; a
-    usage error when the file cannot be read or parsed or holds no mapping."""
+    """The mapping a --config file holds, JSON by its .json suffix and YAML
+    otherwise; a usage error when the file cannot be read or parsed or
+    holds no mapping."""
     try:
+        if path.endswith(".json"):
+            return read_json(path)
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh) if path.endswith(".json") else yaml.safe_load(fh)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+            data = yaml.safe_load(fh)
+    except (OSError, ValueError, RecursionError, yaml.YAMLError) as exc:
+        # RecursionError: YAML nested too deep
         raise click.UsageError(f"cannot read {path}: {exc}")
     # an empty YAML file loads as None: no settings
     data = {} if data is None else data
@@ -301,15 +304,13 @@ def cmd_replay(trajectory_file):
     trajectory.jsonl and result.json with the files on disk.  Exits 1 on the
     first divergence (regression guard)."""
     manifest_path = os.path.join(os.path.dirname(trajectory_file), "result.json")
-    manifest = _read_mapping(manifest_path)
-    for name in ("job_id", "settings"):
-        if name not in manifest:
-            raise click.UsageError(f"{manifest_path} has no {name!r} entry")
-    if not isinstance(manifest["settings"], dict):
+    try:
+        manifest = read_json(manifest_path, ("job_id",))
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read {manifest_path}: {exc}")
+    if not isinstance(manifest.get("settings"), dict):
         raise click.UsageError(f"settings in {manifest_path} is not a mapping")
     job_id = manifest["job_id"]
-    if not isinstance(job_id, str):
-        raise click.UsageError(f"job_id in {manifest_path} is not a string")
     settings = _settings_from(manifest["settings"])
     sandbox = _load_sandbox(settings.scenarios)
     _require_job(sandbox, job_id, settings.scenarios)

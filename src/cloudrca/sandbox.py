@@ -9,7 +9,6 @@ detection time: the loader keeps no other entry.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import random
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
 from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
-from .structured import checked_entry, json_text, jsonl_text, read_jsonl
+from .structured import json_text, jsonl_text, read_json, read_jsonl
 from .tools import ToolParam, ToolRegistry, ToolSpec, finalize_spec
 from .trajectory import AnalysisResult
 
@@ -268,28 +267,9 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
 # Loading and tool binding
 
 
-# the entries of a bundle JSONL file; see structured.read_jsonl
-_read_jsonl = functools.partial(read_jsonl, keys=("timestamp", "text"))
-
-
-def _read_ground_truth(path: str) -> dict:
-    """A job's ground truth; a file that is not a UTF-8 JSON object with
-    string ``detection_time`` and ``scenario_id`` raises ValueError naming
-    ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            gt = json.load(fh)
-    except json.JSONDecodeError as exc:  # keeps its type, which a batch row shows
-        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return checked_entry(gt, ("detection_time", "scenario_id"), path)
-
-
 def _text_before(path: str, detection_time: str) -> str:
-    return "\n".join(
-        entry["text"] for entry in _read_jsonl(path) if entry["timestamp"] < detection_time
-    )
+    entries = read_jsonl(path, ("timestamp", "text"))
+    return "\n".join(entry["text"] for entry in entries if entry["timestamp"] < detection_time)
 
 
 class Sandbox:
@@ -299,14 +279,10 @@ class Sandbox:
     def __init__(self, root: str):
         self.root = root
         index_path = os.path.join(root, "index.json")
-        if not os.path.exists(index_path):
-            raise ConfigurationError(f"no scenario index at {index_path}")
         try:
-            with open(index_path, "r", encoding="utf-8") as fh:
-                index = json.load(fh)
+            job_ids = read_json(index_path).get("job_ids")
         except (OSError, ValueError) as exc:
             raise ConfigurationError(f"cannot read scenario index {index_path}: {exc}")
-        job_ids = index.get("job_ids") if isinstance(index, dict) else None
         if not isinstance(job_ids, list):
             raise ConfigurationError(f"scenario index {index_path} holds no job_ids list")
         # a job id names its directory, in the bundle and under --out-dir
@@ -335,7 +311,7 @@ class Sandbox:
         gt_path = os.path.join(job_dir, "ground_truth.json")
         if not os.path.exists(gt_path):
             raise ConfigurationError(f"unknown job id: {job_id}")
-        gt = _read_ground_truth(gt_path)
+        gt = read_json(gt_path, ("detection_time", "scenario_id"))
         cut = gt["detection_time"]
         return JobRecord(
             job_id=job_id,

@@ -21,11 +21,13 @@ EMPTY_OBSERVATION = "(empty observation)"
 # tell the controller to pass keys under
 SNAPSHOT_PARAM = "snapshot"
 
-_KEY_RE = re.compile(r"^\d{10}$")
-_SNAPSHOT_LINE_RE = re.compile(r"^(?:\[|<:) snapshot: (\d{10}) (?:\]|:>)$", re.M)
+# a key is exactly ten ASCII digits (\d would take any Unicode digit)
+_KEY_RE = re.compile(r"[0-9]{10}")
+_SNAPSHOT_LINE_RE = re.compile(r"^(?:\[|<:) snapshot: ([0-9]{10}) (?:\]|:>)$", re.M)
+
 
 def looks_like_key(value: str) -> bool:
-    return bool(_KEY_RE.match(value))
+    return _KEY_RE.fullmatch(value) is not None
 
 
 class SnapshotStore:

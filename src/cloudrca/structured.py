@@ -270,7 +270,8 @@ def json_regen(
 
 # ---------------------------------------------------------------------------
 # JSON files: every file the program writes is rendered by json_text or
-# jsonl_text, and every JSONL file it reads is read by read_jsonl
+# jsonl_text, and every JSON or JSONL file it reads is read by read_json or
+# read_jsonl
 
 
 def json_text(value: Any) -> str:
@@ -283,27 +284,38 @@ def jsonl_text(entries: Iterable[Any]) -> str:
     return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
 
 
-def checked_entry(entry: Any, keys: tuple[str, ...], where: str) -> dict:
-    """``entry`` when it is an object with a string under each of ``keys``;
-    otherwise ValueError naming ``where``."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where}: entry is not an object")
-    for key in keys:
-        if not isinstance(entry.get(key), str):
-            raise ValueError(f"{where}: entry has no string {key!r}")
-    return entry
+def _entry(data: bytes, keys: tuple[str, ...], path: str, line: Optional[int] = None) -> dict:
+    """The object UTF-8 JSON ``data`` holds, with a string under each of
+    ``keys``.  A syntax error stays a JSONDecodeError; bytes that are not
+    UTF-8 or nest too deep, and any other value, raise ValueError.  Each
+    message begins with ``path`` (and ``line``), built only on failure."""
+    try:
+        entry = json.loads(data.decode("utf-8"))
+        if not isinstance(entry, dict):
+            raise ValueError("entry is not an object")
+        for key in keys:
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"entry has no string {key!r}")
+        return entry
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        where = path if line is None else f"{path}:{line}"
+        if isinstance(exc, json.JSONDecodeError):  # keeps its type, which a batch row shows
+            raise json.JSONDecodeError(f"{where}: {exc.msg}", exc.doc, exc.pos) from None
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def read_json(path: str, keys: tuple[str, ...] = ()) -> dict:
+    """The object a JSON file holds; see _entry for what a malformed file
+    raises (ValueError naming ``path``)."""
+    with open(path, "rb") as fh:
+        return _entry(fh.read(), keys, path)
 
 
 def read_jsonl(path: str, keys: tuple[str, ...]) -> Iterator[dict]:
-    """Each entry of a JSONL file (UTF-8, one entry per "\\n"-ended line,
-    blank lines skipped), in file order; a line that is not an object with
-    a string under each of ``keys`` raises ValueError naming ``path:line``."""
+    """Each entry of a JSONL file (one entry per "\\n"-ended line, blank
+    lines skipped), in file order; see _entry for what a malformed line
+    raises (ValueError naming ``path:line``)."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # UnicodeDecodeError included
-                raise ValueError(f"{path}:{number}: {exc}") from None
-            yield checked_entry(entry, keys, f"{path}:{number}")
+            if line.strip():
+                yield _entry(line, keys, path, number)

@@ -2,8 +2,8 @@
 must every lookup name the benchmark's tracer binds; no module of the
 package or of the tests keeps an import it never uses, no module
 encodes text so that a lone surrogate raises, only two functions of the
-package open a thread pool, and the records a batch keeps per job are
-slotted."""
+package open a thread pool, only ``structured`` decodes JSON, and the
+records a batch keeps per job are slotted."""
 
 import ast
 import pathlib
@@ -117,6 +117,27 @@ def test_only_overlapped_and_batch_open_thread_pools():
     package = pathlib.Path(cloudrca.__file__).parent
     openers = [name for path in sorted(package.glob("*.py")) for name in _pool_openers(path)]
     assert openers == ["backends.overlapped", "cli.cmd_batch"]
+
+
+def _json_decodes(path):
+    """Line of each ``json.load``, ``json.loads`` or ``json.JSONDecoder``
+    in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("load", "loads", "JSONDecoder")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    ]
+
+
+def test_only_structured_decodes_json():
+    # read_json and read_jsonl decide what a malformed input file raises,
+    # and try_parse what a malformed model reply gives
+    package = pathlib.Path(cloudrca.__file__).parent
+    found = {path.name: _json_decodes(path) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "structured.py"} == {}
 
 
 # one instance of each record type a run or a batch keeps per job

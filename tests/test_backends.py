@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import backends as backends_module
+from cloudrca.agent import run_trajectory
 from cloudrca.backends import (
     LAST_COMPLETION_WAITED,
     MAX_IN_FLIGHT,
@@ -34,6 +35,9 @@ from cloudrca.backends import (
 )
 from cloudrca.errors import ConfigurationError, ProtocolError, TransportError
 from cloudrca.mockpolicy import PolicyBackend
+from cloudrca.tools import ToolRegistry, finalize_spec
+
+from conftest import make_config
 
 
 def exchange(user="hello"):
@@ -546,6 +550,54 @@ def test_embed_posts_at_most_max_embed_inputs_per_request(monkeypatch):
         server.server_close()
     assert np.array_equal(sliced, whole)
     assert sliced[:, 0].tolist() == list(range(5000))
+
+
+class _DeepStub(http.server.BaseHTTPRequestHandler):
+    """Answers every request 200 with a JSON body nested 200,000 levels
+    deep, past the depth CPython's parser reads."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b"[" * 200_000
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestDeeplyNestedBody:
+    """A 2xx body nested too deep is retried like a body that is not JSON,
+    and ends as a TransportError, not a RecursionError."""
+
+    @pytest.fixture
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(backends_module.time, "sleep", lambda _s: None)
+        server = http.server.HTTPServer(("127.0.0.1", 0), _DeepStub)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield HttpBackend(f"http://127.0.0.1:{server.server_address[1]}", "m")
+        server.shutdown()
+        server.server_close()
+
+    def test_complete_and_embed_raise_transport_error(self, backend):
+        for call in (
+            lambda: backend.complete(exchange(), GenerationParams()),
+            lambda: backend.embed(["a"]),
+        ):
+            with pytest.raises(TransportError) as err:
+                call()
+            assert err.value.attempts == backends_module.MAX_ATTEMPTS
+
+    def test_a_trajectory_records_a_backend_failure(self, backend):
+        registry = ToolRegistry()
+        registry.register(finalize_spec(), lambda kwargs: "Finalized.")
+        trajectory = run_trajectory(make_config("fj00000000"), registry, backend)
+        assert trajectory.diagnostic.startswith("backend failure:")
+        assert not trajectory.passed
 
 
 class _FakeResponse:

@@ -1,11 +1,12 @@
 """Function-level census of what the CLI reaches end to end.
 
 The test generates a bundle, runs `cloudrca batch` in every mode and
-aggregation at 10% malformed actions, then `diagnose` and `replay`, all
-through CliRunner, and profiles every Python call.  The `src` functions
-that no run calls must equal UNCALLED, so a function that only the unit
-tests reach is a listed, visible choice: wire it in or delete it.  A name
-that joins or leaves the set fails the test with that name.
+aggregation at 10% malformed actions, then `diagnose` (its settings from a
+`--config` file) and `replay`, all through CliRunner, and profiles every
+Python call.  The `src` functions that no run calls must equal UNCALLED,
+so a function that only the unit tests reach is a listed, visible choice:
+wire it in or delete it.  A name that joins or leaves the set fails the
+test with that name.
 
 Lambdas and comprehensions are not counted.  A function that runs only at
 import (such as a decorator) counts as uncalled.
@@ -107,7 +108,9 @@ def _run_cli(tmp_path: pathlib.Path):
             )
     job_id = json.loads((bundle / "index.json").read_text())["job_ids"][0]
     out = tmp_path / "diagnose"
-    invoke("diagnose", job_id, "--scenarios", bundle, "--out-dir", out, "--malformed-pct", 10)
+    config = tmp_path / "run.yaml"
+    config.write_text("malformed_pct: 10\n")
+    invoke("diagnose", job_id, "--scenarios", bundle, "--out-dir", out, "--config", config)
     invoke("replay", out / job_id / "trajectory.jsonl")
 
 

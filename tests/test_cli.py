@@ -374,8 +374,14 @@ class TestBadSettings:
 
     @pytest.mark.parametrize(
         "name, text",
-        [("absent.yaml", None), ("run.yaml", "mode: [tsc"), ("run.json", '{"k": 3,')],
-        ids=["missing-file", "bad-yaml", "bad-json"],
+        [
+            ("absent.yaml", None),
+            ("run.yaml", "mode: [tsc"),
+            ("run.json", '{"k": 3,'),
+            ("run.json", "[" * 200_000),
+            ("run.yaml", "[" * 200_000),
+        ],
+        ids=["missing-file", "bad-yaml", "bad-json", "json-too-deep", "yaml-too-deep"],
     )
     def test_unreadable_config_is_a_usage_error(
         self, runner, scenario_dir, tmp_path, monkeypatch, name, text
@@ -393,7 +399,7 @@ class TestBadSettings:
             ["batch", "--scenarios", scenario_dir, "--out-dir", str(out),
              "--config", str(path)],
         )
-        assert result.exit_code == 2, result.output
+        TestUnreadableBundle.assert_usage_error(result, path)
         assert f"cannot read {path}" in result.output
         assert not out.exists()
 
@@ -422,8 +428,9 @@ class TestUnreadableBundle:
 
     @pytest.mark.parametrize(
         "index_text",
-        [None, "{not json", '{"seed": 1}', '["fj00000000"]', '{"job_ids": "fj00000000"}'],
-        ids=["missing", "unparsable", "no-job-ids", "list", "job-ids-string"],
+        [None, "{not json", '{"seed": 1}', '["fj00000000"]', '{"job_ids": "fj00000000"}',
+         "[" * 200_000],
+        ids=["missing", "unparsable", "no-job-ids", "list", "job-ids-string", "nested-too-deep"],
     )
     def test_batch(self, runner, tmp_path, index_text):
         bundle = tmp_path / "bundle"
@@ -712,8 +719,8 @@ class TestReplay:
         [
             (lambda m: {**m, "settings": ["x"]}, "is not a mapping"),
             (lambda m: {k: v for k, v in m.items() if k != "job_id"}, "'job_id'"),
-            (lambda m: {**m, "job_id": 7}, "job_id in"),
-            (lambda m: [m], "does not hold a mapping"),
+            (lambda m: {**m, "job_id": 7}, "result.json: entry has no string 'job_id'"),
+            (lambda m: [m], "result.json: entry is not an object"),
             (None, "does not exist"),
         ],
         ids=["settings-list", "no-job-id", "job-id-int", "list-file", "missing-trajectory"],
@@ -733,6 +740,16 @@ class TestReplay:
         result = runner.invoke(main, ["replay", path])
         assert result.exit_code == 2, result.output
         assert message in result.output
+
+    def test_result_json_nested_too_deep_is_a_usage_error(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        manifest_path = os.path.join(os.path.dirname(path), "result.json")
+        with open(manifest_path, "w") as fh:
+            fh.write("[" * 200_000)
+        result = runner.invoke(main, ["replay", path])
+        TestUnreadableBundle.assert_usage_error(result, manifest_path)
 
     def test_job_not_in_the_bundle_stops_before_any_model_call(
         self, runner, scenario_dir, tmp_path, sandbox, monkeypatch

@@ -195,13 +195,13 @@ class TestSandboxLoading:
 
     def test_each_job_file_read_once(self, scenario_dir, monkeypatch):
         reads = collections.Counter()
-        real_read = sandbox_module._read_jsonl
+        real_read = sandbox_module.read_jsonl
 
-        def read(path):
+        def read(path, keys):
             reads[path] += 1
-            return real_read(path)
+            return real_read(path, keys)
 
-        monkeypatch.setattr(sandbox_module, "_read_jsonl", read)
+        monkeypatch.setattr(sandbox_module, "read_jsonl", read)
         fresh = Sandbox(scenario_dir)
         job_id = fresh.job_ids[0]
         for _ in range(3):
@@ -251,6 +251,14 @@ class TestSandboxLoading:
             with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
                 fresh.job(job_id)
 
+    def test_runtime_log_line_nested_too_deep_names_its_file_and_line(self, tmp_path):
+        bundle = tmp_path / "bundle"
+        [job_id] = generate_scenarios(seed=5, count=1, out_dir=str(bundle))
+        path = bundle / job_id / "logs.runtime.jsonl"
+        path.write_bytes(b"[" * 200_000 + b"\n" + path.read_bytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: maximum recursion depth")):
+            Sandbox(str(bundle)).job(job_id)
+
     @pytest.mark.parametrize(
         "edit, reason",
         [
@@ -263,8 +271,10 @@ class TestSandboxLoading:
              "entry has no string 'detection_time'"),
             (lambda gt: json.dumps({k: v for k, v in gt.items() if k != "scenario_id"}).encode(),
              "entry has no string 'scenario_id'"),
+            (lambda gt: b"[" * 200_000, "maximum recursion depth exceeded"),
         ],
-        ids=["not-json", "not-utf-8", "not-object", "no-detection-time", "int-detection-time", "no-scenario-id"],
+        ids=["not-json", "not-utf-8", "not-object", "no-detection-time", "int-detection-time",
+             "no-scenario-id", "nested-too-deep"],
     )
     def test_malformed_ground_truth_names_its_file(self, tmp_path, edit, reason):
         bundle = tmp_path / "bundle"

@@ -133,6 +133,16 @@ class TestStore:
         resolved = store.resolve_args({"job_id": "fj00000001", "n": 7})
         assert resolved == {"job_id": "fj00000001", "n": 7}
 
+    def test_an_issued_key_with_a_line_end_passes_through(self):
+        store = SnapshotStore()
+        value = store.put("full text") + "\n"
+        assert store.resolve_args({"snapshot": value}) == {"snapshot": value}
+
+    def test_ten_non_ascii_digits_pass_through(self):
+        # Arabic-Indic and fullwidth digits are str.isdigit() but not a key
+        for value in ["\u0661" * 10, "\uff11" * 10]:
+            assert SnapshotStore().resolve_args({"snapshot": value}) == {"snapshot": value}
+
 
 class TestRenderHead:
     def test_sixty_lines_head_seven(self):
@@ -235,6 +245,12 @@ class TestParse:
         assert looks_like_key("0123456789")
         assert not looks_like_key("123456789")  # 9 digits
         assert not looks_like_key("fj00000001")
+        assert not looks_like_key("0123456789\n")
+        assert not looks_like_key("\u0661" * 10)
+
+    def test_a_key_line_holds_ten_ascii_digits(self):
+        text = "[ snapshot: " + "\u0661" * 10 + " ]\n<: snapshot: " + "\uff11" * 10 + " :>"
+        assert snapshot_keys(text) == []
 
 
 @settings(max_examples=200)

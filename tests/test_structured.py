@@ -21,6 +21,8 @@ from cloudrca.structured import (
     extract_json,
     fix_escapes,
     json_regen,
+    read_json,
+    read_jsonl,
     sanitize_prompt,
     try_parse,
 )
@@ -723,6 +725,41 @@ class TestCorpusRegression:
             assert got == record["expected_parse_ok"], record["raw"][:80]
             parsed += got
         assert parsed / len(records) >= 0.90
+
+
+class TestReadJson:
+    """read_json and read_jsonl share one decode step: a syntax error stays
+    a JSONDecodeError, every other fault is a ValueError, and each message
+    begins with the file (and line)."""
+
+    def test_an_object_with_a_string_under_each_key_is_returned(self, tmp_path):
+        path = tmp_path / "result.json"
+        path.write_text('{"job_id": "fj1", "n": 1}')
+        assert read_json(str(path), ("job_id",)) == {"job_id": "fj1", "n": 1}
+        with pytest.raises(ValueError) as err:
+            read_json(str(path), ("n",))
+        assert str(err.value) == f"{path}: entry has no string 'n'"
+
+    def test_a_jsonl_syntax_error_keeps_its_type_and_message(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"text": "x"}\n{not json\n')
+        with pytest.raises(json.JSONDecodeError) as err:
+            list(read_jsonl(str(path), ("text",)))
+        assert str(err.value) == (
+            f"{path}:2: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)"
+        )
+
+    def test_nesting_too_deep_is_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ValueError) as err:
+            read_json(str(path))
+        assert str(err.value).startswith(f"{path}: maximum recursion depth exceeded")
+        path.write_text('{"text": "x"}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(ValueError) as err:
+            list(read_jsonl(str(path), ("text",)))
+        assert str(err.value).startswith(f"{path}:2: maximum recursion depth exceeded")
 
 
 @settings(max_examples=200)
