@@ -19,7 +19,7 @@ import numpy as np
 from . import prompts
 from .backends import Backend, ask, cosine, overlapped
 from .structured import json_regen, read_jsonl
-from .textdist import levenshtein
+from .textdist import levenshtein, split_log
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
 DEFAULT_WINDOW = 200
@@ -51,10 +51,6 @@ class SimilarityGraph:
             adj[i][j] = adj[i].get(j, 0.0) + w
             adj[j][i] = adj[j].get(i, 0.0) + w
         return adj
-
-
-def split_log(log: str) -> list[str]:
-    return [line for line in log.splitlines() if line.strip()]
 
 
 # build_graph scores window pairs in blocks of about this many pairs

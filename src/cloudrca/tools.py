@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .errors import ConfigurationError, SnapshotKeyError
 from .snapshots import SnapshotStore, render_head, EMPTY_OBSERVATION
-from .textdist import deduplicate_entries
+from .textdist import deduplicate_entries, split_log
 from .trajectory import RESULT_FIELDS, Step, ToolCall
 
 KIND_INFO = "info"
@@ -155,10 +155,7 @@ def dispatch(
         return _error_result(f"tool {call.function!r} failed: {exc}")
 
     if spec.kind == KIND_INFO:
-        entries = deduplicate_entries(
-            [line for line in raw.splitlines() if line.strip()]
-        )
-        raw = "\n".join(entries)
+        raw = "\n".join(deduplicate_entries(split_log(raw)))
     if not raw:
         raw = EMPTY_OBSERVATION
     key = store.put(raw)

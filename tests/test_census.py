@@ -30,10 +30,12 @@ SRC = pathlib.Path(cloudrca.__file__).parent
 
 # by kind: import-time only, abstract, live endpoint only, paper
 # components and public helpers no run uses, error paths, and paths for
-# inputs larger than the bundle's.  structured.extract_json is a public
-# helper and the fallback reader of json_regen's unkeyed direct stage and
-# its repair stages, which no bundle reply reaches: each parses at its
-# first brace or, when corrupted, in the keyed span scan.
+# inputs larger than the bundle's.  textdist._bigram_levels and _bounds
+# bound the pairs of observations with more than _MATRIX_MAX distinct
+# lines, and no bundle observation has that many.  structured.extract_json
+# is a public helper and the fallback reader of json_regen's unkeyed direct
+# stage and its repair stages, which no bundle reply reaches: each parses at
+# its first brace or, when corrupted, in the keyed span scan.
 UNCALLED = {
     "backends:Backend.complete",
     "backends:Backend.embed",
@@ -66,6 +68,8 @@ UNCALLED = {
     "mockpolicy:_regen",
     "structured:_merge",
     "structured:extract_json",
+    "textdist:_bigram_levels",
+    "textdist:_bounds",
     "tools:ErrorMessage.render",
     "tools:ToolRegistry.names",
     "tools:_error_result",

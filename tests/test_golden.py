@@ -16,12 +16,14 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
-from cloudrca import PolicyBackend, Sandbox, generate_scenarios
+from cloudrca import PolicyBackend, Sandbox, generate_scenarios, tools
 from cloudrca.cli import main
 from cloudrca.consistency import run_with_consistency
+from cloudrca.textdist import DEDUP_THRESHOLD
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
+from oracles import dedup_reference
 
 BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
 
@@ -112,6 +114,32 @@ def test_cli_output_bytes(golden_bundle, golden_sandbox, tmp_path, command):
     )
     assert result.exit_code == 0, result.output
     assert _tree_sha256(out, os.path.abspath(golden_bundle)) == CLI_SHA256[command]
+
+
+@pytest.mark.parametrize("command", ["batch-greedy", "batch-tsc"])
+def test_dedup_oracle_writes_the_same_runs(golden_bundle, tmp_path, monkeypatch, command):
+    """Every job's trajectory.jsonl and result.json are byte-identical when
+    each observation is deduplicated by the all-pairs reference instead."""
+
+    def run_files(out: pathlib.Path) -> dict[str, bytes]:
+        result = CliRunner().invoke(
+            main,
+            [*CLI_ARGS[command], "--scenarios", golden_bundle, "--out-dir", str(out),
+             "--malformed-pct", "10"],
+        )
+        assert result.exit_code == 0, result.output
+        return {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.glob("*/*"))
+            if path.name in ("trajectory.jsonl", "result.json")
+        }
+
+    fast = run_files(tmp_path / "fast")
+    assert len(fast) == 16
+    monkeypatch.setattr(
+        tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)
+    )
+    assert run_files(tmp_path / "oracle") == fast
 
 
 def test_tool_documentation_bytes(golden_sandbox):

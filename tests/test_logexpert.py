@@ -33,11 +33,10 @@ from cloudrca.logexpert import (
     partition,
     remove_overlaps,
     run_log_expert,
-    split_log,
     summarize,
 )
 from cloudrca.mockpolicy import PolicyBackend
-from cloudrca.textdist import deduplicate_entries, levenshtein
+from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
 
 from test_backends import embeddings_backend
 from test_textdist import _two_template_lines

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -6,25 +7,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cloudrca.textdist as textdist
+from cloudrca import Sandbox, generate_scenarios
 from cloudrca.textdist import (
     DEDUP_THRESHOLD,
     deduplicate_entries,
     levenshtein,
     normalized_similarity,
+    split_log,
 )
 
+from oracles import dedup_reference, levenshtein_oracle
 
-def levenshtein_oracle(a: str, b: str) -> int:
-    """Reference Wagner-Fischer implementation, unit costs."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(
-                min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-            )
-        prev = cur
-    return prev[len(b)]
+
+# _MATRIX_MAX values that send every input to one bound form: 0 to packed
+# words, and one above the size of every input the forms run on to one matrix
+FORMS = {"packed": 0, "matrix": 1000}
+
+
+def both_forms(test):
+    """Run ``test`` once in each of FORMS, so that small inputs reach the
+    packed form too; a ``distance_calls`` argument starts empty each time."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for limit in FORMS.values():
+            kwargs.get("distance_calls", []).clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(textdist, "_MATRIX_MAX", limit)
+                test(*args, **kwargs)
+
+    return run
 
 
 class TestLevenshtein:
@@ -85,6 +97,7 @@ class TestNormalizedSimilarity:
 
 
 class TestDeduplicate:
+    @both_forms
     def test_keeps_first_of_near_duplicates(self):
         entries = [
             "INFO checkpoint 41 completed in 93 ms",
@@ -94,13 +107,16 @@ class TestDeduplicate:
         kept = deduplicate_entries(entries)
         assert kept == [entries[0], entries[2]]
 
+    @both_forms
     def test_exact_duplicates_removed(self):
         assert deduplicate_entries(["a b c", "a b c", "a b c"]) == ["a b c"]
 
+    @both_forms
     def test_order_preserved(self):
         entries = ["zebra line", "apple line", "zebra line"]
         assert deduplicate_entries(entries) == ["zebra line", "apple line"]
 
+    @both_forms
     def test_similarity_at_the_threshold_drops_the_later_line(self):
         # 10 characters: one edit is similarity 0.9 exactly, two are 0.8
         first = "abcdefghij"
@@ -188,16 +204,7 @@ def test_prefix_and_suffix_that_would_overlap(a, b):
     assert levenshtein(b, a) == levenshtein_oracle(a, b)
 
 
-def dedup_reference(entries, threshold):
-    """The all-pairs deduplication every faster version must reproduce."""
-    kept = []
-    for entry in entries:
-        if any(normalized_similarity(entry, prior) >= threshold for prior in kept):
-            continue
-        kept.append(entry)
-    return kept
-
-
+@both_forms
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.9, 1.0, 1.1])
 def test_dedup_matches_reference_on_fixed_lists(monkeypatch, threshold):
     # the skip test and the measured pass read DEDUP_THRESHOLD at call time,
@@ -225,6 +232,7 @@ def test_dedup_matches_reference_on_fixed_lists(monkeypatch, threshold):
             assert expected == dedup_reference(entries, threshold)
 
 
+@both_forms
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.text(alphabet="ab c", max_size=12), max_size=25))
 def test_dedup_matches_reference_property(entries):
@@ -233,6 +241,7 @@ def test_dedup_matches_reference_property(entries):
     assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
+@both_forms
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.text(alphabet="ab c", max_size=12), max_size=25),
@@ -281,12 +290,14 @@ def distance_calls(monkeypatch):
     return calls
 
 
+@both_forms
 def test_exact_repeats_need_no_distance(distance_calls):
     line = "2024-05-01 12:00:00 INFO heartbeat from executor 7 ok"
     assert deduplicate_entries([line] * 1000) == [line]
     assert distance_calls == []
 
 
+@both_forms
 def test_length_bound_skips_distance(distance_calls):
     # each entry is more than 10% longer than every shorter one, so no pair
     # can reach similarity 0.9
@@ -296,18 +307,21 @@ def test_length_bound_skips_distance(distance_calls):
 
 
 # the bigrams "01" and "89" share a bucket, as do "0p" and "8x"
+@both_forms
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.text(alphabet="0p1q89x a🚀", max_size=12), max_size=25))
 def test_dedup_matches_reference_when_buckets_collide(entries):
     assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
+@both_forms
 def test_dedup_takes_lone_surrogates():
     # json.loads turns "\ud800" in a log line into a lone surrogate
     entries = ["x\ud800y", "x\ud800z", "abc"]
     assert deduplicate_entries(entries) == dedup_reference(entries, DEDUP_THRESHOLD)
 
 
+@both_forms
 def test_dedup_counts_do_not_wrap_on_long_lines():
     # the "aa" bucket holds 32,767 of the kept line's bigrams and 32,766 of
     # the next one's: a 16-bit count would wrap, and the bucket takes coarse
@@ -417,6 +431,10 @@ def test_packed_bound_equals_the_unary_product(texts):
     want_lower, want_longest = unary_bounds_oracle(texts)
     assert np.array_equal(lower, want_lower)
     assert np.array_equal(longest, want_longest)
+    # the one-matrix form gives the same integers
+    lower, longest = textdist._matrix_bounds(*textdist._bucket_levels(texts, lengths), lengths)
+    assert np.array_equal(lower, want_lower)
+    assert np.array_equal(longest, want_longest)
 
 
 def _edited(rng: random.Random, line: str, edits: int) -> str:
@@ -433,6 +451,7 @@ def _edited(rng: random.Random, line: str, edits: int) -> str:
     return "".join(chars)
 
 
+@both_forms
 def test_longlog_style_list_matches_reference():
     # both templates interleaved, with exact repeats and near-duplicates of
     # at most 3 changed characters mixed among the fresh lines
@@ -450,3 +469,64 @@ def test_longlog_style_list_matches_reference():
     kept = deduplicate_entries(lines)
     assert kept == dedup_reference(lines, DEDUP_THRESHOLD)
     assert 0 < len(kept) < len(set(lines)) < len(lines)
+
+
+def _switch_lines(count: int) -> list[str]:
+    """``count`` distinct lines with exact repeats among them: near-duplicates
+    of two templates, an empty line, lone surrogates, and a line whose run of
+    one character puts its bucket on a coarse step."""
+    rng = random.Random(count)
+    distinct = ["", "a" * (4 * textdist._LEVELS) + " heartbeat", "lost \ud800 executor 7"]
+    templates = _two_template_lines(rng, 4)
+    while len(distinct) < count:
+        line = _edited(rng, rng.choice(templates), rng.randint(1, 8))
+        if rng.random() < 0.2:
+            line = line.replace("s", "\udc00", 1)
+        if line not in distinct:
+            distinct.append(line)
+    return distinct + [rng.choice(distinct) for _ in range(count // 2)]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_both_forms_measure_the_same_pairs(monkeypatch, distance_calls, offset):
+    # at _MATRIX_MAX - 1 and _MATRIX_MAX distinct lines the matrix form
+    # runs, one more takes packed words; each form, forced, measures the
+    # same pairs in the same order
+    count = textdist._MATRIX_MAX + offset
+    lines = _switch_lines(count)
+    distinct = list(dict.fromkeys(lines))
+    assert len(distinct) == count
+    lengths = np.fromiter(map(len, distinct), dtype=np.int64, count=count)
+    assert (textdist._bucket_levels(distinct, lengths)[1] > 1).any()
+    packed_calls = []
+    original = textdist._bigram_levels
+
+    def counting(texts, lengths):
+        packed_calls.append(len(texts))
+        return original(texts, lengths)
+
+    monkeypatch.setattr(textdist, "_bigram_levels", counting)
+    runs = {}
+    for name, limit in {"default": textdist._MATRIX_MAX, **FORMS}.items():
+        distance_calls.clear()
+        monkeypatch.setattr(textdist, "_MATRIX_MAX", limit)
+        runs[name] = (deduplicate_entries(lines), list(distance_calls))
+    assert packed_calls == [count] * (1 + (offset > 0))
+    assert runs["default"] == runs["packed"] == runs["matrix"]
+    kept, calls = runs["default"]
+    assert kept == dedup_reference(lines, DEDUP_THRESHOLD)
+    assert calls and len(kept) < count
+
+
+# levenshtein calls that deduplicate_entries makes over the runtime logs of
+# generate_scenarios(4242, 50), the acceptance bundle: its bound decides
+# which pairs are measured, so a weaker bound raises the count
+ACCEPTANCE_DEDUP_CALLS = 418
+
+
+def test_acceptance_bundle_dedup_call_count(tmp_path, distance_calls):
+    generate_scenarios(seed=4242, count=50, out_dir=str(tmp_path))
+    sandbox = Sandbox(str(tmp_path))
+    for job_id in sandbox.job_ids:
+        deduplicate_entries(split_log(sandbox.job(job_id).texts["runtime_log"]))
+    assert len(distance_calls) == ACCEPTANCE_DEDUP_CALLS
