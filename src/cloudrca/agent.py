@@ -139,7 +139,4 @@ def run_trajectory(
             run_step(config, trajectory, backend, registry, store)
     except CloudRcaError as exc:
         trajectory.diagnostic = f"backend failure: {exc}"
-        trajectory.passed = False
-        return trajectory
-    trajectory.passed = trajectory.result is not None
     return trajectory

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from datetime import timezone
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -109,6 +109,17 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0 or nb == 0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Sum of floats strictly left to right.  The builtin sum of floats is
+    compensated from CPython 3.12 on, which can move the last bit of a
+    modularity, and with it a tie between two labellings, or of a report
+    mean."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class Backend(Protocol):

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .backends import Backend, ask, cosine, overlapped
+from .backends import Backend, ask, cosine, left_sum, overlapped
 from .structured import json_regen, read_jsonl
 from .textdist import levenshtein, split_log
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -58,21 +58,16 @@ _PAIR_BLOCK = 8192
 
 
 def _successors(x: np.ndarray, top: int, bottom: int, reach: int) -> np.ndarray:
-    """The reach successors of rows top ... bottom - 1 of a C-ordered (n, d)
-    array, as a (bottom - top, reach, d) strided view whose [k, m] is row
-    top + k + 1 + m.  When the window runs past the last row, the view reads
-    a zero-padded copy of the block's own rows instead, never of all n."""
-    n, width = x.shape
-    col = x.itemsize
-    row = col * width
-    if bottom + reach <= n:
-        source, offset = x, (top + 1) * row
-    else:
-        source, offset = np.zeros((bottom - top + reach, width), x.dtype), 0
-        source[: n - top - 1] = x[top + 1 :]
-    return np.ndarray(
-        (bottom - top, reach, width), x.dtype, source, offset, (row, row, col)
-    )
+    """The reach successors of rows top ... bottom - 1 of an (n, d) array, as
+    a (bottom - top, reach, d) strided view whose [k, m] is row top + k + 1 + m
+    of x, or 0 past the last row.  It reads a zero-padded copy of only the
+    block's rows x[top + 1 : bottom + reach], never of all n."""
+    width = x.shape[1]
+    source = np.zeros((bottom - top + reach - 1, width), x.dtype)
+    rows = x[top + 1 : bottom + reach]
+    source[: len(rows)] = rows
+    row, col = source.strides
+    return np.ndarray((bottom - top, reach, width), x.dtype, source, 0, (row, row, col))
 
 
 def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph:
@@ -81,20 +76,21 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
     are dropped.
 
     Pairs are scored in i-major blocks: np.vecdot takes each row against a
-    strided view of its reach successors, which gives np.dot's bits for every
-    pair and copies no row per pair; a block whose window runs past the last
-    line reads a zero-padded copy of its own rows.  A row's norm is the
-    square root of its own product, as np.linalg.norm computes it, and a pair
-    with a zero row has similarity 0.  Division, the decay (math.exp, once per
-    distance) and the tests are the same IEEE operations the per-pair cosine
-    makes, so the edges come out in the same order with the same weights."""
+    strided view of a zero-padded copy of the block's successor rows, which
+    gives np.dot's bits for every pair and copies no row per pair.  A row's
+    norm is the square root of its own product, as np.linalg.norm computes
+    it, and a pair with a zero row has similarity 0.  Division, the decay
+    (math.exp, once per distance) and the tests are the same IEEE operations
+    the per-pair cosine makes, so the edges come out in the same order with
+    the same weights."""
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
     reach = min(DEFAULT_WINDOW, n - 1)
     if reach < 1:
         return SimilarityGraph(n, [])
-    # the window views index the buffer of a C-ordered array
+    # the norms and row products read a C-ordered array, whatever the input's
+    # layout, so their last bits do not depend on it
     x = np.ascontiguousarray(embeddings)
     norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
     decay = np.array([0.0] + [math.exp(-d / DEFAULT_TAU) for d in range(1, reach + 1)])
@@ -110,7 +106,7 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
         second = (rows[:, None] + np.arange(1, reach + 1)).ravel()
         inside = second < n
         first, second = first[inside], second[inside]
-        # the view is a temporary: a tail block's padded copy is freed before
+        # the view is a temporary: each block's padded copy is freed before
         # the next block makes its own
         dots = np.vecdot(
             x[top:bottom, None, :], _successors(x, top, bottom, reach)
@@ -131,19 +127,9 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
     return SimilarityGraph(n, edges)
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """Sum of floats strictly left to right.  The builtin sum of floats is
-    compensated from CPython 3.12 on, which can move the last bit of a
-    modularity and with it a tie between two labellings."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
     """Weighted undirected Newman modularity of a labelling."""
-    two_m = 2.0 * _left_sum(w for _, _, w in graph.edges)
+    two_m = 2.0 * left_sum(w for _, _, w in graph.edges)
     if two_m == 0:
         return 0.0
     degree = [0.0] * graph.n
@@ -156,7 +142,7 @@ def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
     community_degree: dict[int, float] = {}
     for v in range(graph.n):
         community_degree[labels[v]] = community_degree.get(labels[v], 0.0) + degree[v]
-    return internal * 2.0 / two_m - _left_sum(
+    return internal * 2.0 / two_m - left_sum(
         d * d for d in community_degree.values()
     ) / (two_m * two_m)
 
@@ -169,8 +155,8 @@ def _louvain_level(
     modularity gain resolve to the lowest id.  A node's link weight to each
     community is summed from 0.0 in adjacency order into one list indexed by
     community, which is cleared again after the node."""
-    degree = [_left_sum(nb.values()) for nb in adj]
-    two_m = _left_sum(degree)
+    degree = [left_sum(nb.values()) for nb in adj]
+    two_m = left_sum(degree)
     if two_m == 0:
         return list(range(n)), False
     # each node's neighbours without a self-loop, in adjacency order
@@ -286,7 +272,7 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     n = graph.n
     best_labels = list(range(n))
     best_q = modularity(graph, best_labels)
-    two_m = 2.0 * _left_sum(w for _, _, w in graph.edges)
+    two_m = 2.0 * left_sum(w for _, _, w in graph.edges)
     if two_m == 0:
         return best_labels
     weight = np.zeros((n, n))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .backends import Backend, cosine
+from .backends import Backend, cosine, left_sum
 from .errors import CloudRcaError
 from .structured import jsonl_text
 from .trajectory import RESULT_FIELDS, TEXT_FIELDS, AnalysisResult, Trajectory, UNCLEAR
@@ -64,7 +64,7 @@ def invalid_rate(trajectories: Sequence[Trajectory]) -> float:
     if not trajectories:
         raise NotComputable("invalid rate of an empty trajectory set")
     ratios = [t.invalid_ratio() for t in trajectories]
-    return 100.0 * sum(ratios) / len(ratios)
+    return 100.0 * left_sum(ratios) / len(ratios)
 
 
 def mean_trajectory_length(trajectories: Sequence[Trajectory]) -> float:
@@ -114,9 +114,9 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
                 except NotComputable:
                     pass
             report["fields"][name] = {
-                "emb_score": sum(emb_values) / len(emb_values),
+                "emb_score": left_sum(emb_values) / len(emb_values),
                 "norm_score": (
-                    sum(norm_values) / len(norm_values) if norm_values else None
+                    left_sum(norm_values) / len(norm_values) if norm_values else None
                 ),
             }
         correct = sum(p.responsibility == r.responsibility for p, r in scored)

@@ -83,9 +83,6 @@ class ToolRegistry:
     def handler(self, name: str) -> Handler:
         return self._tools[name][1]
 
-    def names(self) -> list[str]:
-        return list(self._tools)
-
     def specs(self) -> list[ToolSpec]:
         return [spec for spec, _ in self._tools.values()]
 
@@ -132,7 +129,7 @@ def dispatch(
 ) -> DispatchResult:
     spec = registry.spec(call.function)
     if spec is None:
-        names = ", ".join(registry.names())
+        names = ", ".join(spec.name for spec in registry.specs())
         return _error_result(
             f"unknown tool {call.function!r}. Valid tools: {names}.", invalid=True
         )

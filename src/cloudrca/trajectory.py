@@ -81,9 +81,13 @@ class Step:
 class Trajectory:
     steps: list[Step] = field(default_factory=list)
     result: Optional[AnalysisResult] = None
-    passed: bool = False
     seed_prefix_len: int = 0
     diagnostic: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """A run passes when it finalized with a result."""
+        return self.result is not None
 
     def invalid_ratio(self) -> float:
         if not self.steps:

@@ -5,6 +5,10 @@ obvious: the layer tests compare the fast path with it on their own inputs,
 and the end-to-end tests swap it in for the fast path and compare outputs.
 """
 
+import math
+
+from cloudrca.backends import cosine, left_sum
+from cloudrca.logexpert import SimilarityGraph, _runs
 from cloudrca.textdist import normalized_similarity
 
 
@@ -29,3 +33,137 @@ def dedup_reference(entries, threshold):
             continue
         kept.append(entry)
     return kept
+
+
+def per_edge_build_graph(lines, embeddings, window, tau) -> SimilarityGraph:
+    """Reference graph build: one ``cosine`` call per pair in the window."""
+    n = len(lines)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, min(i + window + 1, n)):
+            sim = cosine(embeddings[i], embeddings[j])
+            if sim <= 0:
+                continue
+            weight = sim * math.exp(-(j - i) / tau)
+            if weight > 0:
+                edges.append((i, j, weight))
+    return SimilarityGraph(n, edges)
+
+
+def dict_louvain_oracle(graph: SimilarityGraph) -> list[int]:
+    """Louvain labels from local moving that evaluates every neighbouring
+    community, and the same aggregation, for any n."""
+
+    def level(n, adj):
+        degree = [left_sum(nb.values()) for nb in adj]
+        two_m = left_sum(degree)
+        if two_m == 0:
+            return list(range(n)), False
+        community = list(range(n))
+        community_degree = degree[:]
+        moved_any = False
+        improved = True
+        while improved:
+            improved = False
+            for v in range(n):
+                current = community[v]
+                links = {}
+                for u, w in adj[v].items():
+                    if u != v:
+                        links[community[u]] = links.get(community[u], 0.0) + w
+                community_degree[current] -= degree[v]
+                best, best_gain = current, 0.0
+                for target in sorted(links):
+                    if target == current:
+                        continue
+                    gain = links[target] - links.get(current, 0.0)
+                    gain -= (
+                        degree[v]
+                        * (community_degree[target] - community_degree[current])
+                        / two_m
+                    )
+                    if gain > best_gain + 1e-12:
+                        best, best_gain = target, gain
+                community_degree[best] += degree[v]
+                if best != current:
+                    community[v] = best
+                    improved = True
+                    moved_any = True
+        return community, moved_any
+
+    def aggregate(n, adj, community):
+        ids = sorted(set(community))
+        remap = {cid: idx for idx, cid in enumerate(ids)}
+        new_adj = [dict() for _ in ids]
+        for v in range(n):
+            cv = remap[community[v]]
+            for u, w in adj[v].items():
+                cu = remap[community[u]]
+                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+        return len(ids), new_adj, [remap[c] for c in community]
+
+    adj = graph.adjacency()
+    n = graph.n
+    labels = list(range(n))
+    while True:
+        community, moved = level(n, adj)
+        if not moved:
+            break
+        n, adj, compact = aggregate(n, adj, community)
+        labels = [compact[labels[v]] for v in range(graph.n)]
+    seen = {}
+    return [seen.setdefault(label, len(seen)) for label in labels]
+
+
+def forward_dp_oracle(labels: list[int]) -> list[int]:
+    """Reference exact repair: a forward dynamic program over runs whose
+    state is (labels used, current label), keeping per state the least
+    (flips, label-index sequence) and backtracking through parent
+    pointers."""
+    order = list(dict.fromkeys(labels))
+    index = {lab: i for i, lab in enumerate(order)}
+    m = len(order)
+    runs = _runs(labels)
+
+    # state -> (cost, label-sequence tiebreak key, parent state, chosen label)
+    states = {}
+    lab0, start0, end0 = runs[0]
+    for nxt in range(m):
+        cost = 0 if nxt == index[lab0] else end0 - start0
+        states[(1 << nxt, nxt)] = (cost, (nxt,), None, nxt)
+    trail = [states]
+    for lab, start, end in runs[1:]:
+        length = end - start
+        original = index[lab]
+        nxt_states = {}
+        for (mask, cur), (cost, key, _, _) in states.items():
+            for nxt in range(m):
+                if nxt == cur:
+                    state = (mask, cur)
+                elif mask & (1 << nxt):
+                    continue  # that label's interval already closed
+                else:
+                    state = (mask | (1 << nxt), nxt)
+                entry = (
+                    cost + (0 if nxt == original else length),
+                    key + (nxt,),
+                    (mask, cur),
+                    nxt,
+                )
+                existing = nxt_states.get(state)
+                if existing is None or entry[:2] < existing[:2]:
+                    nxt_states[state] = entry
+        states = nxt_states
+        trail.append(states)
+
+    state = min(states, key=lambda s: states[s][:2])
+    chosen = []
+    for layer in reversed(trail):
+        _, _, state, lab = layer[state]
+        chosen.append(lab)
+    chosen.reverse()
+
+    out = []
+    for (_, start, end), lab in zip(runs, chosen):
+        out.extend([order[lab]] * (end - start))
+    return out

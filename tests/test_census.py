@@ -71,7 +71,6 @@ UNCALLED = {
     "textdist:_bigram_levels",
     "textdist:_bounds",
     "tools:ErrorMessage.render",
-    "tools:ToolRegistry.names",
     "tools:_error_result",
 }
 

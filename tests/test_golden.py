@@ -12,18 +12,22 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
-from cloudrca import PolicyBackend, Sandbox, generate_scenarios, tools
+from cloudrca import PolicyBackend, Sandbox, generate_scenarios, logexpert, tools
 from cloudrca.cli import main
 from cloudrca.consistency import run_with_consistency
+from cloudrca.structured import jsonl_text
 from cloudrca.textdist import DEDUP_THRESHOLD
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
-from oracles import dedup_reference
+from oracles import dedup_reference, dict_louvain_oracle, forward_dp_oracle, per_edge_build_graph
+from test_textdist import _two_template_lines
 
 BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
 
@@ -116,30 +120,95 @@ def test_cli_output_bytes(golden_bundle, golden_sandbox, tmp_path, command):
     assert _tree_sha256(out, os.path.abspath(golden_bundle)) == CLI_SHA256[command]
 
 
-@pytest.mark.parametrize("command", ["batch-greedy", "batch-tsc"])
-def test_dedup_oracle_writes_the_same_runs(golden_bundle, tmp_path, monkeypatch, command):
-    """Every job's trajectory.jsonl and result.json are byte-identical when
-    each observation is deduplicated by the all-pairs reference instead."""
+def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
+    """``count`` lines of ``_two_template_lines``' two templates, in blocks
+    of 10 to 29 lines of one template, each holding one line of the other
+    template at a random place, so that Louvain's clusters cross a few times
+    and overlap repair has runs to merge."""
+    lines = _two_template_lines(rng, count)
+    own, other = lines[0::2], lines[1::2]
+    out = []
+    while own or other:
+        size = rng.randrange(10, 30)
+        block, own = own[:size], own[size:]
+        if block and other:
+            block.insert(rng.randrange(len(block)), other.pop(0))
+        out += block
+        own, other = other, own
+    return out
 
-    def run_files(out: pathlib.Path) -> dict[str, bytes]:
+
+@pytest.fixture(scope="module")
+def long_log_bundle(golden_bundle, tmp_path_factory):
+    """The 8-job bundle with 60 more runtime log lines per job before
+    detection, of two templates: alternating in every other job, so that
+    the greedy overlap repair runs, and in blocks in the rest, so that the
+    exact one does.  Every graph is past the exact limit and runs Louvain's
+    levels, and every log is cut into several chunks.  60 lines, not more,
+    keep the all-pairs dedup reference within a few seconds."""
+    out = tmp_path_factory.mktemp("long") / "bundle"
+    shutil.copytree(golden_bundle, out)
+    rng = random.Random(43)
+    for i, path in enumerate(sorted(out.glob("*/logs.runtime.jsonl"))):
+        text = path.read_text(encoding="utf-8")
+        first = json.loads(text.splitlines()[0])["timestamp"]
+        layout = _interleaved_template_lines if i % 2 else _two_template_lines
+        added = [{"timestamp": first, "text": line} for line in layout(rng, 60)]
+        path.write_text(jsonl_text(added) + text, encoding="utf-8")
+    return str(out)
+
+
+def _oracle_louvain(graph):
+    if graph.n <= logexpert._EXACT_VERTEX_LIMIT:
+        return logexpert._canonical(logexpert._exact_partition(graph))
+    return dict_louvain_oracle(graph)
+
+
+@pytest.mark.parametrize("bundle", ["golden_bundle", "long_log_bundle"])
+@pytest.mark.parametrize("command", ["batch-greedy", "batch-tsc"])
+def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bundle, command):
+    """Every job's trajectory.jsonl and result.json are byte-identical, and
+    every log is cut into the same chunks, when each observation goes
+    through the reference dedup, graph build, Louvain (the exact enumeration
+    up to its vertex limit) and exact overlap repair instead of the fast
+    paths.  The chunks are compared as well because the scripted policy
+    quotes each signal line whole whichever chunk holds it, so its files do
+    not show where a log was cut."""
+    bundle_dir = request.getfixturevalue(bundle)
+    partition = logexpert.partition
+
+    def run(out: pathlib.Path) -> tuple[dict[str, bytes], dict[str, list[str]]]:
+        chunks = {}
+
+        def recorded(log, backend):
+            chunks[log] = partition(log, backend)
+            return chunks[log]
+
+        monkeypatch.setattr(logexpert, "partition", recorded)
         result = CliRunner().invoke(
             main,
-            [*CLI_ARGS[command], "--scenarios", golden_bundle, "--out-dir", str(out),
+            [*CLI_ARGS[command], "--scenarios", bundle_dir, "--out-dir", str(out),
              "--malformed-pct", "10"],
         )
         assert result.exit_code == 0, result.output
-        return {
+        files = {
             path.relative_to(out).as_posix(): path.read_bytes()
             for path in sorted(out.glob("*/*"))
             if path.name in ("trajectory.jsonl", "result.json")
         }
+        return files, chunks
 
-    fast = run_files(tmp_path / "fast")
-    assert len(fast) == 16
-    monkeypatch.setattr(
-        tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)
-    )
-    assert run_files(tmp_path / "oracle") == fast
+    fast = run(tmp_path / "fast")
+    assert len(fast[0]) == 16 and len(fast[1]) == 8
+    for module, name, oracle in [
+        (tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)),
+        (logexpert, "build_graph", lambda lines, embeddings: per_edge_build_graph(
+            lines, embeddings, logexpert.DEFAULT_WINDOW, logexpert.DEFAULT_TAU)),
+        (logexpert, "louvain", _oracle_louvain),
+        (logexpert, "_min_flip_contiguous", forward_dp_oracle),
+    ]:
+        monkeypatch.setattr(module, name, oracle)
+    assert run(tmp_path / "oracle") == fast
 
 
 def test_tool_documentation_bytes(golden_sandbox):

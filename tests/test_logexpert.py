@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudrca import Sandbox, generate_scenarios, logexpert, prompts
-from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, cosine, hash_embed
+from cloudrca.backends import LAST_COMPLETION_WAITED, MockBackend, hash_embed, left_sum
 from cloudrca.errors import ProtocolError, TransportError
 from cloudrca.logexpert import (
     CHUNK_BUDGET,
@@ -38,6 +38,7 @@ from cloudrca.logexpert import (
 from cloudrca.mockpolicy import PolicyBackend
 from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
 
+from oracles import dict_louvain_oracle, forward_dp_oracle, per_edge_build_graph
 from test_backends import embeddings_backend
 from test_textdist import _two_template_lines
 
@@ -110,60 +111,6 @@ def min_flips_oracle(labels: list[int]) -> int:
     return best
 
 
-def forward_dp_oracle(labels: list[int]) -> list[int]:
-    """Reference exact repair: a forward dynamic program over runs whose
-    state is (labels used, current label), keeping per state the least
-    (flips, label-index sequence) and backtracking through parent
-    pointers."""
-    order = list(dict.fromkeys(labels))
-    index = {lab: i for i, lab in enumerate(order)}
-    m = len(order)
-    runs = logexpert._runs(labels)
-
-    # state -> (cost, label-sequence tiebreak key, parent state, chosen label)
-    states = {}
-    lab0, start0, end0 = runs[0]
-    for nxt in range(m):
-        cost = 0 if nxt == index[lab0] else end0 - start0
-        states[(1 << nxt, nxt)] = (cost, (nxt,), None, nxt)
-    trail = [states]
-    for lab, start, end in runs[1:]:
-        length = end - start
-        original = index[lab]
-        nxt_states = {}
-        for (mask, cur), (cost, key, _, _) in states.items():
-            for nxt in range(m):
-                if nxt == cur:
-                    state = (mask, cur)
-                elif mask & (1 << nxt):
-                    continue  # that label's interval already closed
-                else:
-                    state = (mask | (1 << nxt), nxt)
-                entry = (
-                    cost + (0 if nxt == original else length),
-                    key + (nxt,),
-                    (mask, cur),
-                    nxt,
-                )
-                existing = nxt_states.get(state)
-                if existing is None or entry[:2] < existing[:2]:
-                    nxt_states[state] = entry
-        states = nxt_states
-        trail.append(states)
-
-    state = min(states, key=lambda s: states[s][:2])
-    chosen = []
-    for layer in reversed(trail):
-        _, _, state, lab = layer[state]
-        chosen.append(lab)
-    chosen.reverse()
-
-    out = []
-    for (_, start, end), lab in zip(runs, chosen):
-        out.extend([order[lab]] * (end - start))
-    return out
-
-
 def is_contiguous(labels) -> bool:
     seen_closed = set()
     prev = None
@@ -210,21 +157,6 @@ def recursive_exact_partition(graph: SimilarityGraph) -> list[int]:
     return best_labels
 
 
-def per_edge_build_graph(lines, embeddings, window, tau) -> SimilarityGraph:
-    """Reference graph build: one ``cosine`` call per pair in the window."""
-    n = len(lines)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, min(i + window + 1, n)):
-            sim = cosine(embeddings[i], embeddings[j])
-            if sim <= 0:
-                continue
-            weight = sim * math.exp(-(j - i) / tau)
-            if weight > 0:
-                edges.append((i, j, weight))
-    return SimilarityGraph(n, edges)
-
-
 def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
     """Small integer weights (many labellings tie exactly), repeated pairs
     in both orientations, and self-loops."""
@@ -233,71 +165,6 @@ def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
         i, j = rng.randrange(n), rng.randrange(n)
         edges.append((i, j, float(rng.randint(1, 3))))
     return SimilarityGraph(n, edges)
-
-
-def dict_louvain_oracle(graph: SimilarityGraph) -> list[int]:
-    """Louvain labels from local moving that evaluates every neighbouring
-    community, and the same aggregation, for any n."""
-
-    def level(n, adj):
-        degree = [logexpert._left_sum(nb.values()) for nb in adj]
-        two_m = logexpert._left_sum(degree)
-        if two_m == 0:
-            return list(range(n)), False
-        community = list(range(n))
-        community_degree = degree[:]
-        moved_any = False
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                current = community[v]
-                links = {}
-                for u, w in adj[v].items():
-                    if u != v:
-                        links[community[u]] = links.get(community[u], 0.0) + w
-                community_degree[current] -= degree[v]
-                best, best_gain = current, 0.0
-                for target in sorted(links):
-                    if target == current:
-                        continue
-                    gain = links[target] - links.get(current, 0.0)
-                    gain -= (
-                        degree[v]
-                        * (community_degree[target] - community_degree[current])
-                        / two_m
-                    )
-                    if gain > best_gain + 1e-12:
-                        best, best_gain = target, gain
-                community_degree[best] += degree[v]
-                if best != current:
-                    community[v] = best
-                    improved = True
-                    moved_any = True
-        return community, moved_any
-
-    def aggregate(n, adj, community):
-        ids = sorted(set(community))
-        remap = {cid: idx for idx, cid in enumerate(ids)}
-        new_adj = [dict() for _ in ids]
-        for v in range(n):
-            cv = remap[community[v]]
-            for u, w in adj[v].items():
-                cu = remap[community[u]]
-                new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-        return len(ids), new_adj, [remap[c] for c in community]
-
-    adj = graph.adjacency()
-    n = graph.n
-    labels = list(range(n))
-    while True:
-        community, moved = level(n, adj)
-        if not moved:
-            break
-        n, adj, compact = aggregate(n, adj, community)
-        labels = [compact[labels[v]] for v in range(graph.n)]
-    seen = {}
-    return [seen.setdefault(label, len(seen)) for label in labels]
 
 
 def decayed_graph(
@@ -433,8 +300,8 @@ class TestBuildGraph:
             assert build_graph(lines, layout).edges == expected
 
     def test_transient_memory_does_not_grow_with_the_embedding_width(self):
-        # the window views copy no row per pair: only a tail block's padded
-        # rows, at most one block's worth, scale with the width
+        # the window views copy no row per pair: every block pads, and only
+        # its padded copy, at most one block's rows, scales with the width
         lines = ["line"] * 1000
         rows = np.random.default_rng(4).uniform(-1, 1, (len(lines), 64))
         peaks = {}
@@ -473,9 +340,9 @@ class TestBuildGraph:
 def test_partition_sums_run_left_to_right():
     # a compensated sum, which the builtin sum of floats is from CPython 3.12
     # on, gives 1.0 here
-    assert logexpert._left_sum([1e16, 1.0, -1e16]) == 0.0
-    assert logexpert._left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
-    assert logexpert._left_sum([]) == 0.0
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert left_sum([]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cloudrca import MockBackend
+from cloudrca import MockBackend, metrics
 from cloudrca.metrics import (
     JobOutcome,
     NotComputable,
@@ -25,7 +25,28 @@ def _trajectory(n_steps: int, n_invalid: int, passed: bool) -> Trajectory:
         Step(thought=f"t{i}", action=None, observation="", invalid_flag=i < n_invalid)
         for i in range(n_steps)
     ]
-    return Trajectory(steps=steps, passed=passed)
+    return Trajectory(steps=steps, result=AnalysisResult() if passed else None)
+
+
+def neumaier_sum(values):
+    """The compensated sum CPython's builtin sum of floats computes from 3.12
+    on (Neumaier's variant of Kahan summation)."""
+    total = compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def _left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @pytest.fixture
@@ -212,8 +233,8 @@ class TestBuildReport:
                 norm_score(lambda a, b: emb_score(a, b, scorer), p, r) for p, r in pairs
             ]
             assert report["fields"][name] == {
-                "emb_score": sum(emb) / len(emb),
-                "norm_score": sum(norm) / len(norm),
+                "emb_score": _left_to_right(emb) / len(emb),
+                "norm_score": _left_to_right(norm) / len(norm),
             }
 
     def test_prediction_none_degrades_to_baseline(self, five_trajectories):
@@ -221,6 +242,40 @@ class TestBuildReport:
         report = build_report(self._outcomes(five_trajectories), backend)
         row = report["jobs"][2]
         assert row["prediction"] == {k: "Unclear" for k in row["prediction"]}
+
+
+class TestReportSums:
+    """report.json's float means are left-to-right sums, so its bytes do not
+    depend on whether the interpreter's builtin sum is compensated."""
+
+    def test_means_do_not_follow_a_compensated_builtin_sum(self, monkeypatch):
+        backend = MockBackend()
+        # ten ratios of 0.1, and ten equal scores, sum to another last bit
+        # when compensated
+        trajectories = [_trajectory(10, 1, True) for _ in range(10)]
+        prediction, reference = "disk full on the shuffle node", "disk quota exceeded"
+        score = emb_score(prediction, reference, backend)
+        for values in ([0.1] * 10, [score] * 10):
+            assert neumaier_sum(values) != _left_to_right(values)
+        outcomes = [
+            JobOutcome(
+                f"fj{i:08d}",
+                t,
+                AnalysisResult(prediction, prediction, prediction, "User"),
+                AnalysisResult(reference, reference, reference, "User"),
+            )
+            for i, t in enumerate(trajectories)
+        ]
+        monkeypatch.setattr(metrics, "sum", neumaier_sum, raising=False)
+        assert invalid_rate(trajectories) == 100.0 * _left_to_right([0.1] * 10) / 10
+        report = build_report(outcomes, backend)
+        assert report["invalid_rate"] == 100.0 * _left_to_right([0.1] * 10) / 10
+        assert report["fields"]["root_cause"]["emb_score"] == (
+            _left_to_right([score] * 10) / 10
+        )
+        # the integer counts keep the builtin sum, which gives the same value
+        assert report["pass_rate"] == 100.0
+        assert report["mean_trajectory_length"] == 10.0
 
 
 class TestExportPredictions:

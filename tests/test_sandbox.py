@@ -118,7 +118,7 @@ class TestTemporalSoundness:
 class TestRegistry:
     def test_tool_composition(self, sandbox):
         registry = sandbox.build_registry(PolicyBackend())
-        assert set(registry.names()) == {
+        assert {spec.name for spec in registry.specs()} == {
             "runtime_log",
             "platform_log",
             "infra_log",

@@ -81,7 +81,8 @@ class TestRegistry:
             registry.register(spec, lambda kwargs: "")
 
     def test_registration_order_preserved(self):
-        assert build_registry().names() == ["fetch", "expert", "finalize"]
+        names = [spec.name for spec in build_registry().specs()]
+        assert names == ["fetch", "expert", "finalize"]
 
 
 class TestDocumentation:
