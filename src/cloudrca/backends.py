@@ -111,6 +111,28 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a C-ordered (n, d) array.  For a
+    row, np.linalg.norm is the square root of np.dot(row, row), and matmul
+    of a (1, d) by a (d, 1) block takes the same dot product, so each norm
+    has np.linalg.norm's bits whatever n is."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
+def first_best(scores: np.ndarray, best: int) -> int:
+    """The index of the winner of one scan of ``scores`` in order, with
+    ``scores[best]`` the best before the scan: a score replaces the best so
+    far only when it is higher by more than 1e-12.  So ``best`` wins its
+    ties, and among the others the earliest wins."""
+    start = 0
+    while True:
+        ahead = np.flatnonzero(scores[start:] > scores[best] + 1e-12)
+        if not ahead.size:
+            return best
+        best = start + int(ahead[0])
+        start = best + 1
+
+
 def left_sum(values: Iterable[float]) -> float:
     """Sum of floats strictly left to right.  The builtin sum of floats is
     compensated from CPython 3.12 on, which can move the last bit of a
@@ -224,8 +246,8 @@ def hash_embed(texts: Sequence[str], seed: int = 0) -> np.ndarray:
     scoring: shared trigrams land in shared buckets regardless of position.
     Each trigram of "^text$" adds the sign its sha256 gives to one bucket.
     Texts are counted a block of about _EMBED_BLOCK_CHARS characters at a
-    time, which bounds the temporaries, and each row is divided by its norm
-    (the square root of its own product, as np.linalg.norm computes it).
+    time, which bounds the temporaries, and each row is divided by its
+    ``row_norms`` norm.
     """
     if not texts:
         raise ValueError("embed() requires a non-empty list")
@@ -239,7 +261,7 @@ def hash_embed(texts: Sequence[str], seed: int = 0) -> np.ndarray:
         stop = max(top + 1, int(np.searchsorted(total, limit, "right")))
         vectors[top:stop] = _gram_counts(texts[top:stop], lengths[top:stop], seed)
         top = stop
-    norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None])[:, 0, 0])
+    norms = row_norms(vectors)
     zero = norms == 0
     norms[zero] = 1.0
     vectors /= norms[:, None]
@@ -359,9 +381,7 @@ class HttpBackend:
                     last_error = f"HTTP {resp.status_code}"
                     wait = _retry_after_seconds(resp.headers.get("Retry-After"))
                 elif resp.status_code >= 400:
-                    raise TransportError(
-                        f"HTTP {resp.status_code}: {resp.text[:200]}", attempts=attempt
-                    )
+                    raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 else:
                     try:
                         return resp.json()
@@ -372,8 +392,7 @@ class HttpBackend:
             if attempt < MAX_ATTEMPTS:
                 time.sleep(RETRY_WAIT_S * attempt if wait is None else wait)
         raise TransportError(
-            f"request to {path} failed after {MAX_ATTEMPTS} attempts: {last_error}",
-            attempts=MAX_ATTEMPTS,
+            f"request to {path} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     def complete(self, exchange: ChatExchange, params: GenerationParams) -> str:

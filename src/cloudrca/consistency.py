@@ -20,7 +20,7 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import LAST_COMPLETION_WAITED, Backend, ask, overlapped
+from .backends import LAST_COMPLETION_WAITED, Backend, ask, cosine, first_best, overlapped
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
@@ -42,25 +42,16 @@ class AggregationOutcome:
 
 
 def vote_with_embedding(field_texts: list[str], backend: Backend) -> int:
-    """Index of the text whose embedding is closest (cosine) to the mean of
-    all candidate embeddings; ties resolve to the lowest index."""
+    """Index of the text whose embedding is closest (``cosine``) to the mean
+    of all candidate embeddings; ``first_best`` resolves ties to the lowest
+    index."""
     if not field_texts:
         raise ValueError("need at least one candidate")
     if len(field_texts) == 1:
         return 0
     vectors = backend.embed(field_texts)
     mean = vectors.mean(axis=0)
-    mean_norm = np.linalg.norm(mean)
-    if mean_norm == 0:
-        return 0
-    norms = np.linalg.norm(vectors, axis=1)
-    norms[norms == 0] = 1.0
-    sims = vectors @ mean / (norms * mean_norm)
-    best = 0
-    for i in range(1, len(sims)):
-        if sims[i] > sims[best] + 1e-12:
-            best = i
-    return best
+    return first_best(np.array([cosine(row, mean) for row in vectors]), 0)
 
 
 def _strip_enumeration(text: str) -> str:

@@ -12,10 +12,6 @@ class ConfigurationError(CloudRcaError):
 class TransportError(CloudRcaError):
     """Retriable transport-level failure when talking to a live endpoint."""
 
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 class ProtocolError(CloudRcaError):
     """A provider returned data violating the expected wire contract."""

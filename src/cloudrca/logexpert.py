@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import prompts
-from .backends import Backend, ask, cosine, left_sum, overlapped
+from .backends import Backend, ask, cosine, first_best, left_sum, overlapped, row_norms
 from .structured import json_regen, read_jsonl
 from .textdist import levenshtein, split_log
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
@@ -77,12 +77,11 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
 
     Pairs are scored in i-major blocks: np.vecdot takes each row against a
     strided view of a zero-padded copy of the block's successor rows, which
-    gives np.dot's bits for every pair and copies no row per pair.  A row's
-    norm is the square root of its own product, as np.linalg.norm computes
-    it, and a pair with a zero row has similarity 0.  Division, the decay
-    (math.exp, once per distance) and the tests are the same IEEE operations
-    the per-pair cosine makes, so the edges come out in the same order with
-    the same weights."""
+    gives np.dot's bits for every pair and copies no row per pair.  The
+    norms are ``row_norms``, and a pair with a zero row has similarity 0.
+    Division, the decay (math.exp, once per distance) and the tests are the
+    same IEEE operations the per-pair cosine makes, so the edges come out in
+    the same order with the same weights."""
     if len(lines) != len(embeddings):
         raise ValueError("embeddings must align with lines")
     n = len(lines)
@@ -92,7 +91,7 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
     # the norms and row products read a C-ordered array, whatever the input's
     # layout, so their last bits do not depend on it
     x = np.ascontiguousarray(embeddings)
-    norms = np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+    norms = row_norms(x)
     decay = np.array([0.0] + [math.exp(-d / DEFAULT_TAU) for d in range(1, reach + 1)])
     # every tuple holds the one int object of each of its vertices
     vertex = list(range(n)).__getitem__
@@ -125,26 +124,6 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
             )
         )
     return SimilarityGraph(n, edges)
-
-
-def modularity(graph: SimilarityGraph, labels: Sequence[int]) -> float:
-    """Weighted undirected Newman modularity of a labelling."""
-    two_m = 2.0 * left_sum(w for _, _, w in graph.edges)
-    if two_m == 0:
-        return 0.0
-    degree = [0.0] * graph.n
-    internal = 0.0
-    for i, j, w in graph.edges:
-        degree[i] += w
-        degree[j] += w
-        if labels[i] == labels[j]:
-            internal += w
-    community_degree: dict[int, float] = {}
-    for v in range(graph.n):
-        community_degree[labels[v]] = community_degree.get(labels[v], 0.0) + degree[v]
-    return internal * 2.0 / two_m - left_sum(
-        d * d for d in community_degree.values()
-    ) / (two_m * two_m)
 
 
 def _louvain_level(
@@ -261,8 +240,9 @@ def _labellings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 def _exact_partition(graph: SimilarityGraph) -> list[int]:
     """Exhaustive modularity maximization over all set partitions.  Only
-    viable for tiny graphs; enumeration order makes ties deterministic
-    (first partition found in restricted-growth order wins).
+    viable for tiny graphs.  The all-singletons labelling, the last in
+    restricted-growth order, is the best before the scan and wins its ties;
+    among labellings that beat it, the first in that order wins a tie.
 
     With d the degrees, w the summed weight of each vertex pair and
     s = Σ (2m·wᵢⱼ − dᵢdⱼ) over the pairs a labelling puts together,
@@ -270,11 +250,9 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     eight pairs: the 256 subset sums of their terms are tabulated once per
     call, and each labelling's s gathers one table entry per byte."""
     n = graph.n
-    best_labels = list(range(n))
-    best_q = modularity(graph, best_labels)
     two_m = 2.0 * left_sum(w for _, _, w in graph.edges)
     if two_m == 0:
-        return best_labels
+        return list(range(n))
     weight = np.zeros((n, n))
     for i, j, w in graph.edges:
         weight[i, j] += w
@@ -293,16 +271,7 @@ def _exact_partition(graph: SimilarityGraph) -> list[int]:
     for table, code in zip(tables, codes):
         s += np.take(table, code)
     q = (2.0 * two_m * np.trace(weight) - (d * d).sum() + 2.0 * s) / (two_m * two_m)
-    # scan in enumeration order: each labelling that beats the best so far
-    # by more than 1e-12 becomes the new best
-    best, start = -1, 0
-    while True:
-        ahead = np.flatnonzero(q[start:] > best_q + 1e-12)
-        if not ahead.size:
-            break
-        best = start + int(ahead[0])
-        best_q, start = q[best], best + 1
-    return best_labels if best < 0 else labels[best].tolist()
+    return labels[first_best(q, len(q) - 1)].tolist()
 
 
 def louvain(graph: SimilarityGraph) -> list[int]:
@@ -316,7 +285,8 @@ def louvain(graph: SimilarityGraph) -> list[int]:
     if graph.n < 1:
         raise ValueError("graph needs at least one vertex")
     if graph.n <= _EXACT_VERTEX_LIMIT:
-        return _canonical(_exact_partition(graph))
+        # restricted-growth labellings are canonical already
+        return _exact_partition(graph)
     adj = graph.adjacency()
     n = graph.n
     labels = list(range(n))

@@ -10,6 +10,8 @@ import pytest
 from cloudrca import AgentConfig, PolicyBackend, Sandbox, generate_scenarios
 from cloudrca.backends import LAST_COMPLETION_WAITED, GenerationParams
 
+from policy_server import PolicyServer
+
 
 @pytest.fixture(scope="session")
 def scenario_dir(tmp_path_factory):
@@ -34,6 +36,22 @@ def job_entries(bundle_dir: str, job_id: str, name: str) -> list[dict]:
 @pytest.fixture
 def policy_backend():
     return PolicyBackend()
+
+
+@pytest.fixture
+def policy_server():
+    """A PolicyServer serving from a thread, shut down and closed after the
+    test."""
+    server = PolicyServer()
+    # shutdown waits for the loop's next poll
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
 
 
 def make_config(job_id: str, **overrides) -> AgentConfig:

@@ -2,8 +2,9 @@
 must every lookup name the benchmark's tracer binds; no module of the
 package or of the tests keeps an import it never uses, no module
 encodes text so that a lone surrogate raises, only two functions of the
-package open a thread pool, only ``structured`` decodes JSON, and the
-records a batch keeps per job are slotted."""
+package open a thread pool, only ``structured`` decodes JSON, only
+``backends`` takes a norm, and the records a batch keeps per job are
+slotted."""
 
 import ast
 import pathlib
@@ -138,6 +139,24 @@ def test_only_structured_decodes_json():
     package = pathlib.Path(cloudrca.__file__).parent
     found = {path.name: _json_decodes(path) for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "structured.py"} == {}
+
+
+def _norms(path):
+    """Line of each ``np.linalg.norm`` and ``np.matmul`` in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and ast.unparse(node) in ("np.linalg.norm", "np.matmul")
+    ]
+
+
+def test_only_backends_takes_norms():
+    # cosine and row_norms give every norm the same bits; a norm computed
+    # elsewhere could differ in its last bit and move a tie
+    package = pathlib.Path(cloudrca.__file__).parent
+    found = {path.name: _norms(path) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "backends.py"} == {}
 
 
 # one instance of each record type a run or a batch keeps per job

@@ -1,7 +1,8 @@
 """Function-level census of what the CLI reaches end to end.
 
 The test generates a bundle, runs `cloudrca batch` in every mode and
-aggregation at 10% malformed actions, then `diagnose` (its settings from a
+aggregation at 10% malformed actions, one greedy `batch` over HTTP against
+the policy served on a local port, then `diagnose` (its settings from a
 `--config` file) and `replay`, all through CliRunner, and profiles every
 Python call.  The `src` functions that no run calls must equal UNCALLED,
 so a function that only the unit tests reach is a listed, visible choice:
@@ -28,23 +29,18 @@ from cloudrca.consistency import MODES
 
 SRC = pathlib.Path(cloudrca.__file__).parent
 
-# by kind: import-time only, abstract, live endpoint only, paper
-# components and public helpers no run uses, error paths, and paths for
-# inputs larger than the bundle's.  textdist._bigram_levels and _bounds
-# bound the pairs of observations with more than _MATRIX_MAX distinct
-# lines, and no bundle observation has that many.  structured.extract_json
-# is a public helper and the fallback reader of json_regen's unkeyed direct
-# stage and its repair stages, which no bundle reply reaches: each parses at
-# its first brace or, when corrupted, in the keyed span scan.
+# by kind: import-time only, abstract, paper components and public helpers
+# no run uses, error paths, and paths for inputs larger than the bundle's.
+# textdist._bigram_levels and _bounds bound the pairs of observations with
+# more than _MATRIX_MAX distinct lines, and no bundle observation has that
+# many.  structured.extract_json is a public helper and the fallback reader
+# of json_regen's unkeyed direct stage and its repair stages, which no bundle
+# reply reaches: each parses at its first brace or, when corrupted, in the
+# keyed span scan.
 UNCALLED = {
     "backends:Backend.complete",
     "backends:Backend.embed",
     "backends:GenerationParams.escalated",
-    "backends:HttpBackend.__init__",
-    "backends:HttpBackend._headers",
-    "backends:HttpBackend._post",
-    "backends:HttpBackend.complete",
-    "backends:HttpBackend.embed",
     "backends:MockBackend.complete",
     "backends:_retry_after_seconds",
     "cli:_common_options",
@@ -55,7 +51,6 @@ UNCALLED = {
     "codeexpert:make_code_agent_handler.<locals>.handler",
     "codeexpert:run_code_expert",
     "errors:SnapshotKeyError.__init__",
-    "errors:TransportError.__init__",
     "logexpert:RetrievalStore.__init__",
     "logexpert:RetrievalStore.add",
     "logexpert:RetrievalStore.ingest_jsonl",
@@ -93,7 +88,7 @@ def _all_functions() -> dict[str, set[str]]:
     }
 
 
-def _run_cli(tmp_path: pathlib.Path):
+def _run_cli(tmp_path: pathlib.Path, endpoint: str):
     runner = CliRunner()
 
     def invoke(*args):
@@ -109,6 +104,10 @@ def _run_cli(tmp_path: pathlib.Path):
                 "--mode", mode, "--aggregate", aggregate, "--k", 3, "--jobs", 2,
                 "--malformed-pct", 10,
             )
+    invoke(
+        "batch", "--scenarios", bundle, "--out-dir", tmp_path / "http",
+        "--backend", "http", "--endpoint", endpoint,
+    )
     job_id = json.loads((bundle / "index.json").read_text())["job_ids"][0]
     out = tmp_path / "diagnose"
     config = tmp_path / "run.yaml"
@@ -118,7 +117,7 @@ def _run_cli(tmp_path: pathlib.Path):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects name their qualname from 3.11")
-def test_uncalled_functions_are_listed(tmp_path, monkeypatch):
+def test_uncalled_functions_are_listed(tmp_path, monkeypatch, policy_server):
     # the program's two memos start empty, so the functions behind them are
     # called whatever the tests before this one computed
     monkeypatch.setattr(backends, "_memo", {})
@@ -135,7 +134,7 @@ def test_uncalled_functions_are_listed(tmp_path, monkeypatch):
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:
-        _run_cli(tmp_path)
+        _run_cli(tmp_path, policy_server.url)
     finally:
         sys.setprofile(None)
         threading.setprofile(None)

@@ -101,7 +101,7 @@ class FailingBackend(PolicyBackend):
     """Policy variant whose every completion fails at the transport level."""
 
     def complete(self, exchange, params):
-        raise TransportError("connection reset", attempts=3)
+        raise TransportError("connection reset")
 
 
 def _registry_factory(sandbox):

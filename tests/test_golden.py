@@ -26,7 +26,13 @@ from cloudrca.textdist import DEDUP_THRESHOLD
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
-from oracles import dedup_reference, dict_louvain_oracle, forward_dp_oracle, per_edge_build_graph
+from oracles import (
+    dedup_reference,
+    dict_louvain_oracle,
+    forward_dp_oracle,
+    per_edge_build_graph,
+    recursive_exact_partition,
+)
 from test_textdist import _two_template_lines
 
 BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
@@ -120,6 +126,35 @@ def test_cli_output_bytes(golden_bundle, golden_sandbox, tmp_path, command):
     assert _tree_sha256(out, os.path.abspath(golden_bundle)) == CLI_SHA256[command]
 
 
+# requests: the completion and embedding calls the mock backend gets in the
+# same batch
+@pytest.mark.parametrize("command, requests", [("batch-greedy", 61), ("batch-tsc", 109)])
+def test_http_backend_writes_the_mock_runs(
+    golden_bundle, tmp_path, policy_server, command, requests
+):
+    """``batch --backend http`` against the policy served on a local port
+    writes every file the mock backend writes, but for result.json's
+    settings, and sends one request per completion and embedding call."""
+
+    def run(out: pathlib.Path, *flags: str) -> dict:
+        result = CliRunner().invoke(
+            main, [*CLI_ARGS[command], "--scenarios", golden_bundle, "--out-dir", str(out), *flags]
+        )
+        assert result.exit_code == 0, result.output
+        files = {}
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name == "result.json":
+                data = {**json.loads(data), "settings": None}
+            files[path.relative_to(out).as_posix()] = data
+        return files
+
+    mock = run(tmp_path / "mock", "--malformed-pct", "10")
+    assert len(mock) == 18
+    assert run(tmp_path / "http", "--backend", "http", "--endpoint", policy_server.url) == mock
+    assert policy_server.requests == requests
+
+
 def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
     """``count`` lines of ``_two_template_lines``' two templates, in blocks
     of 10 to 29 lines of one template, each holding one line of the other
@@ -160,18 +195,33 @@ def long_log_bundle(golden_bundle, tmp_path_factory):
 
 def _oracle_louvain(graph):
     if graph.n <= logexpert._EXACT_VERTEX_LIMIT:
-        return logexpert._canonical(logexpert._exact_partition(graph))
+        return recursive_exact_partition(graph)
     return dict_louvain_oracle(graph)
 
 
-@pytest.mark.parametrize("bundle", ["golden_bundle", "long_log_bundle"])
-@pytest.mark.parametrize("command", ["batch-greedy", "batch-tsc"])
+# the oracle pipeline's batch runs beside CLI_ARGS'
+ORACLE_ARGS = {
+    **CLI_ARGS,
+    "batch-sc": ["batch", "--mode", "sc", "--k", "3"],
+    "batch-sample-full": ["batch", "--mode", "sample-full", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, bundle",
+    [
+        (command, bundle)
+        for command in ["batch-greedy", "batch-tsc"]
+        for bundle in ["golden_bundle", "long_log_bundle"]
+    ]
+    + [("batch-sc", "golden_bundle"), ("batch-sample-full", "golden_bundle")],
+)
 def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bundle, command):
     """Every job's trajectory.jsonl and result.json are byte-identical, and
     every log is cut into the same chunks, when each observation goes
-    through the reference dedup, graph build, Louvain (the exact enumeration
-    up to its vertex limit) and exact overlap repair instead of the fast
-    paths.  The chunks are compared as well because the scripted policy
+    through the reference dedup, graph build, Louvain (the recursive
+    enumeration up to the exact vertex limit) and exact overlap repair
+    instead of the fast paths.  The chunks are compared as well because the scripted policy
     quotes each signal line whole whichever chunk holds it, so its files do
     not show where a log was cut."""
     bundle_dir = request.getfixturevalue(bundle)
@@ -187,7 +237,7 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
         monkeypatch.setattr(logexpert, "partition", recorded)
         result = CliRunner().invoke(
             main,
-            [*CLI_ARGS[command], "--scenarios", bundle_dir, "--out-dir", str(out),
+            [*ORACLE_ARGS[command], "--scenarios", bundle_dir, "--out-dir", str(out),
              "--malformed-pct", "10"],
         )
         assert result.exit_code == 0, result.output

@@ -28,7 +28,6 @@ from cloudrca.logexpert import (
     evidence_accepted,
     filter_evidence,
     louvain,
-    modularity,
     pack_icl_prompt,
     partition,
     remove_overlaps,
@@ -38,7 +37,13 @@ from cloudrca.logexpert import (
 from cloudrca.mockpolicy import PolicyBackend
 from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
 
-from oracles import dict_louvain_oracle, forward_dp_oracle, per_edge_build_graph
+from oracles import (
+    dict_louvain_oracle,
+    forward_dp_oracle,
+    modularity,
+    per_edge_build_graph,
+    recursive_exact_partition,
+)
 from test_backends import embeddings_backend
 from test_textdist import _two_template_lines
 
@@ -131,30 +136,6 @@ def random_graph(rng: random.Random, n: int) -> SimilarityGraph:
             if rng.random() < 0.6:
                 edges.append((i, j, rng.uniform(0.05, 1.0)))
     return SimilarityGraph(n, edges)
-
-
-def recursive_exact_partition(graph: SimilarityGraph) -> list[int]:
-    """Reference exhaustive search: recursive restricted-growth enumeration
-    that scores each labelling with ``modularity`` and keeps the first one
-    to beat the best so far by more than 1e-12."""
-    n = graph.n
-    best_labels = list(range(n))
-    best_q = modularity(graph, best_labels)
-    labels = [0] * n
-
-    def recurse(v, next_label):
-        nonlocal best_labels, best_q
-        if v == n:
-            q = modularity(graph, labels)
-            if q > best_q + 1e-12:
-                best_q, best_labels = q, labels[:]
-            return
-        for lab in range(next_label + 1):
-            labels[v] = lab
-            recurse(v + 1, max(next_label, lab + 1))
-
-    recurse(0, 0)
-    return best_labels
 
 
 def tie_prone_graph(rng: random.Random, n: int) -> SimilarityGraph:
@@ -426,6 +407,16 @@ class TestExactPartition:
         # self-loop weight only: every vertex stays alone
         loops = SimilarityGraph(3, [(0, 0, 1.0), (1, 1, 2.0), (2, 2, 1.0)])
         assert logexpert._exact_partition(loops) == recursive_exact_partition(loops)
+        # pairing 0 with 1 and 2 with 3 scores exactly what the singletons
+        # do, and nothing scores more: the singletons, the best before the
+        # scan, win
+        tie = SimilarityGraph(
+            4,
+            [(0, 0, 3.0), (1, 1, 3.0), (0, 1, 2.0),
+             (2, 2, 3.0), (3, 3, 3.0), (2, 3, 2.0)],
+        )
+        assert logexpert._exact_partition(tie) == [0, 1, 2, 3]
+        assert recursive_exact_partition(tie) == [0, 1, 2, 3]
 
     def test_all_zero_graph_stays_singletons(self):
         for graph in (
@@ -434,21 +425,6 @@ class TestExactPartition:
         ):
             assert logexpert._exact_partition(graph) == [0, 1, 2, 3, 4]
             assert recursive_exact_partition(graph) == [0, 1, 2, 3, 4]
-
-    def test_scores_an_eight_vertex_graph_with_one_modularity_call(
-        self, monkeypatch
-    ):
-        calls = []
-        real = logexpert.modularity
-
-        def counting(graph, labels):
-            calls.append(1)
-            return real(graph, labels)
-
-        monkeypatch.setattr(logexpert, "modularity", counting)
-        graph = random_graph(random.Random(8), 8)
-        logexpert._exact_partition(graph)
-        assert len(calls) <= 1
 
     def test_louvain_calls_exact_partition_by_its_module_name(self, monkeypatch):
         seen = []
