@@ -358,6 +358,11 @@ class HttpBackend:
             session = requests.Session()
         self.session = session
 
+    def close(self) -> None:
+        """Close the session's pooled connections; the backend sends nothing
+        after this."""
+        self.session.close()
+
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.api_key:

@@ -3,11 +3,13 @@ batch evaluation, and deterministic trajectory replay."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import click
 import yaml
@@ -79,6 +81,18 @@ def _make_backend(settings: RunSettings) -> Backend:
         "OPENAI_API_KEY", ""
     )
     return HttpBackend(settings.endpoint, settings.model, api_key=api_key)
+
+
+@contextlib.contextmanager
+def _opened_backend(settings: RunSettings) -> Iterator[Backend]:
+    """The backend of one command; an http backend's pooled connections are
+    closed when the command is done with it, whether or not it raised."""
+    backend = _make_backend(settings)
+    try:
+        yield backend
+    finally:
+        if isinstance(backend, HttpBackend):
+            backend.close()
 
 
 def _load_sandbox(path: str) -> Sandbox:
@@ -241,7 +255,8 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     sandbox = _load_sandbox(settings.scenarios)
     _require_job(sandbox, job_id, scenarios)
     _make_out_dir(out_dir)
-    report = run_job(settings, sandbox, job_id, _make_backend(settings))
+    with _opened_backend(settings) as backend:
+        report = run_job(settings, sandbox, job_id, backend)
     _write_job_artifacts(out_dir, job_id, settings, report)
     click.echo(
         f"{job_id}: passed={report.greedy.passed} steps={len(report.greedy.steps)}"
@@ -266,23 +281,23 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     _make_out_dir(out_dir)
     # one backend for every job: the mock policy is a pure function of the
     # prompt, and an http backend must accept concurrent calls anyway
-    backend = _make_backend(settings)
+    with _opened_backend(settings) as backend:
 
-    def one(job_id: str) -> JobOutcome:
-        outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
-        try:
-            outcome.reference = sandbox.job(job_id).ground_truth
-            report = run_job(settings, sandbox, job_id, backend)
-            _write_job_artifacts(out_dir, job_id, settings, report)
-            outcome.trajectory = report.greedy
-            outcome.prediction = report.outcome.result
-        except Exception as exc:  # one failing job never aborts the batch
-            click.echo(f"{job_id}: failed\n{traceback.format_exc()}", err=True)
-            outcome.trajectory.diagnostic = f"job failed: {type(exc).__name__}: {exc}"
-        return outcome
+        def one(job_id: str) -> JobOutcome:
+            outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
+            try:
+                outcome.reference = sandbox.job(job_id).ground_truth
+                report = run_job(settings, sandbox, job_id, backend)
+                _write_job_artifacts(out_dir, job_id, settings, report)
+                outcome.trajectory = report.greedy
+                outcome.prediction = report.outcome.result
+            except Exception as exc:  # one failing job never aborts the batch
+                click.echo(f"{job_id}: failed\n{traceback.format_exc()}", err=True)
+                outcome.trajectory.diagnostic = f"job failed: {type(exc).__name__}: {exc}"
+            return outcome
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(one, sandbox.job_ids))
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(one, sandbox.job_ids))
 
     # one fixed offline scorer, whatever --backend and --seed say, so the
     # scores are a function of (prediction, reference) alone
@@ -314,7 +329,8 @@ def cmd_replay(trajectory_file):
     settings = _settings_from(manifest["settings"])
     sandbox = _load_sandbox(settings.scenarios)
     _require_job(sandbox, job_id, settings.scenarios)
-    report = run_job(settings, sandbox, job_id, _make_backend(settings))
+    with _opened_backend(settings) as backend:
+        report = run_job(settings, sandbox, job_id, backend)
     paths = {"trajectory.jsonl": trajectory_file, "result.json": manifest_path}
     for name, replayed in _render_job(job_id, settings, report).items():
         with open(paths[name], "rb") as fh:

@@ -9,6 +9,7 @@ edit-distance acceptance test, and summarize the survivors.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -126,6 +127,18 @@ def build_graph(lines: Sequence[str], embeddings: np.ndarray) -> SimilarityGraph
     return SimilarityGraph(n, edges)
 
 
+# Louvain sums a node's links to the ids within _NEAR of its own first: at
+# line distance d an edge weighs at most exp(-d / DEFAULT_TAU) of a
+# similarity, so each farther edge weighs under e^-4 of one
+_NEAR = math.ceil(4 * DEFAULT_TAU)
+# only a node with more neighbours than two near windows is decided from its
+# near links; a smaller one would save too few link sums
+_NEAR_MIN_NEIGHBOURS = 2 * (2 * _NEAR + 1)
+# the rounding the bound charges per operation: 2^-49 is sixteen times the
+# unit roundoff of a float
+_ROUNDING = 2.0**-49
+
+
 def _louvain_level(
     n: int, adj: list[dict[int, float]]
 ) -> tuple[list[int], bool]:
@@ -133,7 +146,32 @@ def _louvain_level(
     every neighbouring community is evaluated in ascending id, so ties in
     modularity gain resolve to the lowest id.  A node's link weight to each
     community is summed from 0.0 in adjacency order into one list indexed by
-    community, which is cleared again after the node."""
+    community, which is cleared again after the node.
+
+    When every degree is nonnegative, a node with more than
+    _NEAR_MIN_NEIGHBOURS neighbours and only positive weights, a self-loop
+    included, is first decided from its near links alone: those to ids
+    within _NEAR of its own, a slice found by bisection (ids ascend at level
+    0, in build_graph's edge order).  Which links form the slice changes how often this decides,
+    never the labels.  With far the correctly rounded sum of the node's other
+    links and k its neighbour count, ε = far + (k + 2)·_ROUNDING·(dv + 1e-12):
+    far plus more than every rounding of the sums and gains below, each of
+    magnitude about dv at most.
+    - A community the near links reach has an exact gain within ε of its
+      near-only gain: the two differ by its far links less those into the
+      node's own community.
+    - A community they miss has an exact link sum of at most far.  Its
+      degree is a sum of nonnegative degrees that the two updates of each
+      evaluation round by under _ROUNDING·2m/4, so it reads at least −δ,
+      with δ the evaluations so far times _ROUNDING·2m.  Its gain is at most
+      ε − own + dv·(base + δ)/2m.
+    - Staying gains 0.
+    The node moves to its best near community t* when t*'s gain less ε beats
+    each other choice's upper bound by more than 1e-12: the exact scan then
+    picks t*, whatever it evaluates before or after.  It stays when no upper
+    bound exceeds 1e-12, since the exact scan moves only on a gain above
+    that.  Otherwise, as on an exact tie, it sums every link and scans
+    exactly."""
     degree = [left_sum(nb.values()) for nb in adj]
     two_m = left_sum(degree)
     if two_m == 0:
@@ -143,37 +181,81 @@ def _louvain_level(
         {u: w for u, w in nb.items() if u != v} if v in nb else nb
         for v, nb in enumerate(adj)
     ]
+    # near[v] is (v's near links, ε) for a node decided from its near links
+    near: list[Optional[tuple[list[tuple[int, float]], float]]] = [None] * n
+    # a finite 2m rules out NaN and infinite weights
+    if math.isfinite(two_m) and min(degree) >= 0:
+        for v, nb in enumerate(neighbours):
+            if len(nb) > _NEAR_MIN_NEIGHBOURS and min(adj[v].values()) > 0:
+                ids, weights = list(nb), list(nb.values())
+                lo = bisect.bisect_left(ids, v - _NEAR)
+                hi = bisect.bisect_right(ids, v + _NEAR, lo)
+                far = math.fsum(weights[:lo]) + math.fsum(weights[hi:])
+                slack = (len(ids) + 2) * _ROUNDING * (degree[v] + 1e-12)
+                near[v] = list(zip(ids[lo:hi], weights[lo:hi])), far + slack
     community = list(range(n))
     community_degree = degree[:]
     links = [0.0] * n
+    evaluations = 0
+    lowest = -math.inf
     moved_any = False
     improved = True
     while improved:
         improved = False
+        # the evaluations by the end of this sweep bound the rounding of the
+        # community degrees
+        evaluations += n
+        drift = evaluations * _ROUNDING * two_m
         for v in range(n):
             current = community[v]
-            # a community whose sum still reads 0.0 is listed again; a
-            # repeat evaluates to the same gain and cannot win twice
-            touched = []
-            for u, w in neighbours[v].items():
-                target = community[u]
-                if not links[target]:
-                    touched.append(target)
-                links[target] += w
             dv = degree[v]
             community_degree[current] -= dv
-            own, base = links[current], community_degree[current]
-            # strict improvement over the best gain so far by more than
-            # 1e-12; ascending order makes ties resolve to the lowest id
-            best, bar = current, 1e-12
-            touched.sort()
-            for target in touched:
-                if target != current:
-                    gain = links[target] - own - dv * (community_degree[target] - base) / two_m
-                    if gain > bar:
-                        best, bar = target, gain + 1e-12
-            for target in touched:
-                links[target] = 0.0
+            best = None
+            if near[v] is not None:
+                near_links, eps = near[v]
+                touched = []
+                for u, w in near_links:
+                    target = community[u]
+                    if not links[target]:
+                        touched.append(target)
+                    links[target] += w
+                own, base = links[current], community_degree[current]
+                # the best and second-best near gains; a tie leaves no margin
+                top, first, second = current, lowest, lowest
+                for target in touched:
+                    if target != current:
+                        gain = links[target] - own - dv * (community_degree[target] - base) / two_m
+                        if gain > first:
+                            top, first, second = target, gain, first
+                        elif gain > second:
+                            second = gain
+                    links[target] = 0.0
+                missed = eps - own + dv * (base + drift) / two_m
+                if first + eps <= 1e-12 and missed <= 1e-12:
+                    best = current
+                elif first - eps - max(second + eps, missed, 0.0) > 1e-12:
+                    best = top
+            if best is None:
+                # a community whose sum still reads 0.0 is listed again; a
+                # repeat evaluates to the same gain and cannot win twice
+                touched = []
+                for u, w in neighbours[v].items():
+                    target = community[u]
+                    if not links[target]:
+                        touched.append(target)
+                    links[target] += w
+                own, base = links[current], community_degree[current]
+                # strict improvement over the best gain so far by more than
+                # 1e-12; ascending order makes ties resolve to the lowest id
+                best, bar = current, 1e-12
+                touched.sort()
+                for target in touched:
+                    if target != current:
+                        gain = links[target] - own - dv * (community_degree[target] - base) / two_m
+                        if gain > bar:
+                            best, bar = target, gain + 1e-12
+                for target in touched:
+                    links[target] = 0.0
             community_degree[best] += dv
             if best != current:
                 community[v] = best

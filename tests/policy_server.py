@@ -48,9 +48,22 @@ class _PolicyHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveHandler(_PolicyHandler):
+    # HTTP/1.1 keeps a connection open for the client's next request until
+    # the client closes it; one left idle for timeout seconds is dropped, so
+    # a client that never closes holds server_close() that long, not forever
+    protocol_version = "HTTP/1.1"
+    timeout = 10
+
+
 class PolicyServer(socketserver.ThreadingMixIn, http.server.HTTPServer):
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _PolicyHandler)
+    """With ``keep_alive``, connections stay open between requests, and
+    ``server_close()`` waits for the clients to close them."""
+
+    def __init__(self, keep_alive: bool = False):
+        super().__init__(
+            ("127.0.0.1", 0), _KeepAliveHandler if keep_alive else _PolicyHandler
+        )
         self.policy = PolicyBackend(malformed_pct=10)
         self.url = f"http://127.0.0.1:{self.server_address[1]}"
         self.lock = threading.Lock()

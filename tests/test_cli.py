@@ -1,8 +1,10 @@
-"""Command-line interface tests (all against the mock backend)."""
+"""Command-line interface tests, against the mock backend but for
+``TestHttpConnectionsClose``, which serves the policy over HTTP."""
 
 import json
 import os
 import shutil
+import threading
 
 import pytest
 import yaml
@@ -14,6 +16,8 @@ from cloudrca.cli import RunSettings, _read_mapping, _settings_from, _trajectory
 from cloudrca.errors import TransportError
 from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
+
+from policy_server import PolicyServer
 
 
 @pytest.fixture
@@ -838,6 +842,58 @@ class TestReplay:
             result = runner.invoke(main, ["replay", str(out / job_id / "trajectory.jsonl")])
             assert result.exit_code == 0, result.output
             assert "replay matches" in result.output
+
+
+class TestHttpConnectionsClose:
+    """A command closes the connections of the http backend it built.  A
+    keep-alive server's ``server_close()`` waits for every open connection,
+    so it returns at once only when the commands closed theirs.  The test
+    holds every backend the commands build, so that only their close, and
+    not the collection of a dropped backend, ends a connection."""
+
+    @pytest.mark.parametrize("commands", ["batch", "diagnose-replay"])
+    def test_keep_alive_server_closes_after_the_commands(
+        self, runner, tmp_path, monkeypatch, commands
+    ):
+        built = []
+
+        class HeldBackend(cli.HttpBackend):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "HttpBackend", HeldBackend)
+        bundle, out = tmp_path / "bundle", tmp_path / "out"
+        job_ids = generate_scenarios(seed=4242, count=2, out_dir=str(bundle))
+        server = PolicyServer(keep_alive=True)
+        serving = threading.Thread(target=server.serve_forever, args=(0.05,))
+        serving.start()
+        http = ["--backend", "http", "--endpoint", server.url]
+        if commands == "batch":
+            runs = [["batch", "--scenarios", str(bundle), "--out-dir", str(out), *http]]
+        else:
+            runs = [
+                ["diagnose", job_ids[0], "--scenarios", str(bundle), "--out-dir", str(out), *http],
+                ["replay", str(out / job_ids[0] / "trajectory.jsonl")],
+            ]
+        try:
+            for args in runs:
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, result.output
+        finally:
+            closing = threading.Thread(
+                target=lambda: (server.shutdown(), server.server_close()), daemon=True
+            )
+            closing.start()
+            closing.join(timeout=3)
+            closed = not closing.is_alive()
+            # a connection left open is dropped after the handler's timeout
+            closing.join(timeout=30)
+            serving.join(timeout=30)
+        assert closed, "server_close() still waits on an open connection"
+        assert len(built) == len(runs)
+        assert server.requests > 0
+        assert server.in_flight == 0
 
 
 @pytest.mark.parametrize(

@@ -516,7 +516,50 @@ class TestLouvainSkipsTargetsThatCannotGain:
             graph = decayed_graph(rng, n, 0.5, scale=scale)
             assert louvain(graph) == dict_louvain_oracle(graph)
 
-    @pytest.mark.parametrize("count", [12, 50, 113, 300])
+    def test_dense_integer_graphs(self):
+        # weights of 1, 2 or 3 on most pairs: exact gain ties leave the near
+        # links no margin, so the exact loop decides those moves
+        rng = random.Random(34)
+        for n in range(30, 61, 3):
+            edges = [
+                (i, j, float(rng.randint(1, 3)))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.8
+            ]
+            graph = SimilarityGraph(n, edges)
+            assert louvain(graph) == dict_louvain_oracle(graph)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e12])
+    def test_full_windows_scaled(self, scale):
+        # every pair within the window: each node has more neighbours than
+        # the near-link threshold, at scales where 1e-12 is large or far
+        # below an ulp of a gain
+        rng = random.Random(35)
+        for n in range(40, 121, 10):
+            graph = decayed_graph(rng, n, 1.0, scale=scale)
+            assert louvain(graph) == dict_louvain_oracle(graph)
+
+    def test_most_evaluations_read_only_the_near_links(self, monkeypatch):
+        # adjacency dicts that count the reads of all of a node's links
+        class Counted(dict):
+            reads = 0
+
+            def items(self):
+                Counted.reads += 1
+                return super().items()
+
+        lines = _two_template_lines(random.Random(113), 113)
+        graph = build_graph(lines, MockBackend().embed(lines))
+        adj = [Counted(nb) for nb in graph.adjacency()]
+        labels = logexpert._louvain_level(graph.n, adj)
+        bounded, Counted.reads = Counted.reads, 0
+        # no node has this many neighbours: every evaluation sums all links
+        monkeypatch.setattr(logexpert, "_NEAR_MIN_NEIGHBOURS", graph.n)
+        assert logexpert._louvain_level(graph.n, adj) == labels
+        assert bounded * 5 < Counted.reads
+
+    @pytest.mark.parametrize("count", [12, 50, 113, 300, 1000])
     def test_partition_of_two_template_logs(self, count):
         lines = _two_template_lines(random.Random(count), count)
         backend = MockBackend()
