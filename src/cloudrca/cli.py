@@ -19,10 +19,10 @@ from .backends import HASH_EMBED_MODEL, Backend, HttpBackend, MockBackend
 from .consistency import DEFAULT_K, METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE, MODES
 from .consistency import ConsistencyReport, run_with_consistency
 from .errors import ConfigurationError
-from .metrics import JobOutcome, build_report, export_predictions, fill_baseline
+from .metrics import JobOutcome, build_report, fill_baseline, prediction_rows
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
-from .structured import json_text, read_json
+from .structured import json_text, jsonl_text, read_json, write_files
 from .trajectory import AnalysisResult, Trajectory
 
 # --aggregate flag -> the method name result.json records and replay reads back
@@ -132,8 +132,8 @@ def run_job(
 
 
 def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -> dict:
-    """The bytes of each file a job writes, by file name: diagnose and batch
-    write them, and replay compares them with the files on disk."""
+    """The text of each file a job writes, by file name: diagnose and batch
+    write it, and replay compares its bytes with the files on disk."""
     result = {
         "job_id": job_id,
         "result": fill_baseline(report.outcome.result).to_dict(),
@@ -141,8 +141,8 @@ def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -
         "settings": settings.to_dict(),
     }
     return {
-        "trajectory.jsonl": report.greedy.to_jsonl().encode(),
-        "result.json": json_text(result).encode(),
+        "trajectory.jsonl": report.greedy.to_jsonl(),
+        "result.json": json_text(result),
     }
 
 
@@ -153,14 +153,6 @@ def _make_out_dir(out_dir: str) -> None:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise click.BadParameter(str(exc), param_hint="'--out-dir'")
-
-
-def _write_job_artifacts(out_dir: str, job_id: str, settings: RunSettings, report) -> None:
-    job_out = os.path.join(out_dir, job_id)
-    os.makedirs(job_out, exist_ok=True)
-    for name, data in _render_job(job_id, settings, report).items():
-        with open(os.path.join(job_out, name), "wb") as fh:
-            fh.write(data)
 
 
 def _trajectory_divergence(recorded: bytes, replayed: bytes) -> str:
@@ -257,7 +249,7 @@ def cmd_diagnose(job_id, scenarios, out_dir, config, **flags):
     _make_out_dir(out_dir)
     with _opened_backend(settings) as backend:
         report = run_job(settings, sandbox, job_id, backend)
-    _write_job_artifacts(out_dir, job_id, settings, report)
+    write_files(os.path.join(out_dir, job_id), _render_job(job_id, settings, report))
     click.echo(
         f"{job_id}: passed={report.greedy.passed} steps={len(report.greedy.steps)}"
     )
@@ -288,7 +280,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
             try:
                 outcome.reference = sandbox.job(job_id).ground_truth
                 report = run_job(settings, sandbox, job_id, backend)
-                _write_job_artifacts(out_dir, job_id, settings, report)
+                write_files(os.path.join(out_dir, job_id), _render_job(job_id, settings, report))
                 outcome.trajectory = report.greedy
                 outcome.prediction = report.outcome.result
             except Exception as exc:  # one failing job never aborts the batch
@@ -303,9 +295,8 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     # scores are a function of (prediction, reference) alone
     report = build_report(outcomes, MockBackend())
     report["scorer"] = HASH_EMBED_MODEL
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(json_text(report))
-    export_predictions(outcomes, os.path.join(out_dir, "predictions.jsonl"))
+    predictions = jsonl_text(prediction_rows(outcomes))
+    write_files(out_dir, {"report.json": json_text(report), "predictions.jsonl": predictions})
     click.echo(
         f"pass_rate={report['pass_rate']:.2f} invalid_rate={report['invalid_rate']:.2f}"
     )
@@ -332,9 +323,10 @@ def cmd_replay(trajectory_file):
     with _opened_backend(settings) as backend:
         report = run_job(settings, sandbox, job_id, backend)
     paths = {"trajectory.jsonl": trajectory_file, "result.json": manifest_path}
-    for name, replayed in _render_job(job_id, settings, report).items():
+    for name, text in _render_job(job_id, settings, report).items():
         with open(paths[name], "rb") as fh:
             recorded = fh.read()
+        replayed = text.encode()
         if recorded != replayed:
             click.echo(
                 _trajectory_divergence(recorded, replayed)

@@ -555,25 +555,34 @@ class RetrievalStore:
         return [ex for _, _, ex in scored]
 
 
+def _first_fit(blocks: Iterable[str], room: int, separator: str) -> str:
+    """The blocks joined by ``separator`` in their order, within ``room``
+    characters: a block that would overrun the room is left out and the
+    scan goes on."""
+    kept, used = [], -len(separator)  # the first block takes no separator
+    for block in blocks:
+        if used + len(separator) + len(block) <= room:
+            kept.append(block)
+            used += len(separator) + len(block)
+    return separator.join(kept)
+
+
 def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backend) -> str:
     """Greedy similarity-ordered example packing under a budget of
     DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
     explicit delimiter, cut to CHUNK_BUDGET characters when it is longer."""
     chunk_text = chunk[:CHUNK_BUDGET]
-    body = []
-    used = DEFAULT_MAX_PROMPT_LEN - CHUNK_BUDGET + len(chunk_text)
+    body = ""
     if store is not None and store.examples:
         query = backend.embed([chunk])[0]
-        for example in store.ranked(query):
-            block = (
-                f"\n\n=== Example ===\n{example.example_text}\n"
-                f"--- Answer ---\n{example.answer_text}"
-            )
-            if used + len(block) > DEFAULT_MAX_PROMPT_LEN:
-                continue
-            body.append(block)
-            used += len(block)
-    return prompts.LOG_ANALYSIS_INSTRUCTION + "".join(body) + _CHUNK_HEADER + chunk_text
+        blocks = (
+            f"\n\n=== Example ===\n{example.example_text}\n"
+            f"--- Answer ---\n{example.answer_text}"
+            for example in store.ranked(query)
+        )
+        # the room the instruction, the delimiter and the chunk leave
+        body = _first_fit(blocks, CHUNK_BUDGET - len(chunk_text), "")
+    return prompts.LOG_ANALYSIS_INSTRUCTION + body + _CHUNK_HEADER + chunk_text
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +623,7 @@ def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str,
         return NO_EVIDENCE_SENTINEL, ""
     budget = DEFAULT_MAX_PROMPT_LEN - len(prompts.LOG_SUMMARY_INSTRUCTION) - 2
     blocks = [f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs]
-    listed, used = [], -2  # the first block takes no separator
-    for block in blocks:
-        if used + 2 + len(block) <= budget:
-            listed.append(block)
-            used += 2 + len(block)
-    listing = "\n\n".join(listed) or blocks[0][:budget]
+    listing = _first_fit(blocks, budget, "\n\n") or blocks[0][:budget]
     raw = ask(
         backend,
         prompts.LOG_SUMMARY_SYSTEM,

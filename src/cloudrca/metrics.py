@@ -8,7 +8,6 @@ from typing import Callable, Optional, Sequence
 
 from .backends import Backend, cosine, left_sum
 from .errors import CloudRcaError
-from .structured import jsonl_text
 from .trajectory import RESULT_FIELDS, TEXT_FIELDS, AnalysisResult, Trajectory, UNCLEAR
 
 BASELINE_TEXT = UNCLEAR
@@ -137,8 +136,9 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
     return report
 
 
-def export_predictions(outcomes: Sequence[JobOutcome], path: str):
-    """Comparison-ready predictions file: one JSONL row per job and field."""
+def prediction_rows(outcomes: Sequence[JobOutcome]) -> list[dict]:
+    """The rows of the comparison-ready predictions file: one per scored
+    job and field."""
     rows = []
     for o in outcomes:
         if o.reference is not None:
@@ -152,5 +152,4 @@ def export_predictions(outcomes: Sequence[JobOutcome], path: str):
                 }
                 for name in RESULT_FIELDS
             ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(jsonl_text(rows))
+    return rows

@@ -18,7 +18,7 @@ from .backends import Backend
 from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
 from .errors import ConfigurationError
 from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
-from .structured import json_text, jsonl_text, read_json, read_jsonl
+from .structured import json_text, jsonl_text, read_json, read_jsonl, write_files
 from .tools import ToolParam, ToolRegistry, ToolSpec, finalize_spec
 from .trajectory import AnalysisResult
 
@@ -207,15 +207,6 @@ def _jsonl(draws: list[tuple[int, str]]) -> str:
     return jsonl_text({"timestamp": _ts(at), "text": text} for at, text in draws)
 
 
-def _write_files(root: str, files: dict[str, str]) -> None:
-    """Write each file of a ``{relative path: text}`` table under ``root``."""
-    for rel, text in files.items():
-        path = os.path.join(root, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
     """Write ``count`` deterministic scenario bundles under ``out_dir``.
 
@@ -223,7 +214,7 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
     produces byte-identical bundles.  Returns the job ids in order.
     """
     rng = random.Random(seed)
-    _write_files(os.path.join(out_dir, "src"), _TOY_SOURCES)
+    write_files(os.path.join(out_dir, "src"), _TOY_SOURCES)
     job_ids = []
     for i in range(count):
         scenario = _scenario(_FAMILIES[i % len(_FAMILIES)], rng)
@@ -258,8 +249,8 @@ def generate_scenarios(seed: int, count: int, out_dir: str) -> list[str]:
         files["ground_truth.json"] = json_text(ground_truth)
         # each job's files are written when it is drawn, so one job's text
         # is held at a time
-        _write_files(os.path.join(out_dir, job_id), files)
-    _write_files(out_dir, {"index.json": json_text({"seed": seed, "job_ids": job_ids})})
+        write_files(os.path.join(out_dir, job_id), files)
+    write_files(out_dir, {"index.json": json_text({"seed": seed, "job_ids": job_ids})})
     return job_ids
 
 

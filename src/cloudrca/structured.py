@@ -1,14 +1,15 @@
 """Structured-output repair: sanitize prompts, extract and fix JSON from model
 output, and fall back to a YAML round trip through the model when local
 repair fails (after all retries the result is an empty object, not an
-exception).  The program's JSON files are read and rendered here too:
-input files checked entry by entry, written files in one layout.
+exception).  The program's files are read, rendered and written here too:
+input files checked entry by entry, written files in one layout by one writer.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
@@ -269,9 +270,19 @@ def json_regen(
 
 
 # ---------------------------------------------------------------------------
-# JSON files: every file the program writes is rendered by json_text or
-# jsonl_text, and every JSON or JSONL file it reads is read by read_json or
-# read_jsonl
+# Files: every file the program writes is written by write_files, every JSON
+# file it writes is rendered by json_text or jsonl_text, and every JSON or
+# JSONL file it reads is read by read_json or read_jsonl
+
+
+def write_files(root: str, files: dict[str, str]) -> None:
+    """Write each file of a ``{relative path: text}`` table under ``root``,
+    making its directories, as UTF-8 with no newline translation."""
+    for rel, text in files.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def json_text(value: Any) -> str:

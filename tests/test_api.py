@@ -2,9 +2,9 @@
 must every lookup name the benchmark's tracer binds; no module of the
 package or of the tests keeps an import it never uses, no module
 encodes text so that a lone surrogate raises, only two functions of the
-package open a thread pool, only ``structured`` decodes JSON, only
-``backends`` takes a norm, and the records a batch keeps per job are
-slotted."""
+package open a thread pool, only ``structured`` decodes JSON or writes a
+file, only ``backends`` takes a norm, and the records a batch keeps per
+job are slotted."""
 
 import ast
 import pathlib
@@ -139,6 +139,37 @@ def test_only_structured_decodes_json():
     package = pathlib.Path(cloudrca.__file__).parent
     found = {path.name: _json_decodes(path) for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "structured.py"} == {}
+
+
+def _file_writes(path):
+    """Line of each call that can open a file for writing: ``open`` with a
+    mode that is not a literal of "r", "b" and "t" only, and ``write_text``
+    or ``write_bytes``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) and io.open(file, mode); a path's open(mode)
+            at = 1 if isinstance(func, ast.Name) or ast.unparse(func) == "io.open" else 0
+            modes = [k.value for k in node.keywords if k.arg == "mode"] or node.args[at : at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                found.append(node.lineno)
+    return found
+
+
+def test_only_structured_writes_files():
+    # write_files makes every file the program writes, so each is UTF-8 with
+    # no newline translation, and a new output file is one more table entry
+    package = pathlib.Path(cloudrca.__file__).parent
+    found = {path.name: _file_writes(path) for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "structured.py"} == {}
+    assert found["structured.py"] != []
 
 
 def _norms(path):

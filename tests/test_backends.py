@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -626,28 +627,39 @@ class TestDeeplyNestedBody:
 
 
 class _FakeResponse:
+    """A scripted response; a ``body`` that is an exception is raised by
+    ``json()``, as a body that is not JSON makes requests raise."""
+
     def __init__(self, status_code, body=None, headers=None):
         self.status_code = status_code
         self.headers = headers or {}
         self._body = body
-        self.text = json.dumps(body)
+        self.text = "" if isinstance(body, Exception) else json.dumps(body)
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
 class _FakeSession:
-    """Answers each post with the next scripted response; no network."""
+    """Answers each post with the next scripted response, or raises it when
+    it is an exception; no network."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.posts = 0
         self.bodies = []
+        self.headers = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts += 1
         self.bodies.append((url, json))
-        return self.responses.pop(0)
+        self.headers.append(headers)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 CHAT_OK = {"choices": [{"message": {"content": "after the wait"}}]}
@@ -880,3 +892,69 @@ class TestRateLimit:
         with pytest.raises(TransportError):
             be.complete(exchange(), GenerationParams())
         assert session.posts == 1 and sleeps == []
+
+
+class TestHttpFaults:
+    """A fault of the connection or of the reply's shape, on a scripted
+    session: a transport fault is retried up to MAX_ATTEMPTS posts and then
+    a TransportError; a reply of the wrong shape is a ProtocolError at once."""
+
+    def backend(self, responses, monkeypatch, api_key=""):
+        monkeypatch.setattr(backends_module.time, "sleep", lambda _s: None)
+        session = _FakeSession(responses)
+        return HttpBackend("http://localhost:1", "m", api_key=api_key, session=session), session
+
+    @pytest.mark.parametrize(
+        "fault", [requests.ConnectionError("refused"), requests.Timeout("timed out")]
+    )
+    def test_a_fault_on_every_attempt_is_a_transport_error(self, monkeypatch, fault):
+        be, session = self.backend([fault] * backends_module.MAX_ATTEMPTS, monkeypatch)
+        with pytest.raises(TransportError, match=str(fault)):
+            be.complete(exchange(), GenerationParams())
+        assert session.posts == backends_module.MAX_ATTEMPTS
+
+    def test_one_fault_then_a_reply_returns_the_reply(self, monkeypatch):
+        be, session = self.backend(
+            [requests.ConnectionError("reset"), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert session.posts == 2
+
+    def test_a_body_that_is_not_json_is_retried(self, monkeypatch):
+        not_json = requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)
+        be, session = self.backend(
+            [_FakeResponse(200, not_json), _FakeResponse(200, CHAT_OK)], monkeypatch
+        )
+        assert be.complete(exchange(), GenerationParams()) == "after the wait"
+        assert session.posts == 2
+
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"choices": []}, {"choices": [{"message": "text"}]}, {"choices": [{"message": [1]}]}],
+        ids=["no-choices", "empty-choices", "string-message", "list-message"],
+    )
+    def test_a_malformed_chat_body_is_a_protocol_error(self, monkeypatch, body):
+        be, session = self.backend([_FakeResponse(200, body)] * 2, monkeypatch)
+        with pytest.raises(ProtocolError, match="malformed chat completion"):
+            be.complete(exchange(), GenerationParams())
+        assert session.posts == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [{}, {"data": [{"embedding": [1.0, 0.5]}]}],
+        ids=["no-data", "item-without-index"],
+    )
+    def test_a_malformed_embeddings_body_is_a_protocol_error(self, monkeypatch, body):
+        be, session = self.backend([_FakeResponse(200, body)] * 2, monkeypatch)
+        with pytest.raises(ProtocolError, match="malformed embeddings"):
+            be.embed(["some text"])
+        assert session.posts == 1
+
+    @pytest.mark.parametrize("api_key", ["", "sk-test"])
+    def test_a_key_is_sent_as_a_bearer_token(self, monkeypatch, api_key):
+        be, session = self.backend([_FakeResponse(200, CHAT_OK)], monkeypatch, api_key)
+        be.complete(exchange(), GenerationParams())
+        expected = {"Content-Type": "application/json"}
+        if api_key:
+            expected["Authorization"] = "Bearer sk-test"
+        assert session.headers == [expected]

@@ -1,7 +1,9 @@
 """Function-level census of what the CLI reaches end to end.
 
-The test generates a bundle, runs `cloudrca batch` in every mode and
-aggregation at 10% malformed actions, one greedy `batch` over HTTP against
+The test generates a bundle, stretches two jobs' runtime logs past the
+sizes where dedup bounds its pairs and overlap repair has runs to merge,
+runs `cloudrca batch` in every mode and aggregation at 10% malformed
+actions, one greedy `batch` over HTTP against
 the policy served on a local port, then `diagnose` (its settings from a
 `--config` file) and `replay`, all through CliRunner, and profiles every
 Python call.  The `src` functions that no run calls must equal UNCALLED,
@@ -16,6 +18,7 @@ import (such as a decorator) counts as uncalled.
 import inspect
 import json
 import pathlib
+import random
 import sys
 import threading
 
@@ -27,13 +30,14 @@ from cloudrca import backends, logexpert
 from cloudrca.cli import AGGREGATES, main
 from cloudrca.consistency import MODES
 
+from test_golden import stretch_runtime_logs
+
 SRC = pathlib.Path(cloudrca.__file__).parent
 
 # by kind: import-time only, abstract, paper components and public helpers
-# no run uses, error paths, and paths for inputs larger than the bundle's.
-# textdist._bigram_levels and _bounds bound the pairs of observations with
-# more than _MATRIX_MAX distinct lines, and no bundle observation has that
-# many.  structured.extract_json is a public helper and the fallback reader
+# no run uses, and error paths.  The stretched runtime logs reach the
+# long-observation paths: the dedup pair bound and both overlap repairs.
+# structured.extract_json is a public helper and the fallback reader
 # of json_regen's unkeyed direct stage and its repair stages, which no bundle
 # reply reaches: each parses at its first brace or, when corrupted, in the
 # keyed span scan.
@@ -55,16 +59,11 @@ UNCALLED = {
     "logexpert:RetrievalStore.add",
     "logexpert:RetrievalStore.ingest_jsonl",
     "logexpert:RetrievalStore.ranked",
-    "logexpert:_greedy_contiguous",
-    "logexpert:_min_flip_contiguous",
-    "logexpert:_min_flip_contiguous.<locals>.best",
     "metrics:emb_score",
     "mockpolicy:PolicyBackend.clone",
     "mockpolicy:_regen",
     "structured:_merge",
     "structured:extract_json",
-    "textdist:_bigram_levels",
-    "textdist:_bounds",
     "tools:ErrorMessage.render",
     "tools:_error_result",
 }
@@ -97,6 +96,10 @@ def _run_cli(tmp_path: pathlib.Path, endpoint: str):
 
     bundle = tmp_path / "bundle"
     invoke("gen-scenarios", "--seed", 4242, "--count", 4, "--out-dir", bundle)
+    # two jobs' runtime observations hold over textdist._MATRIX_MAX distinct
+    # lines; the other two stay short
+    runtime_logs = sorted(bundle.glob("*/logs.runtime.jsonl"))[:2]
+    stretch_runtime_logs(runtime_logs, random.Random(43), 60)
     for mode in MODES:
         for aggregate in AGGREGATES:
             invoke(

@@ -12,6 +12,10 @@ from cloudrca.codeexpert import (
     find_class_file,
     run_code_expert,
 )
+from cloudrca.mockpolicy import PolicyBackend
+from cloudrca.snapshots import SnapshotStore
+from cloudrca.tools import dispatch
+from cloudrca.trajectory import ToolCall
 
 
 @pytest.fixture
@@ -151,3 +155,28 @@ def test_toolspec_allows_short_class_names():
     spec = code_agent_toolspec()
     assert spec.trivial_input_floor == 1
     assert spec.params[0].name == "class_name"
+
+
+def _dispatch_code_agent(sandbox, class_name):
+    """One ``code_agent`` call on a generated bundle's registry, answered by
+    the scripted policy."""
+    registry = sandbox.build_registry(PolicyBackend())
+    call = ToolCall("code_agent", {"class_name": class_name})
+    return dispatch(registry, call, SnapshotStore())
+
+
+def test_code_agent_call_observes_the_summary(sandbox):
+    result = _dispatch_code_agent(sandbox, "AdvisorService")
+    assert not result.error
+    assert "The service code paths show no defects relevant to the anomaly." in (
+        result.observation
+    )
+
+
+@pytest.mark.parametrize("class_name", ["", "   ", 42, None])
+def test_code_agent_call_without_a_class_name_fails(sandbox, class_name):
+    result = _dispatch_code_agent(sandbox, class_name)
+    assert result.error and not result.invalid
+    assert result.observation == (
+        "Error: tool 'code_agent' failed: code_agent requires a class name"
+    )

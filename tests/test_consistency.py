@@ -33,6 +33,7 @@ from cloudrca.consistency import (
     aggregate,
     aggregate_with_llm,
     _majority_responsibility,
+    _strip_enumeration,
     run_greedy,
     run_with_consistency,
     sc_stepwise,
@@ -179,6 +180,18 @@ class TestAggregate:
     def test_llm_strips_enumeration(self):
         backend = MockBackend(["1. merged answer"])
         assert aggregate_with_llm(["a", "b"], backend) == "merged answer"
+
+    @pytest.mark.parametrize(
+        "reply, expected",
+        [
+            ("- merged answer", "merged answer"),
+            ("* merged answer", "merged answer"),
+            ("  - first\n* second\n2) third  ", "first\nsecond\nthird"),
+            ("-1 degree", "-1 degree"),
+        ],
+    )
+    def test_strip_enumeration_drops_list_markers(self, reply, expected):
+        assert _strip_enumeration(reply) == expected
 
 
 # ---------------------------------------------------------------------------

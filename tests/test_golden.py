@@ -14,6 +14,7 @@ import os
 import pathlib
 import random
 import shutil
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -22,7 +23,7 @@ from cloudrca import PolicyBackend, Sandbox, generate_scenarios, logexpert, tool
 from cloudrca.cli import main
 from cloudrca.consistency import run_with_consistency
 from cloudrca.structured import jsonl_text
-from cloudrca.textdist import DEDUP_THRESHOLD
+from cloudrca.textdist import DEDUP_THRESHOLD, split_log
 from cloudrca.tools import render_documentation
 
 from conftest import make_config
@@ -173,23 +174,28 @@ def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
     return out
 
 
-@pytest.fixture(scope="module")
-def long_log_bundle(golden_bundle, tmp_path_factory):
-    """The 8-job bundle with 60 more runtime log lines per job before
-    detection, of two templates: alternating in every other job, so that
+def stretch_runtime_logs(paths: list[pathlib.Path], rng: random.Random, count: int) -> None:
+    """Add ``count`` lines of two templates before detection to each
+    runtime log file of ``paths``: alternating in every other file, so that
     the greedy overlap repair runs, and in blocks in the rest, so that the
-    exact one does.  Every graph is past the exact limit and runs Louvain's
-    levels, and every log is cut into several chunks.  60 lines, not more,
-    keep the all-pairs dedup reference within a few seconds."""
-    out = tmp_path_factory.mktemp("long") / "bundle"
-    shutil.copytree(golden_bundle, out)
-    rng = random.Random(43)
-    for i, path in enumerate(sorted(out.glob("*/logs.runtime.jsonl"))):
+    exact one does."""
+    for i, path in enumerate(paths):
         text = path.read_text(encoding="utf-8")
         first = json.loads(text.splitlines()[0])["timestamp"]
         layout = _interleaved_template_lines if i % 2 else _two_template_lines
-        added = [{"timestamp": first, "text": line} for line in layout(rng, 60)]
+        added = [{"timestamp": first, "text": line} for line in layout(rng, count)]
         path.write_text(jsonl_text(added) + text, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def long_log_bundle(golden_bundle, tmp_path_factory):
+    """The 8-job bundle with 60 more runtime log lines per job, laid out by
+    ``stretch_runtime_logs``.  Every graph is past the exact limit and runs
+    Louvain's levels, and every log is cut into several chunks.  60 lines,
+    not more, keep the all-pairs dedup reference within a few seconds."""
+    out = tmp_path_factory.mktemp("long") / "bundle"
+    shutil.copytree(golden_bundle, out)
+    stretch_runtime_logs(sorted(out.glob("*/logs.runtime.jsonl")), random.Random(43), 60)
     return str(out)
 
 
@@ -248,8 +254,24 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
         }
         return files, chunks
 
+    calls = Counter()
+    for name in ("_greedy_contiguous", "_min_flip_contiguous"):
+        repair = getattr(logexpert, name)
+
+        def counted(labels, name=name, repair=repair):
+            calls[name] += 1
+            return repair(labels)
+
+        monkeypatch.setattr(logexpert, name, counted)
     fast = run(tmp_path / "fast")
     assert len(fast[0]) == 16 and len(fast[1]) == 8
+    if bundle == "long_log_bundle":
+        # the input still reaches what long_log_bundle's docstring says it
+        # does; each log is a read_log observation, deduplicated already
+        for log, chunks in fast[1].items():
+            assert len(split_log(log)) > logexpert._EXACT_VERTEX_LIMIT
+            assert len(chunks) >= 2
+        assert calls["_greedy_contiguous"] >= 1 and calls["_min_flip_contiguous"] >= 1
     for module, name, oracle in [
         (tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)),
         (logexpert, "build_graph", lambda lines, embeddings: per_edge_build_graph(

@@ -35,6 +35,7 @@ from cloudrca.logexpert import (
     summarize,
 )
 from cloudrca.mockpolicy import PolicyBackend
+from cloudrca.structured import DEFAULT_RETRY_LIMIT
 from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
 
 from oracles import (
@@ -881,6 +882,15 @@ class TestSummarize:
         interpretation, evidence = summarize(be, [("disk failed", "ERROR disk")])
         assert interpretation == "disk failed"
         assert evidence == "ERROR disk"
+
+    def test_a_reply_that_does_not_parse_is_the_interpretation(self):
+        # every regeneration round trip fails as well
+        retries = ["no JSON either"] * 2 * DEFAULT_RETRY_LIMIT
+        be = MockBackend(["  the disk failed, no JSON here  ", *retries])
+        interpretation, evidence = summarize(be, [("disk failed", "ERROR disk")])
+        assert interpretation == "the disk failed, no JSON here"
+        assert evidence == ""
+        assert len(be.calls) == 1 + len(retries)
 
     @staticmethod
     def _prompt(pairs) -> str:

@@ -10,12 +10,12 @@ from cloudrca.metrics import (
     NotComputable,
     build_report,
     emb_score,
-    export_predictions,
     fill_baseline,
     invalid_rate,
     mean_trajectory_length,
     norm_score,
     pass_rate,
+    prediction_rows,
 )
 from cloudrca.trajectory import AnalysisResult, Step, Trajectory
 
@@ -278,8 +278,8 @@ class TestReportSums:
         assert report["mean_trajectory_length"] == 10.0
 
 
-class TestExportPredictions:
-    def test_rows_per_scored_job_and_field(self, tmp_path, five_trajectories):
+class TestPredictionRows:
+    def test_rows_per_scored_job_and_field(self, five_trajectories):
         outcomes = [
             JobOutcome(
                 "fj00000001",
@@ -289,9 +289,7 @@ class TestExportPredictions:
             ),
             JobOutcome("fj00000002", five_trajectories[1], AnalysisResult(), None),
         ]
-        path = tmp_path / "predictions.jsonl"
-        export_predictions(outcomes, str(path))
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows = prediction_rows(outcomes)
         assert len(rows) == 4  # one scored job x four fields
         assert {r["field"] for r in rows} == {
             "root_cause",
