@@ -50,10 +50,10 @@ HASH_EMBED_MEMO_SIZE = 1 << 15
 # of a sampled mode and every other set of a job's independent model calls
 MAX_IN_FLIGHT = 10
 
-# Whether the latest completion in this context idled (its wall time less the
-# whole process's CPU time meanwhile) more than WAIT_RATIO times as long as
-# this thread computed, since a process the OS does not run also reads as
-# idle; run_with_consistency resets it at the start of each job.
+# Whether the latest controller generation in this context idled (its wall
+# time less the whole process's CPU time meanwhile) more than WAIT_RATIO times
+# as long as this thread computed, since a process the OS does not run also
+# reads as idle; generate_adaptive sets it.
 WAIT_RATIO = 8
 LAST_COMPLETION_WAITED: ContextVar[bool] = ContextVar(
     "LAST_COMPLETION_WAITED", default=False
@@ -477,23 +477,10 @@ class AdaptiveGeneration:
     attempts: int
 
 
-def _complete(
-    backend: Backend, exchange: ChatExchange, params: GenerationParams
-) -> str:
-    """``backend.complete``, noting in LAST_COMPLETION_WAITED whether the
-    call idled more than WAIT_RATIO times as long as this thread computed."""
-    wall, process, cpu = time.perf_counter(), time.process_time(), time.thread_time()
-    text = backend.complete(exchange, params)
-    cpu = time.thread_time() - cpu
-    idle = time.perf_counter() - wall - (time.process_time() - process)
-    LAST_COMPLETION_WAITED.set(idle > WAIT_RATIO * cpu)
-    return text
-
-
 def ask(backend: Backend, system: str, user: str) -> str:
     """One greedy single-turn call: how every expert, repair and merge call
     reaches the model."""
-    return _complete(backend, ChatExchange(system, [("user", user)]), GREEDY_PARAMS)
+    return backend.complete(ChatExchange(system, [("user", user)]), GREEDY_PARAMS)
 
 
 def generate_adaptive(
@@ -507,12 +494,17 @@ def generate_adaptive(
     rule for backends that report no finish reason.
 
     Makes at most 1 + DEFAULT_MAX_ESCALATIONS backend calls; if repetition
-    persists the last attempt is returned.
+    persists the last attempt is returned.  Each call sets
+    LAST_COMPLETION_WAITED.
     """
     current = params
     attempts = 0
     while True:
-        text = _complete(backend, exchange, current)
+        wall, process, cpu = time.perf_counter(), time.process_time(), time.thread_time()
+        text = backend.complete(exchange, current)
+        cpu = time.thread_time() - cpu
+        idle = time.perf_counter() - wall - (time.process_time() - process)
+        LAST_COMPLETION_WAITED.set(idle > WAIT_RATIO * cpu)
         attempts += 1
         looping = (
             isinstance(text, TruncatedReply)
@@ -527,7 +519,7 @@ def overlapped(fn: Callable, items: Sequence) -> list:
     """``[fn(item) for item in items]``, for calls that read none of each
     other's replies.
 
-    Once the latest completion in the caller's context waited
+    Once the latest controller generation in the caller's context waited
     (LAST_COMPLETION_WAITED), the calls run concurrently, at most
     MAX_IN_FLIGHT at a time, in a pool that ends with this call; a backend
     they share must then accept concurrent calls.  Results keep

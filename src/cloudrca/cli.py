@@ -19,7 +19,7 @@ from .backends import HASH_EMBED_MODEL, Backend, HttpBackend, MockBackend
 from .consistency import DEFAULT_K, METHOD_EMBEDDING_VOTE, METHOD_LLM_AGGREGATE, MODES
 from .consistency import ConsistencyReport, run_with_consistency
 from .errors import ConfigurationError
-from .metrics import JobOutcome, build_report, fill_baseline, prediction_rows
+from .metrics import JobOutcome, build_report, prediction_rows
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
 from .structured import json_text, jsonl_text, read_json, write_files
@@ -72,27 +72,20 @@ def _read_mapping(path: str) -> dict:
     return data
 
 
-def _make_backend(settings: RunSettings) -> Backend:
-    if settings.backend == "mock":
-        return PolicyBackend(
-            malformed_pct=settings.malformed_pct, seed=settings.seed
-        )
-    api_key = os.environ.get("CLOUDRCA_API_KEY") or os.environ.get(
-        "OPENAI_API_KEY", ""
-    )
-    return HttpBackend(settings.endpoint, settings.model, api_key=api_key)
-
-
 @contextlib.contextmanager
 def _opened_backend(settings: RunSettings) -> Iterator[Backend]:
-    """The backend of one command; an http backend's pooled connections are
-    closed when the command is done with it, whether or not it raised."""
-    backend = _make_backend(settings)
+    """The backend of one command: the scripted policy for mock, or else an
+    http client whose pooled connections are closed when the command is done
+    with it, whether or not it raised."""
+    if settings.backend == "mock":
+        yield PolicyBackend(malformed_pct=settings.malformed_pct, seed=settings.seed)
+        return
+    api_key = os.environ.get("CLOUDRCA_API_KEY") or os.environ.get("OPENAI_API_KEY", "")
+    backend = HttpBackend(settings.endpoint, settings.model, api_key=api_key)
     try:
         yield backend
     finally:
-        if isinstance(backend, HttpBackend):
-            backend.close()
+        backend.close()
 
 
 def _load_sandbox(path: str) -> Sandbox:
@@ -136,7 +129,7 @@ def _render_job(job_id: str, settings: RunSettings, report: ConsistencyReport) -
     write it, and replay compares its bytes with the files on disk."""
     result = {
         "job_id": job_id,
-        "result": fill_baseline(report.outcome.result).to_dict(),
+        "result": report.outcome.result.to_dict(),
         "candidates": [c.result.to_dict() for c in report.candidates],
         "settings": settings.to_dict(),
     }
@@ -157,9 +150,13 @@ def _make_out_dir(out_dir: str) -> None:
 
 def _trajectory_divergence(recorded: bytes, replayed: bytes) -> str:
     """The message for the first line where two trajectory files differ: the
-    last line is the result record, the lines before it are steps, none is parsed."""
+    replayed file's last line is the result record, the lines before it are
+    steps, and recorded lines past all of its lines are extra; none is parsed."""
     old, new = recorded.splitlines(keepends=True), replayed.splitlines(keepends=True)
     line = len(os.path.commonprefix([old, new]))  # lines, not characters
+    if line == len(new):
+        extra = len(old) - line
+        return f"divergence: {extra} extra line{'s' * (extra > 1)} after the result record"
     old_steps, new_steps = max(len(old) - 1, 0), len(new) - 1
     if line < min(old_steps, new_steps):
         return f"divergence at step {line}"

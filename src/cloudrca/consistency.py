@@ -20,7 +20,7 @@ from . import prompts
 # run_step is not called here; it stays importable because the benchmark's
 # tracer binds ``cloudrca.consistency:run_step`` by its lookup name.
 from .agent import AgentConfig, run_step, run_trajectory  # noqa: F401
-from .backends import LAST_COMPLETION_WAITED, Backend, ask, cosine, first_best, overlapped
+from .backends import Backend, ask, cosine, first_best, overlapped
 from .errors import CloudRcaError, ConfigurationError
 from .snapshots import SnapshotStore
 from .tools import ToolRegistry
@@ -258,7 +258,6 @@ def run_with_consistency(
         raise ValueError(f"unknown aggregation method: {aggregation!r}")
     if mode != "greedy" and k < 1:
         raise ValueError("k must be >= 1")
-    LAST_COMPLETION_WAITED.set(False)
     greedy, store = run_greedy(config, registry_factory, backend)
     if mode == "greedy" or not greedy.passed:
         result = greedy.result if greedy.result else AnalysisResult()

@@ -65,7 +65,7 @@ def make_config(job_id: str, **overrides) -> AgentConfig:
 
 @pytest.fixture(autouse=True)
 def no_completion_waited():
-    """Each test starts as a job does, with no completion that waited, so a
+    """Each test starts with no controller generation that waited, so a
     scripted backend sees its calls in order until one does."""
     LAST_COMPLETION_WAITED.set(False)
 

@@ -5,11 +5,24 @@ obvious: the layer tests compare the fast path with it on their own inputs,
 and the end-to-end tests swap it in for the fast path and compare outputs.
 """
 
+import itertools
 import math
 from typing import Sequence
 
-from cloudrca.backends import cosine, left_sum
+from cloudrca import prompts, structured
+from cloudrca.backends import ask, cosine, left_sum
 from cloudrca.logexpert import SimilarityGraph, _runs
+from cloudrca.structured import (
+    STAGE_DIRECT,
+    STAGE_ESCAPE_FIXED,
+    STAGE_FAILED,
+    STAGE_REGENERATED,
+    RepairOutcome,
+    balanced_spans,
+    extract_json,
+    fix_escapes,
+    try_parse,
+)
 from cloudrca.textdist import normalized_similarity
 
 
@@ -212,3 +225,46 @@ def forward_dp_oracle(labels: list[int]) -> list[int]:
     for (_, start, end), lab in zip(runs, chosen):
         out.extend([order[lab]] * (end - start))
     return out
+
+
+def span_scan_read(backend, raw_output, enabled=True, key=None):
+    """``json_regen`` as it read before the first-brace parse: the span scan
+    first, then the direct, escape-fixed and regenerated stages."""
+    start = 0
+    if key is not None:
+        for start, span in itertools.islice(
+            (
+                (start, span) for start, span in balanced_spans(raw_output)
+                if key in span or "\\" in span or "\r" in span
+            ),
+            structured.MAX_KEY_SPANS,
+        ):
+            value = try_parse(span)
+            if isinstance((value or {}).get(key), str):
+                return RepairOutcome(value, 0, STAGE_DIRECT, start)
+            value = try_parse(fix_escapes(span))
+            if isinstance((value or {}).get(key), str):
+                stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
+                return RepairOutcome(value if enabled else {}, 0, stage, start)
+        start = raw_output.find("{")
+        if start == -1:
+            return RepairOutcome({}, 0, STAGE_FAILED, start)
+        raw_output = raw_output[start:]
+    direct = try_parse(extract_json(raw_output))
+    if direct is not None:
+        return RepairOutcome(direct, 0, STAGE_DIRECT, start)
+    if not enabled:
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
+    fixed = try_parse(extract_json(fix_escapes(raw_output)))
+    if fixed is not None:
+        return RepairOutcome(fixed, 0, STAGE_ESCAPE_FIXED, start)
+    if backend is None:
+        return RepairOutcome({}, 0, STAGE_FAILED, start)
+    current = raw_output
+    for attempts in range(1, structured.DEFAULT_RETRY_LIMIT + 1):
+        for instruction in (prompts.YAML_EXTRACT_INSTRUCTION, prompts.JSON_RESTORE_INSTRUCTION):
+            current = ask(backend, prompts.REGEN_SYSTEM, f"{instruction}\n\n{current}")
+        value = try_parse(extract_json(fix_escapes(current)))
+        if value is not None:
+            return RepairOutcome(value, attempts, STAGE_REGENERATED, start)
+    return RepairOutcome({}, structured.DEFAULT_RETRY_LIMIT, STAGE_FAILED, start)

@@ -288,6 +288,10 @@ class TestRunStep:
 
 
 class TestRunTrajectory:
+    def test_a_budget_below_one_step_is_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            AgentConfig(max_steps=0)
+
     def script(self):
         return [
             f"Get logs.\nFunction: {wire('fetch', job_id='j1')}",

@@ -2,9 +2,10 @@
 must every lookup name the benchmark's tracer binds; no module of the
 package or of the tests keeps an import it never uses, no module
 encodes text so that a lone surrogate raises, only two functions of the
-package open a thread pool, only ``structured`` decodes JSON or writes a
-file, only ``backends`` takes a norm, and the records a batch keeps per
-job are slotted."""
+package open a thread pool, only ``backends.generate_adaptive`` sets the
+pool gate, only ``structured`` decodes JSON or writes a file, only
+``backends`` takes a norm, and the records a batch keeps per job are
+slotted."""
 
 import ast
 import pathlib
@@ -91,9 +92,9 @@ def test_every_codec_encode_passes_lone_surrogates():
     assert {name: lines for name, lines in strict.items() if lines} == {}
 
 
-def _pool_openers(path):
-    """Qualified name of the function around each ``ThreadPoolExecutor``
-    call in a module."""
+def _callers(path, callee):
+    """Qualified name of the function around each call in a module whose
+    callee is ``callee`` or ends in ``.callee``."""
     found = []
 
     def visit(node, scope):
@@ -102,9 +103,7 @@ def _pool_openers(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
             elif isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-                if name == "ThreadPoolExecutor":
+                if f".{ast.unparse(child.func)}".endswith(f".{callee}"):
                     found.append(scope)
             visit(child, inner)
 
@@ -116,8 +115,37 @@ def test_only_overlapped_and_batch_open_thread_pools():
     # overlapped() runs every set of a job's concurrent model calls, under
     # one cap and one gate; batch --jobs is the user's own setting
     package = pathlib.Path(cloudrca.__file__).parent
-    openers = [name for path in sorted(package.glob("*.py")) for name in _pool_openers(path)]
+    openers = [
+        name
+        for path in sorted(package.glob("*.py"))
+        for name in _callers(path, "ThreadPoolExecutor")
+    ]
     assert openers == ["backends.overlapped", "cli.cmd_batch"]
+
+
+def _names(path):
+    """Every name a module reads, binds, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_only_generate_adaptive_sets_the_pool_gate():
+    # every overlapped() call of a job follows a controller generation in
+    # its own thread, so the gate times those generations alone; any other
+    # writer would let a single-turn call open or close a job's pools
+    package = pathlib.Path(cloudrca.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    setters = [name for path in paths for name in _callers(path, "LAST_COMPLETION_WAITED.set")]
+    assert setters == ["backends.generate_adaptive"]
+    naming = [path.name for path in paths if "LAST_COMPLETION_WAITED" in _names(path)]
+    assert naming == ["backends.py"]
 
 
 def _json_decodes(path):

@@ -28,7 +28,6 @@ from cloudrca.backends import (
     MockBackend,
     TruncatedReply,
     approx_token_count,
-    ask,
     cosine,
     first_best,
     generate_adaptive,
@@ -62,6 +61,8 @@ class TestGenerationParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             GenerationParams(mode="bogus")
+        with pytest.raises(ValueError, match="penalty must be non-negative"):
+            GenerationParams(penalty=-0.5)
 
 
 class TestChatExchange:
@@ -73,6 +74,14 @@ class TestChatExchange:
         with pytest.raises(ValueError):
             bad2.validate()
         exchange().validate()  # no raise
+
+    @pytest.mark.parametrize(
+        "messages, message",
+        [([], "exchange has no messages"), ([("user", "")], "message content must be non-empty")],
+    )
+    def test_an_exchange_with_nothing_to_say_is_rejected(self, messages, message):
+        with pytest.raises(ValueError, match=message):
+            ChatExchange(system_prompt="s", messages=messages).validate()
 
 
 class TestCosine:
@@ -140,6 +149,10 @@ class TestHashEmbed:
         "日本語のログ行",
         "non-BMP 🚀 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 \U0001f600 done",
     ]
+
+    def test_no_texts_is_an_error(self):
+        with pytest.raises(ValueError, match="non-empty list"):
+            hash_embed([])
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_bit_identical_to_the_sha256_loop(self, seed):
@@ -359,7 +372,7 @@ class TestOverlapped:
                 time.sleep(0.01)
                 return super().complete(exchange, params)
 
-        ask(Waiting(["slow"]), "sys", "user")
+        generate_adaptive(Waiting(["slow"]), exchange(), GenerationParams())
         assert LAST_COMPLETION_WAITED.get() is True
         generate_adaptive(MockBackend(["fast"]), exchange(), GenerationParams())
         assert LAST_COMPLETION_WAITED.get() is False
@@ -387,7 +400,7 @@ class TestOverlapped:
             "time",
             SimpleNamespace(**{name: iter(ticks).__next__ for name, ticks in clocks.items()}),
         )
-        ask(MockBackend(["reply"]), "sys", "user")
+        generate_adaptive(MockBackend(["reply"]), exchange(), GenerationParams())
         monkeypatch.undo()
         threads = overlapped(lambda _: threading.get_ident(), [1, 2, 3])
         assert (threading.get_ident() not in threads) is pooled
@@ -743,6 +756,12 @@ def embeddings_backend(rows) -> HttpBackend:
 
 
 class TestHttpEmbed:
+    def test_no_texts_is_an_error_before_any_request(self):
+        session = _FakeSession([])
+        with pytest.raises(ValueError, match="non-empty list"):
+            HttpBackend("http://model.test/v1", "m", session=session).embed([])
+        assert session.posts == 0
+
     def test_returns_one_float64_array_in_index_order(self):
         vectors = embeddings_backend([[1, 0.5], [0.0, -2.0], [3.0, 4]]).embed(
             ["a", "b", "c"]

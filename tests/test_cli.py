@@ -814,6 +814,16 @@ class TestReplay:
         assert isinstance(result.exception, SystemExit)
         assert "divergence" in result.output
 
+    def test_a_byte_after_the_result_record_is_an_extra_line(
+        self, runner, scenario_dir, tmp_path, sandbox
+    ):
+        path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
+        with open(path, "ab") as fh:
+            fh.write(b"x")
+        result = runner.invoke(main, ["replay", path])
+        assert result.exit_code == 1
+        assert result.output == "divergence: 1 extra line after the result record\n"
+
     def test_reordered_keys_diverge_at_their_step(self, runner, scenario_dir, tmp_path, sandbox):
         path = self._diagnose(runner, scenario_dir, tmp_path / "out", sandbox.job_ids[0])
         with open(path) as fh:
@@ -901,7 +911,8 @@ class TestHttpConnectionsClose:
     [
         (b"s0\nX\nr\n", "divergence at step 1"),
         (b"s0\nr\n", "divergence: step count 1 vs 2"),
-        (b"s0\ns1\nr\nextra\n", "divergence: step count 3 vs 2"),
+        (b"s0\ns1\nr\nextra\n", "divergence: 1 extra line after the result record"),
+        (b"s0\ns1\nr\nx\ny", "divergence: 2 extra lines after the result record"),
         (b"", "divergence: step count 0 vs 2"),
         (b"s0\ns1\nX\n", "divergence in trailing result record"),
         (b"s0\ns1\nr", "divergence in trailing result record"),

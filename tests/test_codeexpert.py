@@ -131,6 +131,26 @@ class TestRunCodeExpert:
         # Cycle, Root, Child, Leaf each analyzed exactly once
         assert len(analysis_calls) == 4
 
+    def test_a_class_queued_twice_is_analyzed_once(self, tmp_path):
+        # Leaf is queued by Root and again by Child before either is visited
+        files = {
+            "Root": ["Child", "Leaf"],
+            "Child": ["Leaf"],
+            "Leaf": [],
+        }
+        for name, suggestions in files.items():
+            payload = {"analysis": f"class {name}", "suggestions": suggestions}
+            (tmp_path / f"{name}.java").write_text(json.dumps(payload))
+        be = EchoAnalyzer()
+        run_code_expert(be, RepoIndex.build(str(tmp_path)), "Root")
+        analyzed = [
+            c.response for c in be.calls
+            if "analyze source code" in c.exchange.system_prompt
+        ]
+        assert [json.loads(body)["analysis"] for body in analyzed] == [
+            "class Root", "class Child", "class Leaf"
+        ]
+
     def test_max_files_cap(self, tmp_path):
         # a chain of 13 classes, each suggesting the next
         for k in range(DEFAULT_MAX_FILES + 1):

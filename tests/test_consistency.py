@@ -8,6 +8,8 @@ return the greedy answer unchanged.
 
 import copy
 import json
+import random
+import shutil
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,10 +43,14 @@ from cloudrca.consistency import (
     vote_with_embedding,
 )
 from cloudrca.errors import ConfigurationError, TransportError
+from cloudrca.logexpert import CHUNK_BUDGET
+from cloudrca.mockpolicy import _SINGLE_TURN
+from cloudrca.textdist import deduplicate_entries, split_log
 from cloudrca.trajectory import AnalysisResult, Trajectory
 
 from conftest import SlowBackend, make_config
 from test_backends import _FakeResponse, _FakeSession
+from test_golden import stretch_runtime_logs
 
 
 class DetourBackend(PolicyBackend):
@@ -170,6 +176,12 @@ class TestAggregate:
     def test_no_candidates(self, policy_backend):
         with pytest.raises(ValueError):
             aggregate([], METHOD_EMBEDDING_VOTE, policy_backend)
+
+    def test_llm_merge_of_no_candidates_is_an_error(self):
+        backend = MockBackend([])
+        with pytest.raises(ValueError, match="need at least one candidate"):
+            aggregate_with_llm([], backend)
+        assert backend.calls == []
 
     def test_llm_fallback_on_backend_failure(self):
         # exhausted script raises; the merge falls back to the vote
@@ -696,14 +708,28 @@ def _job_bytes(report) -> tuple:
 
 
 @pytest.fixture(scope="module")
+def long_log_sandbox(scenario_dir, tmp_path_factory):
+    """The sandbox bundle with its runtime logs stretched by
+    ``stretch_runtime_logs``, so that some of them run past CHUNK_BUDGET."""
+    out = tmp_path_factory.mktemp("long") / "bundle"
+    shutil.copytree(scenario_dir, out)
+    stretch_runtime_logs(sorted(out.glob("*/logs.runtime.jsonl")), random.Random(43), 60)
+    return Sandbox(str(out))
+
+
+@pytest.fixture(scope="class")
 def multi_chunk_job(sandbox):
-    """A job of the sandbox bundle whose log expert analyzes several chunks."""
+    """A job of ``sandbox`` whose deduplicated runtime log is longer than
+    CHUNK_BUDGET and whose log expert analyzes several chunks."""
     for job_id in sandbox.job_ids:
+        log = "\n".join(deduplicate_entries(split_log(sandbox.job(job_id).texts["runtime_log"])))
+        if len(log) <= CHUNK_BUDGET:
+            continue
         counted = SlowBackend(0.0)
         run_with_consistency(make_config(job_id), _registry_factory(sandbox), counted)
         if counted.calls[prompts.LOG_CHUNK_SYSTEM] >= 2:
             return job_id
-    raise AssertionError("no job of the bundle has two log chunks")
+    raise AssertionError("no job of the bundle has a log past CHUNK_BUDGET in two chunks")
 
 
 @pytest.fixture
@@ -735,7 +761,43 @@ def acceptance_bundle(tmp_path_factory):
     return Sandbox(str(out))
 
 
+class WaitsOn(PolicyBackend):
+    """Policy backend that sleeps 20 ms in each controller generation, or
+    else in each single-turn call, as an endpoint that is slow for one kind
+    of call; ``chunk_threads`` holds the thread of each chunk analysis."""
+
+    def __init__(self, controller: bool):
+        super().__init__()
+        self.controller = controller
+        self.chunk_threads = []
+
+    def complete(self, exchange, params):
+        if (exchange.system_prompt not in _SINGLE_TURN) == self.controller:
+            time.sleep(0.02)
+        if exchange.system_prompt == prompts.LOG_CHUNK_SYSTEM:
+            self.chunk_threads.append(threading.get_ident())
+        return super().complete(exchange, params)
+
+
 class TestOverlappedCalls:
+    @pytest.fixture(scope="class")
+    def sandbox(self, long_log_sandbox):
+        """Every test of the class runs on the long-log bundle, so that its
+        multi-chunk job's log is past CHUNK_BUDGET."""
+        return long_log_sandbox
+
+    @pytest.mark.parametrize("controller", [True, False], ids=["controller", "single-turn"])
+    def test_only_a_waiting_controller_generation_opens_the_chunk_pool(
+        self, sandbox, multi_chunk_job, controller
+    ):
+        backend = WaitsOn(controller)
+        report = run_with_consistency(
+            make_config(multi_chunk_job), _registry_factory(sandbox), backend
+        )
+        assert report.greedy.passed
+        assert len(backend.chunk_threads) >= 2
+        assert (threading.get_ident() not in backend.chunk_threads) is controller
+
     def test_chunk_analyses_overlap_with_the_same_bytes(
         self, sandbox, multi_chunk_job
     ):

@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
-from cloudrca import PolicyBackend, Sandbox, generate_scenarios, logexpert, tools
+from cloudrca import PolicyBackend, Sandbox, agent, codeexpert, generate_scenarios, logexpert, tools
 from cloudrca.cli import main
 from cloudrca.consistency import run_with_consistency
 from cloudrca.structured import jsonl_text
@@ -33,6 +33,7 @@ from oracles import (
     forward_dp_oracle,
     per_edge_build_graph,
     recursive_exact_partition,
+    span_scan_read,
 )
 from test_textdist import _two_template_lines
 
@@ -174,15 +175,43 @@ def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
     return out
 
 
+def _multi_field_lines(rng: random.Random, count: int) -> list[str]:
+    """``count`` distinct lines of about 136 characters alternating two
+    templates, each line with eight random 3-hex-digit fields.  Two lines of
+    one template differ in their fields alone, by a similarity near 0.83, so
+    dedup keeps them all, though not by much (DEDUP_THRESHOLD is 0.9)."""
+    lines = []
+    for i in range(count):
+        f = [f"{rng.getrandbits(12):03x}" for _ in range(8)]
+        if i % 2 == 0:
+            lines.append(
+                f"WARN  rpc client retry {f[0]} of call {f[1]} to shard {f[2]} on host "
+                f"node-{f[3]} after {f[4]} ms; send queue {f[5]} held, lease {f[6]} "
+                f"renewed by worker {f[7]}"
+            )
+        else:
+            lines.append(
+                f"INFO  checkpoint {f[0]} barrier {f[1]} aligned on subtask {f[2]}, "
+                f"state size {f[3]} kB written in {f[4]} ms, backlog {f[5]} records, "
+                f"epoch {f[6]} acked by {f[7]}"
+            )
+    return lines
+
+
+# the layouts stretch_runtime_logs takes in turn, one per file
+_LAYOUTS = (_two_template_lines, _interleaved_template_lines, _multi_field_lines)
+
+
 def stretch_runtime_logs(paths: list[pathlib.Path], rng: random.Random, count: int) -> None:
-    """Add ``count`` lines of two templates before detection to each
-    runtime log file of ``paths``: alternating in every other file, so that
-    the greedy overlap repair runs, and in blocks in the rest, so that the
-    exact one does."""
+    """Add ``count`` lines of two templates before detection to each runtime
+    log file of ``paths``, laid out by each of ``_LAYOUTS`` in turn:
+    alternating, so that the greedy overlap repair runs; in blocks, so that
+    the exact one does; and as multi-field lines, 60 of which deduplicate to
+    a log longer than CHUNK_BUDGET."""
     for i, path in enumerate(paths):
         text = path.read_text(encoding="utf-8")
         first = json.loads(text.splitlines()[0])["timestamp"]
-        layout = _interleaved_template_lines if i % 2 else _two_template_lines
+        layout = _LAYOUTS[i % len(_LAYOUTS)]
         added = [{"timestamp": first, "text": line} for line in layout(rng, count)]
         path.write_text(jsonl_text(added) + text, encoding="utf-8")
 
@@ -191,8 +220,9 @@ def stretch_runtime_logs(paths: list[pathlib.Path], rng: random.Random, count: i
 def long_log_bundle(golden_bundle, tmp_path_factory):
     """The 8-job bundle with 60 more runtime log lines per job, laid out by
     ``stretch_runtime_logs``.  Every graph is past the exact limit and runs
-    Louvain's levels, and every log is cut into several chunks.  60 lines,
-    not more, keep the all-pairs dedup reference within a few seconds."""
+    Louvain's levels, every log is cut into several chunks, and the
+    multi-field logs are longer than CHUNK_BUDGET.  60 lines, not more, keep
+    the all-pairs dedup reference within a few seconds."""
     out = tmp_path_factory.mktemp("long") / "bundle"
     shutil.copytree(golden_bundle, out)
     stretch_runtime_logs(sorted(out.glob("*/logs.runtime.jsonl")), random.Random(43), 60)
@@ -226,10 +256,11 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
     """Every job's trajectory.jsonl and result.json are byte-identical, and
     every log is cut into the same chunks, when each observation goes
     through the reference dedup, graph build, Louvain (the recursive
-    enumeration up to the exact vertex limit) and exact overlap repair
-    instead of the fast paths.  The chunks are compared as well because the scripted policy
-    quotes each signal line whole whichever chunk holds it, so its files do
-    not show where a log was cut."""
+    enumeration up to the exact vertex limit) and exact overlap repair, and
+    each reply through the span-scan read, instead of the fast paths.  The
+    chunks are compared as well because the scripted policy quotes each
+    signal line whole whichever chunk holds it, so its files do not show
+    where a log was cut."""
     bundle_dir = request.getfixturevalue(bundle)
     partition = logexpert.partition
 
@@ -271,6 +302,12 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
         for log, chunks in fast[1].items():
             assert len(split_log(log)) > logexpert._EXACT_VERTEX_LIMIT
             assert len(chunks) >= 2
+        # a log that no single prompt holds, so its chunk lists compare cuts
+        # whichever way partition groups clusters
+        assert any(
+            len(log) > logexpert.CHUNK_BUDGET and len(chunks) >= 2
+            for log, chunks in fast[1].items()
+        )
         assert calls["_greedy_contiguous"] >= 1 and calls["_min_flip_contiguous"] >= 1
     for module, name, oracle in [
         (tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)),
@@ -278,6 +315,7 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
             lines, embeddings, logexpert.DEFAULT_WINDOW, logexpert.DEFAULT_TAU)),
         (logexpert, "louvain", _oracle_louvain),
         (logexpert, "_min_flip_contiguous", forward_dp_oracle),
+        *((module, "json_regen", span_scan_read) for module in (agent, logexpert, codeexpert)),
     ]:
         monkeypatch.setattr(module, name, oracle)
     assert run(tmp_path / "oracle") == fast

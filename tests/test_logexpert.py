@@ -35,8 +35,11 @@ from cloudrca.logexpert import (
     summarize,
 )
 from cloudrca.mockpolicy import PolicyBackend
+from cloudrca.snapshots import SnapshotStore
 from cloudrca.structured import DEFAULT_RETRY_LIMIT
 from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
+from cloudrca.tools import dispatch
+from cloudrca.trajectory import ToolCall
 
 from oracles import (
     dict_louvain_oracle,
@@ -445,6 +448,10 @@ class TestExactPartition:
 
 
 class TestLouvain:
+    def test_a_graph_without_vertices_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            louvain(SimilarityGraph(0, []))
+
     def test_modularity_matches_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -657,6 +664,10 @@ def test_remove_overlaps_contiguity_on_random_logs():
 class TestPartition:
     def test_empty_log(self):
         assert partition("", MockBackend()) == []
+
+    def test_a_one_line_log_is_one_chunk(self):
+        # build_graph gives the lone line a graph without edges
+        assert partition("\nERROR lone line\n", MockBackend()) == ["ERROR lone line"]
 
     def test_chunks_cover_lines_in_order(self):
         log = "\n".join(
@@ -954,6 +965,16 @@ class TestSummarize:
         ]
         assert len(summary) <= DEFAULT_MAX_PROMPT_LEN
         assert out.endswith(f"Evidence: {error}")
+
+
+@pytest.mark.parametrize("snapshot", ["", "  \n ", 42])
+def test_log_agent_call_without_log_content_fails(sandbox, snapshot):
+    registry = sandbox.build_registry(PolicyBackend())
+    result = dispatch(registry, ToolCall("log_agent", {"snapshot": snapshot}), SnapshotStore())
+    assert result.error and not result.invalid
+    assert result.observation == (
+        "Error: tool 'log_agent' failed: log_agent requires non-empty log content"
+    )
 
 
 class TestRunLogExpert:

@@ -14,7 +14,8 @@ import pytest
 
 import cloudrca.sandbox as sandbox_module
 from cloudrca import PolicyBackend, RepoIndex, Sandbox, generate_scenarios, prompts
-from cloudrca.cli import RunSettings, _make_backend, run_job
+from cloudrca.backends import ask
+from cloudrca.cli import RunSettings, _opened_backend, run_job
 from cloudrca.codeexpert import find_class_file
 from cloudrca.errors import ConfigurationError
 from cloudrca.sandbox import LOG_LEVELS
@@ -319,6 +320,10 @@ class TestPolicyRouting:
     """The scripted policy tells model calls apart by their system prompt,
     so rewording an instruction leaves every run's result as it was."""
 
+    def test_a_summary_request_without_pairs_finds_no_anomaly(self):
+        reply = ask(PolicyBackend(), prompts.LOG_SUMMARY_SYSTEM, prompts.LOG_SUMMARY_INSTRUCTION)
+        assert json.loads(reply) == {"interpretation": "No anomaly found.", "evidence": ""}
+
     def test_results_do_not_depend_on_instruction_wording(self, tmp_path, monkeypatch):
         generate_scenarios(seed=4242, count=4, out_dir=str(tmp_path / "bundle"))
         bundle = Sandbox(str(tmp_path / "bundle"))
@@ -328,11 +333,14 @@ class TestPolicyRouting:
         ]
 
         def results():
-            return [
-                run_job(settings, bundle, job_id, _make_backend(settings)).outcome.result
-                for settings in runs
-                for job_id in bundle.job_ids
-            ]
+            out = []
+            for settings in runs:
+                with _opened_backend(settings) as backend:
+                    out += [
+                        run_job(settings, bundle, job_id, backend).outcome.result
+                        for job_id in bundle.job_ids
+                    ]
+            return out
 
         before = results()
         monkeypatch.setattr(

@@ -97,6 +97,10 @@ class TestKeyDerivation:
 
 
 class TestStore:
+    def test_put_of_empty_text_raises(self):
+        with pytest.raises(ValueError, match="empty observation"):
+            SnapshotStore().put("")
+
     def test_get_unknown_raises(self):
         with pytest.raises(SnapshotKeyError):
             SnapshotStore().get("0000000001")

@@ -1,14 +1,13 @@
 import importlib.resources
-import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudrca import prompts, structured
+from cloudrca import structured
 from cloudrca.agent import _split_thought
-from cloudrca.backends import MockBackend, ask
+from cloudrca.backends import MockBackend
 from cloudrca.mockpolicy import _corrupt
 from cloudrca.structured import (
     STAGE_DIRECT,
@@ -16,7 +15,6 @@ from cloudrca.structured import (
     STAGE_FAILED,
     STAGE_REGENERATED,
     SUBSTITUTION_TABLE,
-    RepairOutcome,
     balanced_spans,
     extract_json,
     fix_escapes,
@@ -26,6 +24,8 @@ from cloudrca.structured import (
     sanitize_prompt,
     try_parse,
 )
+
+from oracles import span_scan_read
 
 
 class TestSanitize:
@@ -544,49 +544,6 @@ class TestOneRead:
         # both parses of the first MAX_KEY_SPANS spans, then the unchanged
         # stages on the text from the first brace
         assert len(parsed) == 2 * structured.MAX_KEY_SPANS + (2 if enabled else 1)
-
-
-def span_scan_read(backend, raw_output, enabled=True, key=None):
-    """``json_regen`` as it read before the first-brace parse: the span scan
-    first, then the direct, escape-fixed and regenerated stages."""
-    start = 0
-    if key is not None:
-        for start, span in itertools.islice(
-            (
-                (start, span) for start, span in balanced_spans(raw_output)
-                if key in span or "\\" in span or "\r" in span
-            ),
-            structured.MAX_KEY_SPANS,
-        ):
-            value = try_parse(span)
-            if isinstance((value or {}).get(key), str):
-                return RepairOutcome(value, 0, STAGE_DIRECT, start)
-            value = try_parse(fix_escapes(span))
-            if isinstance((value or {}).get(key), str):
-                stage = STAGE_ESCAPE_FIXED if enabled else STAGE_FAILED
-                return RepairOutcome(value if enabled else {}, 0, stage, start)
-        start = raw_output.find("{")
-        if start == -1:
-            return RepairOutcome({}, 0, STAGE_FAILED, start)
-        raw_output = raw_output[start:]
-    direct = try_parse(extract_json(raw_output))
-    if direct is not None:
-        return RepairOutcome(direct, 0, STAGE_DIRECT, start)
-    if not enabled:
-        return RepairOutcome({}, 0, STAGE_FAILED, start)
-    fixed = try_parse(extract_json(fix_escapes(raw_output)))
-    if fixed is not None:
-        return RepairOutcome(fixed, 0, STAGE_ESCAPE_FIXED, start)
-    if backend is None:
-        return RepairOutcome({}, 0, STAGE_FAILED, start)
-    current = raw_output
-    for attempts in range(1, structured.DEFAULT_RETRY_LIMIT + 1):
-        for instruction in (prompts.YAML_EXTRACT_INSTRUCTION, prompts.JSON_RESTORE_INSTRUCTION):
-            current = ask(backend, prompts.REGEN_SYSTEM, f"{instruction}\n\n{current}")
-        value = try_parse(extract_json(fix_escapes(current)))
-        if value is not None:
-            return RepairOutcome(value, attempts, STAGE_REGENERATED, start)
-    return RepairOutcome({}, structured.DEFAULT_RETRY_LIMIT, STAGE_FAILED, start)
 
 
 def assert_reads_as_the_span_scan(text, enabled, key, script=None):

@@ -101,6 +101,10 @@ class TestDocumentation:
             build_registry()
         )
 
+    def test_requires_a_tool(self):
+        with pytest.raises(ConfigurationError, match="registry is empty"):
+            render_documentation(ToolRegistry())
+
     def test_requires_finalize(self):
         registry = ToolRegistry()
         registry.register(
