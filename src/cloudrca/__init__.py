@@ -47,7 +47,6 @@ from .metrics import (
     NotComputable,
     build_report,
     emb_score,
-    fill_baseline,
     invalid_rate,
     norm_score,
     pass_rate,
@@ -104,7 +103,6 @@ __all__ = [
     "emb_score",
     "evidence_accepted",
     "extract_json",
-    "fill_baseline",
     "fix_escapes",
     "generate_adaptive",
     "generate_scenarios",

@@ -23,7 +23,7 @@ from .metrics import JobOutcome, build_report, prediction_rows
 from .mockpolicy import PolicyBackend
 from .sandbox import Sandbox, generate_scenarios
 from .structured import json_text, jsonl_text, read_json, write_files
-from .trajectory import AnalysisResult, Trajectory
+from .trajectory import Trajectory
 
 # --aggregate flag -> the method name result.json records and replay reads back
 AGGREGATES = {"vote": METHOD_EMBEDDING_VOTE, "llm": METHOD_LLM_AGGREGATE}
@@ -273,7 +273,7 @@ def cmd_batch(scenarios, out_dir, jobs, pass_floor, config, **flags):
     with _opened_backend(settings) as backend:
 
         def one(job_id: str) -> JobOutcome:
-            outcome = JobOutcome(job_id, Trajectory(), AnalysisResult())
+            outcome = JobOutcome(job_id, Trajectory(), None)
             try:
                 outcome.reference = sandbox.job(job_id).ground_truth
                 report = run_job(settings, sandbox, job_id, backend)

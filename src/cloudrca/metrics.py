@@ -46,12 +46,6 @@ def norm_score(
     return (score_fn(prediction, reference) - baseline_score) / (1.0 - baseline_score)
 
 
-def fill_baseline(result: Optional[AnalysisResult]) -> AnalysisResult:
-    """Failed or incomplete results degrade to the baseline text per field,
-    by the one normalizing rule of ``AnalysisResult.from_dict``."""
-    return AnalysisResult.from_dict(result.to_dict() if result is not None else {})
-
-
 def pass_rate(trajectories: Sequence[Trajectory]) -> float:
     if not trajectories:
         raise NotComputable("pass rate of an empty trajectory set")
@@ -76,8 +70,14 @@ def mean_trajectory_length(trajectories: Sequence[Trajectory]) -> float:
 class JobOutcome:
     job_id: str
     trajectory: Trajectory
-    prediction: AnalysisResult
+    prediction: Optional[AnalysisResult]  # None for a job that failed
     reference: Optional[AnalysisResult] = None
+
+    @property
+    def scored_prediction(self) -> AnalysisResult:
+        """The prediction as it is reported and scored: a failed job's None
+        reads as all Unclear."""
+        return self.prediction or AnalysisResult()
 
 
 def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
@@ -91,7 +91,7 @@ def build_report(outcomes: Sequence[JobOutcome], backend: Backend) -> dict:
         "jobs": [],
         "fields": {},
     }
-    predictions = [fill_baseline(o.prediction) for o in outcomes]
+    predictions = [o.scored_prediction for o in outcomes]
     scored = [
         (prediction, o.reference)
         for prediction, o in zip(predictions, outcomes)
@@ -142,7 +142,7 @@ def prediction_rows(outcomes: Sequence[JobOutcome]) -> list[dict]:
     rows = []
     for o in outcomes:
         if o.reference is not None:
-            prediction = fill_baseline(o.prediction)
+            prediction = o.scored_prediction
             rows += [
                 {
                     "job_id": o.job_id,

@@ -4,8 +4,8 @@ package or of the tests keeps an import it never uses, no module
 encodes text so that a lone surrogate raises, only two functions of the
 package open a thread pool, only ``backends.generate_adaptive`` sets the
 pool gate, only ``structured`` decodes JSON or writes a file, only
-``backends`` takes a norm, and the records a batch keeps per job are
-slotted."""
+``backends`` takes a norm, only the three places a result arrives as a dict
+normalize it, and the records a batch keeps per job are slotted."""
 
 import ast
 import pathlib
@@ -216,6 +216,26 @@ def test_only_backends_takes_norms():
     package = pathlib.Path(cloudrca.__file__).parent
     found = {path.name: _norms(path) for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "backends.py"} == {}
+
+
+def _from_dict_calls(path):
+    """Line of each ``AnalysisResult.from_dict`` call in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "AnalysisResult.from_dict"
+    ]
+
+
+def test_only_agent_consistency_and_sandbox_normalize_results():
+    # a result arrives as a dict in a finalize call's kwargs, the vote's
+    # merged fields and a bundle's ground truth; every other result is one
+    # of these or AnalysisResult(), so a second normalization changes nothing
+    package = pathlib.Path(cloudrca.__file__).parent
+    found = {path.name: _from_dict_calls(path) for path in sorted(package.glob("*.py"))}
+    arrivals = ("agent.py", "consistency.py", "sandbox.py")
+    assert {name: lines for name, lines in found.items() if lines and name not in arrivals} == {}
+    assert all(found[name] for name in arrivals)
 
 
 # one instance of each record type a run or a batch keeps per job

@@ -14,6 +14,7 @@ import os
 import pathlib
 import random
 import shutil
+import threading
 from collections import Counter
 
 import pytest
@@ -176,10 +177,13 @@ def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
 
 
 def _multi_field_lines(rng: random.Random, count: int) -> list[str]:
-    """``count`` distinct lines of about 136 characters alternating two
+    """``count`` distinct lines of about 135 characters alternating two
     templates, each line with eight random 3-hex-digit fields.  Two lines of
     one template differ in their fields alone, by a similarity near 0.83, so
-    dedup keeps them all, though not by much (DEDUP_THRESHOLD is 0.9)."""
+    dedup keeps them all, though not by much (DEDUP_THRESHOLD is 0.9).  The
+    two templates' embeddings are near orthogonal, so Louvain's clusters can
+    follow the templates across the alternation, as on
+    ``_two_template_lines``, into more runs than the exact repair takes."""
     lines = []
     for i in range(count):
         f = [f"{rng.getrandbits(12):03x}" for _ in range(8)]
@@ -191,9 +195,9 @@ def _multi_field_lines(rng: random.Random, count: int) -> list[str]:
             )
         else:
             lines.append(
-                f"INFO  checkpoint {f[0]} barrier {f[1]} aligned on subtask {f[2]}, "
-                f"state size {f[3]} kB written in {f[4]} ms, backlog {f[5]} records, "
-                f"epoch {f[6]} acked by {f[7]}"
+                f"jvm safepoint {f[0]}: mutator threads stopped by vm op {f[1]} on thread "
+                f"{f[2]}, heap {f[3]} MB, pause {f[4]} us, sync {f[5]} us, cleanup {f[6]} "
+                f"us, tag {f[7]}"
             )
     return lines
 
@@ -207,7 +211,7 @@ def stretch_runtime_logs(paths: list[pathlib.Path], rng: random.Random, count: i
     log file of ``paths``, laid out by each of ``_LAYOUTS`` in turn:
     alternating, so that the greedy overlap repair runs; in blocks, so that
     the exact one does; and as multi-field lines, 60 of which deduplicate to
-    a log longer than CHUNK_BUDGET."""
+    a log longer than CHUNK_BUDGET that the greedy repair can cut."""
     for i, path in enumerate(paths):
         text = path.read_text(encoding="utf-8")
         first = json.loads(text.splitlines()[0])["timestamp"]
@@ -221,7 +225,8 @@ def long_log_bundle(golden_bundle, tmp_path_factory):
     """The 8-job bundle with 60 more runtime log lines per job, laid out by
     ``stretch_runtime_logs``.  Every graph is past the exact limit and runs
     Louvain's levels, every log is cut into several chunks, and the
-    multi-field logs are longer than CHUNK_BUDGET.  60 lines, not more, keep
+    multi-field logs are longer than CHUNK_BUDGET, one of them cut by the
+    greedy overlap repair.  60 lines, not more, keep
     the all-pairs dedup reference within a few seconds."""
     out = tmp_path_factory.mktemp("long") / "bundle"
     shutil.copytree(golden_bundle, out)
@@ -240,6 +245,10 @@ ORACLE_ARGS = {
     **CLI_ARGS,
     "batch-sc": ["batch", "--mode", "sc", "--k", "3"],
     "batch-sample-full": ["batch", "--mode", "sample-full", "--k", "3"],
+    # for the long-log bundle, where each branch's observations go through
+    # the all-pairs dedup reference
+    "batch-sc-k2": ["batch", "--mode", "sc", "--k", "2"],
+    "batch-sample-full-k2": ["batch", "--mode", "sample-full", "--k", "2"],
 }
 
 
@@ -250,7 +259,8 @@ ORACLE_ARGS = {
         for command in ["batch-greedy", "batch-tsc"]
         for bundle in ["golden_bundle", "long_log_bundle"]
     ]
-    + [("batch-sc", "golden_bundle"), ("batch-sample-full", "golden_bundle")],
+    + [("batch-sc", "golden_bundle"), ("batch-sample-full", "golden_bundle")]
+    + [("batch-sc-k2", "long_log_bundle"), ("batch-sample-full-k2", "long_log_bundle")],
 )
 def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bundle, command):
     """Every job's trajectory.jsonl and result.json are byte-identical, and
@@ -263,11 +273,13 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
     where a log was cut."""
     bundle_dir = request.getfixturevalue(bundle)
     partition = logexpert.partition
+    cutting = threading.local()  # the log partition is cutting on this thread
 
     def run(out: pathlib.Path) -> tuple[dict[str, bytes], dict[str, list[str]]]:
         chunks = {}
 
         def recorded(log, backend):
+            cutting.log = log
             chunks[log] = partition(log, backend)
             return chunks[log]
 
@@ -285,12 +297,14 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
         }
         return files, chunks
 
-    calls = Counter()
+    calls, greedy_calls = Counter(), Counter()  # greedy_calls by log
     for name in ("_greedy_contiguous", "_min_flip_contiguous"):
         repair = getattr(logexpert, name)
 
         def counted(labels, name=name, repair=repair):
             calls[name] += 1
+            if name == "_greedy_contiguous":
+                greedy_calls[cutting.log] += 1
             return repair(labels)
 
         monkeypatch.setattr(logexpert, name, counted)
@@ -309,6 +323,14 @@ def test_oracle_pipeline_writes_the_same_runs(request, tmp_path, monkeypatch, bu
             for log, chunks in fast[1].items()
         )
         assert calls["_greedy_contiguous"] >= 1 and calls["_min_flip_contiguous"] >= 1
+        # what holds of the over-budget logs alone, however many chunks a log
+        # that fits one prompt is cut into: each is cut, and the greedy
+        # repair cuts at least one
+        over_budget = {
+            log: chunks for log, chunks in fast[1].items() if len(log) > logexpert.CHUNK_BUDGET
+        }
+        assert all(len(chunks) >= 2 for chunks in over_budget.values())
+        assert any(greedy_calls[log] >= 1 for log in over_budget)
     for module, name, oracle in [
         (tools, "deduplicate_entries", lambda entries: dedup_reference(entries, DEDUP_THRESHOLD)),
         (logexpert, "build_graph", lambda lines, embeddings: per_edge_build_graph(

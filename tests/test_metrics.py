@@ -10,7 +10,6 @@ from cloudrca.metrics import (
     NotComputable,
     build_report,
     emb_score,
-    fill_baseline,
     invalid_rate,
     mean_trajectory_length,
     norm_score,
@@ -108,32 +107,6 @@ class TestNormScore:
         )
 
 
-class TestFillBaseline:
-    def test_none_becomes_all_unclear(self):
-        filled = fill_baseline(None)
-        assert filled.to_dict() == {k: "Unclear" for k in filled.to_dict()}
-
-    def test_blank_fields_replaced(self):
-        result = AnalysisResult(root_cause="oom", solution="  ", evidence="")
-        filled = fill_baseline(result)
-        assert filled.root_cause == "oom"
-        assert filled.solution == "Unclear"
-        assert filled.evidence == "Unclear"
-
-    def test_complete_result_untouched(self):
-        result = AnalysisResult("a", "b", "c", "User")
-        assert fill_baseline(result).to_dict() == result.to_dict()
-
-    def test_fields_are_stripped(self):
-        result = AnalysisResult(" oom\n", "raise heap ", "\tOutOfMemoryError", " user ")
-        assert fill_baseline(result).to_dict() == {
-            "root_cause": "oom",
-            "solution": "raise heap",
-            "evidence": "OutOfMemoryError",
-            "responsibility": "User",
-        }
-
-
 class TestTrajectoryStats:
     def test_pass_rate(self, five_trajectories):
         # 3 of 5 passed
@@ -196,9 +169,10 @@ class TestBuildReport:
         outcomes = self._outcomes(five_trajectories)
         report = build_report(outcomes, backend)
         scored = [o for o in outcomes if o.reference is not None]
+        # job 2 failed: its None prediction scores as the baseline text
         expected = sum(
             emb_score(
-                fill_baseline(o.prediction).root_cause,
+                o.prediction.root_cause if o.prediction else "Unclear",
                 o.reference.root_cause,
                 backend,
             )
@@ -225,7 +199,10 @@ class TestBuildReport:
         scored = [o for o in outcomes if o.reference is not None]
         for name in ("root_cause", "solution", "evidence"):
             pairs = [
-                (getattr(fill_baseline(o.prediction), name), getattr(o.reference, name))
+                (
+                    getattr(o.prediction, name) if o.prediction else "Unclear",
+                    getattr(o.reference, name),
+                )
                 for o in scored
             ]
             emb = [emb_score(p, r, scorer) for p, r in pairs]
