@@ -46,7 +46,6 @@ from .metrics import (
     JobOutcome,
     NotComputable,
     build_report,
-    emb_score,
     invalid_rate,
     norm_score,
     pass_rate,
@@ -100,7 +99,6 @@ __all__ = [
     "build_report",
     "cosine",
     "dispatch",
-    "emb_score",
     "evidence_accepted",
     "extract_json",
     "fix_escapes",

@@ -4,7 +4,7 @@ thought-action-observation loop, the step budget, and trajectory recording.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import prompts
@@ -23,7 +23,6 @@ from .tools import (
     ToolRegistry,
     check_errors,
     dispatch,
-    render_documentation,
 )
 from .trajectory import AnalysisResult, Step, ToolCall, Trajectory
 
@@ -34,8 +33,6 @@ DEFAULT_MAX_STEPS = 15
 class AgentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     params: GenerationParams = GREEDY_PARAMS
-    # rendered from the registry by run_trajectory when left empty
-    tool_docs: str = ""
     task_statement: str = "Diagnose the anomalous job."
     json_regen_enabled: bool = True
 
@@ -57,9 +54,11 @@ def render_history(steps: list[Step]) -> str:
     )
 
 
-def assemble_prompt(config: AgentConfig, trajectory: Trajectory) -> ChatExchange:
+def assemble_prompt(
+    config: AgentConfig, registry: ToolRegistry, trajectory: Trajectory
+) -> ChatExchange:
     system = "\n\n".join(
-        [prompts.FRAMEWORK_RULES, prompts.TASK_REQUIREMENTS, config.tool_docs]
+        [prompts.FRAMEWORK_RULES, prompts.TASK_REQUIREMENTS, registry.documentation]
     )
     history = render_history(trajectory.steps)
     user = config.task_statement
@@ -91,7 +90,7 @@ def run_step(
 ) -> Step:
     """One decision cycle.  Appends the produced step to the trajectory and
     fills trajectory.result when the step finalizes."""
-    exchange = assemble_prompt(config, trajectory)
+    exchange = assemble_prompt(config, registry, trajectory)
     generation = generate_adaptive(backend, exchange, config.params)
     text = generation.text
     outcome = json_regen(backend, text, config.json_regen_enabled, key="function")
@@ -130,8 +129,6 @@ def run_trajectory(
     greedy prefix of a consistency branch); ``store`` carries the matching
     snapshot state.
     """
-    if not config.tool_docs:
-        config = replace(config, tool_docs=render_documentation(registry))
     trajectory = initial if initial is not None else Trajectory()
     store = store if store is not None else SnapshotStore()
     try:

@@ -28,11 +28,6 @@ def _embedding_scorer(
     return lambda a, b: (1.0 + cosine(rows[row_of[a]], rows[row_of[b]])) / 2.0
 
 
-def emb_score(prediction: str, reference: str, backend: Backend) -> float:
-    """(1 + cosine similarity of the embeddings) / 2, in [0, 1]."""
-    return _embedding_scorer([prediction, reference], backend)(prediction, reference)
-
-
 def norm_score(
     score_fn: Callable[[str, str], float],
     prediction: str,

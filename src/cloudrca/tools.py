@@ -8,6 +8,7 @@ the trajectory keeps going.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, SnapshotKeyError
@@ -75,6 +76,7 @@ class ToolRegistry:
         if spec.kind == KIND_FINALIZE and self.has_finalize():
             raise ConfigurationError("a finalize tool is already registered")
         self._tools[spec.name] = (spec, handler)
+        self.__dict__.pop("documentation", None)
 
     def spec(self, name: str) -> Optional[ToolSpec]:
         tool = self._tools.get(name)
@@ -88,6 +90,12 @@ class ToolRegistry:
 
     def has_finalize(self) -> bool:
         return any(spec.kind == KIND_FINALIZE for spec, _ in self._tools.values())
+
+    @cached_property
+    def documentation(self) -> str:
+        """The controller's tool documentation, rendered once per registry;
+        ``register`` drops it."""
+        return render_documentation(self)
 
 
 def render_documentation(registry: ToolRegistry) -> str:

@@ -39,6 +39,13 @@ def levenshtein_oracle(a: str, b: str) -> int:
     return prev[len(b)]
 
 
+def emb_score(prediction: str, reference: str, backend) -> float:
+    """A report field's score of one pair, from its own embed call: (1 +
+    cosine similarity of the two rows) / 2, in [0, 1]."""
+    rows = backend.embed([prediction, reference])
+    return (1.0 + cosine(rows[0], rows[1])) / 2.0
+
+
 def dedup_reference(entries, threshold):
     """The all-pairs deduplication every faster version must reproduce."""
     kept = []

@@ -34,7 +34,6 @@ from cloudrca.logexpert import (
 )
 from cloudrca.metrics import (
     NotComputable,
-    emb_score,
     invalid_rate,
     norm_score,
     pass_rate,
@@ -44,6 +43,7 @@ from cloudrca.structured import STAGE_FAILED, json_regen
 from cloudrca.textdist import levenshtein
 
 from conftest import job_entries, make_config
+from oracles import emb_score
 from test_consistency import DetourBackend, VariantBackend, _registry_factory
 from test_logexpert import (
     best_partition_oracle,

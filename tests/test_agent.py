@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -69,7 +68,6 @@ def make_config(**overrides):
     defaults = dict(
         task_statement="Diagnose job j1.",
         params=GenerationParams(mode="greedy"),
-        tool_docs=render_documentation(registry),
     )
     defaults.update(overrides)
     return AgentConfig(**defaults), registry
@@ -93,7 +91,7 @@ class TestHistoryRendering:
         assert f"Function: {steps[0].action.wire()}\nObservation:" in text
 
     def test_assembled_prompt_sanitizes_outside_action(self):
-        config, _ = make_config()
+        config, registry = make_config()
         steps = [
             Step(
                 thought="inspect [brackets]",
@@ -101,7 +99,7 @@ class TestHistoryRendering:
                 observation='saw {curly} and "quoted" text',
             )
         ]
-        exchange = assemble_prompt(config, Trajectory(steps=steps))
+        exchange = assemble_prompt(config, registry, Trajectory(steps=steps))
         user = exchange.messages[0][1]
         # observation and thought are sanitized
         assert "<:brackets:>" in user
@@ -112,14 +110,14 @@ class TestHistoryRendering:
         assert user.endswith("\nThought:")
 
     def test_system_prompt_has_three_sections(self):
-        config, _ = make_config()
-        exchange = assemble_prompt(config, Trajectory())
+        config, registry = make_config()
+        exchange = assemble_prompt(config, registry, Trajectory())
         assert FRAMEWORK_RULES in exchange.system_prompt
         assert TASK_REQUIREMENTS in exchange.system_prompt
-        assert config.tool_docs in exchange.system_prompt
+        assert registry.documentation in exchange.system_prompt
 
     def test_snapshot_key_recoverable_after_sanitization(self):
-        config, _ = make_config()
+        config, registry = make_config()
         store = SnapshotStore()
         key = store.put("x" * 100)
         steps = [
@@ -129,7 +127,7 @@ class TestHistoryRendering:
                 observation=f"head\n[ snapshot: {key} ]",
             )
         ]
-        exchange = assemble_prompt(config, Trajectory(steps=steps))
+        exchange = assemble_prompt(config, registry, Trajectory(steps=steps))
         assert f"<: snapshot: {key} :>" in exchange.messages[0][1]
 
 
@@ -146,6 +144,16 @@ class TestRunStep:
         assert step.action.function == "fetch"
         assert not step.invalid_flag and not step.error_flag
         assert "snapshot:" in step.observation
+
+    def test_system_prompt_lists_the_registry_tools(self):
+        # a config says nothing about tools: the prompt's tool list is the
+        # registry's, also when run_step is called on its own
+        config = AgentConfig(task_statement="t", params=GenerationParams())
+        registry = build_registry()
+        backend = MockBackend([f"t.\nFunction: {wire('fetch', job_id='j1')}"])
+        run_step(config, Trajectory(), backend, registry, SnapshotStore())
+        prompt = backend.calls[0].exchange.system_prompt
+        assert prompt.endswith("\n\n" + render_documentation(registry))
 
     def test_no_json_in_output_marks_invalid(self):
         config, registry = make_config()
@@ -347,14 +355,6 @@ class TestRunTrajectory:
         trajectory = run_trajectory(config, registry, backend)
         assert not trajectory.passed
         assert "backend failure" in trajectory.diagnostic
-
-    def test_tool_docs_autofilled(self):
-        config = AgentConfig(task_statement="t", params=GenerationParams())
-        registry = build_registry()
-        backend = MockBackend([f"t.\nFunction: {wire('fetch', job_id='j1')}"])
-        trajectory = run_trajectory(replace(config, max_steps=1), registry, backend)
-        prompt = backend.calls[0].exchange.system_prompt
-        assert "fetch" in prompt and "finalize" in prompt
 
 
 def test_invalid_ratio():

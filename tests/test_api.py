@@ -123,6 +123,19 @@ def test_only_overlapped_and_batch_open_thread_pools():
     assert openers == ["backends.overlapped", "cli.cmd_batch"]
 
 
+def test_only_the_registry_renders_tool_documentation():
+    # the controller's tool list is ToolRegistry.documentation, rendered once
+    # per registry; a second renderer could prompt with another registry's
+    # tools, or with none
+    package = pathlib.Path(cloudrca.__file__).parent
+    renderers = [
+        name
+        for path in sorted(package.glob("*.py"))
+        for name in _callers(path, "render_documentation")
+    ]
+    assert renderers == ["tools.ToolRegistry.documentation"]
+
+
 def _names(path):
     """Every name a module reads, binds, imports or takes as an attribute."""
     found = set()

@@ -59,7 +59,6 @@ UNCALLED = {
     "logexpert:RetrievalStore.add",
     "logexpert:RetrievalStore.ingest_jsonl",
     "logexpert:RetrievalStore.ranked",
-    "metrics:emb_score",
     "mockpolicy:PolicyBackend.clone",
     "mockpolicy:_regen",
     "structured:_merge",

@@ -14,9 +14,9 @@ from cloudrca import cli
 from cloudrca.backends import MockBackend
 from cloudrca.cli import RunSettings, _read_mapping, _settings_from, _trajectory_divergence, main
 from cloudrca.errors import TransportError
-from cloudrca.metrics import emb_score
 from cloudrca.sandbox import generate_scenarios
 
+from oracles import emb_score
 from policy_server import PolicyServer
 
 

@@ -36,7 +36,7 @@ from oracles import (
     recursive_exact_partition,
     span_scan_read,
 )
-from test_textdist import _two_template_lines
+from test_textdist import _multi_field_lines, _two_template_lines
 
 BUNDLE_SHA256 = "9ddb11eb9da2467ffb785b1513855ab705c80bd4867543172d63d047fc324af5"
 
@@ -174,32 +174,6 @@ def _interleaved_template_lines(rng: random.Random, count: int) -> list[str]:
         out += block
         own, other = other, own
     return out
-
-
-def _multi_field_lines(rng: random.Random, count: int) -> list[str]:
-    """``count`` distinct lines of about 135 characters alternating two
-    templates, each line with eight random 3-hex-digit fields.  Two lines of
-    one template differ in their fields alone, by a similarity near 0.83, so
-    dedup keeps them all, though not by much (DEDUP_THRESHOLD is 0.9).  The
-    two templates' embeddings are near orthogonal, so Louvain's clusters can
-    follow the templates across the alternation, as on
-    ``_two_template_lines``, into more runs than the exact repair takes."""
-    lines = []
-    for i in range(count):
-        f = [f"{rng.getrandbits(12):03x}" for _ in range(8)]
-        if i % 2 == 0:
-            lines.append(
-                f"WARN  rpc client retry {f[0]} of call {f[1]} to shard {f[2]} on host "
-                f"node-{f[3]} after {f[4]} ms; send queue {f[5]} held, lease {f[6]} "
-                f"renewed by worker {f[7]}"
-            )
-        else:
-            lines.append(
-                f"jvm safepoint {f[0]}: mutator threads stopped by vm op {f[1]} on thread "
-                f"{f[2]}, heap {f[3]} MB, pause {f[4]} us, sync {f[5]} us, cleanup {f[6]} "
-                f"us, tag {f[7]}"
-            )
-    return lines
 
 
 # the layouts stretch_runtime_logs takes in turn, one per file

@@ -9,7 +9,6 @@ from cloudrca.metrics import (
     JobOutcome,
     NotComputable,
     build_report,
-    emb_score,
     invalid_rate,
     mean_trajectory_length,
     norm_score,
@@ -17,6 +16,8 @@ from cloudrca.metrics import (
     prediction_rows,
 )
 from cloudrca.trajectory import AnalysisResult, Step, Trajectory
+
+from oracles import emb_score
 
 
 def _trajectory(n_steps: int, n_invalid: int, passed: bool) -> Trajectory:

@@ -351,6 +351,77 @@ def _two_template_lines(rng: random.Random, count: int) -> list[str]:
     return lines
 
 
+def _multi_field_lines(rng: random.Random, count: int) -> list[str]:
+    """``count`` distinct lines of about 135 characters alternating two
+    templates, each line with eight random 3-hex-digit fields.  Two lines of
+    one template differ in their fields alone, by a similarity near 0.83, so
+    dedup keeps them all, though not by much (DEDUP_THRESHOLD is 0.9).  The
+    two templates' embeddings are near orthogonal, so Louvain's clusters can
+    follow the templates across the alternation, as on
+    ``_two_template_lines``, into more runs than the exact repair takes."""
+    lines = []
+    for i in range(count):
+        f = [f"{rng.getrandbits(12):03x}" for _ in range(8)]
+        if i % 2 == 0:
+            lines.append(
+                f"WARN  rpc client retry {f[0]} of call {f[1]} to shard {f[2]} on host "
+                f"node-{f[3]} after {f[4]} ms; send queue {f[5]} held, lease {f[6]} "
+                f"renewed by worker {f[7]}"
+            )
+        else:
+            lines.append(
+                f"jvm safepoint {f[0]}: mutator threads stopped by vm op {f[1]} on thread "
+                f"{f[2]}, heap {f[3]} MB, pause {f[4]} us, sync {f[5]} us, cleanup {f[6]} "
+                f"us, tag {f[7]}"
+            )
+    return lines
+
+
+def _substituted(rng: random.Random, line: str, edits: int) -> str:
+    """``line``, which holds no "#", with ``edits`` of its characters
+    substituted by "#", at edit distance ``edits`` from it."""
+    while True:
+        chars = list(line)
+        for at in rng.sample(range(len(chars)), edits):
+            chars[at] = "#"
+        copy = "".join(chars)
+        if levenshtein(line, copy) == edits:
+            return copy
+
+
+@pytest.mark.parametrize("bases", [12, 48])
+def test_multi_field_copies_at_the_threshold_match_reference(bases):
+    # multi-field template lines cut to a multiple of 10 characters L, each
+    # followed later by a copy at L/10 substitutions, similarity 0.9 exactly
+    # and dropped, or at L/10 + 1, just below and kept.  12 lines and their
+    # copies take the matrix form; 48 take packed words over two blocks,
+    # with copies in the second block of lines kept in the first
+    rng = random.Random(bases)
+    lines = [line[: len(line) // 10 * 10] for line in _multi_field_lines(rng, bases)]
+    dropped, kept_copies = [], []
+    for i, line in enumerate(lines):
+        edits = len(line) // 10 + i % 2
+        copy = _substituted(rng, line, edits)
+        assert levenshtein(line, copy) == edits
+        if i % 2:
+            assert normalized_similarity(line, copy) < DEDUP_THRESHOLD
+            kept_copies.append(copy)
+        else:
+            assert normalized_similarity(line, copy) == DEDUP_THRESHOLD
+            dropped.append(copy)
+    copies = dropped + kept_copies
+    rng.shuffle(copies)
+    entries = lines + copies
+    if bases == 12:
+        assert len(entries) <= textdist._MATRIX_MAX
+    else:
+        assert textdist._BLOCK < len(entries) < 2 * textdist._BLOCK
+    kept = deduplicate_entries(entries)
+    assert kept == dedup_reference(entries, DEDUP_THRESHOLD)
+    assert kept == lines + [copy for copy in copies if copy in kept_copies]
+    assert dropped and kept_copies
+
+
 def test_bigram_bound_skips_most_pairs(distance_calls):
     lines = _two_template_lines(random.Random(500), 500)
     assert len(set(lines)) == 500

@@ -101,6 +101,18 @@ class TestDocumentation:
             build_registry()
         )
 
+    def test_registry_renders_once_until_a_tool_is_registered(self):
+        registry = build_registry()
+        first = registry.documentation
+        assert first is registry.documentation
+        assert first == render_documentation(registry)
+        registry.register(
+            ToolSpec("probe", "Probe.", [ToolParam("host", "")], KIND_INFO),
+            lambda kwargs: "",
+        )
+        assert "- probe: Probe." in registry.documentation
+        assert registry.documentation == render_documentation(registry)
+
     def test_requires_a_tool(self):
         with pytest.raises(ConfigurationError, match="registry is empty"):
             render_documentation(ToolRegistry())
