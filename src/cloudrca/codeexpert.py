@@ -117,15 +117,14 @@ def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
     return summary
 
 
-def code_agent_toolspec() -> ToolSpec:
-    return ToolSpec(
-        name="code_agent",
-        description="Recursively analyze a class and the classes it depends "
-        "on in the service code repository.",
-        params=[ToolParam("class_name", "name of the class to analyze")],
-        kind=KIND_EXPERT,
-        trivial_input_floor=1,
-    )
+CODE_AGENT_SPEC = ToolSpec(
+    name="code_agent",
+    description="Recursively analyze a class and the classes it depends "
+    "on in the service code repository.",
+    params=(ToolParam("class_name", "name of the class to analyze"),),
+    kind=KIND_EXPERT,
+    trivial_input_floor=1,
+)
 
 
 def make_code_agent_handler(backend: Backend, index: RepoIndex):

@@ -11,6 +11,7 @@ baseline of full sampled trajectories from step 1.
 from __future__ import annotations
 
 import functools
+import statistics
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -92,13 +93,8 @@ def aggregate_with_llm(field_texts: list[str], backend: Backend) -> str:
 
 
 def _majority_responsibility(values: list[str]) -> str:
-    counts: dict[str, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-    if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-        return UNCLEAR
-    return ranked[0][0]
+    modes = statistics.multimode(values)
+    return modes[0] if len(modes) == 1 else UNCLEAR
 
 
 def aggregate(

@@ -658,23 +658,20 @@ def run_log_expert(
     return f"Interpretation: {interpretation}"
 
 
-def log_agent_toolspec() -> ToolSpec:
-    return ToolSpec(
-        name="log_agent",
-        description="Analyze a long log with an expert agent; reports an "
-        "interpretation with supporting evidence copied from the log.",
-        params=[
-            ToolParam("snapshot", "snapshot key of (or raw text of) the log to analyze")
-        ],
-        kind=KIND_EXPERT,
-    )
+LOG_AGENT_SPEC = ToolSpec(
+    name="log_agent",
+    description="Analyze a long log with an expert agent; reports an "
+    "interpretation with supporting evidence copied from the log.",
+    params=(ToolParam("snapshot", "snapshot key of (or raw text of) the log to analyze"),),
+    kind=KIND_EXPERT,
+)
 
 
-def make_log_agent_handler(backend: Backend, store: Optional[RetrievalStore] = None):
+def make_log_agent_handler(backend: Backend):
     def handler(kwargs: dict) -> str:
         text = kwargs.get("snapshot", "")
         if not isinstance(text, str) or not text.strip():
             raise ValueError("log_agent requires non-empty log content")
-        return run_log_expert(backend, text, store=store)
+        return run_log_expert(backend, text)
 
     return handler

@@ -12,14 +12,14 @@ import functools
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .backends import Backend
-from .codeexpert import RepoIndex, code_agent_toolspec, make_code_agent_handler
+from .codeexpert import CODE_AGENT_SPEC, RepoIndex, make_code_agent_handler
 from .errors import ConfigurationError
-from .logexpert import RetrievalStore, log_agent_toolspec, make_log_agent_handler
+from .logexpert import LOG_AGENT_SPEC, make_log_agent_handler
 from .structured import json_text, jsonl_text, read_json, read_jsonl, write_files
-from .tools import ToolParam, ToolRegistry, ToolSpec, finalize_spec
+from .tools import FINALIZE_SPEC, ToolParam, ToolRegistry, ToolSpec
 from .trajectory import AnalysisResult
 
 LOG_LEVELS = ("platform", "runtime", "infrastructure")
@@ -46,6 +46,11 @@ INFO_TOOLS = {
         "Fetch prior advisor-service diagnosis records for a job.",
     ),
 }
+# built once; every registry registers these same specs
+_JOB_ID = ToolParam("job_id", "the job identifier")
+_INFO_SPECS = tuple(
+    ToolSpec(name, description, (_JOB_ID,)) for name, (_, description) in INFO_TOOLS.items()
+)
 
 _BASE_TS = 1_750_000_000  # fixed epoch origin for deterministic timestamps
 
@@ -321,22 +326,11 @@ class Sandbox:
             raise ValueError(f"unknown job_id {job_id!r}")
         return self.job(job_id).texts[name]
 
-    def build_registry(
-        self, backend: Backend, retrieval_store: Optional[RetrievalStore] = None
-    ) -> ToolRegistry:
+    def build_registry(self, backend: Backend) -> ToolRegistry:
         registry = ToolRegistry()
-        for name, (_, description) in INFO_TOOLS.items():
-            registry.register(
-                ToolSpec(name, description, [ToolParam("job_id", "the job identifier")]),
-                functools.partial(self._read, name),
-            )
-        registry.register(
-            log_agent_toolspec(),
-            make_log_agent_handler(backend, store=retrieval_store),
-        )
-        registry.register(
-            code_agent_toolspec(),
-            make_code_agent_handler(backend, self.repo_index),
-        )
-        registry.register(finalize_spec(), lambda kwargs: "Finalized.")
+        for spec in _INFO_SPECS:
+            registry.register(spec, functools.partial(self._read, spec.name))
+        registry.register(LOG_AGENT_SPEC, make_log_agent_handler(backend))
+        registry.register(CODE_AGENT_SPEC, make_code_agent_handler(backend, self.repo_index))
+        registry.register(FINALIZE_SPEC, lambda kwargs: "Finalized.")
         return registry

@@ -7,7 +7,7 @@ the trajectory keeps going.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -34,7 +34,7 @@ To analyze the full content, pass the 10-digit key string as a tool parameter
 arguments."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolParam:
     """A required string parameter of a tool."""
 
@@ -42,11 +42,13 @@ class ToolParam:
     description: str
 
 
-@dataclass
+# frozen: registries in concurrent branches and batch threads share the
+# module-level specs
+@dataclass(frozen=True)
 class ToolSpec:
     name: str
     description: str
-    params: list[ToolParam] = field(default_factory=list)
+    params: tuple[ToolParam, ...] = ()
     kind: str = KIND_INFO
     # expert tools taking naturally short input (a class name) lower the
     # trivial-input floor
@@ -248,19 +250,17 @@ def check_errors(
     return None
 
 
-def finalize_spec() -> ToolSpec:
-    """The finalize tool; its parameters are the fields
-    ``AnalysisResult.from_dict`` reads, in ``RESULT_FIELDS`` order."""
-    descriptions = {
-        "root_cause": "the fundamental cause",
-        "solution": "the mitigation method",
-        "evidence": "direct supportive content copied from observations",
-        "responsibility": 'either "User" or "Platform"',
-    }
-    return ToolSpec(
-        name="finalize",
-        description="Report findings and end the diagnosis.",
-        params=[ToolParam(name, descriptions[name]) for name in RESULT_FIELDS],
-        kind=KIND_FINALIZE,
-    )
-
+# the finalize tool; its parameters are the fields ``AnalysisResult.from_dict``
+# reads, in ``RESULT_FIELDS`` order
+_FINALIZE_PARAMS = {
+    "root_cause": "the fundamental cause",
+    "solution": "the mitigation method",
+    "evidence": "direct supportive content copied from observations",
+    "responsibility": 'either "User" or "Platform"',
+}
+FINALIZE_SPEC = ToolSpec(
+    name="finalize",
+    description="Report findings and end the diagnosis.",
+    params=tuple(ToolParam(name, _FINALIZE_PARAMS[name]) for name in RESULT_FIELDS),
+    kind=KIND_FINALIZE,
+)

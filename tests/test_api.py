@@ -5,7 +5,8 @@ encodes text so that a lone surrogate raises, only two functions of the
 package open a thread pool, only ``backends.generate_adaptive`` sets the
 pool gate, only ``structured`` decodes JSON or writes a file, only
 ``backends`` takes a norm, only the three places a result arrives as a dict
-normalize it, and the records a batch keeps per job are slotted."""
+normalize it, every tool spec is built at import, and the records a batch
+keeps per job are slotted."""
 
 import ast
 import pathlib
@@ -134,6 +135,20 @@ def test_only_the_registry_renders_tool_documentation():
         for name in _callers(path, "render_documentation")
     ]
     assert renderers == ["tools.ToolRegistry.documentation"]
+
+
+@pytest.mark.parametrize("callee", ["ToolSpec", "ToolParam"])
+def test_tool_specs_are_built_once_at_import(callee):
+    # the tool set is fixed: every registry registers the same frozen specs,
+    # so a spec built inside a function is rebuilt on every run
+    package = pathlib.Path(cloudrca.__file__).parent
+    builders = [
+        name
+        for path in sorted(package.glob("*.py"))
+        for name in _callers(path, callee)
+        if name != path.stem
+    ]
+    assert builders == []
 
 
 def _names(path):

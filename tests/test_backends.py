@@ -37,7 +37,7 @@ from cloudrca.backends import (
 )
 from cloudrca.errors import ConfigurationError, ProtocolError, TransportError
 from cloudrca.mockpolicy import PolicyBackend
-from cloudrca.tools import ToolRegistry, finalize_spec
+from cloudrca.tools import FINALIZE_SPEC, ToolRegistry
 
 from conftest import make_config
 
@@ -633,7 +633,7 @@ class TestDeeplyNestedBody:
 
     def test_a_trajectory_records_a_backend_failure(self, backend):
         registry = ToolRegistry()
-        registry.register(finalize_spec(), lambda kwargs: "Finalized.")
+        registry.register(FINALIZE_SPEC, lambda kwargs: "Finalized.")
         trajectory = run_trajectory(make_config("fj00000000"), registry, backend)
         assert trajectory.diagnostic.startswith("backend failure:")
         assert not trajectory.passed

@@ -5,10 +5,10 @@ import pytest
 
 from cloudrca.backends import MockBackend
 from cloudrca.codeexpert import (
+    CODE_AGENT_SPEC,
     DEFAULT_MAX_FILES,
     RepoIndex,
     analyze_file,
-    code_agent_toolspec,
     find_class_file,
     run_code_expert,
 )
@@ -172,7 +172,7 @@ class TestRunCodeExpert:
 
 
 def test_toolspec_allows_short_class_names():
-    spec = code_agent_toolspec()
+    spec = CODE_AGENT_SPEC
     assert spec.trivial_input_floor == 1
     assert spec.params[0].name == "class_name"
 

@@ -37,11 +37,12 @@ from cloudrca.logexpert import (
 from cloudrca.mockpolicy import PolicyBackend
 from cloudrca.snapshots import SnapshotStore
 from cloudrca.structured import DEFAULT_RETRY_LIMIT
-from cloudrca.textdist import deduplicate_entries, levenshtein, split_log
+from cloudrca.textdist import DEDUP_THRESHOLD, deduplicate_entries, levenshtein, split_log
 from cloudrca.tools import dispatch
 from cloudrca.trajectory import ToolCall
 
 from oracles import (
+    dedup_reference,
     dict_louvain_oracle,
     forward_dp_oracle,
     modularity,
@@ -49,7 +50,8 @@ from oracles import (
     recursive_exact_partition,
 )
 from test_backends import embeddings_backend
-from test_textdist import _two_template_lines
+from test_golden import _oracle_louvain
+from test_textdist import _edited, _multi_field_lines, _two_template_lines
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +680,48 @@ class TestPartition:
         assert all(chunks)
         covered = [line for chunk in chunks for line in chunk.split("\n")]
         assert covered == split_log(log)
+
+
+@st.composite
+def _template_logs(draw) -> list[str]:
+    """About 40 lines of one of two interleaved-template shapes: fresh lines,
+    exact repeats, near-duplicates within a few edits, copies holding a lone
+    surrogate, and one line longer than CHUNK_BUDGET at a drawn position."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([_two_template_lines, _multi_field_lines]))
+    fresh = iter(shape(rng, 42))
+    lines = [next(fresh)]
+    slots = st.sampled_from(["fresh", "fresh", "repeat", "near", "surrogate"])
+    for slot in draw(st.lists(slots, min_size=30, max_size=40)):
+        if slot == "fresh":
+            lines.append(next(fresh))
+        elif slot == "repeat":
+            lines.append(rng.choice(lines))
+        elif slot == "near":
+            lines.append(_edited(rng, rng.choice(lines), rng.randint(1, 8)))
+        else:
+            surrogate = rng.choice(["\ud800", "\udfff"])
+            lines.append(rng.choice(lines).replace(" ", f" {surrogate}", 1))
+    long_line = " ".join(shape(rng, 120))[: CHUNK_BUDGET + draw(st.integers(1, 100))]
+    assert len(long_line) > CHUNK_BUDGET
+    lines.insert(draw(st.integers(0, len(lines))), long_line)
+    return lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(_template_logs())
+def test_template_logs_match_the_oracle_pipeline(lines):
+    # the fast dedup and partition paths against the references that
+    # test_golden's oracle pipeline swaps in, on logs no bundle holds
+    assert deduplicate_entries(lines) == dedup_reference(lines, DEDUP_THRESHOLD)
+    log = "\n".join(lines)
+    fast = partition(log, PolicyBackend())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logexpert, "build_graph", lambda lines, embeddings: per_edge_build_graph(
+            lines, embeddings, DEFAULT_WINDOW, DEFAULT_TAU))
+        patch.setattr(logexpert, "louvain", _oracle_louvain)
+        patch.setattr(logexpert, "_min_flip_contiguous", forward_dp_oracle)
+        assert partition(log, PolicyBackend()) == fast
 
 
 def _long_line_log() -> list[str]:

@@ -306,7 +306,7 @@ class TestParseFinalize:
     one rule that normalizes a result."""
 
     def test_finalize_spec_declares_the_parsed_fields(self):
-        spec = tools.finalize_spec()
+        spec = tools.FINALIZE_SPEC
         assert spec.kind == KIND_FINALIZE
         assert [p.name for p in spec.params] == list(RESULT_FIELDS)
         kwargs = {p.name: "User" for p in spec.params}
