@@ -1,8 +1,9 @@
 import pytest
 
 from cloudrca import tools
+from cloudrca.agent import AgentConfig, run_step
+from cloudrca.backends import MockBackend
 from cloudrca.errors import ConfigurationError
-
 from cloudrca.snapshots import EMPTY_OBSERVATION, SnapshotStore, snapshot_keys
 from cloudrca.tools import (
     DEFAULT_TRIVIAL_INPUT_FLOOR,
@@ -19,7 +20,8 @@ from cloudrca.tools import (
     dispatch,
     render_documentation,
 )
-from cloudrca.trajectory import RESULT_FIELDS, AnalysisResult, Step, ToolCall
+from cloudrca.trajectory import RESULT_FIELDS, AnalysisResult, Step, ToolCall, Trajectory
+from perfbench.tracer import Tracer
 
 
 def finalize_spec():
@@ -413,3 +415,136 @@ class TestSnapshotParams:
         err = check_errors([], call, self.registry(), context())
         assert err is not None and err.rule == RULE_TRIVIAL_INPUT
         assert dispatch(self.registry(), call, context()).error
+
+
+def _reply(function, **kwargs):
+    return f"Checking.\nFunction: {ToolCall(function, kwargs).wire()}"
+
+
+# case: (prior calls, reply, observation, error_flag, invalid_flag)
+_FAILED_CALLS = {
+    "duplicate_call": (
+        [ToolCall("fetch", {"job_id": "j1"})],
+        _reply("fetch", job_id="j1"),
+        "Error: duplicate invocation of stateless tool 'fetch' with identical "
+        "arguments. Suggestion: That result is already in the trajectory; "
+        "inspect it or call a different tool.",
+        True,
+        False,
+    ),
+    "unresolved_key": (
+        [],
+        _reply("expert", snapshot="0000000000"),
+        "Error: call to 'expert' references unresolved snapshot key "
+        "'0000000000'. Suggestion: Use a snapshot key issued by an earlier "
+        "observation.",
+        True,
+        False,
+    ),
+    "trivial_input": (
+        [],
+        _reply("expert", snapshot="tiny"),
+        "Error: call to expert tool 'expert' provides trivial input (4 "
+        "characters). Suggestion: Gather substantial data first and pass its "
+        "snapshot key to the expert.",
+        True,
+        False,
+    ),
+    "early_finalize": (
+        [ToolCall("fetch", {"job_id": "j1"})],
+        _reply("finalize"),
+        "Error: call to 'finalize' before a thorough investigation. "
+        "Suggestion: Gather data with an information tool and analyze it with "
+        "an expert tool before finalizing.",
+        True,
+        False,
+    ),
+    "unknown_tool": (
+        [],
+        _reply("nope"),
+        "Error: unknown tool 'nope'. Valid tools: fetch, expert, finalize, "
+        "scan, boom.",
+        True,
+        True,
+    ),
+    "missing_parameter": (
+        [],
+        _reply("fetch"),
+        "Error: call to 'fetch' is missing required parameter 'job_id'.",
+        True,
+        True,
+    ),
+    "key_never_issued": (
+        [],
+        _reply("scan", snapshot="0000000000"),
+        "Error: parameter references snapshot key '0000000000' which was never "
+        "issued.",
+        True,
+        False,
+    ),
+    "handler_failure": (
+        [],
+        _reply("boom"),
+        "Error: tool 'boom' failed: kaput",
+        True,
+        False,
+    ),
+    "unparsable_reply": (
+        [],
+        "I am not sure what to do next.",
+        "Error: the step did not contain a parsable action. Emit exactly one "
+        'JSON object of the form {"function": "<name>", "kwargs": { ... }} '
+        "after your Thought.",
+        True,
+        True,
+    ),
+}
+
+
+class TestFailedCalls:
+    """The exact step a controller reply gets when its call fails: a rule
+    stop, a dispatch error or no parsable action.  No workload fires these,
+    so no golden holds their bytes."""
+
+    @staticmethod
+    def registry():
+        registry = build_registry()
+        registry.register(
+            ToolSpec("scan", "Scan a blob.", [ToolParam("snapshot", "key")], KIND_INFO),
+            lambda kwargs: "scanned",
+        )
+        registry.register(
+            ToolSpec("boom", "b", [], KIND_INFO),
+            lambda kwargs: (_ for _ in ()).throw(RuntimeError("kaput")),
+        )
+        return registry
+
+    @pytest.mark.parametrize("case", list(_FAILED_CALLS))
+    def test_step_bytes(self, case):
+        prior, reply, observation, error, invalid = _FAILED_CALLS[case]
+        trajectory = Trajectory(steps=[make_step(c.function, c.kwargs) for c in prior])
+        config = AgentConfig(json_regen_enabled=False)
+        step = run_step(config, trajectory, MockBackend([reply]), self.registry(), context())
+        assert (step.observation, step.error_flag, step.invalid_flag) == (
+            observation,
+            error,
+            invalid,
+        )
+        assert trajectory.steps[-1] is step
+        assert trajectory.result is None
+
+    def test_benchmark_tracer_counts_the_rule_that_fired(self):
+        # the benchmark tallies tools.rule.<name> from what check_errors
+        # returns, as the controller looks it up
+        call = _reply("fetch", job_id="j1")
+        backend = MockBackend([call, call])
+        registry, trajectory = build_registry(), Trajectory()
+        tracer = Tracer()
+        tracer.install()
+        try:
+            for _ in range(2):
+                run_step(AgentConfig(), trajectory, backend, registry, context())
+        finally:
+            tracer.uninstall()
+        assert [step.error_flag for step in trajectory.steps] == [False, True]
+        assert tracer.counts["tools.rule.duplicate_call"] == 1
