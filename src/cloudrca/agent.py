@@ -20,6 +20,7 @@ from .snapshots import SnapshotStore
 from .structured import json_regen, sanitize_prompt
 from .tools import (
     KIND_FINALIZE,
+    DispatchResult,
     ToolRegistry,
     check_errors,
     dispatch,
@@ -96,22 +97,20 @@ def run_step(
     outcome = json_regen(backend, text, config.json_regen_enabled, key="function")
     thought = _split_thought(text, outcome.start)
     function = outcome.value.get("function")
+    call = None
     if not isinstance(function, str):
-        observation = prompts.INVALID_ACTION_OBSERVATION
-        step = Step(thought, None, observation, error_flag=True, invalid_flag=True)
+        result = DispatchResult(prompts.INVALID_ACTION_OBSERVATION, True, True)
     else:
         kwargs = outcome.value.get("kwargs")
         call = ToolCall(function, kwargs if isinstance(kwargs, dict) else {})
         spec = registry.spec(call.function)
-        error = check_errors(trajectory.steps, call, registry, store)
-        if error is not None:
-            step = Step(thought, call, error.render(), error_flag=True)
-        elif spec is not None and spec.kind == KIND_FINALIZE:
+        result = check_errors(trajectory.steps, call, registry, store)
+        if result is None and spec is not None and spec.kind == KIND_FINALIZE:
             trajectory.result = AnalysisResult.from_dict(call.kwargs)
-            step = Step(thought, call, "Finalized.")
-        else:
+            result = DispatchResult("Finalized.")
+        elif result is None:
             result = dispatch(registry, call, store)
-            step = Step(thought, call, result.observation, result.error, result.invalid)
+    step = Step(thought, call, result.observation, result.error, result.invalid)
     trajectory.steps.append(step)
     return step
 

@@ -55,16 +55,6 @@ class ToolSpec:
     trivial_input_floor: int = DEFAULT_TRIVIAL_INPUT_FLOOR
 
 
-@dataclass
-class ErrorMessage:
-    rule: str
-    message: str
-    suggestion: str
-
-    def render(self) -> str:
-        return f"Error: {self.message} Suggestion: {self.suggestion}"
-
-
 Handler = Callable[[dict], str]
 
 
@@ -128,10 +118,12 @@ class DispatchResult:
     error: bool = False
     # the call itself is malformed: an unknown tool or a missing parameter
     invalid: bool = False
+    # the check_errors rule that stopped the call
+    rule: str = ""
 
 
-def _error_result(message: str, invalid: bool = False) -> DispatchResult:
-    return DispatchResult(observation=f"Error: {message}", error=True, invalid=invalid)
+def _error_result(message: str, invalid: bool = False, rule: str = "") -> DispatchResult:
+    return DispatchResult(f"Error: {message}", error=True, invalid=invalid, rule=rule)
 
 
 def dispatch(
@@ -174,13 +166,14 @@ def check_errors(
     call: ToolCall,
     registry: ToolRegistry,
     store: SnapshotStore,
-) -> Optional[ErrorMessage]:
+) -> Optional[DispatchResult]:
     """Pre-execution screening of a parsed call against the trajectory so far.
 
     Fires on (i) duplicate invocation of any tool but finalize with
     byte-identical kwargs, (ii) trivial or unresolved input to an expert
     tool, and (iii) finalizing before both an info and an expert tool have
-    produced a successful observation.  A fired rule replaces execution.
+    produced a successful observation.  A fired rule replaces execution:
+    its error result, with the rule's name in ``rule``, is the step's outcome.
     """
     spec = registry.spec(call.function)
     if spec is None:
@@ -194,40 +187,33 @@ def check_errors(
                 and step.action.function == call.function
                 and step.action.kwargs_signature() == signature
             ):
-                return ErrorMessage(
+                return _error_result(
+                    f"duplicate invocation of stateless tool {call.function!r} "
+                    "with identical arguments. Suggestion: That result is "
+                    "already in the trajectory; inspect it or call a different "
+                    "tool.",
                     rule=RULE_DUPLICATE_CALL,
-                    message=(
-                        f"duplicate invocation of stateless tool "
-                        f"{call.function!r} with identical arguments."
-                    ),
-                    suggestion="That result is already in the trajectory; "
-                    "inspect it or call a different tool.",
                 )
 
     if spec.kind == KIND_EXPERT:
         try:
             resolved = store.resolve_args(call.kwargs)
         except SnapshotKeyError as exc:
-            return ErrorMessage(
+            return _error_result(
+                f"call to {call.function!r} references unresolved snapshot key "
+                f"{exc.key!r}. Suggestion: Use a snapshot key issued by an "
+                "earlier observation.",
                 rule=RULE_TRIVIAL_INPUT,
-                message=(
-                    f"call to {call.function!r} references unresolved snapshot "
-                    f"key {exc.key!r}."
-                ),
-                suggestion="Use a snapshot key issued by an earlier observation.",
             )
         text_input = " ".join(
             str(v) for v in resolved.values() if isinstance(v, str)
         ).strip()
         if len(text_input) < spec.trivial_input_floor:
-            return ErrorMessage(
+            return _error_result(
+                f"call to expert tool {call.function!r} provides trivial input "
+                f"({len(text_input)} characters). Suggestion: Gather "
+                "substantial data first and pass its snapshot key to the expert.",
                 rule=RULE_TRIVIAL_INPUT,
-                message=(
-                    f"call to expert tool {call.function!r} provides trivial "
-                    f"input ({len(text_input)} characters)."
-                ),
-                suggestion="Gather substantial data first and pass its "
-                "snapshot key to the expert.",
             )
 
     if spec.kind == KIND_FINALIZE:
@@ -239,13 +225,11 @@ def check_errors(
             if prior is not None:
                 kinds_seen.add(prior.kind)
         if KIND_INFO not in kinds_seen or KIND_EXPERT not in kinds_seen:
-            return ErrorMessage(
-                rule=RULE_EARLY_FINALIZE,
-                message=(
-                    f"call to {call.function!r} before a thorough investigation."
-                ),
-                suggestion="Gather data with an information tool and analyze "
+            return _error_result(
+                f"call to {call.function!r} before a thorough investigation. "
+                "Suggestion: Gather data with an information tool and analyze "
                 "it with an expert tool before finalizing.",
+                rule=RULE_EARLY_FINALIZE,
             )
     return None
 

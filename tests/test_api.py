@@ -5,8 +5,10 @@ encodes text so that a lone surrogate raises, only two functions of the
 package open a thread pool, only ``backends.generate_adaptive`` sets the
 pool gate, only ``structured`` decodes JSON or writes a file, only
 ``backends`` takes a norm, only the three places a result arrives as a dict
-normalize it, every tool spec is built at import, and the records a batch
-keeps per job are slotted."""
+normalize it, every tool spec is built at import, only ``agent.run_step``
+builds a ``Step``, only ``tools._error_result`` and ``prompts`` write an
+``Error: `` observation, and the records a batch keeps per job are
+slotted."""
 
 import ast
 import pathlib
@@ -93,23 +95,32 @@ def test_every_codec_encode_passes_lone_surrogates():
     assert {name: lines for name, lines in strict.items() if lines} == {}
 
 
-def _callers(path, callee):
-    """Qualified name of the function around each call in a module whose
-    callee is ``callee`` or ends in ``.callee``."""
+def _scopes(path, matches):
+    """Qualified name of the function or class around each node of a module
+    for which ``matches`` holds; the module's name at module scope."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.append(scope)
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                if f".{ast.unparse(child.func)}".endswith(f".{callee}"):
-                    found.append(scope)
             visit(child, inner)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return found
+
+
+def _callers(path, callee):
+    """Qualified name of the function around each call in a module whose
+    callee is ``callee`` or ends in ``.callee``."""
+    return _scopes(
+        path,
+        lambda node: isinstance(node, ast.Call)
+        and f".{ast.unparse(node.func)}".endswith(f".{callee}"),
+    )
 
 
 def test_only_overlapped_and_batch_open_thread_pools():
@@ -149,6 +160,33 @@ def test_tool_specs_are_built_once_at_import(callee):
         if name != path.stem
     ]
     assert builders == []
+
+
+def test_only_run_step_builds_steps():
+    # every outcome of a controller reply (no parsable action, a rule stop,
+    # finalize, a dispatch) is one DispatchResult, and run_step turns it
+    # into the trajectory's Step in one place
+    package = pathlib.Path(cloudrca.__file__).parent
+    builders = [name for path in sorted(package.glob("*.py")) for name in _callers(path, "Step")]
+    assert builders == ["agent.run_step"]
+
+
+def test_only_error_result_and_prompts_write_error_observations():
+    # a failed call's observation comes from tools._error_result, and the
+    # unparsable reply's from prompts; a string, or the literal part of an
+    # f-string, that starts with "Error: " anywhere else is a second writer
+    package = pathlib.Path(cloudrca.__file__).parent
+    writers = [
+        name
+        for path in sorted(package.glob("*.py"))
+        for name in _scopes(
+            path,
+            lambda node: isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.startswith("Error: "),
+        )
+    ]
+    assert writers == ["prompts", "tools._error_result"]
 
 
 def _names(path):

@@ -63,7 +63,6 @@ UNCALLED = {
     "mockpolicy:_regen",
     "structured:_merge",
     "structured:extract_json",
-    "tools:ErrorMessage.render",
     "tools:_error_result",
 }
 

@@ -233,8 +233,8 @@ class TestCheckErrors:
         steps = [make_step("fetch", {"job_id": "j1"})]
         err = check_errors(steps, ToolCall("fetch", {"job_id": "j1"}), registry, context())
         assert err is not None and err.rule == RULE_DUPLICATE_CALL
-        assert err.render().startswith("Error:")
-        assert "Suggestion:" in err.render()
+        assert err.observation.startswith("Error:")
+        assert "Suggestion:" in err.observation
 
     def test_different_kwargs_allowed(self):
         registry = build_registry()
