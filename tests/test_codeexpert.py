@@ -119,6 +119,20 @@ class TestRunCodeExpert:
         assert "org.apache.Lib" in out
         assert "External dependencies" in out
 
+    def test_a_class_missing_from_the_repository_is_not_called_external(self, tmp_path):
+        # the toy repository's suggestions: one user class it does not hold,
+        # one dependency under an external prefix
+        payload = {
+            "analysis": "root class",
+            "suggestions": ["com.user.job.RecordMapper", "org.apache.sls.Client"],
+        }
+        (tmp_path / "Root.java").write_text(json.dumps(payload))
+        out = run_code_expert(EchoAnalyzer(), RepoIndex.build(str(tmp_path)), "Root")
+        assert out.splitlines()[1:] == [
+            "(External dependencies not analyzed: org.apache.sls.Client)",
+            "(Not found in repository: com.user.job.RecordMapper)",
+        ]
+
     def test_cycle_terminates(self, repo):
         be = EchoAnalyzer()
         index = RepoIndex.build(str(repo))
