@@ -2,8 +2,9 @@
 
 Given a class name, find its file in the repository, have the model analyze
 it and suggest further classes, and walk the suggestion graph breadth-first
-until nothing of interest remains, everything left is an external dependency,
-or the file cap is reached.  A final model call summarizes all analyses.
+until nothing of interest remains, everything left is an external dependency
+or a class the repository does not hold, or the file cap is reached.  A final
+model call summarizes all analyses.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
     pending: deque[str] = deque([root_class])
     visited: set[str] = set()
     externals: list[str] = []
+    missing: list[str] = []
     analyses: list[tuple[str, str]] = []
     root_path = find_class_file(index, root_class)
     if root_path is None:
@@ -97,7 +99,7 @@ def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
         visited.add(name)
         path = find_class_file(index, name)
         if path is None:
-            externals.append(name)
+            (externals if index.is_external(name) else missing).append(name)
             continue
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
@@ -112,8 +114,12 @@ def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
         prompts.CODE_SUMMARY_SYSTEM,
         f"{prompts.CODE_SUMMARY_INSTRUCTION}\n\n{listing}",
     )
-    if externals:
-        summary += f"\n(External dependencies not analyzed: {', '.join(sorted(set(externals)))})"
+    for label, names in (
+        ("External dependencies not analyzed", externals),
+        ("Not found in repository", missing),
+    ):
+        if names:
+            summary += f"\n({label}: {', '.join(sorted(names))})"
     return summary
 
 
