@@ -34,7 +34,6 @@ from .errors import (
     TransportError,
 )
 from .logexpert import (
-    RetrievalStore,
     evidence_accepted,
     louvain,
     partition,
@@ -84,7 +83,6 @@ __all__ = [
     "ProtocolError",
     "RepairOutcome",
     "RepoIndex",
-    "RetrievalStore",
     "Sandbox",
     "SnapshotKeyError",
     "SnapshotStore",

@@ -3,8 +3,9 @@
 Pipeline: split the log into lines, build a windowed similarity graph over
 line embeddings with exponential positional decay, cluster it with Louvain
 community detection, force clusters into contiguous chunks, analyze each
-chunk with retrieval-augmented LLM prompts, drop hallucinated evidence via an
-edit-distance acceptance test, and summarize the survivors.
+chunk with one LLM prompt (the analysis instruction and the chunk), drop
+hallucinated evidence via an edit-distance acceptance test, and summarize the
+survivors.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import prompts
-from .backends import Backend, ask, cosine, first_best, left_sum, overlapped, row_norms
-from .structured import json_regen, read_jsonl
+from .backends import Backend, ask, first_best, left_sum, overlapped, row_norms
+from .structured import json_regen
 from .textdist import levenshtein, split_log
 from .tools import KIND_EXPERT, ToolParam, ToolSpec
 
@@ -508,85 +509,13 @@ def partition(log: str, backend: Backend) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Retrieval store and in-context packing
-
-
-@dataclass
-class RetrievalExample:
-    example_text: str
-    answer_text: str
-    embedding: np.ndarray
-
-
-class RetrievalStore:
-    """In-context examples for the log expert, embedded at ingest time."""
-
-    def __init__(self, backend: Backend):
-        self.backend = backend
-        self.examples: list[RetrievalExample] = []
-
-    def add(self, example_text: str, answer_text: str):
-        vec = self.backend.embed([example_text])[0]
-        self.examples.append(RetrievalExample(example_text, answer_text, vec))
-
-    def ingest_jsonl(
-        self,
-        path: str,
-        deny_filter: Optional[Callable[[dict], bool]] = None,
-    ) -> int:
-        """Load {example, answer} records; records for which deny_filter
-        returns True are skipped (e.g. labeling rules must stay out).  A
-        line that is not a UTF-8 JSON object with string ``example`` and
-        ``answer`` raises ValueError naming ``path:line``."""
-        added = 0
-        for record in read_jsonl(path, ("example", "answer")):
-            if deny_filter is not None and deny_filter(record):
-                continue
-            self.add(record["example"], record["answer"])
-            added += 1
-        return added
-
-    def ranked(self, query: np.ndarray) -> list[RetrievalExample]:
-        scored = [
-            (-cosine(query, ex.embedding), idx, ex)
-            for idx, ex in enumerate(self.examples)
-        ]
-        scored.sort(key=lambda t: (t[0], t[1]))
-        return [ex for _, _, ex in scored]
-
-
-def _first_fit(blocks: Iterable[str], room: int, separator: str) -> str:
-    """The blocks joined by ``separator`` in their order, within ``room``
-    characters: a block that would overrun the room is left out and the
-    scan goes on."""
-    kept, used = [], -len(separator)  # the first block takes no separator
-    for block in blocks:
-        if used + len(separator) + len(block) <= room:
-            kept.append(block)
-            used += len(separator) + len(block)
-    return separator.join(kept)
-
-
-def pack_icl_prompt(chunk: str, store: Optional[RetrievalStore], backend: Backend) -> str:
-    """Greedy similarity-ordered example packing under a budget of
-    DEFAULT_MAX_PROMPT_LEN characters; the chunk always comes last behind an
-    explicit delimiter, cut to CHUNK_BUDGET characters when it is longer."""
-    chunk_text = chunk[:CHUNK_BUDGET]
-    body = ""
-    if store is not None and store.examples:
-        query = backend.embed([chunk])[0]
-        blocks = (
-            f"\n\n=== Example ===\n{example.example_text}\n"
-            f"--- Answer ---\n{example.answer_text}"
-            for example in store.ranked(query)
-        )
-        # the room the instruction, the delimiter and the chunk leave
-        body = _first_fit(blocks, CHUNK_BUDGET - len(chunk_text), "")
-    return prompts.LOG_ANALYSIS_INSTRUCTION + body + _CHUNK_HEADER + chunk_text
-
-
-# ---------------------------------------------------------------------------
 # Chunk analysis, hallucination filter, summary
+
+
+def chunk_prompt(chunk: str) -> str:
+    """The analysis instruction, then the chunk behind an explicit delimiter,
+    cut to CHUNK_BUDGET characters when it is longer."""
+    return prompts.LOG_ANALYSIS_INSTRUCTION + _CHUNK_HEADER + chunk[:CHUNK_BUDGET]
 
 
 def analyze_chunk(backend: Backend, prompt: str) -> list[tuple[str, str]]:
@@ -614,6 +543,18 @@ def filter_evidence(pairs: list[tuple[str, str]], chunk: str) -> list[tuple[str,
     return [(r, e) for r, e in pairs if evidence_accepted(e, chunk)]
 
 
+def _first_fit(blocks: Iterable[str], room: int) -> str:
+    """The blocks joined by blank lines in their order, within ``room``
+    characters: a block that would overrun the room is left out and the
+    scan goes on."""
+    kept, used = [], -2  # the first block takes no blank line
+    for block in blocks:
+        if used + 2 + len(block) <= room:
+            kept.append(block)
+            used += 2 + len(block)
+    return "\n\n".join(kept)
+
+
 def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str, str]:
     """One summary of the kept pairs.  Its user prompt holds at most
     DEFAULT_MAX_PROMPT_LEN characters: the pairs go in chunk order, a pair
@@ -623,7 +564,7 @@ def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str,
         return NO_EVIDENCE_SENTINEL, ""
     budget = DEFAULT_MAX_PROMPT_LEN - len(prompts.LOG_SUMMARY_INSTRUCTION) - 2
     blocks = [f"Interpretation: {r}\nEvidence: {e}" for r, e in kept_pairs]
-    listing = _first_fit(blocks, budget, "\n\n") or blocks[0][:budget]
+    listing = _first_fit(blocks, budget) or blocks[0][:budget]
     raw = ask(
         backend,
         prompts.LOG_SUMMARY_SYSTEM,
@@ -638,16 +579,14 @@ def summarize(backend: Backend, kept_pairs: list[tuple[str, str]]) -> tuple[str,
     return raw.strip(), ""
 
 
-def run_log_expert(
-    backend: Backend, log_text: str, store: Optional[RetrievalStore] = None
-) -> str:
+def run_log_expert(backend: Backend, log_text: str) -> str:
     """Full pipeline for one log: partition, per-chunk analyze + filter,
     summarize.  Returns the observation text for the controller.  The chunk
     analyses are independent, so they go through ``overlapped``; the kept
     pairs stay in chunk order."""
 
     def analyze(chunk: str) -> list[tuple[str, str]]:
-        pairs = analyze_chunk(backend, pack_icl_prompt(chunk, store, backend))
+        pairs = analyze_chunk(backend, chunk_prompt(chunk))
         return filter_evidence(pairs, chunk)
 
     chunks = partition(log_text, backend)

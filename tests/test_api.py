@@ -148,6 +148,22 @@ def test_only_the_registry_renders_tool_documentation():
     assert renderers == ["tools.ToolRegistry.documentation"]
 
 
+def test_only_the_partition_the_vote_and_the_scorer_embed():
+    # on a live endpoint every embed call is a request, and the benchmark
+    # counts embedded texts per job; a new caller is a new cost per job
+    package = pathlib.Path(cloudrca.__file__).parent
+    callers = [
+        name
+        for path in sorted(package.glob("*.py"))
+        for name in _callers(path, "embed")
+    ]
+    assert callers == [
+        "consistency.vote_with_embedding",
+        "logexpert.partition",
+        "metrics._embedding_scorer",
+    ]
+
+
 @pytest.mark.parametrize("callee", ["ToolSpec", "ToolParam"])
 def test_tool_specs_are_built_once_at_import(callee):
     # the tool set is fixed: every registry registers the same frozen specs,

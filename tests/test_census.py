@@ -55,10 +55,6 @@ UNCALLED = {
     "codeexpert:make_code_agent_handler.<locals>.handler",
     "codeexpert:run_code_expert",
     "errors:SnapshotKeyError.__init__",
-    "logexpert:RetrievalStore.__init__",
-    "logexpert:RetrievalStore.add",
-    "logexpert:RetrievalStore.ingest_jsonl",
-    "logexpert:RetrievalStore.ranked",
     "mockpolicy:PolicyBackend.clone",
     "mockpolicy:_regen",
     "structured:_merge",

@@ -21,14 +21,13 @@ from cloudrca.logexpert import (
     DEFAULT_TAU,
     DEFAULT_WINDOW,
     NO_EVIDENCE_SENTINEL,
-    RetrievalStore,
     SimilarityGraph,
     analyze_chunk,
     build_graph,
+    chunk_prompt,
     evidence_accepted,
     filter_evidence,
     louvain,
-    pack_icl_prompt,
     partition,
     remove_overlaps,
     run_log_expert,
@@ -736,7 +735,7 @@ class TestChunkBudget:
     def test_the_budget_is_the_prompt_less_its_fixed_text(self):
         assert CHUNK_BUDGET == 7676
         chunk = "y" * CHUNK_BUDGET
-        packed = pack_icl_prompt(chunk, None, MockBackend())
+        packed = chunk_prompt(chunk)
         assert packed.endswith(chunk)
         assert len(packed) == DEFAULT_MAX_PROMPT_LEN
 
@@ -755,7 +754,7 @@ class TestChunkBudget:
         lines = ["INFO a", "INFO b", giant, "INFO c"]
         chunks = partition("\n".join(lines), MockBackend())
         assert chunks == ["INFO a\nINFO b", giant, "INFO c"]
-        packed = pack_icl_prompt(giant, None, MockBackend())
+        packed = chunk_prompt(giant)
         assert packed.endswith(giant[: CHUNK_BUDGET])
         assert len(packed) == DEFAULT_MAX_PROMPT_LEN
 
@@ -772,66 +771,14 @@ class TestPackIcl:
     chunk = "ERROR failure in module x"
 
     def test_chunk_always_present(self):
-        packed = pack_icl_prompt(self.chunk, None, MockBackend())
+        packed = chunk_prompt(self.chunk)
         assert "=== Log chunk to analyze ===" in packed
         assert packed.endswith("ERROR failure in module x")
         assert "=== Example ===" not in packed
 
-    def test_similar_example_packed_first(self):
-        be = MockBackend()
-        store = RetrievalStore(be)
-        store.add("ERROR failure in module x happened", "module x crashed")
-        store.add("watermark advanced normally fine", "nothing wrong")
-        packed = pack_icl_prompt(self.chunk, store, be)
-        assert packed.count("=== Example ===") == 2
-        first = packed.index("module x crashed")
-        second = packed.index("nothing wrong")
-        assert first < second
-
-    def test_budget_excludes_examples(self):
-        be = MockBackend()
-        store = RetrievalStore(be)
-        store.add("x" * 4500, "y" * 4500)
-        store.add("ERROR failure in module x happened", "module x crashed")
-        packed = pack_icl_prompt(self.chunk, store, be)
-        assert packed.count("=== Example ===") == 1
-        assert "module x crashed" in packed and "x" * 4500 not in packed
-        assert len(packed) <= DEFAULT_MAX_PROMPT_LEN
-
     def test_oversized_chunk_truncated(self):
-        packed = pack_icl_prompt("z" * 20000, None, MockBackend())
+        packed = chunk_prompt("z" * 20000)
         assert len(packed) == DEFAULT_MAX_PROMPT_LEN
-
-    def test_ingest_jsonl_with_deny_filter(self, tmp_path):
-        path = tmp_path / "examples.jsonl"
-        rows = [
-            {"example": "good one", "answer": "a"},
-            {"example": "secret labeling rule", "answer": "b", "deny": True},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in rows))
-        store = RetrievalStore(MockBackend())
-        added = store.ingest_jsonl(str(path), deny_filter=lambda r: r.get("deny"))
-        assert added == 1
-        assert store.examples[0].example_text == "good one"
-
-    @pytest.mark.parametrize(
-        "line, reason",
-        [
-            (b"{not json", "Expecting property name"),
-            (b'{"example": "\xff", "answer": "a"}', "can't decode byte 0xff"),
-            (b'["x"]', "entry is not an object"),
-            (b'{"example": "x"}', "entry has no string 'answer'"),
-            (b'{"example": 3, "answer": "a"}', "entry has no string 'example'"),
-        ],
-        ids=["not-json", "not-utf-8", "not-object", "no-answer", "int-example"],
-    )
-    def test_ingest_jsonl_names_the_line_of_a_malformed_record(self, tmp_path, line, reason):
-        path = tmp_path / "examples.jsonl"
-        # a blank line still counts in the numbering
-        path.write_bytes(b'{"example": "good one", "answer": "a"}\n\n' + line + b"\n")
-        store = RetrievalStore(MockBackend())
-        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ") + ".*" + re.escape(reason)):
-            store.ingest_jsonl(str(path))
 
 
 # ---------------------------------------------------------------------------
