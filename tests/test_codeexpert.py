@@ -184,6 +184,14 @@ class TestRunCodeExpert:
         assert "not found in repository" in out
         assert "Nope" in out
 
+    def test_an_external_root_class_is_named_external(self, repo):
+        # the repository holds a Map.java, yet java.util.Map is a dependency
+        (repo / "Map.java").write_text(json.dumps({"analysis": "map", "suggestions": []}))
+        be = EchoAnalyzer()
+        out = run_code_expert(be, RepoIndex.build(str(repo)), "java.util.Map")
+        assert out == "class 'java.util.Map' is an external dependency, not analyzed"
+        assert be.calls == []
+
 
 def test_toolspec_allows_short_class_names():
     spec = CODE_AGENT_SPEC
