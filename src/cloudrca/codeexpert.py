@@ -89,8 +89,9 @@ def run_code_expert(backend: Backend, index: RepoIndex, root_class: str) -> str:
     externals: list[str] = []
     missing: list[str] = []
     analyses: list[tuple[str, str]] = []
-    root_path = find_class_file(index, root_class)
-    if root_path is None:
+    if index.is_external(root_class):
+        return f"class {root_class!r} is an external dependency, not analyzed"
+    if find_class_file(index, root_class) is None:
         return f"class {root_class!r} not found in repository"
     while pending and len(analyses) < DEFAULT_MAX_FILES:
         name = pending.popleft()
