@@ -171,22 +171,36 @@ _NO_TABLE = (np.empty(0, np.int64), np.empty(0, np.uint8), np.empty(0, np.float6
 _memo: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _hash_gram(seed: int, key: int) -> tuple[int, float]:
-    """The bucket and the sign the trigram with this key adds to a hash
-    embedding."""
-    gram = chr(key >> 2 * _CHAR_BITS) + chr(key >> _CHAR_BITS & _CHAR_MASK)
-    if key & _CHAR_MASK != _NO_CHAR:
-        gram += chr(key & _CHAR_MASK)
-    digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8", "surrogatepass")).digest()
-    idx = int.from_bytes(digest[:4], "big") % HASH_EMBED_DIM
-    return idx, 1.0 if digest[4] & 1 else -1.0
+def _hash_grams(seed: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket and the sign each trigram key adds to a hash embedding, from
+    one sha256 per key of "seed:gram" in UTF-8 with lone surrogates passed."""
+    prefix = [ord(c) for c in f"{seed}:"]
+    points = np.empty((len(keys), len(prefix) + 3), np.uint32)
+    points[:, : len(prefix)] = prefix
+    points[:, -3] = keys >> 2 * _CHAR_BITS
+    points[:, -2] = keys >> _CHAR_BITS & _CHAR_MASK
+    points[:, -1] = keys & _CHAR_MASK
+    real = points != _NO_CHAR
+    text = points[real].tobytes().decode("utf-32-le", "surrogatepass")
+    data = text.encode("utf-8", "surrogatepass")
+    # a code point's UTF-8 bytes: 1 below U+0080, 2 below U+0800, 3 below
+    # U+10000 (surrogates too), else 4
+    width = real * (1 + (points >= 0x80) + (points >= 0x800) + (points >= 0x10000))
+    stops = np.cumsum(width.sum(1)).tolist()
+    digests = b"".join(
+        [hashlib.sha256(data[a:b]).digest() for a, b in zip([0, *stops], stops)]
+    )
+    digests = np.frombuffer(digests, np.uint8).reshape(-1, 32)
+    # HASH_EMBED_DIM divides 256, so the big-endian digest[:4] modulo it
+    # is digest[3] modulo it
+    return digests[:, 3] % HASH_EMBED_DIM, np.where(digests[:, 4] & 1, 1.0, -1.0)
 
 
 def _gram_buckets(seed: int, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bucket and the sign of each trigram key in ``grams``, looked up in
-    the seed's memo.  Each missing distinct key is hashed once and the memo is
-    replaced by the grown table, or cleared if that would hold more than
-    HASH_EMBED_MEMO_SIZE keys."""
+    the seed's memo.  The missing distinct keys are hashed in one batch, each
+    once, and the memo is replaced by the grown table, or cleared if that
+    would hold more than HASH_EMBED_MEMO_SIZE keys."""
     global _memo
     memo = _memo
     keys, buckets, signs = memo.get(seed, _NO_TABLE)
@@ -196,8 +210,9 @@ def _gram_buckets(seed: int, grams: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     else:
         known = np.zeros(len(grams), dtype=bool)
     if not known.all():
-        new = sorted(set(grams[~known].tolist()))
-        new_buckets, new_signs = zip(*(_hash_gram(seed, key) for key in new))
+        new = np.sort(grams[~known])
+        new = new[np.insert(new[1:] != new[:-1], 0, True)]
+        new_buckets, new_signs = _hash_grams(seed, new)
         place = np.searchsorted(keys, new)
         keys = np.insert(keys, place, new)
         buckets = np.insert(buckets, place, new_buckets)

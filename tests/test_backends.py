@@ -4,6 +4,7 @@ import http.server
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -118,18 +119,28 @@ class TestScores:
         assert row_norms(x).tolist() == [np.linalg.norm(row) for row in x]
 
 
+def sha256_gram(gram, seed=0):
+    """Reference bucket and sign of one trigram: the sha256 of "seed:gram" in
+    UTF-8, lone surrogates passed as json.loads can produce them."""
+    digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8", "surrogatepass")).digest()
+    idx = int.from_bytes(digest[:4], "big") % backends_module.HASH_EMBED_DIM
+    return idx, 1.0 if digest[4] & 1 else -1.0
+
+
+def trigrams(text):
+    padded = f"^{text}$"
+    return [padded[i : i + 3] for i in range(max(1, len(padded) - 2))]
+
+
 def sha256_hash_embed(texts, seed=0):
     """Reference hash embedding: one sha256 per trigram, added straight into
     the vector."""
     vectors = []
     for text in texts:
         vec = np.zeros(backends_module.HASH_EMBED_DIM, dtype=np.float64)
-        padded = f"^{text}$"
-        for i in range(max(1, len(padded) - 2)):
-            gram = padded[i : i + 3]
-            digest = hashlib.sha256(f"{seed}:{gram}".encode("utf-8")).digest()
-            idx = int.from_bytes(digest[:4], "big") % backends_module.HASH_EMBED_DIM
-            vec[idx] += 1.0 if digest[4] & 1 else -1.0
+        for gram in trigrams(text):
+            idx, sign = sha256_gram(gram, seed)
+            vec[idx] += sign
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -140,6 +151,9 @@ def sha256_hash_embed(texts, seed=0):
 
 
 class TestHashEmbed:
+    # a character of each UTF-8 width (1 to 4 bytes; a lone surrogate takes 3)
+    # beside the padding characters and NUL
+    ALPHABET = "ab^$ \x00\U0001f680é日\ud800\U0010ffff"
     TEXTS = [
         "",
         "a",
@@ -148,6 +162,8 @@ class TestHashEmbed:
         "retry retry retry retry retry retry retry retry",
         "日本語のログ行",
         "non-BMP 🚀 𝔘𝔫𝔦𝔠𝔬𝔡𝔢 \U0001f600 done",
+        # a character of each UTF-8 width, then the first and last of each
+        "widths: é 日 \U0010ffff, edges: \x7f\x80 \u07ff\u0800 \uffff\U00010000",
     ]
 
     def test_no_texts_is_an_error(self):
@@ -205,6 +221,33 @@ class TestHashEmbed:
         [row] = hash_embed(["a\ud800b"])
         assert row.shape == (backends_module.HASH_EMBED_DIM,)
         assert np.linalg.norm(row) == pytest.approx(1.0)
+        assert np.array_equal(row, sha256_hash_embed(["a\ud800b"])[0])
+
+    def test_a_cold_call_leaves_every_new_trigram_in_the_memo(self, monkeypatch):
+        rng = random.Random(7)
+        texts = ["".join(rng.choices(self.ALPHABET, k=n)) for n in range(12)]
+        grams = {gram for text in texts for gram in trigrams(text)}
+
+        def key(gram):
+            points = [ord(c) for c in gram] + [0x110000] * (3 - len(gram))
+            return points[0] << 42 | points[1] << 21 | points[2]
+
+        monkeypatch.setattr(backends_module, "_memo", {})
+        for seed in (0, 3):
+            hash_embed(texts, seed)
+        ordered = sorted(grams, key=key)
+        for seed in (0, 3):
+            keys, buckets, signs = backends_module._memo[seed]
+            assert keys.tolist() == [key(gram) for gram in ordered]
+            assert list(zip(buckets.tolist(), signs.tolist())) == [
+                sha256_gram(gram, seed) for gram in ordered
+            ]
+        # a call whose new trigrams overflow the memo still hashes them all,
+        # then clears the memo
+        monkeypatch.setattr(backends_module, "_memo", {})
+        monkeypatch.setattr(backends_module, "HASH_EMBED_MEMO_SIZE", len(grams) - 1)
+        assert np.array_equal(hash_embed(texts, 3), sha256_hash_embed(texts, 3))
+        assert backends_module._memo == {}
 
     def test_concurrent_calls_share_the_memo_safely(self, monkeypatch):
         monkeypatch.setattr(backends_module, "_memo", {})
@@ -237,7 +280,7 @@ class TestHashEmbed:
     @settings(max_examples=150, deadline=None)
     @given(
         texts=st.lists(
-            st.text(alphabet="ab^$ \x00\U0001f680", max_size=8), min_size=1, max_size=6
+            st.text(alphabet=ALPHABET, max_size=8), min_size=1, max_size=6
         ),
         seed=st.sampled_from([0, 3]),
     )
